@@ -23,6 +23,9 @@ BUDGET_ENV = "FINEFILL_BUDGET"
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 1
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         code = args.func(args, sink)
@@ -144,12 +147,6 @@ def _budget(args):
     return fineness.DEFAULT_BUDGET
 
 
-def _jobs(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    return args.jobs
-
-
 def _load_complex(path):
     with open(path, encoding="utf-8") as fh:
         return complexes.parse_complex(fh.read())
@@ -180,13 +177,11 @@ def _walk_tokens(walk):
 # -- subcommands ----------------------------------------------------------------
 
 def _cmd_validate(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     print(f"valid\t{len(cx.vertices)}\t{len(cx.edges)}\t{len(cx.faces)}", file=out)
 
 
 def _cmd_h1(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     rep = complexes.homology_h1(cx)
     print(f"betti1\t{rep.betti1}", file=out)
@@ -195,7 +190,6 @@ def _cmd_h1(args, out):
 
 
 def _cmd_fill(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     gamma = _load_chain(args.cycle)
     res = filling.filling_norm(cx, gamma, _ring(args.ring))
@@ -206,7 +200,6 @@ def _cmd_fill(args, out):
 
 
 def _cmd_fv(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     table = filling.fv(cx, args.kmax, _ring(args.ring))
     print("k\tvalue", file=out)
@@ -215,7 +208,6 @@ def _cmd_fv(args, out):
 
 
 def _cmd_linearity(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     rows = filling.linearity_report(cx, args.kmax)
     print("k\tfv_z\tfv_q\tratio", file=out)
@@ -225,7 +217,6 @@ def _cmd_linearity(args, out):
 
 
 def _cmd_decompose(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     gamma = _load_chain(args.cycle)
     if gamma.ring != INT:
@@ -235,7 +226,6 @@ def _cmd_decompose(args, out):
 
 
 def _cmd_circuits(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     found = chains.enumerate_circuits(cx, args.edge, args.length)
     print(f"count\t{len(found)}", file=out)
@@ -244,7 +234,6 @@ def _cmd_circuits(args, out):
 
 
 def _cmd_fine(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     method = fineness.GRAPH_SEARCH if args.method == "graph" else fineness.SPECIAL_CHAIN
     cert = fineness.fineness_certificate(cx, args.length, method, budget=_budget(args))
@@ -261,7 +250,6 @@ def _cmd_fine(args, out):
 
 
 def _cmd_special(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     found = fineness.enumerate_special_chains(cx, args.edge, args.norm,
                                               budget=_budget(args))
@@ -271,7 +259,6 @@ def _cmd_special(args, out):
 
 
 def _cmd_subdivide(args, out):
-    _jobs(args)
     cx = _load_complex(args.complex)
     mode = MIDPOINT if args.mode == "mid" else BARYCENTRIC
     result = complexes.subdivide(cx, mode)
@@ -281,7 +268,6 @@ def _cmd_subdivide(args, out):
 
 
 def _cmd_omega(args, out):
-    _jobs(args)
     graph = _load_complex(args.graph)
     n = args.n if args.n is not None else max(1, len(graph.vertices))
     om = constructions.omega_n(graph, n)
@@ -291,7 +277,6 @@ def _cmd_omega(args, out):
 
 
 def _cmd_weakarea(args, out):
-    _jobs(args)
     graph = _load_complex(args.graph)
     gamma = _load_chain(args.cycle)
     res = filling.weak_area(graph, gamma, args.N)
@@ -301,7 +286,6 @@ def _cmd_weakarea(args, out):
 
 
 def _cmd_coneoff(args, out):
-    _jobs(args)
     pres = _load_group(args.group)
     if args.graph_only:
         coned = constructions.coned_off_cayley_graph(pres)
@@ -311,7 +295,6 @@ def _cmd_coneoff(args, out):
 
 
 def _cmd_delta(args, out):
-    _jobs(args)
     graph = _load_complex(args.graph)
     rep = hyperbolicity.hyperbolicity_delta(graph, vertex_cap=args.cap)
     frac = Fraction(rep.delta)
@@ -320,7 +303,6 @@ def _cmd_delta(args, out):
 
 
 def _cmd_sadd(args, out):
-    _jobs(args)
     values = []
     with open(args.table, encoding="utf-8") as fh:
         for raw in fh:
@@ -346,7 +328,6 @@ def _cmd_sadd(args, out):
 # -- corpus property runner -------------------------------------------------------
 
 def _cmd_corpus(args, out):
-    _jobs(args)
     rng = random.Random(args.seed)
     files = sorted(f for f in os.listdir(args.directory) if f.endswith(".cx"))
     if not files:

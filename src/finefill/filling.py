@@ -4,14 +4,17 @@ The rational problem is an l1-minimization min |mu|_1 with d2(mu) = gamma;
 the integral problem additionally restricts mu to integer chains.  Both are
 solved exactly:
 
-* infeasibility over Q is read off a cached row reduction of d2, and over
-  Z from its Smith normal form;
+* a query over Q reads infeasibility off a row reduction of d2 over Q, and
+  a query over Z reads it off the Smith normal form of d2, which also tells
+  a cycle that is not even a rational boundary; each factorization is built
+  the first time a query needs it and then cached with the complex;
 * when the kernel of d2 has rank 0 or 1 the solution set is a point or a
   line and the optimum is a weighted-median computation;
 * otherwise the rational optimum comes from a two-phase exact simplex in
   split-variable form, and the integral optimum from branch and bound
   seeded with a normal-form particular solution, with the simplex bound
-  below every node.
+  below every node.  A node's LP carries box rows only for the faces
+  branched on above it, so the root LP is the rational one.
 
 INFINITE is a real value here (the infimum of an empty set), not an error.
 """
@@ -72,7 +75,8 @@ def format_value(v):
 
 
 FEASIBLE_OPTIMAL = "FEASIBLE_OPTIMAL"
-INTEGRALLY_INFEASIBLE = "INTEGRALLY_INFEASIBLE"
+INTEGRALLY_INFEASIBLE = "INTEGRALLY_INFEASIBLE"  # a boundary over Q, not over Z
+RATIONALLY_INFEASIBLE = "RATIONALLY_INFEASIBLE"  # not a boundary even over Q
 NO_FACES = "NO_FACES"
 
 
@@ -108,10 +112,16 @@ class _FillingContext:
         self.edges = [e.id for e in complex_.edges]
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.d2 = complex_.boundary_matrix_2()
-        self.rat = linalg.RationalSolver(self.d2) if self.faces else None
+        self._rat = None
         self._snf = None
         self._ker = None
         self.value_cache = {}
+
+    @property
+    def rat(self):
+        if self._rat is None:
+            self._rat = linalg.RationalSolver(self.d2)
+        return self._rat
 
     @property
     def snf(self):
@@ -176,19 +186,26 @@ def _solve(ctx, gamma, ring, strategy):
     if not ctx.faces:
         return FillingResult(INF, None, ring, NO_FACES)
     vec = ctx.gamma_vector(gamma)
-    ker_dim = len(ctx.faces) - ctx.rat.rank
     if ring == RAT:
+        ker_dim = len(ctx.faces) - ctx.rat.rank
         mu_rat = ctx.rat.solve([Fraction(v) for v in vec])
         if mu_rat is None:
-            return FillingResult(INF, None, ring, INTEGRALLY_INFEASIBLE)
+            return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
         if strategy == "auto" and ker_dim <= 1:
             x, val = _minimize_on_line(mu_rat, ctx.kernel[0] if ker_dim else None,
                                        integral=False)
         else:
             x, val = _lp_optimum(ctx, vec)
         return FillingResult(val, ctx.chain_from_vector(x, RAT), RAT, FEASIBLE_OPTIMAL)
+    u, d, _ = ctx.snf
+    rank = linalg.snf_rank(d)
+    ker_dim = len(ctx.faces) - rank
     mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
     if mu_int is None:
+        # u is unimodular, so u.gamma vanishes from the rank on exactly when
+        # gamma is a rational boundary
+        if any(linalg.mat_vec(u, vec)[rank:]):
+            return FillingResult(INF, None, INT, RATIONALLY_INFEASIBLE)
         return FillingResult(INF, None, INT, INTEGRALLY_INFEASIBLE)
     if strategy == "auto" and ker_dim <= 1:
         x, val = _minimize_on_line(mu_int, ctx.kernel[0] if ker_dim else None,
@@ -230,13 +247,15 @@ def _minimize_on_line(mu, z, integral):
 
 
 def _lp_optimum(ctx, vec, bounds=None):
-    """Split-variable LP: min sum(p+n), d2 (p - n) = vec, optional boxes."""
+    """Split-variable LP: min sum(p+n), d2 (p - n) = vec, with the box
+    lb <= p_j - n_j <= ub for each face index j in ``bounds`` ({j: (lb, ub)})."""
     nf = len(ctx.faces)
     a_eq = [row + [-v for v in row] for row in ctx.d2]
     b_eq = list(vec)
     a_ub, b_ub = [], []
     if bounds:
-        for j, (lb, ub) in enumerate(bounds):
+        for j in sorted(bounds):
+            lb, ub = bounds[j]
             row = [0] * (2 * nf)
             row[j], row[nf + j] = 1, -1
             a_ub.append(row)
@@ -270,13 +289,16 @@ def _branch_and_bound(ctx, vec, mu_int):
     canonical face order), depth first, lower branch first.  The initial
     incumbent comes from the normal-form solution reduced by kernel moves,
     whose norm also bounds every variable's search box.
+
+    A node's bounds map the faces branched on above it to their boxes, and
+    its LP gets box rows for those faces only.  The other boxes need no
+    rows: an LP optimum below the incumbent norm already lies inside them.
     """
     nf = len(ctx.faces)
     incumbent = _reduce_by_kernel(mu_int, ctx.kernel)
     inc_val = sum(abs(v) for v in incumbent)
     box = inc_val
-    root = tuple((-box, box) for _ in range(nf))
-    stack = [root]
+    stack = [{}]
     while stack:
         bounds = stack.pop()
         x, val = _lp_optimum(ctx, vec, bounds)
@@ -295,13 +317,13 @@ def _branch_and_bound(ctx, vec, mu_int):
             if cand_val < inc_val:
                 incumbent, inc_val = cand, cand_val
             continue
-        lo, hi = bounds[frac_face]
-        down = list(bounds)
+        lo, hi = bounds.get(frac_face, (-box, box))
+        down = dict(bounds)
         down[frac_face] = (lo, floor(x[frac_face]))
-        up = list(bounds)
+        up = dict(bounds)
         up[frac_face] = (ceil(x[frac_face]), hi)
-        stack.append(tuple(up))
-        stack.append(tuple(down))
+        stack.append(up)
+        stack.append(down)
     return incumbent, inc_val
 
 

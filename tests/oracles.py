@@ -3,14 +3,17 @@
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
 divisors, distances use Floyd-Warshall, cycle sets use raw coefficient
-vectors, circuit counts use degree-two edge subsets.
+vectors, circuit counts use degree-two edge subsets, linear programs use a
+Fraction tableau, and integral fillings can also come from branch and bound
+that boxes every face at every node.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 from finefill import Chain, INT, boundary, is_cycle
+from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
 def exhaustive_int_filling(cx, gamma, cap):
@@ -226,3 +229,157 @@ def four_point_delta(cx):
         if gap > best:
             best = gap
     return best
+
+
+# -- linear programs -----------------------------------------------------------
+
+def fraction_solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
+    """The two-phase simplex on a Fraction tableau, Bland's rule throughout:
+    (status, x, value), x and value None unless OPTIMAL."""
+    a_ub = a_ub or []
+    b_ub = b_ub or []
+    n = len(c)
+    rows = []
+    rhs = []
+    n_slack = len(a_ub)
+    for i, row in enumerate(a_eq):
+        r = [Fraction(v) for v in row] + [Fraction(0)] * n_slack
+        rows.append(r)
+        rhs.append(Fraction(b_eq[i]))
+    for i, row in enumerate(a_ub):
+        r = [Fraction(v) for v in row] + [Fraction(0)] * n_slack
+        r[n + i] = Fraction(1)
+        rows.append(r)
+        rhs.append(Fraction(b_ub[i]))
+    m = len(rows)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    total = n + n_slack + m  # one artificial per row
+    tab = []
+    for i in range(m):
+        row = rows[i] + [Fraction(0)] * m + [rhs[i]]
+        row[n + n_slack + i] = Fraction(1)
+        tab.append(row)
+    basis = [n + n_slack + i for i in range(m)]
+
+    # phase 1: minimize the sum of artificials
+    cost = [Fraction(0)] * (total + 1)
+    for j in range(n + n_slack, total):
+        cost[j] = Fraction(1)
+    for i in range(m):
+        cost = [cv - tv for cv, tv in zip(cost, tab[i])]
+    _fraction_pivot_until_optimal(tab, cost, basis, total)
+    if -cost[total] != 0:  # artificial sum > 0
+        return INFEASIBLE, None, None
+
+    # drive leftover artificials out of the basis where possible
+    drop = []
+    for i in range(m):
+        if basis[i] >= n + n_slack:
+            piv = next((j for j in range(n + n_slack) if tab[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                _fraction_pivot(tab, cost, basis, i, piv, total)
+    for i in sorted(drop, reverse=True):
+        del tab[i]
+        del basis[i]
+    m = len(tab)
+
+    # phase 2: original objective, artificial columns frozen at zero
+    cost = [Fraction(0)] * (total + 1)
+    for j in range(n):
+        cost[j] = Fraction(c[j])
+    for i in range(m):
+        bj = basis[i]
+        if cost[bj] != 0:
+            f = cost[bj]
+            cost = [cv - f * tv for cv, tv in zip(cost, tab[i])]
+    status = _fraction_pivot_until_optimal(tab, cost, basis, n + n_slack)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+    value = -cost[total]
+    return OPTIMAL, x, value
+
+
+def _fraction_pivot_until_optimal(tab, cost, basis, ncols):
+    total = len(cost) - 1
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best = None
+        for i in range(len(tab)):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][total] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _fraction_pivot(tab, cost, basis, leave, enter, total)
+
+
+def _fraction_pivot(tab, cost, basis, row, col, total):
+    piv = tab[row][col]
+    if piv != 1:
+        inv = 1 / piv
+        tab[row] = [v * inv for v in tab[row]]
+    prow = tab[row]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
+    if cost[col] != 0:
+        f = cost[col]
+        cost[:] = [v - f * p for v, p in zip(cost, prow)]
+    basis[row] = col
+
+
+def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
+    """Least |mu|_1 over integral mu with d2 mu = vec: (mu, value).
+
+    Branch and bound from a feasible integral ``incumbent``.  Every node's LP,
+    the root included, bounds every face variable to +-|incumbent|_1 by two
+    inequality rows and is solved by ``solve_lp``.  Branches on the variable
+    with the largest fractional part, depth first, lower branch first.
+    """
+    nf = len(d2[0])
+    a_eq = [row + [-v for v in row] for row in d2]
+    incumbent = list(incumbent)
+    inc_val = sum(abs(v) for v in incumbent)
+    box = inc_val
+    stack = [tuple((-box, box) for _ in range(nf))]
+    while stack:
+        bounds = stack.pop()
+        a_ub, b_ub = [], []
+        for j, (lb, ub) in enumerate(bounds):
+            row = [0] * (2 * nf)
+            row[j], row[nf + j] = 1, -1
+            a_ub += [row, [-v for v in row]]
+            b_ub += [ub, -lb]
+        status, x, val = solve_lp([1] * (2 * nf), a_eq, vec, a_ub, b_ub)
+        if status != OPTIMAL or val >= inc_val or ceil(val) >= inc_val:
+            continue
+        x = [x[j] - x[nf + j] for j in range(nf)]
+        fracs = [(x[j] - floor(x[j]), -j) for j in range(nf) if x[j] != floor(x[j])]
+        if not fracs:
+            cand = [int(v) for v in x]
+            if sum(abs(v) for v in cand) < inc_val:
+                incumbent, inc_val = cand, sum(abs(v) for v in cand)
+            continue
+        j = -max(fracs)[1]
+        lo, hi = bounds[j]
+        down, up = list(bounds), list(bounds)
+        down[j] = (lo, floor(x[j]))
+        up[j] = (ceil(x[j]), hi)
+        stack += [tuple(up), tuple(down)]
+    return incumbent, inc_val

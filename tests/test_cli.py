@@ -169,6 +169,15 @@ def test_jobs_validation():
     assert code == 1
 
 
+def test_jobs_checked_before_dispatch(capsys):
+    for argv in (["fill", "--ring", "z", "--cycle", data("tri_cycle.cy"), data("tetra.cx")],
+                 ["delta", data("k4.cx")]):
+        assert main([*argv, "--jobs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --jobs must be >= 1\n"
+
+
 def test_missing_file_is_input_error():
     code, _ = run_cli("validate", "no_such_file.cx")
     assert code == 1

@@ -7,6 +7,7 @@ from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, filling_norm, fv,
                       linearity_report, superadditive_closure, validate,
                       weak_area)
+from finefill import filling, linalg, simplex
 from finefill.chains import require_circuit
 from finefill.constructions import omega_n
 from finefill.errors import HasFacesError, NotACycleError
@@ -14,7 +15,8 @@ from finefill.errors import HasFacesError, NotACycleError
 from instances import (CORPUS, CORPUS_GRAPHS, double_traversal, hexagon,
                        hexagon_chord, k4_graph, square_face, tetrahedron,
                        triangle_face, triangle_graph)
-from oracles import exhaustive_int_filling, partition_maximum
+from oracles import (exhaustive_int_filling, fraction_solve_lp,
+                     full_box_branch_and_bound, partition_maximum)
 
 
 def test_single_face_fills_its_boundary():
@@ -37,6 +39,24 @@ def test_double_traversal_separates_rings():
     rz = filling_norm(cx, gamma, INT)
     assert rz.value is INF and rz.witness is None
     assert rz.certificate == "INTEGRALLY_INFEASIBLE"
+
+
+def test_rationally_infeasible_label_in_both_rings(monkeypatch):
+    # two loops, one face on the first: the second loop bounds nothing, not
+    # even over Q
+    cx = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
+    gamma = Chain(1, INT, {"e1": 1})
+    rq = filling_norm(cx, gamma, RAT)
+    assert rq.value is INF and rq.certificate == "RATIONALLY_INFEASIBLE"
+
+    def no_rational_factorization(*args):
+        raise AssertionError("an integral query built the rational factorization")
+
+    monkeypatch.setattr(linalg, "RationalSolver", no_rational_factorization)
+    fresh = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
+    rz = filling_norm(fresh, gamma, INT)
+    assert rz.value is INF and rz.certificate == "RATIONALLY_INFEASIBLE"
+    assert filling_norm(fresh, Chain(1, INT, {"e0": 3}), INT).value == 3
 
 
 def test_no_faces_certificate():
@@ -138,6 +158,84 @@ def test_branch_and_bound_matches_oracle_on_wide_kernel():
         want = exhaustive_int_filling(om, cycle, 3)
         assert got == want, cycle.coeffs
         assert filling_norm(om, cycle, RAT).value <= got
+
+
+def _k5_graph():
+    return validate("12345", [(f"e{a}{b}", a, b)
+                              for a in "12345" for b in "12345" if a < b])
+
+
+def _check_against_full_box(om, k, solve_lp):
+    ctx = filling._context(om)
+    checked = 0
+    for cycle in enumerate_cycles(om, k):
+        if cycle.is_zero():
+            continue
+        vec = ctx.gamma_vector(cycle)
+        mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
+        if mu_int is None:
+            continue
+        x, val = filling._branch_and_bound(ctx, vec, mu_int)
+        start = filling._reduce_by_kernel(mu_int, ctx.kernel)
+        y, want = full_box_branch_and_bound(ctx.d2, vec, start, solve_lp)
+        assert val == want, cycle.coeffs
+        for witness in (x, y):
+            mu = ctx.chain_from_vector(witness, INT)
+            assert boundary(om, mu) == cycle and mu.l1() == val, cycle.coeffs
+        checked += 1
+    return checked
+
+
+def test_branch_and_bound_matches_full_box_oracle():
+    # box rows only on branched faces against the old search that boxes every
+    # face at every node: on omega_4(K4) with the Fraction-tableau simplex, on
+    # omega_3(K5) (kernel rank 4) with the package simplex, which
+    # test_lp_matches_fraction_oracle checks on its own
+    assert _check_against_full_box(omega_n(k4_graph(), 4), 4, fraction_solve_lp) >= 10
+    assert _check_against_full_box(omega_n(_k5_graph(), 3), 5, simplex.solve_lp) >= 70
+
+
+def test_branch_and_bound_matches_full_box_oracle_when_it_branches(monkeypatch):
+    # the omega complexes above have integral LP optima at the root; faces
+    # that run over a loop several times give fractional ones, so these
+    # searches branch, and the box rows of branched faces come into play
+    lp_calls = []
+    solve_lp = simplex.solve_lp
+
+    def counting(*args):
+        lp_calls.append(1)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    rng = random.Random(1)
+    checked = built = 0
+    while built < 12:
+        vs = [f"v{i}" for i in range(rng.randint(1, 3))]
+        es = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(2, 4))]
+        graph = validate(vs, es)
+        walks = [_random_closed_walk(graph, rng, 6) for _ in range(rng.randint(3, 6))]
+        cx = validate(vs, es, [(f"f{j}", w) for j, w in enumerate(walks) if w])
+        ctx = filling._context(cx)
+        if len(cx.faces) - linalg.snf_rank(ctx.snf[1]) < 2:
+            continue
+        built += 1
+        checked += _check_against_full_box(cx, 3, fraction_solve_lp)
+    assert len(lp_calls) > 2 * checked
+
+
+def test_branch_and_bound_root_lp_has_no_box_rows(monkeypatch):
+    calls = []
+    solve_lp = simplex.solve_lp
+
+    def recording(c, a_eq, b_eq, a_ub=None, b_ub=None):
+        calls.append(a_ub)
+        return solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    om = omega_n(k4_graph(), 4)
+    square = Chain(1, INT, {"e12": 1, "e23": 1, "e34": 1, "e14": -1})
+    assert filling_norm(om, square, INT).value == 1
+    assert calls and not calls[0]
 
 
 def _random_closed_walk(cx, rng, max_len):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from finefill import linalg
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
-from oracles import determinant_divisor_factors
+from oracles import determinant_divisor_factors, fraction_solve_lp
 
 
 def matmul(a, b):
@@ -105,3 +105,51 @@ def test_lp_feasibility_of_reported_point():
             assert sum(Fraction(r[j]) * x[j] for j in range(n)) <= b
         assert all(xi >= 0 for xi in x)
         assert sum(Fraction(c[j]) * x[j] for j in range(n)) == v
+
+
+def test_lp_matches_fraction_oracle():
+    # the integer tableau must make the pivots of the Fraction tableau: same
+    # status, same vertex, same value, also with Fraction coefficients, zero
+    # costs and right-hand sides (ties, degenerate pivots) and redundant
+    # equality rows (artificials that cannot be driven out)
+    rng = random.Random(20240)
+
+    def coef():
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.choice([1, 2, 3, 6])) if rng.random() < 0.3 else v
+
+    def rhs():
+        return coef() if rng.random() < 0.6 else 0
+
+    statuses = set()
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        me, mu = rng.randint(0, 4), rng.randint(0, 4)
+        c = [coef() for _ in range(n)]
+        if trial % 2:
+            c = [abs(v) for v in c]
+        if trial % 3 == 0:
+            c = [v if rng.random() < 0.5 else 0 for v in c]
+        a_eq = [[coef() for _ in range(n)] for _ in range(me)]
+        b_eq = [rhs() for _ in range(me)]
+        if a_eq and trial % 5 == 0:
+            k = rng.randrange(me)
+            a_eq.append([2 * v for v in a_eq[k]])
+            b_eq.append(2 * b_eq[k])
+        a_ub = [[coef() for _ in range(n)] for _ in range(mu)]
+        b_ub = [rhs() for _ in range(mu)]
+        got = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+        assert got == fraction_solve_lp(c, a_eq, b_eq, a_ub, b_ub), trial
+        statuses.add(got[0])
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_lp_ratio_ties_leave_by_least_basic_index():
+    # a degenerate LP with many optimal vertices: the one returned depends on
+    # breaking ratio-test ties by the least basic index, as Bland's rule does
+    lp = ([0, 0, 0, 0, 4], [[1, 1, -3, 0, 0]], [0],
+          [[-4, 3, 2, 3, 0], [-2, Fraction(-4, 3), 0, -4, 0], [-1, -3, -3, 1, -1]],
+          [3, 4, Fraction(-4, 3)])
+    want = (OPTIMAL, [Fraction(2, 3), 0, Fraction(2, 9), 0, 0], 0)
+    assert fraction_solve_lp(*lp) == want
+    assert solve_lp(*lp) == want
