@@ -8,6 +8,7 @@ Exact rationals print as p/q, integers bare, INFINITE as ``inf``; the
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -47,7 +48,10 @@ def main(argv=None):
     return code or 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused by later ones
+    (parsing leaves it unchanged; building it costs more than many queries)."""
     parser = argparse.ArgumentParser(
         prog="finefill",
         description="Exact filling norms, Dehn functions, and fineness "

@@ -2,16 +2,31 @@
 
 delta is half the largest gap between the two biggest of the three pairing
 sums d(x,y)+d(z,w), maximized over vertex quadruples of the 1-skeleton.
-The scan is exhaustive (refused above a vertex cap rather than sampled),
-distances are unit-length BFS, and the reported witness is the
-lexicographically least quadruple attaining the maximum.
+Distances are unit-length BFS and all comparisons are on integer 2*delta;
+graphs above a vertex cap are refused rather than sampled.
+
+The value is the maximum over the biconnected blocks with at least four
+vertices (a block is isometric in the graph, and a quadruple whose nearest
+points in every block collide has delta 0).  Within a block, the far-apart
+pairs are scanned by decreasing distance and each pair meets only the pairs
+before it (Cohen, Coudert and Lancin, "On computing the Gromov
+hyperbolicity", ACM JEA 2015): a quadruple's largest pairing sum
+d(a,b)+d(c,d) bounds its 2*delta by min(d(a,b), d(c,d)), so the scan stops
+at the first pair no longer than the best 2*delta found.
+
+The reported witness is the lexicographically least quadruple attaining the
+maximum.  A quadruple whose four nearest points in a block B are distinct
+has the delta of those points, since every pairing sum shifts by the same
+four distances to B; so the least witness is found block by block, by a
+lexicographic pass over the vertices of B ranked by the least vertex whose
+nearest point in B they are.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DisconnectedError, TooLargeError
+from .errors import DisconnectedError, InternalError, TooLargeError
 
 DEFAULT_VERTEX_CAP = 400
 
@@ -54,29 +69,144 @@ class DeltaReport:
 
 
 def hyperbolicity_delta(complex_, vertex_cap=DEFAULT_VERTEX_CAP):
-    """Exact four-point delta with a deterministic witness.
+    """Exact four-point delta with the lexicographically least witness.
 
-    Every quadruple is scanned; beyond ``vertex_cap`` vertices the call
-    refuses (TooLargeError) instead of sampling.
+    Beyond ``vertex_cap`` vertices the call refuses (TooLargeError)
+    instead of sampling.
     """
     n = len(complex_.vertices)
     if n > vertex_cap:
         raise TooLargeError(f"{n} vertices exceeds the cap {vertex_cap}")
     dist = all_pairs_distances(complex_)
-    diameter = max((dist[u][v] for u in complex_.vertices for v in complex_.vertices),
-                   default=0)
-    best = Fraction(0)
-    witness = None
-    for quad in combinations(sorted(complex_.vertices), 4):
-        a, b, c, d = quad
-        s1 = dist[a][b] + dist[c][d]
-        s2 = dist[a][c] + dist[b][d]
-        s3 = dist[a][d] + dist[b][c]
-        mid, hi = sorted((s1, s2, s3))[1:]
-        gap = Fraction(hi - mid, 2)
-        if gap > best:
-            best = gap
-            witness = quad
-    if witness is None and n >= 4:
-        witness = tuple(sorted(complex_.vertices)[:4])
-    return DeltaReport(best, witness, n, diameter)
+    order = sorted(complex_.vertices)
+    rows = [[dist[u][v] for v in order] for u in order]
+    adj = [[w for w, d in enumerate(row) if d == 1] for row in rows]
+    diameter = max((max(row) for row in rows), default=0)
+    valued = [(_block_twice_delta(rows, adj, b), b) for b in _blocks(adj) if len(b) >= 4]
+    best = max((value for value, _ in valued), default=0)
+    if best:
+        least = min(_least_witness(rows, b, best) for value, b in valued if value == best)
+        witness = tuple(order[i] for i in least)
+    else:
+        witness = tuple(order[:4]) if n >= 4 else None
+    return DeltaReport(Fraction(best, 2), witness, n, diameter)
+
+
+def _blocks(adj):
+    """Vertex lists of the biconnected components of a connected graph given
+    by its adjacency lists (Hopcroft-Tarjan, iterative)."""
+    if not adj:
+        return []
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[0] = 0
+    found = 1
+    stack = [0]
+    work = [(0, iter(adj[0]))]
+    blocks = []
+    while work:
+        v, nbrs = work[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = found
+                found += 1
+                stack.append(w)
+                work.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:   # u separates v's subtree: pop one block
+                    block = [u]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    blocks.append(block)
+    return blocks
+
+
+def _block_twice_delta(rows, adj, block):
+    """Largest 2*delta over the quadruples of ``block``, by the pruned pair scan."""
+    best = 0
+    earlier = []
+    for dab, a, b in sorted(_far_apart_pairs(rows, adj, block), reverse=True):
+        if dab <= best:
+            break
+        ra, rb = rows[a], rows[b]
+        for dcd, c, d in earlier:
+            # exact for the quadruple's largest pairing, a lower bound otherwise
+            gap = dab + dcd - max(ra[c] + rb[d], ra[d] + rb[c])
+            if gap > best:
+                best = gap
+        earlier.append((dab, a, b))
+    return best
+
+
+def _far_apart_pairs(rows, adj, block):
+    """(d(a,b), a, b) for the pairs of ``block`` where neither end has a
+    neighbour in the block farther from the other end.
+
+    Some quadruple attains the block's delta with both pairs of its largest
+    pairing far apart: moving an end one step away from its partner raises
+    the largest sum by 1 and each other sum by at most 1.
+    """
+    members = set(block)
+    nbrs = {u: [w for w in adj[u] if w in members] for u in block}
+    local = {}
+    for b in block:
+        rb = rows[b]
+        local[b] = {a for a in block if max(map(rb.__getitem__, nbrs[a])) <= rb[a]}
+    return [(rows[a][b], a, b) for a, b in combinations(block, 2)
+            if a in local[b] and b in local[a]]
+
+
+def _least_witness(rows, block, target):
+    """Least index quadruple whose nearest points in ``block`` are distinct
+    and attain 2*delta = ``target``, the block's own maximum.
+
+    A block vertex u stands for the least vertex ``first[u]`` whose nearest
+    point in the block is u.  The pass runs over the block in that order,
+    with sets of later positions as bit masks, and prunes with two facts:
+    every distance in an attaining quadruple is at least target/2 (2*delta
+    is at most twice each of the six distances), and both pairs of its
+    largest pairing are at least target apart.
+    """
+    first = {}
+    for x, row in enumerate(rows):
+        first.setdefault(min(block, key=row.__getitem__), x)
+    ranked = sorted(block, key=first.__getitem__)
+    dist = [[rows[u][v] for v in ranked] for u in ranked]
+    far = [_at_least(row, (target + 1) // 2) for row in dist]
+    long = [_at_least(row, target) for row in dist]
+    for a, da in enumerate(dist):
+        if not long[a] >> (a + 1):      # a's long partner comes after a
+            continue
+        for b in _bits(far[a] & -(2 << a)):     # -(2 << a): positions above a
+            db = dist[b]
+            cs = far[a] & far[b] & -(2 << b)
+            if da[b] < target:
+                cs &= long[a] | long[b]
+            for c in _bits(cs):
+                dc = dist[c]
+                ds = ((long[c] if da[b] >= target else 0) | (long[b] if da[c] >= target else 0)
+                      | (long[a] if db[c] >= target else 0))
+                for d in _bits(ds & far[a] & far[b] & far[c] & -(2 << c)):
+                    s1, s2, s3 = da[b] + dc[d], da[c] + db[d], da[d] + db[c]
+                    if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == target:
+                        return tuple(first[ranked[i]] for i in (a, b, c, d))
+    raise InternalError("no quadruple attains the block's own maximum")
+
+
+def _at_least(row, bound):
+    """Bit mask of the positions of ``row`` holding at least ``bound``."""
+    return sum(1 << j for j, d in enumerate(row) if d >= bound)
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -2,10 +2,11 @@
 
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
-divisors, distances use Floyd-Warshall, cycle sets use raw coefficient
-vectors, circuit counts use degree-two edge subsets, linear programs use a
-Fraction tableau, and integral fillings can also come from branch and bound
-that boxes every face at every node.
+divisors, distances use Floyd-Warshall, four-point delta scans every
+quadruple, cycle sets use raw coefficient vectors, circuit counts use
+degree-two edge subsets, linear programs use a Fraction tableau, and
+integral fillings can also come from branch and bound that boxes every face
+at every node.
 """
 
 from fractions import Fraction
@@ -219,16 +220,30 @@ def floyd_warshall(cx):
 
 def four_point_delta(cx):
     """Quadruple scan over Floyd-Warshall distances."""
+    return exhaustive_delta(cx)[0]
+
+
+def exhaustive_delta(cx):
+    """(delta, witness, diameter) of a connected graph by scanning every
+    quadruple of Floyd-Warshall distances in lexicographic order: the witness
+    is the least quadruple attaining delta, ``sorted(vertices)[:4]`` when
+    delta is 0, and None below four vertices."""
     dist = floyd_warshall(cx)
+    diameter = max((dist[u][v] for u in cx.vertices for v in cx.vertices), default=0)
     best = Fraction(0)
-    for a, b, c, d in combinations(sorted(cx.vertices), 4):
+    witness = None
+    for quad in combinations(sorted(cx.vertices), 4):
+        a, b, c, d = quad
         s = sorted((dist[a][b] + dist[c][d],
                     dist[a][c] + dist[b][d],
                     dist[a][d] + dist[b][c]))
         gap = Fraction(s[2] - s[1], 2)
         if gap > best:
             best = gap
-    return best
+            witness = quad
+    if witness is None and len(cx.vertices) >= 4:
+        witness = tuple(sorted(cx.vertices)[:4])
+    return best, witness, diameter
 
 
 # -- linear programs -----------------------------------------------------------

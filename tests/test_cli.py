@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from finefill.cli import main
+from finefill.cli import _build_parser, main
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -176,6 +176,36 @@ def test_jobs_checked_before_dispatch(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --jobs must be >= 1\n"
+
+
+def test_parser_built_once_and_reused(capsys):
+    calls = [["validate", data("tetra.cx")],
+             ["delta", data("c6.cx")],
+             ["fill", "--ring", "x", "--cycle", data("loop.cy"), data("double.cx")],
+             ["h1", data("double.cx")],
+             ["delta", "--cap", "3", data("c6.cx")],
+             ["fv", "--ring", "z", "--kmax", "3", data("tetra.cx")],
+             ["no-such-subcommand"],
+             ["fill", "--ring", "q", "--cycle", data("loop.cy"), data("double.cx")]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:    # argparse rejects the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 1, 0, 2, 0]
+    assert reused[1][1] == "delta\t1/1\tv0,v1,v2,v4\n"
 
 
 def test_missing_file_is_input_error():

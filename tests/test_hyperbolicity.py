@@ -6,8 +6,10 @@ from fractions import Fraction
 from finefill import all_pairs_distances, hyperbolicity_delta, validate
 from finefill.errors import DisconnectedError, TooLargeError
 
-from instances import cycle_graph, k4_graph, small_tree
-from oracles import floyd_warshall, four_point_delta
+from finefill.hyperbolicity import DEFAULT_VERTEX_CAP
+
+from instances import cycle_graph, k4_graph, path_graph, small_tree
+from oracles import exhaustive_delta, floyd_warshall, four_point_delta
 
 
 def test_distances_path_and_hexagon():
@@ -124,3 +126,72 @@ def test_delta_paired_with_linearly_bounded_fv():
         assert rep.delta <= rep.diameter
         pairs.append((name, bound, rep.delta))
     assert pairs
+
+
+def _twice_four_point(dist, quad):
+    a, b, c, d = quad
+    s = sorted((dist[a][b] + dist[c][d], dist[a][c] + dist[b][d], dist[a][d] + dist[b][c]))
+    return s[2] - s[1]
+
+
+def _random_connected(rng, n, kind):
+    """A connected graph on n shuffled ids: a random tree, a chorded cycle,
+    or a chain of chorded cycles glued at cut vertices; pendant trees hang
+    off the core, and loops and parallel edges are sprinkled in."""
+    ids = [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    pairs = []
+    if kind == "tree" or n < 4:
+        core = 1
+    else:
+        core = rng.randint(4, n)
+        start = 0
+        while start < core - 1:          # cycles ids[start..stop], each sharing one vertex
+            stop = min(core - 1, start + rng.randint(3, 8))
+            ring = ids[start:stop + 1]
+            pairs += list(zip(ring, ring[1:] + ring[:1]))
+            pairs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randint(0, 2))]
+            start = stop
+    pairs += [(ids[rng.randrange(i)], ids[i]) for i in range(core, n)]
+    pairs += [(v, v) for v in rng.sample(ids, rng.randint(0, 2))]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))
+    return validate(ids, [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)])
+
+
+def test_delta_matches_exhaustive_oracle():
+    rng = random.Random(13)
+    kinds = ("tree", "chorded", "chorded")
+    for trial in range(90):
+        n = rng.randint(1, 3) if trial < 6 else rng.randint(4, 30 if trial % 5 == 0 else 16)
+        g = _random_connected(rng, n, kinds[trial % 3])
+        rep = hyperbolicity_delta(g)
+        assert (rep.delta, rep.witness, rep.diameter) == exhaustive_delta(g), trial
+        assert rep.vertex_count == n
+
+
+def test_least_witness_may_span_two_blocks():
+    # a hangs off the square b-c-d-e at e: (a, b, c, d) attains delta 1 through
+    # the block's nearest points (e, b, c, d) and precedes (b, c, d, e)
+    square = [("s1", "b", "c"), ("s2", "c", "d"), ("s3", "d", "e"), ("s4", "e", "b")]
+    g = validate("abcde", square + [("p", "a", "e")])
+    assert hyperbolicity_delta(g).witness == ("a", "b", "c", "d") == exhaustive_delta(g)[1]
+    # hung off c instead, a shares c's nearest point, so (a, b, c, d) has delta 0
+    g = validate("abcde", square + [("p", "a", "c")])
+    assert hyperbolicity_delta(g).witness == ("a", "b", "d", "e") == exhaustive_delta(g)[1]
+
+
+def _grid(rows, cols):
+    vs = [f"g{r}_{c}" for r in range(rows) for c in range(cols)]
+    es = [(f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    es += [(f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}") for r in range(rows - 1) for c in range(cols)]
+    return validate(vs, es)
+
+
+def test_default_cap_finishes():
+    assert DEFAULT_VERTEX_CAP == 400
+    for g, want in ((cycle_graph(400), 100), (path_graph(400), 0), (_grid(20, 20), 19)):
+        rep = hyperbolicity_delta(g)
+        assert rep.vertex_count == 400 and rep.delta == want
+        assert _twice_four_point(all_pairs_distances(g), rep.witness) == 2 * want
+    assert rep.witness == ("g0_0", "g0_19", "g19_0", "g19_19")
+    assert hyperbolicity_delta(path_graph(400)).witness == tuple(sorted(path_graph(400).vertices)[:4])
