@@ -223,26 +223,29 @@ def _minimize_on_line(mu, z, integral):
         return list(mu), val
 
     def norm_at(t):
-        return sum(abs(Fraction(m) + t * w) for m, w in zip(mu, z))
+        return Fraction(sum(abs(m + t * w) for m, w in zip(mu, z)))
 
-    points = sorted(set(Fraction(-m, w) for m, w in zip(mu, z) if w != 0))
+    weight = {}  # breakpoint -> total |w| of the entries that vanish there
+    for m, w in zip(mu, z):
+        if w != 0:
+            p = Fraction(-m, w)
+            weight[p] = weight.get(p, 0) + abs(w)
+    points = sorted(weight)
     total = sum(abs(w) for w in z)
     acc = 0
     t_star = points[-1]
     for p in points:
-        acc += sum(abs(w) for m, w in zip(mu, z) if w != 0 and Fraction(-m, w) == p)
+        acc += weight[p]
         if 2 * acc >= total:
             t_star = p
             break
     if integral:
-        cands = sorted({floor(t_star), ceil(t_star)})
-        best_t = min(cands, key=lambda t: (norm_at(Fraction(t)), t))
-        best_t = Fraction(best_t)
+        # an int t keeps the sums in ints when mu and z are ints
+        best_t = min(sorted({floor(t_star), ceil(t_star)}), key=lambda t: (norm_at(t), t))
+        x = [int(m + best_t * w) for m, w in zip(mu, z)]
     else:
         best_t = t_star
-    x = [Fraction(m) + best_t * w for m, w in zip(mu, z)]
-    if integral:
-        x = [int(v) for v in x]
+        x = [m + best_t * w for m, w in zip(mu, z)]
     return x, norm_at(best_t)
 
 

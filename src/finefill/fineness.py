@@ -11,6 +11,27 @@ The search explores unordered chains (the extension condition only depends
 on the running boundary, which is determined by the chain), so factorially
 many orderings collapse to one state; an ordering witness is reconstructed
 on demand.
+
+One search per face serves every edge.  A state's successors depend only on
+its set of signed faces, so the states based at e are
+S(e) = union over the faces f meeting e of R(f, +1) and R(f, -1), where
+R(f, s) is the set of states reachable from the single signed face (f, s).
+Negating every sign maps states to states, so R(f, -1) = -R(f, +1): each
+face is searched once, from sign +1, and every state of R(f, +1) holds
+(f, +1), so no two of them are negatives of each other.  A state's circuit
+depends only on its boundary, and x and -x induce the same circuit key, so
+the circuit is found once per state of one sign, from the running boundary
+the search holds.  The searches are kept on the complex per (norm bound,
+budget) and read by :func:`enumerate_special_chains`,
+:func:`circuits_via_fillings` and :func:`fineness_certificate` alike.
+
+The budget bounds |S(e)|: an edge is INCOMPLETE exactly when it has more
+than ``budget`` states.  A face search that expands more than budget // 2
+states proves that for every edge of the face; otherwise every search is
+complete and |S(e)| is twice the number of classes {x, -x} among them.
+Inside the searches a state is an int with bit 2g + (s > 0) set for each
+signed face (g, s), faces numbered in id order, and a boundary is an
+{edge index: coefficient} dict; Chain objects are built for output only.
 """
 
 from dataclasses import dataclass
@@ -65,53 +86,224 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     (norm, serialization).  Refuses with BudgetExceededError rather than
     silently truncating when the state budget runs out.
     """
-    chains, complete = _special_chain_search(complex_, edge, max_norm, budget)
+    searches, complete = _edge_searches(complex_, edge, max_norm, budget)
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    return chains
+    tables = _tables(complex_)
+    states = [_ordinals(x) for r in _representatives(complex_, searches)
+              for x in (r, tables.negate(r))]
+    states.sort(key=lambda o: (len(o), o))
+    return [tables.chain(o) for o in states]
 
 
-def _special_chain_search(complex_, edge, max_norm, budget):
+class _Tables:
+    """The int form of a complex that the special-chain search runs on.
+
+    Faces are numbered in id order and a signed face (g, s) is bit
+    2g + (s > 0) of a state, so comparing bit positions compares the
+    (face id, sign) pairs of ``Chain.serialize``.
+    """
+
+    def __init__(self, complex_):
+        self.face_ids = sorted(f.id for f in complex_.faces)
+        self.edge_ids = [e.id for e in complex_.edges]
+        self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
+        self.face_boundary = [
+            {self.edge_index[eid]: c
+             for eid, c in complex_.face_boundary(fid).coeffs.items()}
+            for fid in self.face_ids]
+        self.meets = [0] * len(self.edge_ids)  # edge -> bit mask of faces
+        for g, df in enumerate(self.face_boundary):
+            for e in df:
+                self.meets[e] |= 1 << g
+        self.minus_bits = int("01" * len(self.face_ids) or "0", 2)
+        self.circuit_of_support = {}  # frozenset of edges -> Circuit or None
+        self.circuit_of_state = {}    # state -> Circuit of its boundary
+
+    def negate(self, x):
+        m = self.minus_bits
+        return ((x & m) << 1) | ((x >> 1) & m)
+
+    def chain(self, ordinals):
+        """The 2-chain of a state given by its bit positions."""
+        return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
+                              for o in ordinals})
+
+    def circuit_of(self, complex_, running):
+        """The circuit a +-1 boundary {edge: coefficient} induces, or None.
+
+        A boundary is a cycle, so with +-1 coefficients it is a circuit
+        exactly when its support is one, in one of the two directions: the
+        support alone decides, and the answer is kept per support.
+        """
+        support = frozenset(running)
+        if support not in self.circuit_of_support:
+            gamma = Chain(1, INT, {self.edge_ids[e]: c for e, c in running.items()})
+            self.circuit_of_support[support] = circuit_from_chain(complex_, gamma)
+        return self.circuit_of_support[support]
+
+    def state_circuit(self, complex_, x):
+        """The circuit of the boundary of state x, in the boundary's direction."""
+        if x not in self.circuit_of_state:
+            self.circuit_of_state[x] = circuit_from_chain(
+                complex_, boundary(complex_, self.chain(_ordinals(x))))
+        return self.circuit_of_state[x]
+
+
+def _tables(complex_):
+    return complex_.cached("special-chain tables", lambda: _Tables(complex_))
+
+
+def _ordinals(x):
+    """The positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _precedes(x, y):
+    """x strictly before y in (norm, serialization) order."""
+    nx, ny = x.bit_count(), y.bit_count()
+    if nx != ny:
+        return nx < ny
+    # same size: the least signed face in only one of them decides
+    d = x ^ y
+    return bool(x & d & -d)
+
+
+class _FaceSearch:
+    """The states reachable from one face with sign +1, and their circuits.
+
+    ``states`` holds every state the search generated, each containing the
+    face with sign +1; ``circuits`` maps a circuit key to the least state in
+    (norm, serialization) order, over those states and their negatives,
+    whose boundary induces that circuit.  ``cut`` is set when the search
+    stopped at its cap with states left to expand.
+    """
+
+    __slots__ = ("states", "circuits", "cut")
+
+    def __init__(self, states, circuits, cut):
+        self.states, self.circuits, self.cut = states, circuits, cut
+
+
+_PLUS_MINUS_ONE = frozenset((1, -1))
+
+
+def _search_face(complex_, tables, g, max_norm, cap):
+    """Depth-first search of the states reachable from (g, +1), expanding
+    at most ``cap`` states.
+
+    A state's successors add one signed face that meets the support of its
+    boundary and is not yet in it; states of norm max_norm are not expanded.
+    """
+    face_boundary, meets = tables.face_boundary, tables.meets
+    start = 2 << (2 * g)
+    states = {start}
+    circuits = {}
+    stack = [(start, 1 << g, face_boundary[g])]
+    expanded = 0
+    while stack:
+        if expanded == cap:
+            return _FaceSearch(states, circuits, True)
+        expanded += 1
+        x, used, running = stack.pop()
+        if running and set(running.values()) <= _PLUS_MINUS_ONE:
+            circ = tables.circuit_of(complex_, running)
+            if circ is not None:
+                # of x and -x, the one whose least face has sign -1 comes first
+                least = x if x & -x & tables.minus_bits else tables.negate(x)
+                best = circuits.get(circ.key)
+                if best is None or _precedes(least, best):
+                    circuits[circ.key] = least
+        if x.bit_count() >= max_norm:
+            continue
+        candidates = 0
+        for e in running:
+            candidates |= meets[e]
+        candidates &= ~used
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            h = low.bit_length() - 1
+            dh = face_boundary[h]
+            for bit, sign in ((low << (h + 1), 1), (low << h, -1)):
+                y = x | bit
+                if y in states:
+                    continue
+                states.add(y)
+                running2 = dict(running)
+                for e, c in dh.items():
+                    v = running2.get(e, 0) + sign * c
+                    if v:
+                        running2[e] = v
+                    else:
+                        del running2[e]
+                stack.append((y, used | low, running2))
+    return _FaceSearch(states, circuits, False)
+
+
+def _edge_searches(complex_, edge, max_norm, budget):
+    """The face searches for the faces meeting ``edge``, and whether they
+    settle that S(edge) has at most ``budget`` states.
+
+    Each face is searched once per (max_norm, budget) and the result is kept
+    on the complex.  A face search expanding more than budget // 2 states
+    proves |S(edge)| >= 2 |R(f, +1)| > budget; otherwise every search is
+    complete and |S(edge)| = 2 |union of representatives| is compared with
+    the budget (by the sum of the sizes when that already suffices).
+    """
     if edge not in complex_.edge_by_id:
         raise UnknownEdgeError(f"unknown edge {edge!r}")
     if max_norm < 1:
         return [], True
-    seen = {}
-    stack = []
-    visited = 0
-    for fid in complex_.faces_meeting_edge(edge):
-        for sign in (1, -1):
-            mu = ((fid, sign),)
-            running = complex_.face_boundary(fid).scale(sign)
-            key = frozenset(mu)
-            if key not in seen:
-                seen[key] = (mu, running)
-                stack.append((frozenset((fid,)), mu, running))
-    complete = True
-    while stack:
-        visited += 1
-        if visited > budget:
-            complete = False
-            break
-        used, mu, running = stack.pop()
-        if len(mu) >= max_norm:
-            continue
-        candidates = set()
-        for eid in running.coeffs:
-            candidates.update(complex_.faces_meeting_edge(eid))
-        for fid in sorted(candidates - used):
-            for sign in (1, -1):
-                mu2 = mu + ((fid, sign),)
-                key = frozenset(mu2)
-                if key in seen:
-                    continue
-                running2 = running.add(complex_.face_boundary(fid).scale(sign))
-                seen[key] = (mu2, running2)
-                stack.append((used | {fid}, mu2, running2))
-    out = [Chain(2, INT, {f: s for f, s in mu}) for mu, _ in seen.values()]
-    out.sort(key=lambda c: (c.l1(), c.serialize()))
-    return out, complete
+    budget = max(budget, 0)
+    tables = _tables(complex_)
+    cache = complex_.cached(("special-chain searches", max_norm, budget), dict)
+    searches = []
+    for g in _ordinals(tables.meets[tables.edge_index[edge]]):
+        if g not in cache:
+            cache[g] = _search_face(complex_, tables, g, max_norm, budget // 2)
+        searches.append(cache[g])
+    if any(s.cut for s in searches):
+        return searches, False
+    if 2 * sum(len(s.states) for s in searches) <= budget:
+        return searches, True
+    return searches, 2 * len(_representatives(complex_, searches)) <= budget
+
+
+def _representatives(complex_, searches):
+    """The states of the searches up to sign: each class {x, -x} by its
+    member whose least face has sign +1."""
+    tables = _tables(complex_)
+    minus, negate = tables.minus_bits, tables.negate
+    reps = set()
+    for s in searches:
+        reps.update(negate(x) if x & -x & minus else x for x in s.states)
+    return reps
+
+
+def _edge_circuits(complex_, searches, edge, max_length):
+    """Circuits through ``edge`` of length <= max_length induced by the
+    boundaries of the searched states, each in the direction of the boundary
+    of its least state in (norm, serialization) order."""
+    tables = _tables(complex_)
+    least = {}
+    for s in searches:
+        for key, x in s.circuits.items():
+            y = least.get(key)
+            if y is None or _precedes(x, y):
+                least[key] = x
+    found = []
+    for x in least.values():
+        circ = tables.state_circuit(complex_, x)
+        if circ.length <= max_length and circ.contains_edge(edge):
+            found.append(circ)
+    return sorted(found)
 
 
 def find_special_ordering(complex_, chain2, base_edge):
@@ -164,28 +356,22 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     executable form of the minimal-fillings-are-special argument, and on
     1-acyclic complexes it must reproduce the search exactly.
     """
+    bound = _special_chain_bound(complex_, max_length)
+    searches, complete = _edge_searches(complex_, edge, bound, budget)
+    if not complete:
+        raise BudgetExceededError(
+            f"special-chain search for edge {edge!r} exceeded {budget} states")
+    return _edge_circuits(complex_, searches, edge, max_length)
+
+
+def _special_chain_bound(complex_, max_length):
+    """FV_Z(max_length): the norm bound of the special-chain method."""
     table = fv(complex_, max_length, INT)
     if any(table.value(k) is INF for k in range(max_length + 1)):
         raise FVInfiniteError(
             f"FV_Z is infinite at scale <= {max_length}; the special-chain "
             "method does not apply")
-    bound = int(table.value(max_length))
-    chains, complete = _special_chain_search(complex_, edge, bound, budget)
-    if not complete:
-        raise BudgetExceededError(
-            f"special-chain search for edge {edge!r} exceeded {budget} states")
-    return _circuits_from_chains(complex_, chains, edge, max_length)
-
-
-def _circuits_from_chains(complex_, chains, edge, max_length):
-    found = {}
-    for mu in chains:
-        gamma = boundary(complex_, mu)
-        circ = circuit_from_chain(complex_, gamma)
-        if circ is None or circ.length > max_length or not circ.contains_edge(edge):
-            continue
-        found.setdefault(circ.key, circ)
-    return sorted(found.values())
+    return int(table.value(max_length))
 
 
 @dataclass(frozen=True)
@@ -227,15 +413,10 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
             mine = tuple(c for c in all_circuits if c.contains_edge(e.id))
             records.append(FinenessRecord(e.id, len(mine), mine, "OK"))
     else:
-        table = fv(complex_, scale, INT)
-        if any(table.value(k) is INF for k in range(scale + 1)):
-            raise FVInfiniteError(
-                f"FV_Z is infinite at scale <= {scale}; the special-chain "
-                "method does not apply")
-        bound = int(table.value(scale))
+        bound = _special_chain_bound(complex_, scale)
         for e in complex_.edges:
-            chains, complete = _special_chain_search(complex_, e.id, bound, budget)
-            circuits = tuple(_circuits_from_chains(complex_, chains, e.id, scale))
+            searches, complete = _edge_searches(complex_, e.id, bound, budget)
+            circuits = tuple(_edge_circuits(complex_, searches, e.id, scale))
             status = "OK" if complete else "INCOMPLETE"
             if not complete:
                 exact = False

@@ -13,7 +13,9 @@ def identity(n):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    """a.v, reading only the nonzero entries of v."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in a]
 
 
 def _swap_rows(m, i, j):

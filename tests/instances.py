@@ -158,6 +158,19 @@ def wheel_graph(n):
     return validate(vs, es)
 
 
+def grid_disk(rows, cols):
+    """The rows x cols grid of unit squares, every square filled."""
+    vs = [f"g{r}_{c}" for r in range(rows + 1) for c in range(cols + 1)]
+    es = [(f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}")
+          for r in range(rows + 1) for c in range(cols)]
+    es += [(f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}")
+           for r in range(rows) for c in range(cols + 1)]
+    fs = [(f"s{r}_{c}", [(1, f"h{r}_{c}"), (1, f"v{r}_{c + 1}"),
+                         (-1, f"h{r + 1}_{c}"), (-1, f"v{r}_{c}")])
+          for r in range(rows) for c in range(cols)]
+    return validate(vs, es, fs)
+
+
 def loop_triangle():
     # triangle with a loop hung on one vertex
     return validate("abc",

@@ -4,9 +4,11 @@ Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
 divisors, distances use Floyd-Warshall, four-point delta scans every
 quadruple, cycle sets use raw coefficient vectors, circuit counts use
-degree-two edge subsets, linear programs use a Fraction tableau, and
+degree-two edge subsets, linear programs use a Fraction tableau,
 integral fillings can also come from branch and bound that boxes every face
-at every node.
+at every node, line minimizations rescan every entry at every breakpoint,
+and special 2-chains come from a separate search per base edge over Chain
+objects.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from finefill import Chain, INT, boundary, is_cycle
+from finefill.chains import circuit_from_chain
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -398,3 +401,95 @@ def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
         up[j] = (ceil(x[j]), hi)
         stack += [tuple(up), tuple(down)]
     return incumbent, inc_val
+
+
+def minimize_on_line(mu, z, integral):
+    """Exact min of |mu + t z|_1 over rational or integral t (z may be None):
+    (x, value), the weighted median found by summing, at each breakpoint, the
+    weights of every entry whose breakpoint it is."""
+    if z is None or all(v == 0 for v in z):
+        val = sum(abs(Fraction(v)) for v in mu)
+        return list(mu), val
+
+    def norm_at(t):
+        return sum(abs(Fraction(m) + t * w) for m, w in zip(mu, z))
+
+    points = sorted(set(Fraction(-m, w) for m, w in zip(mu, z) if w != 0))
+    total = sum(abs(w) for w in z)
+    acc = 0
+    t_star = points[-1]
+    for p in points:
+        acc += sum(abs(w) for m, w in zip(mu, z) if w != 0 and Fraction(-m, w) == p)
+        if 2 * acc >= total:
+            t_star = p
+            break
+    if integral:
+        cands = sorted({floor(t_star), ceil(t_star)})
+        best_t = min(cands, key=lambda t: (norm_at(Fraction(t)), t))
+        best_t = Fraction(best_t)
+    else:
+        best_t = t_star
+    x = [Fraction(m) + best_t * w for m, w in zip(mu, z)]
+    if integral:
+        x = [int(v) for v in x]
+    return x, norm_at(best_t)
+
+
+def per_edge_special_chain_search(complex_, edge, max_norm, budget):
+    """Special 2-chains based at ``edge`` with norm <= max_norm: (chains,
+    complete).
+
+    One depth-first search from the signed faces meeting the edge, over
+    Chain objects; it pops at most ``budget`` states, and ``complete`` is
+    False when states were left.  The chains, every state generated, are
+    sorted by (norm, serialization).
+    """
+    if max_norm < 1:
+        return [], True
+    seen = {}
+    stack = []
+    visited = 0
+    for fid in complex_.faces_meeting_edge(edge):
+        for sign in (1, -1):
+            mu = ((fid, sign),)
+            running = complex_.face_boundary(fid).scale(sign)
+            key = frozenset(mu)
+            if key not in seen:
+                seen[key] = (mu, running)
+                stack.append((frozenset((fid,)), mu, running))
+    complete = True
+    while stack:
+        visited += 1
+        if visited > budget:
+            complete = False
+            break
+        used, mu, running = stack.pop()
+        if len(mu) >= max_norm:
+            continue
+        candidates = set()
+        for eid in running.coeffs:
+            candidates.update(complex_.faces_meeting_edge(eid))
+        for fid in sorted(candidates - used):
+            for sign in (1, -1):
+                mu2 = mu + ((fid, sign),)
+                key = frozenset(mu2)
+                if key in seen:
+                    continue
+                running2 = running.add(complex_.face_boundary(fid).scale(sign))
+                seen[key] = (mu2, running2)
+                stack.append((used | {fid}, mu2, running2))
+    out = [Chain(2, INT, {f: s for f, s in mu}) for mu, _ in seen.values()]
+    out.sort(key=lambda c: (c.l1(), c.serialize()))
+    return out, complete
+
+
+def circuits_from_special_chains(complex_, chains, edge, max_length):
+    """Circuits through ``edge`` of length <= max_length that boundaries of
+    the chains induce, each as the boundary of the first chain inducing it."""
+    found = {}
+    for mu in chains:
+        circ = circuit_from_chain(complex_, boundary(complex_, mu))
+        if circ is None or circ.length > max_length or not circ.contains_edge(edge):
+            continue
+        found.setdefault(circ.key, circ)
+    return sorted(found.values())

@@ -16,7 +16,8 @@ from instances import (CORPUS, CORPUS_GRAPHS, double_traversal, hexagon,
                        hexagon_chord, k4_graph, square_face, tetrahedron,
                        triangle_face, triangle_graph)
 from oracles import (exhaustive_int_filling, fraction_solve_lp,
-                     full_box_branch_and_bound, partition_maximum)
+                     full_box_branch_and_bound, minimize_on_line,
+                     partition_maximum)
 
 
 def test_single_face_fills_its_boundary():
@@ -448,3 +449,31 @@ def test_infinite_value_ordering():
     assert INF > 1000 and 1000 < INF
     assert not (INF <= Fraction(10 ** 9))
     assert Fraction(1, 2) <= INF
+
+
+def test_minimize_on_line_matches_oracle():
+    # int and Fraction pairs; copies and multiples of one entry share its
+    # breakpoint, so most lines have repeated breakpoints
+    rng = random.Random(41)
+    for trial in range(3000):
+        n = rng.randint(1, 9)
+        rational = trial % 2 == 1
+
+        def entry(bound):
+            v = rng.randint(-bound, bound)
+            return Fraction(v, rng.randint(1, 4)) if rational and rng.random() < 0.6 else v
+
+        mu = [entry(6) for _ in range(n)]
+        z = [entry(3) for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            c = rng.choice((1, 2, -1, -3))
+            mu[j], z[j] = mu[i] * c, z[i] * c
+        if trial % 50 == 0:
+            z = None if trial % 100 == 0 else [0] * n
+        for integral in (False, True):
+            x, val = filling._minimize_on_line(mu, z, integral)
+            want_x, want_val = minimize_on_line(mu, z, integral)
+            assert (x, val) == (want_x, want_val), (mu, z, integral)
+            assert [type(v) for v in x] == [type(v) for v in want_x]
+            assert type(val) is type(want_val)

@@ -1,16 +1,18 @@
 import pytest
 
-from finefill import (Chain, INT, check_minimal_fillings_special,
+from finefill import fineness
+from finefill import (INF, Chain, INT, check_minimal_fillings_special,
                       circuits_via_fillings, enumerate_circuits,
                       enumerate_special_chains, fineness_certificate,
                       find_special_ordering, fv, homology_h1)
-from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN
+from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
                              FVInfiniteError, UnknownEdgeError)
 
-from instances import (CORPUS, coned_s3, double_traversal, k4_graph,
+from instances import (CORPUS, coned_s3, double_traversal, grid_disk, k4_graph,
                        small_tree, tetrahedron, triangle_face, validate)
-from oracles import fillings_of_norm
+from oracles import (circuits_from_special_chains, fillings_of_norm,
+                     per_edge_special_chain_search)
 
 
 def test_special_chains_single_face():
@@ -204,3 +206,123 @@ def test_special_chain_method_on_coned_s3():
         special = {c.key for c in circuits_via_fillings(cx, e.id, 4)}
         direct = {c.key for c in enumerate_circuits(cx, e.id, 4)}
         assert special == direct, e.id
+
+
+# -- the shared per-face search against the per-edge oracle ---------------------
+
+def _filled_corpus():
+    return [(name, build()) for name, build in CORPUS if build().faces]
+
+
+def _oracle_records(cx, scale, budget=fineness.DEFAULT_BUDGET):
+    bound = int(fv(cx, scale, INT).value(scale))
+    records = []
+    for e in cx.edges:
+        chains, complete = per_edge_special_chain_search(cx, e.id, bound, budget)
+        circuits = tuple(circuits_from_special_chains(cx, chains, e.id, scale))
+        records.append(FinenessRecord(e.id, len(circuits), circuits,
+                                      "OK" if complete else "INCOMPLETE"))
+    return tuple(records)
+
+
+def test_special_chains_match_per_edge_oracle():
+    cases = [(name, cx, range(1, 9)) for name, cx in _filled_corpus()]
+    cases += [("disk2x2", grid_disk(2, 2), range(1, 9)),
+              ("disk2x3", grid_disk(2, 3), (3, 5, 8)),
+              ("disk3x3", grid_disk(3, 3), (2, 4)),
+              ("coned-S3", coned_s3().complex, (2, 4))]
+    for name, cx, norms in cases:
+        for norm in norms:
+            for e in cx.edges:
+                want, complete = per_edge_special_chain_search(
+                    cx, e.id, norm, fineness.DEFAULT_BUDGET)
+                assert complete
+                got = enumerate_special_chains(cx, e.id, norm)
+                assert [c.serialize() for c in got] == [c.serialize() for c in want], \
+                    (name, norm, e.id)
+
+
+def test_certificates_match_per_edge_oracle():
+    # records compare whole: edge, count, status and every Circuit, whose walk
+    # runs in the direction of the boundary of the first chain inducing it
+    cases = _filled_corpus() + [("disk2x2", grid_disk(2, 2)), ("disk2x3", grid_disk(2, 3)),
+                                ("disk3x3", grid_disk(3, 3)),
+                                ("coned-S3", coned_s3().complex)]
+    for name, cx in cases:
+        for scale in range(1, 9):
+            if any(fv(cx, scale, INT).value(k) is INF for k in range(scale + 1)):
+                continue
+            cert = fineness_certificate(cx, scale, SPECIAL_CHAIN)
+            assert cert.exact
+            assert cert.records == _oracle_records(cx, scale), (name, scale)
+            for e in cx.edges:
+                assert circuits_via_fillings(cx, e.id, scale) == list(
+                    cert.record(e.id).circuits)
+
+
+def test_budget_boundary_is_the_state_count():
+    # |S(e)| states fit a budget of |S(e)| and not one of |S(e)| - 1
+    for cx, norm in ((tetrahedron(), 3), (grid_disk(2, 2), 4), (coned_s3().complex, 3)):
+        for e in cx.edges:
+            size = len(per_edge_special_chain_search(cx, e.id, norm,
+                                                     fineness.DEFAULT_BUDGET)[0])
+            got = enumerate_special_chains(cx, e.id, norm, budget=size)
+            assert len(got) == size
+            with pytest.raises(BudgetExceededError):
+                enumerate_special_chains(cx, e.id, norm, budget=size - 1)
+
+
+def test_status_agrees_with_per_edge_oracle_at_every_budget():
+    union_decided = False
+    pendant = validate("abcd", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                                ("p", "c", "d")],
+                       [("f", [(1, "e1"), (1, "e2"), (1, "e3")])])
+    for cx, scale in ((tetrahedron(), 4), (grid_disk(2, 2), 8), (pendant, 3)):
+        bound = int(fv(cx, scale, INT).value(scale))
+        sizes = {e.id: len(per_edge_special_chain_search(
+            cx, e.id, bound, fineness.DEFAULT_BUDGET)[0]) for e in cx.edges}
+        complete = {r.edge: r for r in _oracle_records(cx, scale)}
+        for e in cx.edges:
+            searches, _ = fineness._edge_searches(cx, e.id, bound, fineness.DEFAULT_BUDGET)
+            # states met from two faces: the sum of the face searches overcounts
+            union_decided |= 2 * sum(len(s.states) for s in searches) > sizes[e.id]
+        for budget in range(-1, max(sizes.values()) + 2):
+            cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
+            want = _oracle_records(cx, scale, budget)
+            assert cert.exact == all(r.status == "OK" for r in want)
+            for rec, old in zip(cert.records, want):
+                assert rec.status == old.status, (budget, rec.edge)
+                assert rec.status == ("OK" if sizes[rec.edge] <= max(budget, 0)
+                                      else "INCOMPLETE")
+                assert rec.count == len(rec.circuits)
+                # a partial list holds only circuits of the complete one
+                full = {c.key for c in complete[rec.edge].circuits}
+                assert {c.key for c in rec.circuits} <= full
+                if rec.status == "OK":
+                    assert rec == complete[rec.edge]
+    assert union_decided
+
+
+def test_each_face_searched_once_per_bound_and_budget(monkeypatch):
+    calls = []
+    search = fineness._search_face
+
+    def counted(complex_, tables, g, max_norm, cap):
+        calls.append((tables.face_ids[g], max_norm, cap))
+        return search(complex_, tables, g, max_norm, cap)
+
+    monkeypatch.setattr(fineness, "_search_face", counted)
+    cx = grid_disk(2, 3)
+    cert = fineness_certificate(cx, 8, SPECIAL_CHAIN)
+    bound = int(fv(cx, 8, INT).value(8))
+    assert sorted(f for f, _, _ in calls) == sorted(f.id for f in cx.faces)
+    assert {(n, cap) for _, n, cap in calls} == {(bound, fineness.DEFAULT_BUDGET // 2)}
+    # the other entry points read the same searches
+    for e in cx.edges:
+        assert circuits_via_fillings(cx, e.id, 8) == list(cert.record(e.id).circuits)
+        enumerate_special_chains(cx, e.id, bound)
+    fineness_certificate(cx, 8, SPECIAL_CHAIN)
+    assert len(calls) == len(cx.faces)
+    # a new budget is a new set of searches
+    fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=100)
+    assert len(calls) == 2 * len(cx.faces)

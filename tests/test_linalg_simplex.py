@@ -13,6 +13,19 @@ def matmul(a, b):
             for i in range(len(a))]
 
 
+def test_mat_vec_matches_dense_product():
+    rng = random.Random(17)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 8)
+        a = [[rng.choice((0, 0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 4)))
+              for _ in range(cols)] for _ in range(rows)]
+        density = rng.random()
+        v = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 3)))
+             if rng.random() < density else 0 for _ in range(cols)]
+        dense = [sum(row[j] * v[j] for j in range(cols)) for row in a]
+        assert linalg.mat_vec(a, v) == dense
+
+
 def test_snf_randomized():
     rng = random.Random(99)
     for _ in range(150):
