@@ -21,14 +21,17 @@ face is searched once, from sign +1, and every state of R(f, +1) holds
 (f, +1), so no two of them are negatives of each other.  A state's circuit
 depends only on its boundary, and x and -x induce the same circuit key, so
 the circuit is found once per state of one sign, from the running boundary
-the search holds.  The searches are kept on the complex per (norm bound,
-budget) and read by :func:`enumerate_special_chains`,
-:func:`circuits_via_fillings` and :func:`fineness_certificate` alike.
+the search holds.  :func:`fineness_certificate` runs each face's search once
+and shares it among the edges of the face, keeping only its size and its
+circuits until the last of those edges is done; :func:`enumerate_special_chains`
+and :func:`circuits_via_fillings` search the faces of their one edge.
 
 The budget bounds |S(e)|: an edge is INCOMPLETE exactly when it has more
 than ``budget`` states.  A face search that expands more than budget // 2
 states proves that for every edge of the face; otherwise every search is
-complete and |S(e)| is twice the number of classes {x, -x} among them.
+complete and |S(e)| is twice the number of classes {x, -x} among them,
+which twice the sum of the search sizes bounds from above (when that bound
+exceeds the budget, the edge's faces are searched again for the classes).
 Inside the searches a state is an int with bit 2g + (s > 0) set for each
 signed face (g, s), faces numbered in id order, and a boundary is an
 {edge index: coefficient} dict; Chain objects are built for output only.
@@ -36,7 +39,7 @@ signed face (g, s), faces numbered in id order, and a boundary is an
 
 from dataclasses import dataclass
 
-from .chains import circuit_from_chain, enumerate_circuits
+from .chains import Circuit, circuit_from_chain, enumerate_circuits
 from .complexes import Chain, INT, boundary
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
@@ -86,13 +89,16 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     (norm, serialization).  Refuses with BudgetExceededError rather than
     silently truncating when the state budget runs out.
     """
-    searches, complete = _edge_searches(complex_, edge, max_norm, budget)
-    if not complete:
+    tables = _Tables(complex_)
+    faces = tables.faces_meeting(edge)
+    if max_norm < 1:
+        return []
+    cap = max(budget, 0)
+    reps = _representatives(tables, faces, max_norm, cap)
+    if reps is None or 2 * len(reps) > cap:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    tables = _tables(complex_)
-    states = [_ordinals(x) for r in _representatives(complex_, searches)
-              for x in (r, tables.negate(r))]
+    states = [_ordinals(x) for r in reps for x in (r, tables.negate(r))]
     states.sort(key=lambda o: (len(o), o))
     return [tables.chain(o) for o in states]
 
@@ -106,6 +112,7 @@ class _Tables:
     """
 
     def __init__(self, complex_):
+        self.complex = complex_
         self.face_ids = sorted(f.id for f in complex_.faces)
         self.edge_ids = [e.id for e in complex_.edges]
         self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
@@ -118,41 +125,53 @@ class _Tables:
             for e in df:
                 self.meets[e] |= 1 << g
         self.minus_bits = int("01" * len(self.face_ids) or "0", 2)
-        self.circuit_of_support = {}  # frozenset of edges -> Circuit or None
-        self.circuit_of_state = {}    # state -> Circuit of its boundary
+        self.circuits = {}  # frozenset of edges -> Circuit or None
+
+    def faces_meeting(self, edge):
+        if edge not in self.edge_index:
+            raise UnknownEdgeError(f"unknown edge {edge!r}")
+        return _ordinals(self.meets[self.edge_index[edge]])
 
     def negate(self, x):
         m = self.minus_bits
         return ((x & m) << 1) | ((x >> 1) & m)
+
+    def representative(self, x):
+        """Of x and -x, the one whose least face has sign +1."""
+        return self.negate(x) if x & -x & self.minus_bits else x
 
     def chain(self, ordinals):
         """The 2-chain of a state given by its bit positions."""
         return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
                               for o in ordinals})
 
-    def circuit_of(self, complex_, running):
+    def circuit_of(self, running):
         """The circuit a +-1 boundary {edge: coefficient} induces, or None.
 
         A boundary is a cycle, so with +-1 coefficients it is a circuit
         exactly when its support is one, in one of the two directions: the
-        support alone decides, and the answer is kept per support.
+        support alone decides, and the circuit is kept per support in the
+        direction of the first boundary met.
         """
         support = frozenset(running)
-        if support not in self.circuit_of_support:
+        if support not in self.circuits:
             gamma = Chain(1, INT, {self.edge_ids[e]: c for e, c in running.items()})
-            self.circuit_of_support[support] = circuit_from_chain(complex_, gamma)
-        return self.circuit_of_support[support]
+            self.circuits[support] = circuit_from_chain(self.complex, gamma)
+        return self.circuits[support]
 
-    def state_circuit(self, complex_, x):
-        """The circuit of the boundary of state x, in the boundary's direction."""
-        if x not in self.circuit_of_state:
-            self.circuit_of_state[x] = circuit_from_chain(
-                complex_, boundary(complex_, self.chain(_ordinals(x))))
-        return self.circuit_of_state[x]
+    def oriented(self, circ, x):
+        """``circ`` in the direction of the boundary of state x.
 
-
-def _tables(complex_):
-    return complex_.cached("special-chain tables", lambda: _Tables(complex_))
+        The walk from the least vertex of -gamma is that of gamma reversed,
+        so one edge's coefficient in the boundary of x settles the direction.
+        """
+        sign, eid = circ.walk[0]
+        e = self.edge_index[eid]
+        c = sum(self.face_boundary[o >> 1].get(e, 0) * (1 if o & 1 else -1)
+                for o in _ordinals(x))
+        if (c > 0) == (sign > 0):
+            return circ
+        return Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
 
 
 def _ordinals(x):
@@ -175,31 +194,20 @@ def _precedes(x, y):
     return bool(x & d & -d)
 
 
-class _FaceSearch:
-    """The states reachable from one face with sign +1, and their circuits.
-
-    ``states`` holds every state the search generated, each containing the
-    face with sign +1; ``circuits`` maps a circuit key to the least state in
-    (norm, serialization) order, over those states and their negatives,
-    whose boundary induces that circuit.  ``cut`` is set when the search
-    stopped at its cap with states left to expand.
-    """
-
-    __slots__ = ("states", "circuits", "cut")
-
-    def __init__(self, states, circuits, cut):
-        self.states, self.circuits, self.cut = states, circuits, cut
-
-
 _PLUS_MINUS_ONE = frozenset((1, -1))
 
 
-def _search_face(complex_, tables, g, max_norm, cap):
+def _search_face(tables, g, max_norm, cap):
     """Depth-first search of the states reachable from (g, +1), expanding
-    at most ``cap`` states.
+    at most ``cap`` states: (states, circuits, cut).
 
     A state's successors add one signed face that meets the support of its
     boundary and is not yet in it; states of norm max_norm are not expanded.
+    ``states`` holds every state generated, each containing (g, +1).
+    ``circuits`` maps a circuit key to (x, circuit), x the least state in
+    (norm, serialization) order, over the expanded states and their
+    negatives, whose boundary induces that circuit.  ``cut`` is set when
+    the search stopped at its cap with states left to expand.
     """
     face_boundary, meets = tables.face_boundary, tables.meets
     start = 2 << (2 * g)
@@ -209,17 +217,17 @@ def _search_face(complex_, tables, g, max_norm, cap):
     expanded = 0
     while stack:
         if expanded == cap:
-            return _FaceSearch(states, circuits, True)
+            return states, circuits, True
         expanded += 1
         x, used, running = stack.pop()
         if running and set(running.values()) <= _PLUS_MINUS_ONE:
-            circ = tables.circuit_of(complex_, running)
+            circ = tables.circuit_of(running)
             if circ is not None:
                 # of x and -x, the one whose least face has sign -1 comes first
-                least = x if x & -x & tables.minus_bits else tables.negate(x)
+                least = tables.negate(tables.representative(x))
                 best = circuits.get(circ.key)
-                if best is None or _precedes(least, best):
-                    circuits[circ.key] = least
+                if best is None or _precedes(least, best[0]):
+                    circuits[circ.key] = (least, circ)
         if x.bit_count() >= max_norm:
             continue
         candidates = 0
@@ -244,66 +252,62 @@ def _search_face(complex_, tables, g, max_norm, cap):
                     else:
                         del running2[e]
                 stack.append((y, used | low, running2))
-    return _FaceSearch(states, circuits, False)
+    return states, circuits, False
 
 
-def _edge_searches(complex_, edge, max_norm, budget):
-    """The face searches for the faces meeting ``edge``, and whether they
-    settle that S(edge) has at most ``budget`` states.
-
-    Each face is searched once per (max_norm, budget) and the result is kept
-    on the complex.  A face search expanding more than budget // 2 states
-    proves |S(edge)| >= 2 |R(f, +1)| > budget; otherwise every search is
-    complete and |S(edge)| = 2 |union of representatives| is compared with
-    the budget (by the sum of the sizes when that already suffices).
-    """
-    if edge not in complex_.edge_by_id:
-        raise UnknownEdgeError(f"unknown edge {edge!r}")
-    if max_norm < 1:
-        return [], True
-    budget = max(budget, 0)
-    tables = _tables(complex_)
-    cache = complex_.cached(("special-chain searches", max_norm, budget), dict)
-    searches = []
-    for g in _ordinals(tables.meets[tables.edge_index[edge]]):
-        if g not in cache:
-            cache[g] = _search_face(complex_, tables, g, max_norm, budget // 2)
-        searches.append(cache[g])
-    if any(s.cut for s in searches):
-        return searches, False
-    if 2 * sum(len(s.states) for s in searches) <= budget:
-        return searches, True
-    return searches, 2 * len(_representatives(complex_, searches)) <= budget
-
-
-def _representatives(complex_, searches):
-    """The states of the searches up to sign: each class {x, -x} by its
-    member whose least face has sign +1."""
-    tables = _tables(complex_)
-    minus, negate = tables.minus_bits, tables.negate
+def _representatives(tables, faces, max_norm, budget):
+    """The states based at an edge met by ``faces``, up to sign: each class
+    {x, -x} by its member whose least face has sign +1.  None when a face
+    search stops at its cap of budget // 2 expansions, which proves
+    |S(edge)| >= 2 |R(f, +1)| > budget; the union is left partial once
+    it already holds more than budget / 2 classes."""
     reps = set()
-    for s in searches:
-        reps.update(negate(x) if x & -x & minus else x for x in s.states)
+    for g in faces:
+        states, _, cut = _search_face(tables, g, max_norm, budget // 2)
+        if cut:
+            return None
+        reps.update(map(tables.representative, states))
+        if 2 * len(reps) > budget:
+            break
     return reps
 
 
-def _edge_circuits(complex_, searches, edge, max_length):
-    """Circuits through ``edge`` of length <= max_length induced by the
-    boundaries of the searched states, each in the direction of the boundary
-    of its least state in (norm, serialization) order."""
-    tables = _tables(complex_)
+def _edge_record(tables, edge, max_norm, max_length, budget, searches):
+    """(complete, circuits) for ``edge``: whether S(edge) has at most
+    ``budget`` states, and the circuits through the edge of length
+    <= max_length that the boundaries of the searched states induce.
+
+    ``searches`` maps a face to its (size, circuits, cut), searched here
+    when missing; only the number of states of a face search is kept.  A
+    cut search decides INCOMPLETE; otherwise |S(edge)| = 2 |union of
+    representatives|, which is at most 2 x the sum of the sizes: when that
+    sum does not settle the budget, the faces are searched again for the
+    union.  Each circuit runs in the direction of the boundary of its least
+    state in (norm, serialization) order.
+    """
+    faces = tables.faces_meeting(edge)
+    if max_norm < 1:
+        return True, []
+    budget = max(budget, 0)
+    for g in faces:
+        if g not in searches:
+            states, circuits, cut = _search_face(tables, g, max_norm, budget // 2)
+            searches[g] = (len(states), circuits, cut)
+    mine = [searches[g] for g in faces]
+    if any(cut for _, _, cut in mine):
+        complete = False
+    elif 2 * sum(size for size, _, _ in mine) <= budget:
+        complete = True
+    else:
+        complete = 2 * len(_representatives(tables, faces, max_norm, budget)) <= budget
     least = {}
-    for s in searches:
-        for key, x in s.circuits.items():
-            y = least.get(key)
-            if y is None or _precedes(x, y):
-                least[key] = x
-    found = []
-    for x in least.values():
-        circ = tables.state_circuit(complex_, x)
-        if circ.length <= max_length and circ.contains_edge(edge):
-            found.append(circ)
-    return sorted(found)
+    for _, circuits, _ in mine:
+        for key, (x, circ) in circuits.items():
+            if key not in least or _precedes(x, least[key][0]):
+                least[key] = (x, circ)
+    found = [tables.oriented(circ, x) for x, circ in least.values()
+             if circ.length <= max_length and circ.contains_edge(edge)]
+    return complete, sorted(found)
 
 
 def find_special_ordering(complex_, chain2, base_edge):
@@ -357,11 +361,12 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     1-acyclic complexes it must reproduce the search exactly.
     """
     bound = _special_chain_bound(complex_, max_length)
-    searches, complete = _edge_searches(complex_, edge, bound, budget)
+    complete, circuits = _edge_record(_Tables(complex_), edge, bound, max_length,
+                                      budget, {})
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    return _edge_circuits(complex_, searches, edge, max_length)
+    return circuits
 
 
 def _special_chain_bound(complex_, max_length):
@@ -414,13 +419,22 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
             records.append(FinenessRecord(e.id, len(mine), mine, "OK"))
     else:
         bound = _special_chain_bound(complex_, scale)
-        for e in complex_.edges:
-            searches, complete = _edge_searches(complex_, e.id, bound, budget)
-            circuits = tuple(_edge_circuits(complex_, searches, e.id, scale))
+        tables = _Tables(complex_)
+        # a face is searched for the first edge it meets; the size and the
+        # circuits kept of its search are dropped after the last one
+        last = {g: i for i, m in enumerate(tables.meets) for g in _ordinals(m)}
+        searches = {}
+        for i, e in enumerate(complex_.edges):
+            complete, circuits = _edge_record(tables, e.id, bound, scale, budget,
+                                              searches)
+            for g in _ordinals(tables.meets[i]):
+                if last[g] == i:
+                    searches.pop(g, None)
             status = "OK" if complete else "INCOMPLETE"
             if not complete:
                 exact = False
-            records.append(FinenessRecord(e.id, len(circuits), circuits, status))
+            records.append(FinenessRecord(e.id, len(circuits), tuple(circuits),
+                                          status))
     return FinenessCertificate(scale, method, tuple(records), exact)
 
 

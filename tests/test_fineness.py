@@ -270,6 +270,13 @@ def test_budget_boundary_is_the_state_count():
             assert len(got) == size
             with pytest.raises(BudgetExceededError):
                 enumerate_special_chains(cx, e.id, norm, budget=size - 1)
+            with pytest.raises(BudgetExceededError):
+                enumerate_special_chains(cx, e.id, norm, budget=-1)
+    # an edge on no face has no states, so no budget is too small
+    pendant = validate("abcd", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                                ("p", "c", "d")],
+                       [("f", [(1, "e1"), (1, "e2"), (1, "e3")])])
+    assert enumerate_special_chains(pendant, "p", 3, budget=-1) == []
 
 
 def test_status_agrees_with_per_edge_oracle_at_every_budget():
@@ -282,10 +289,12 @@ def test_status_agrees_with_per_edge_oracle_at_every_budget():
         sizes = {e.id: len(per_edge_special_chain_search(
             cx, e.id, bound, fineness.DEFAULT_BUDGET)[0]) for e in cx.edges}
         complete = {r.edge: r for r in _oracle_records(cx, scale)}
+        tables = fineness._Tables(cx)
         for e in cx.edges:
-            searches, _ = fineness._edge_searches(cx, e.id, bound, fineness.DEFAULT_BUDGET)
+            searched = [fineness._search_face(tables, g, bound, fineness.DEFAULT_BUDGET)
+                        for g in tables.faces_meeting(e.id)]
             # states met from two faces: the sum of the face searches overcounts
-            union_decided |= 2 * sum(len(s.states) for s in searches) > sizes[e.id]
+            union_decided |= 2 * sum(len(s) for s, _, _ in searched) > sizes[e.id]
         for budget in range(-1, max(sizes.values()) + 2):
             cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
             want = _oracle_records(cx, scale, budget)
@@ -303,26 +312,19 @@ def test_status_agrees_with_per_edge_oracle_at_every_budget():
     assert union_decided
 
 
-def test_each_face_searched_once_per_bound_and_budget(monkeypatch):
+def test_each_face_searched_once_per_certificate(monkeypatch):
     calls = []
     search = fineness._search_face
 
-    def counted(complex_, tables, g, max_norm, cap):
+    def counted(tables, g, max_norm, cap):
         calls.append((tables.face_ids[g], max_norm, cap))
-        return search(complex_, tables, g, max_norm, cap)
+        return search(tables, g, max_norm, cap)
 
     monkeypatch.setattr(fineness, "_search_face", counted)
     cx = grid_disk(2, 3)
-    cert = fineness_certificate(cx, 8, SPECIAL_CHAIN)
     bound = int(fv(cx, 8, INT).value(8))
-    assert sorted(f for f, _, _ in calls) == sorted(f.id for f in cx.faces)
-    assert {(n, cap) for _, n, cap in calls} == {(bound, fineness.DEFAULT_BUDGET // 2)}
-    # the other entry points read the same searches
-    for e in cx.edges:
-        assert circuits_via_fillings(cx, e.id, 8) == list(cert.record(e.id).circuits)
-        enumerate_special_chains(cx, e.id, bound)
-    fineness_certificate(cx, 8, SPECIAL_CHAIN)
-    assert len(calls) == len(cx.faces)
-    # a new budget is a new set of searches
-    fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=100)
-    assert len(calls) == 2 * len(cx.faces)
+    for budget in (fineness.DEFAULT_BUDGET, 100):
+        calls.clear()
+        fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=budget)
+        assert sorted(f for f, _, _ in calls) == sorted(f.id for f in cx.faces)
+        assert {(n, cap) for _, n, cap in calls} == {(bound, budget // 2)}
