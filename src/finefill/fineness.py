@@ -32,7 +32,7 @@ states proves that for every edge of the face; otherwise every search is
 complete and |S(e)| is twice the number of classes {x, -x} among them,
 which twice the sum of the search sizes bounds from above (when that bound
 exceeds the budget, the edge's faces are searched again for the classes).
-Inside the searches a state is an int with bit 2g + (s > 0) set for each
+Inside the searches a state is a frozenset holding 2g + (s > 0) for each
 signed face (g, s), faces numbered in id order, and a boundary is an
 {edge index: coefficient} dict; Chain objects are built for output only.
 """
@@ -98,17 +98,16 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     if reps is None or 2 * len(reps) > cap:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    states = [_ordinals(x) for r in reps for x in (r, tables.negate(r))]
-    states.sort(key=lambda o: (len(o), o))
-    return [tables.chain(o) for o in states]
+    states = sorted(_order(x) for r in reps for x in (r, _negate(r)))
+    return [tables.chain(o) for _, o in states]
 
 
 class _Tables:
     """The int form of a complex that the special-chain search runs on.
 
-    Faces are numbered in id order and a signed face (g, s) is bit
-    2g + (s > 0) of a state, so comparing bit positions compares the
-    (face id, sign) pairs of ``Chain.serialize``.
+    Faces are numbered in id order and a signed face (g, s) is the int
+    2g + (s > 0), so sorting these ints sorts the (face id, sign) pairs of
+    ``Chain.serialize``.
     """
 
     def __init__(self, complex_):
@@ -120,28 +119,19 @@ class _Tables:
             {self.edge_index[eid]: c
              for eid, c in complex_.face_boundary(fid).coeffs.items()}
             for fid in self.face_ids]
-        self.meets = [0] * len(self.edge_ids)  # edge -> bit mask of faces
+        self.meets = [[] for _ in self.edge_ids]  # edge -> faces, ascending
         for g, df in enumerate(self.face_boundary):
             for e in df:
-                self.meets[e] |= 1 << g
-        self.minus_bits = int("01" * len(self.face_ids) or "0", 2)
+                self.meets[e].append(g)
         self.circuits = {}  # frozenset of edges -> Circuit or None
 
     def faces_meeting(self, edge):
         if edge not in self.edge_index:
             raise UnknownEdgeError(f"unknown edge {edge!r}")
-        return _ordinals(self.meets[self.edge_index[edge]])
-
-    def negate(self, x):
-        m = self.minus_bits
-        return ((x & m) << 1) | ((x >> 1) & m)
-
-    def representative(self, x):
-        """Of x and -x, the one whose least face has sign +1."""
-        return self.negate(x) if x & -x & self.minus_bits else x
+        return self.meets[self.edge_index[edge]]
 
     def chain(self, ordinals):
-        """The 2-chain of a state given by its bit positions."""
+        """The 2-chain of the signed faces ``ordinals``."""
         return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
                               for o in ordinals})
 
@@ -159,39 +149,34 @@ class _Tables:
             self.circuits[support] = circuit_from_chain(self.complex, gamma)
         return self.circuits[support]
 
-    def oriented(self, circ, x):
-        """``circ`` in the direction of the boundary of state x.
+    def oriented(self, circ, ordinals):
+        """``circ`` in the direction of the boundary of the state ``ordinals``.
 
         The walk from the least vertex of -gamma is that of gamma reversed,
-        so one edge's coefficient in the boundary of x settles the direction.
+        so one edge's coefficient in the boundary of the state settles the
+        direction.
         """
         sign, eid = circ.walk[0]
         e = self.edge_index[eid]
         c = sum(self.face_boundary[o >> 1].get(e, 0) * (1 if o & 1 else -1)
-                for o in _ordinals(x))
+                for o in ordinals)
         if (c > 0) == (sign > 0):
             return circ
         return Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
 
 
-def _ordinals(x):
-    """The positions of the set bits of x, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+def _negate(x):
+    return frozenset(o ^ 1 for o in x)
 
 
-def _precedes(x, y):
-    """x strictly before y in (norm, serialization) order."""
-    nx, ny = x.bit_count(), y.bit_count()
-    if nx != ny:
-        return nx < ny
-    # same size: the least signed face in only one of them decides
-    d = x ^ y
-    return bool(x & d & -d)
+def _representative(x):
+    """Of x and -x, the one whose least face has sign +1."""
+    return x if min(x) & 1 else _negate(x)
+
+
+def _order(x):
+    """The (norm, serialization) sort key of state x."""
+    return len(x), tuple(sorted(x))
 
 
 _PLUS_MINUS_ONE = frozenset((1, -1))
@@ -204,43 +189,40 @@ def _search_face(tables, g, max_norm, cap):
     A state's successors add one signed face that meets the support of its
     boundary and is not yet in it; states of norm max_norm are not expanded.
     ``states`` holds every state generated, each containing (g, +1).
-    ``circuits`` maps a circuit key to (x, circuit), x the least state in
-    (norm, serialization) order, over the expanded states and their
-    negatives, whose boundary induces that circuit.  ``cut`` is set when
-    the search stopped at its cap with states left to expand.
+    ``circuits`` maps a circuit key to (order, circuit), ``order`` the
+    :func:`_order` key of the least state, over the expanded states and
+    their negatives, whose boundary induces that circuit.  ``cut`` is set
+    when the search stopped at its cap with states left to expand.
     """
     face_boundary, meets = tables.face_boundary, tables.meets
-    start = 2 << (2 * g)
+    start = frozenset((2 * g + 1,))
     states = {start}
     circuits = {}
-    stack = [(start, 1 << g, face_boundary[g])]
+    stack = [(start, face_boundary[g])]
     expanded = 0
     while stack:
         if expanded == cap:
             return states, circuits, True
         expanded += 1
-        x, used, running = stack.pop()
+        x, running = stack.pop()
         if running and set(running.values()) <= _PLUS_MINUS_ONE:
             circ = tables.circuit_of(running)
             if circ is not None:
                 # of x and -x, the one whose least face has sign -1 comes first
-                least = tables.negate(tables.representative(x))
+                least = _order(_negate(_representative(x)))
                 best = circuits.get(circ.key)
-                if best is None or _precedes(least, best[0]):
+                if best is None or least < best[0]:
                     circuits[circ.key] = (least, circ)
-        if x.bit_count() >= max_norm:
+        if len(x) >= max_norm:
             continue
-        candidates = 0
+        used = {o >> 1 for o in x}
+        candidates = set()
         for e in running:
-            candidates |= meets[e]
-        candidates &= ~used
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            h = low.bit_length() - 1
+            candidates.update(meets[e])
+        for h in candidates - used:
             dh = face_boundary[h]
-            for bit, sign in ((low << (h + 1), 1), (low << h, -1)):
-                y = x | bit
+            for o, sign in ((2 * h + 1, 1), (2 * h, -1)):
+                y = x | {o}
                 if y in states:
                     continue
                 states.add(y)
@@ -251,7 +233,7 @@ def _search_face(tables, g, max_norm, cap):
                         running2[e] = v
                     else:
                         del running2[e]
-                stack.append((y, used | low, running2))
+                stack.append((y, running2))
     return states, circuits, False
 
 
@@ -266,7 +248,7 @@ def _representatives(tables, faces, max_norm, budget):
         states, _, cut = _search_face(tables, g, max_norm, budget // 2)
         if cut:
             return None
-        reps.update(map(tables.representative, states))
+        reps.update(map(_representative, states))
         if 2 * len(reps) > budget:
             break
     return reps
@@ -302,10 +284,10 @@ def _edge_record(tables, edge, max_norm, max_length, budget, searches):
         complete = 2 * len(_representatives(tables, faces, max_norm, budget)) <= budget
     least = {}
     for _, circuits, _ in mine:
-        for key, (x, circ) in circuits.items():
-            if key not in least or _precedes(x, least[key][0]):
-                least[key] = (x, circ)
-    found = [tables.oriented(circ, x) for x, circ in least.values()
+        for key, (order, circ) in circuits.items():
+            if key not in least or order < least[key][0]:
+                least[key] = (order, circ)
+    found = [tables.oriented(circ, ordinals) for (_, ordinals), circ in least.values()
              if circ.length <= max_length and circ.contains_edge(edge)]
     return complete, sorted(found)
 
@@ -422,12 +404,12 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
         tables = _Tables(complex_)
         # a face is searched for the first edge it meets; the size and the
         # circuits kept of its search are dropped after the last one
-        last = {g: i for i, m in enumerate(tables.meets) for g in _ordinals(m)}
+        last = {g: i for i, faces in enumerate(tables.meets) for g in faces}
         searches = {}
         for i, e in enumerate(complex_.edges):
             complete, circuits = _edge_record(tables, e.id, bound, scale, budget,
                                               searches)
-            for g in _ordinals(tables.meets[i]):
+            for g in tables.meets[i]:
                 if last[g] == i:
                     searches.pop(g, None)
             status = "OK" if complete else "INCOMPLETE"
