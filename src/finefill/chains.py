@@ -9,7 +9,7 @@ directions), so loops and parallel-edge bigons count once each.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Chain, INT, RAT, boundary, format_ratio, parse_ratio
+from .complexes import Chain, INT, RAT, boundary, content_lines, format_ratio, parse_ratio
 from .errors import (FormatError, NotACircuitError, NotACycleError,
                      UnknownEdgeError)
 
@@ -207,15 +207,14 @@ def _least_outgoing(complex_, remaining, vertex):
     raise NotACycleError(f"no continuation at vertex {vertex!r}")
 
 
-def enumerate_cycles(complex_, max_norm, ring=INT):
+def enumerate_cycles(complex_, max_norm):
     """Every integral 1-cycle with l1-norm <= max_norm, exactly once.
 
     Realized by summing multisets of signed circuits with total length
     within budget (complete because every cycle splits into circuits with
-    additive norms), then deduplicating; includes the zero cycle.
+    additive norms, and no sum's norm exceeds that total length), then
+    deduplicating; includes the zero cycle.
     """
-    if ring != INT:
-        raise ValueError("cycle enumeration is defined over the integers")
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
     cycles = {(): Chain(1, INT, {})}
@@ -247,9 +246,7 @@ def enumerate_cycles(complex_, max_norm, ring=INT):
                         m += 1
 
         extend(0, max_norm, {})
-    out = [c for c in cycles.values() if c.l1() <= max_norm]
-    out.sort(key=lambda c: (c.l1(), c.serialize()))
-    return out
+    return sorted(cycles.values(), key=lambda c: (c.l1(), c.serialize()))
 
 
 # -- cy v1 text format --------------------------------------------------------
@@ -258,7 +255,7 @@ _CY_HEADER = "chain1 v1"
 
 
 def parse_chain(text):
-    lines = [l for l in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if l]
+    lines = content_lines(text)
     if not lines:
         raise FormatError("empty chain file")
     head = lines[0].split()

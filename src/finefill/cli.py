@@ -307,22 +307,20 @@ def _cmd_delta(args, out):
 
 
 def _cmd_sadd(args, out):
-    values = []
     with open(args.table, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] in ("n", "k"):
-                continue  # header
-            if len(parts) != 2:
-                raise FinefillError(f"cannot parse table line: {line!r}", "BAD_FORMAT")
-            n = int(parts[0])
-            if n != len(values) + 1:
-                raise FinefillError("table rows must be n = 1, 2, ... in order",
-                                    "BAD_FORMAT")
-            values.append(complexes.parse_ratio(parts[1]))
+        lines = complexes.content_lines(fh.read())
+    values = []
+    for line in lines:
+        parts = line.split()
+        if parts[0] in ("n", "k"):
+            continue  # header
+        if len(parts) != 2:
+            raise FinefillError(f"cannot parse table line: {line!r}", "BAD_FORMAT")
+        n = int(parts[0])
+        if n != len(values) + 1:
+            raise FinefillError("table rows must be n = 1, 2, ... in order",
+                                "BAD_FORMAT")
+        values.append(complexes.parse_ratio(parts[1]))
     closed = filling.superadditive_closure(values)
     print("n\tvalue", file=out)
     for i, v in enumerate(closed):

@@ -150,7 +150,6 @@ class TwoComplex:
                     table[e.head].append((-1, e.id))
             for v in table:
                 table[v].sort(key=lambda se: (se[1], -se[0]))
-            self._cache["incident_all"] = table
             for v, lst in table.items():
                 self._cache[("incident", v)] = tuple(lst)
         return self._cache[key]
@@ -178,13 +177,6 @@ class TwoComplex:
             self._cache[key] = Chain(1, INT, acc)
         return self._cache[key]
 
-    def edge_boundary(self, eid):
-        e = self.edge_by_id[eid]
-        acc = {}
-        acc[e.head] = acc.get(e.head, 0) + 1
-        acc[e.tail] = acc.get(e.tail, 0) - 1
-        return Chain(0, INT, acc)
-
     def boundary_matrix_1(self):
         """d1 as rows=vertices, cols=edges (ints)."""
         if "d1" not in self._cache:
@@ -206,6 +198,10 @@ class TwoComplex:
                     m[ei[eid]][j] = c
             self._cache["d2"] = m
         return self._cache["d2"]
+
+    def smith_form_2(self):
+        """Smith normal form (u, d, v) of d2, shared by homology and fillings."""
+        return self.cached("snf2", lambda: linalg.smith_normal_form(self.boundary_matrix_2()))
 
     def cached(self, key, build):
         if key not in self._cache:
@@ -320,7 +316,7 @@ def homology_h1(complex_):
         rank1 = linalg.snf_rank(linalg.smith_normal_form(d1)[1]) if complex_.vertices else 0
         cycles = n_edges - rank1
         if complex_.faces:
-            factors = linalg.invariant_factors(d2)
+            factors = linalg.invariant_factors(d2, snf=complex_.smith_form_2())
             rank2 = len(factors)
         else:
             factors, rank2 = [], 0
@@ -421,7 +417,7 @@ def subdivide(complex_, mode):
 def parse_complex(text):
     """Parse the 'cx v1' line format and validate the result."""
     vertices, edges, faces = [], [], []
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines or lines[0] != _CX_HEADER:
         raise FormatError(f"expected '{_CX_HEADER}' header")
     for line in lines[1:]:
@@ -461,7 +457,8 @@ def write_complex(complex_, comments=()):
     return "\n".join(out) + "\n"
 
 
-def _content_lines(text):
+def content_lines(text):
+    """The non-blank lines of ``text`` with '#' comments and outer spaces removed."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

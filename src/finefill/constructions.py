@@ -9,7 +9,7 @@ across runs.
 from dataclasses import dataclass, field
 
 from .chains import canonical_walk_key, enumerate_circuits, make_circuit
-from .complexes import TwoComplex, validate, write_complex
+from .complexes import TwoComplex, content_lines, validate, write_complex
 from .errors import (CapExceededError, FormatError, HasFacesError,
                      RelatorFailsError, ValidationError)
 
@@ -379,11 +379,7 @@ _GRP_HEADER = "group v1"
 
 
 def parse_group(text):
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     if not lines or lines[0] != _GRP_HEADER:
         raise FormatError(f"expected '{_GRP_HEADER}' header")
     degree = None

@@ -7,9 +7,11 @@ solved exactly:
 * a query over Q reads infeasibility off a row reduction of d2 over Q, and
   a query over Z reads it off the Smith normal form of d2, which also tells
   a cycle that is not even a rational boundary; each factorization is built
-  the first time a query needs it and then cached with the complex;
-* when the kernel of d2 has rank 0 or 1 the solution set is a point or a
-  line and the optimum is a weighted-median computation;
+  the first time a query needs it and then cached with the complex, whose
+  one Smith form also gives its homology and the kernel of d2;
+* the rank of that kernel alone picks the route: at rank 0 or 1 the
+  solution set is a point or a line and the optimum is a weighted-median
+  computation;
 * otherwise the rational optimum comes from a two-phase exact simplex in
   split-variable form, and the integral optimum from branch and bound
   seeded with a normal-form particular solution, with the simplex bound
@@ -113,7 +115,6 @@ class _FillingContext:
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.d2 = complex_.boundary_matrix_2()
         self._rat = None
-        self._snf = None
         self._ker = None
         self.value_cache = {}
 
@@ -125,9 +126,7 @@ class _FillingContext:
 
     @property
     def snf(self):
-        if self._snf is None:
-            self._snf = linalg.smith_normal_form(self.d2)
-        return self._snf
+        return self.complex.smith_form_2()
 
     @property
     def kernel(self):
@@ -149,13 +148,10 @@ def _context(complex_):
     return complex_.cached("filling_ctx", lambda: _FillingContext(complex_))
 
 
-def filling_norm(complex_, gamma, ring, strategy="auto"):
+def filling_norm(complex_, gamma, ring):
     """The least l1-norm of a 2-chain whose boundary is ``gamma``.
 
-    ``gamma`` must be an integral 1-cycle of the complex.  ``strategy`` is
-    "auto" (closed form when the solution set is a point or a line, solver
-    otherwise) or "simplex" (always run the LP / branch-and-bound route);
-    both produce the same exact value.
+    ``gamma`` must be an integral 1-cycle of the complex.
     """
     if gamma.dimension != 1:
         raise NotACycleError("expected a 1-chain")
@@ -166,11 +162,11 @@ def filling_norm(complex_, gamma, ring, strategy="auto"):
     if not is_cycle(complex_, gamma):
         raise NotACycleError("boundary is nonzero")
     ctx = _context(complex_)
-    key = (ring, strategy, gamma.serialize())
+    key = (ring, gamma.serialize())
     if key not in ctx.value_cache:
-        result = _verify_filling(complex_, gamma, _solve(ctx, gamma, ring, strategy))
+        result = _verify_filling(complex_, gamma, _solve(ctx, gamma, ring))
         ctx.value_cache[key] = result
-        neg_key = (ring, strategy, gamma.neg().serialize())
+        neg_key = (ring, gamma.neg().serialize())
         if neg_key not in ctx.value_cache:
             neg = FillingResult(result.value,
                                 result.witness.neg() if result.witness else None,
@@ -179,7 +175,7 @@ def filling_norm(complex_, gamma, ring, strategy="auto"):
     return ctx.value_cache[key]
 
 
-def _solve(ctx, gamma, ring, strategy):
+def _solve(ctx, gamma, ring):
     zero = 0 if ring == INT else Fraction(0)
     if gamma.is_zero():
         return FillingResult(zero, Chain(2, ring, {}), ring, FEASIBLE_OPTIMAL)
@@ -191,7 +187,7 @@ def _solve(ctx, gamma, ring, strategy):
         mu_rat = ctx.rat.solve([Fraction(v) for v in vec])
         if mu_rat is None:
             return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
-        if strategy == "auto" and ker_dim <= 1:
+        if ker_dim <= 1:
             x, val = _minimize_on_line(mu_rat, ctx.kernel[0] if ker_dim else None,
                                        integral=False)
         else:
@@ -207,7 +203,7 @@ def _solve(ctx, gamma, ring, strategy):
         if any(linalg.mat_vec(u, vec)[rank:]):
             return FillingResult(INF, None, INT, RATIONALLY_INFEASIBLE)
         return FillingResult(INF, None, INT, INTEGRALLY_INFEASIBLE)
-    if strategy == "auto" and ker_dim <= 1:
+    if ker_dim <= 1:
         x, val = _minimize_on_line(mu_int, ctx.kernel[0] if ker_dim else None,
                                    integral=True)
     else:
@@ -359,37 +355,24 @@ def fv(complex_, k_max, ring):
         raise ValueError("k_max must be >= 0")
 
     def build():
-        zero = 0 if ring == INT else Fraction(0)
-        best = [zero] * (k_max + 1)
-        wit = [Chain(1, INT, {})] * (k_max + 1)
-        infinite_from = None
+        # cycles come sorted by norm, so a running maximum read off before
+        # the first cycle of norm k is FV(k - 1), witnessed by the first
+        # cycle that reached it; INF exceeds every value and ends the table
+        top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
+        rows = []  # index k -> (value, witness)
         for cycle in enumerate_cycles(complex_, k_max):
             norm = cycle.l1()
             if norm == 0:
                 continue
+            rows.extend([top] * (norm - len(rows)))
             res = filling_norm(complex_, cycle, ring)
-            if res.value is INF:
-                infinite_from = norm
-                for k in range(norm, k_max + 1):
-                    best[k] = INF
-                    wit[k] = cycle
+            if res.value > top[0]:
+                top = (res.value, cycle)
+            if top[0] is INF:
                 break
-            k = int(norm)
-            if res.value > best[k]:
-                best[k] = res.value
-                wit[k] = cycle
-        values = [zero] * (k_max + 1)
-        witnesses = [Chain(1, INT, {})] * (k_max + 1)
-        for k in range(1, k_max + 1):
-            values[k] = values[k - 1]
-            witnesses[k] = witnesses[k - 1]
-            if infinite_from is not None and k >= infinite_from:
-                values[k] = INF
-                witnesses[k] = wit[k]
-            elif best[k] is not INF and best[k] > values[k]:
-                values[k] = best[k]
-                witnesses[k] = wit[k]
-        return FVTable(ring, k_max, tuple(values), tuple(witnesses))
+        rows.extend([top] * (k_max + 1 - len(rows)))
+        values, witnesses = zip(*rows)
+        return FVTable(ring, k_max, values, witnesses)
 
     return complex_.cached(("fv", ring, k_max), build)
 

@@ -134,9 +134,11 @@ def snf_rank(d):
     return r
 
 
-def invariant_factors(a):
+def invariant_factors(a, snf=None):
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, d, _ = smith_normal_form(a)
+    if snf is None:
+        snf = smith_normal_form(a)
+    _, d, _ = snf
     out = []
     for i in range(min(len(d), len(d[0]) if d else 0)):
         if d[i][i] != 0:

@@ -8,14 +8,16 @@ degree-two edge subsets, linear programs use a Fraction tableau,
 integral fillings can also come from branch and bound that boxes every face
 at every node, line minimizations rescan every entry at every breakpoint,
 and special 2-chains come from a separate search per base edge over Chain
-objects.
+objects.  The one exception is :func:`lp_route_filling_value`, which runs
+the package's own LP and branch and bound on every cycle, so that they
+check the closed form the package takes at kernel rank <= 1.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
 
-from finefill import Chain, INT, boundary, is_cycle
+from finefill import Chain, INF, INT, RAT, boundary, filling, is_cycle, linalg
 from finefill.chains import circuit_from_chain
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -401,6 +403,22 @@ def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
         up[j] = (ceil(x[j]), hi)
         stack += [tuple(up), tuple(down)]
     return incumbent, inc_val
+
+
+def lp_route_filling_value(cx, gamma, ring):
+    """Filling norm of the integral cycle ``gamma`` by the LP (over Q) or
+    branch and bound (over Z), whatever the rank of the kernel of d2."""
+    ctx = filling._context(cx)
+    vec = ctx.gamma_vector(gamma)
+    if ring == RAT:
+        x, val = filling._lp_optimum(ctx, vec)
+    else:
+        mu = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
+        x, val = (None, None) if mu is None else filling._branch_and_bound(ctx, vec, mu)
+    if x is None:
+        return INF
+    assert linalg.mat_vec(ctx.d2, x) == vec and sum(abs(v) for v in x) == val
+    return val
 
 
 def minimize_on_line(mu, z, integral):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, filling_norm, fv,
-                      linearity_report, superadditive_closure, validate,
-                      weak_area)
+                      homology_h1, linearity_report, superadditive_closure,
+                      validate, weak_area)
 from finefill import filling, linalg, simplex
 from finefill.chains import require_circuit
 from finefill.constructions import omega_n
@@ -16,8 +16,8 @@ from instances import (CORPUS, CORPUS_GRAPHS, double_traversal, hexagon,
                        hexagon_chord, k4_graph, square_face, tetrahedron,
                        triangle_face, triangle_graph)
 from oracles import (exhaustive_int_filling, fraction_solve_lp,
-                     full_box_branch_and_bound, minimize_on_line,
-                     partition_maximum)
+                     full_box_branch_and_bound, lp_route_filling_value,
+                     minimize_on_line, partition_maximum)
 
 
 def test_single_face_fills_its_boundary():
@@ -95,8 +95,30 @@ def test_strategies_agree_on_corpus():
         for cycle in enumerate_cycles(cx, 4):
             for ring in (INT, RAT):
                 auto = filling_norm(cx, cycle, ring)
-                lp = filling_norm(cx, cycle, ring, strategy="simplex")
-                assert auto.value == lp.value, (name, ring, cycle.coeffs)
+                lp = lp_route_filling_value(cx, cycle, ring)
+                assert auto.value == lp, (name, ring, cycle.coeffs)
+
+
+def test_one_smith_form_of_d2_per_complex(monkeypatch):
+    # homology, an integral fill and a rational fill on the closed form all
+    # read the Smith form cached with the complex
+    cx = tetrahedron()
+    d2 = cx.boundary_matrix_2()
+    factored = []
+    smith_normal_form = linalg.smith_normal_form
+
+    def counting(a):
+        if a == d2:
+            factored.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    triangle = Chain(1, INT, {"e12": 1, "e23": 1, "e13": -1})
+    assert homology_h1(cx).trivial
+    assert filling_norm(cx, triangle, INT).value == 1
+    assert len(filling._context(cx).kernel) <= 1
+    assert filling_norm(cx, triangle, RAT).value == 1
+    assert len(factored) == 1
 
 
 def test_witnesses_verify():
@@ -279,9 +301,9 @@ def test_filling_routes_cross_validate_on_random_complexes():
         cap = 3
         for cycle in enumerate_cycles(cx, 3):
             vz = filling_norm(cx, cycle, INT).value
-            assert vz == filling_norm(cx, cycle, INT, strategy="simplex").value
+            assert vz == lp_route_filling_value(cx, cycle, INT)
             vq = filling_norm(cx, cycle, RAT).value
-            assert vq == filling_norm(cx, cycle, RAT, strategy="simplex").value
+            assert vq == lp_route_filling_value(cx, cycle, RAT)
             assert vq <= vz
             oracle = exhaustive_int_filling(cx, cycle, cap)
             if oracle is not None:
