@@ -479,5 +479,8 @@ def parse_ratio(token):
     token = token.strip()
     if "/" in token:
         p, q = token.split("/", 1)
-        return Fraction(int(p), int(q))
+        p, q = int(p), int(q)
+        if q == 0:
+            raise FormatError(f"zero denominator in {token!r}")
+        return Fraction(p, q)
     return Fraction(int(token))

@@ -4,11 +4,10 @@ The rational problem is an l1-minimization min |mu|_1 with d2(mu) = gamma;
 the integral problem additionally restricts mu to integer chains.  Both are
 solved exactly:
 
-* a query over Q reads infeasibility off a row reduction of d2 over Q, and
-  a query over Z reads it off the Smith normal form of d2, which also tells
-  a cycle that is not even a rational boundary; each factorization is built
-  the first time a query needs it and then cached with the complex, whose
-  one Smith form also gives its homology and the kernel of d2;
+* both rings read infeasibility and a particular solution off the one
+  Smith normal form of d2, built the first time a query needs it and then
+  cached with the complex, where it also gives the homology and the kernel
+  of d2; over Z it also tells a cycle that is not even a rational boundary;
 * the rank of that kernel alone picks the route: at rank 0 or 1 the
   solution set is a point or a line and the optimum is a weighted-median
   computation;
@@ -106,7 +105,8 @@ def _verify_filling(complex_, gamma, result):
 
 
 class _FillingContext:
-    """Per-complex solver state: boundary matrix, factorizations, caches."""
+    """Per-complex solver state: boundary matrix, the Smith form of d2 and
+    what is read off it, and the value cache."""
 
     def __init__(self, complex_):
         self.complex = complex_
@@ -121,7 +121,7 @@ class _FillingContext:
     @property
     def rat(self):
         if self._rat is None:
-            self._rat = linalg.RationalSolver(self.d2)
+            self._rat = linalg.RationalSolver(self.d2, snf=self.snf)
         return self._rat
 
     @property
@@ -182,20 +182,21 @@ def _solve(ctx, gamma, ring):
     if not ctx.faces:
         return FillingResult(INF, None, ring, NO_FACES)
     vec = ctx.gamma_vector(gamma)
+    u, d, _ = ctx.snf
+    rank = linalg.snf_rank(d)
+    ker_dim = len(ctx.faces) - rank
     if ring == RAT:
-        ker_dim = len(ctx.faces) - ctx.rat.rank
-        mu_rat = ctx.rat.solve([Fraction(v) for v in vec])
+        mu_rat = ctx.rat.solve(vec)
         if mu_rat is None:
             return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
         if ker_dim <= 1:
+            # another particular solution shifts every breakpoint of the line
+            # by the same amount, so the minimizer found is the same point
             x, val = _minimize_on_line(mu_rat, ctx.kernel[0] if ker_dim else None,
                                        integral=False)
         else:
             x, val = _lp_optimum(ctx, vec)
         return FillingResult(val, ctx.chain_from_vector(x, RAT), RAT, FEASIBLE_OPTIMAL)
-    u, d, _ = ctx.snf
-    rank = linalg.snf_rank(d)
-    ker_dim = len(ctx.faces) - rank
     mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
     if mu_int is None:
         # u is unimodular, so u.gamma vanishes from the rank on exactly when

@@ -2,7 +2,9 @@
 
 Everything here works on dense row-major lists of Python ints or
 Fractions.  Sizes are desk scale (hundreds of rows at most), so clarity
-wins over asymptotics; all results are exact.
+wins over asymptotics; all results are exact.  The Smith normal form is
+the one factorization: integral and rational solves, the kernel and the
+invariant factors all read it.
 """
 
 from fractions import Fraction
@@ -186,57 +188,28 @@ def integer_kernel_basis(a, snf=None):
 
 
 class RationalSolver:
-    """Repeated exact solves of a*x = b for a fixed matrix a.
+    """Repeated exact solves of a*x = b over Q, read off a Smith form of a.
 
-    Row-reduces [a | I] once; each solve is then a sparse matrix-vector
-    product plus a consistency check on the dependent rows.
+    With u*a*v = d, a*x = b has a rational solution exactly when u*b
+    vanishes from the rank on, and then x = v*y with y_i = (u*b)_i / d_i.
+    The last invariant factor D is a multiple of every other, so y is kept
+    as ints scaled by D and divided once at the end.
     """
 
-    def __init__(self, a):
-        self.rows = len(a)
-        self.cols = len(a[0]) if self.rows else 0
-        r = [[Fraction(x) for x in row] for row in a]
-        t = [[Fraction(1) if i == j else Fraction(0) for j in range(self.rows)]
-             for i in range(self.rows)]
-        pivots = []
-        lead = 0
-        for col in range(self.cols):
-            piv = None
-            for i in range(lead, self.rows):
-                if r[i][col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            r[lead], r[piv] = r[piv], r[lead]
-            t[lead], t[piv] = t[piv], t[lead]
-            inv = 1 / r[lead][col]
-            r[lead] = [x * inv for x in r[lead]]
-            t[lead] = [x * inv for x in t[lead]]
-            for i in range(self.rows):
-                if i != lead and r[i][col] != 0:
-                    f = r[i][col]
-                    r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
-                    t[i] = [x - f * y for x, y in zip(t[i], t[lead])]
-            pivots.append(col)
-            lead += 1
-            if lead == self.rows:
-                break
-        self.rref = r
-        self.transform = t
-        self.pivots = pivots
-        self.rank = len(pivots)
+    def __init__(self, a, snf=None):
+        if snf is None:
+            snf = smith_normal_form(a)
+        self.u, d, self.v = snf
+        self.rank = snf_rank(d)
+        self.denominator = d[self.rank - 1][self.rank - 1] if self.rank else 1
+        self.scale = [self.denominator // d[i][i] for i in range(self.rank)]
 
     def solve(self, b):
-        """One rational solution of a*x = b (free variables 0), or None."""
-        tb = []
-        for i in range(self.rows):
-            ti = self.transform[i]
-            tb.append(sum(ti[j] * b[j] for j in range(self.rows) if b[j]))
-        for i in range(self.rank, self.rows):
-            if tb[i] != 0:
-                return None
-        x = [Fraction(0)] * self.cols
-        for i, col in enumerate(self.pivots):
-            x[col] = tb[i]
-        return x
+        """One rational solution of a*x = b, or None."""
+        ub = mat_vec(self.u, b)
+        if any(ub[self.rank:]):
+            return None
+        y = [0] * len(self.v)
+        for i, s in enumerate(self.scale):
+            y[i] = ub[i] * s
+        return [Fraction(x, self.denominator) for x in mat_vec(self.v, y)]

@@ -4,7 +4,8 @@ Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
 divisors, distances use Floyd-Warshall, four-point delta scans every
 quadruple, cycle sets use raw coefficient vectors, circuit counts use
-degree-two edge subsets, linear programs use a Fraction tableau,
+degree-two edge subsets, rational solves use Gauss-Jordan elimination
+over Fractions, linear programs use a Fraction tableau,
 integral fillings can also come from branch and bound that boxes every face
 at every node, line minimizations rescan every entry at every breakpoint,
 and special 2-chains come from a separate search per base edge over Chain
@@ -185,6 +186,33 @@ def rank_over_q(matrix):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def rref_rational_solve(a, b):
+    """The solution of a*x = b over Q whose free variables are 0, or None:
+    Gauss-Jordan elimination of [a | b] over Fractions, pivoting on the
+    first nonzero entry of each column in turn."""
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(a, b)]
+    pivots = []
+    for col in range(cols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[lead], m[piv] = m[piv], m[lead]
+        m[lead] = [v / m[lead][col] for v in m[lead]]
+        for i in range(len(m)):
+            if i != lead and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [v - f * w for v, w in zip(m[i], m[lead])]
+        pivots.append(col)
+    if any(row[-1] != 0 for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        x[col] = m[i][-1]
+    return x
 
 
 def partition_maximum(values, n):

@@ -158,6 +158,19 @@ def test_sadd():
     assert out == "n\tvalue\n1\t1\n2\t2\n3\t3\n"
 
 
+def test_zero_denominator_is_format_error(tmp_path, capsys):
+    table = tmp_path / "zero.tsv"
+    table.write_text("1 1/0\n")
+    chain = tmp_path / "zero.cy"
+    chain.write_text("chain1 v1 INT\n1/0 e12\n")
+    for argv in (["sadd", str(table)],
+                 ["fill", "--ring", "z", "--cycle", str(chain), data("tetra.cx")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[BAD_FORMAT]: zero denominator in '1/0'\n"
+
+
 def test_corpus_runner():
     code, out = run_cli("corpus", "--seed", "1", "--trials", "5", DATA)
     assert code == 0

@@ -17,7 +17,7 @@ from instances import (CORPUS, CORPUS_GRAPHS, double_traversal, hexagon,
                        triangle_face, triangle_graph)
 from oracles import (exhaustive_int_filling, fraction_solve_lp,
                      full_box_branch_and_bound, lp_route_filling_value,
-                     minimize_on_line, partition_maximum)
+                     minimize_on_line, partition_maximum, rref_rational_solve)
 
 
 def test_single_face_fills_its_boundary():
@@ -101,15 +101,15 @@ def test_strategies_agree_on_corpus():
 
 def test_one_smith_form_of_d2_per_complex(monkeypatch):
     # homology, an integral fill and a rational fill on the closed form all
-    # read the Smith form cached with the complex
+    # read the Smith form cached with the complex, and so do rational fills
+    # on the LP route of a complex that takes no other query
     cx = tetrahedron()
-    d2 = cx.boundary_matrix_2()
+    omega = omega_n(k4_graph(), 4)
     factored = []
     smith_normal_form = linalg.smith_normal_form
 
     def counting(a):
-        if a == d2:
-            factored.append(a)
+        factored.append(a)
         return smith_normal_form(a)
 
     monkeypatch.setattr(linalg, "smith_normal_form", counting)
@@ -118,7 +118,39 @@ def test_one_smith_form_of_d2_per_complex(monkeypatch):
     assert filling_norm(cx, triangle, INT).value == 1
     assert len(filling._context(cx).kernel) <= 1
     assert filling_norm(cx, triangle, RAT).value == 1
-    assert len(factored) == 1
+    square = Chain(1, INT, {"e12": 1, "e24": 1, "e34": -1, "e13": -1})
+    assert filling_norm(omega, triangle, RAT).value == 1
+    assert filling_norm(omega, square, RAT).value == 1
+    assert factored.count(cx.boundary_matrix_2()) == 1
+    assert factored.count(omega.boundary_matrix_2()) == 1
+    assert len(filling._context(omega).kernel) >= 2
+
+
+def test_rational_witness_does_not_depend_on_the_particular_solution():
+    # on a line of solutions the weighted median moves with the particular
+    # solution, so the Smith-form solution and the free-variables-at-0 one
+    # give the same minimizer
+    lines = 0
+    for name, build in CORPUS:
+        cx = build()
+        if not cx.faces:
+            continue
+        ctx = filling._context(cx)
+        if len(ctx.kernel) > 1:
+            continue
+        z = ctx.kernel[0] if ctx.kernel else None
+        for cycle in enumerate_cycles(cx, 4):
+            ctx.value_cache.clear()  # a cached -cycle would hand back its witness negated
+            res = filling_norm(cx, cycle, RAT)
+            particular = rref_rational_solve(ctx.d2, ctx.gamma_vector(cycle))
+            if particular is None:
+                assert res.value is INF, (name, cycle.coeffs)
+                continue
+            x, val = filling._minimize_on_line(particular, z, integral=False)
+            assert res.value == val, (name, cycle.coeffs)
+            assert res.witness == ctx.chain_from_vector(x, RAT), (name, cycle.coeffs)
+            lines += z is not None
+    assert lines >= 10
 
 
 def test_witnesses_verify():

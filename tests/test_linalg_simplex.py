@@ -5,7 +5,8 @@ from fractions import Fraction
 from finefill import linalg
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
-from oracles import determinant_divisor_factors, fraction_solve_lp
+from instances import CORPUS
+from oracles import determinant_divisor_factors, fraction_solve_lp, rref_rational_solve
 
 
 def matmul(a, b):
@@ -87,6 +88,63 @@ def test_rational_solver():
     rs = linalg.RationalSolver([[1, 1], [1, 1]])
     assert rs.solve([Fraction(1), Fraction(2)]) is None
     assert rs.rank == 1
+
+
+def _random_solver_matrix(rng):
+    rows, cols = rng.randint(1, 6), rng.randint(0, 7)
+    kind = rng.choice(("dense", "sparse", "low-rank", "scaled"))
+    if kind == "low-rank":
+        k = rng.randint(0, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        a = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+             for i in range(rows)]
+    else:
+        density = 0.3 if kind == "sparse" else 1.0
+        a = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if kind == "scaled":
+            scale = rng.choice((2, 3, 4, 6))
+            a = [[scale * v for v in row] for row in a]
+    if rows > 1 and rng.random() < 0.3:
+        a[rng.randrange(rows)] = [0] * cols
+    if cols > 1 and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def test_rational_solver_matches_row_reduction_oracle():
+    rng = random.Random(606)
+    matrices = [_random_solver_matrix(rng) for _ in range(400)]
+    matrices += [build().boundary_matrix_2() for _, build in CORPUS]  # double-traversal: [[2]]
+    seen = {"feasible": 0, "infeasible": 0, "factor > 1": 0, "rank-deficient": 0}
+    for a in matrices:
+        rows, cols = len(a), len(a[0]) if a else 0
+        snf = linalg.smith_normal_form(a)
+        solver = linalg.RationalSolver(a, snf=snf)
+        factors = linalg.invariant_factors(a, snf=snf)
+        seen["factor > 1"] += any(f > 1 for f in factors)
+        seen["rank-deficient"] += solver.rank < min(rows, cols)
+        for _ in range(3):
+            if rng.random() < 0.5:
+                x0 = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                      for _ in range(cols)]
+                b = linalg.mat_vec(a, x0)
+            else:
+                b = [rng.randint(-4, 4) for _ in range(rows)]
+            x = solver.solve(b)
+            x_oracle = rref_rational_solve(a, b)
+            assert (x is None) == (x_oracle is None), (a, b)
+            if x is None:
+                seen["infeasible"] += 1
+                continue
+            seen["feasible"] += 1
+            assert linalg.mat_vec(a, x) == b, (a, b)
+            diff = [p - q for p, q in zip(x, x_oracle)]
+            assert not any(linalg.mat_vec(a, diff)), (a, b)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_lp_known_instances():
