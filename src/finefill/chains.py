@@ -207,46 +207,69 @@ def _least_outgoing(complex_, remaining, vertex):
     raise NotACycleError(f"no continuation at vertex {vertex!r}")
 
 
-def enumerate_cycles(complex_, max_norm):
-    """Every integral 1-cycle with l1-norm <= max_norm, exactly once.
+def enumerate_cycles(complex_, max_norm, fills=None):
+    """Every integral 1-cycle with l1-norm <= max_norm, exactly once, sorted
+    by (norm, serialization); includes the zero cycle.
 
-    Realized by summing multisets of signed circuits with total length
-    within budget (complete because every cycle splits into circuits with
-    additive norms, and no sum's norm exceeds that total length), then
-    deduplicating; includes the zero cycle.
+    Realized by summing sign-conformal multisets of signed circuits, those
+    in which no edge cancels, so that a sum's norm is its total length.
+    Complete because every cycle splits into circuits with additive norms
+    (:func:`decompose_into_circuits`), and every part of such a split is
+    again sign-conformal.
+
+    ``filling.fv`` also passes ``fills``: a (circuit, filling value) pair
+    for every circuit of length <= max_norm, sorted by length, every value
+    finite.  From them come L(k), the largest fill of a circuit of length
+    <= k, and U, its superadditive closure, which bounds the summed fills
+    of any circuit multiset of total length <= r.  Then only the candidates
+    come back: the cycles reached by a sum whose summed fill is >= L(norm).
+    A sum at norm u with summed fill s is not extended when
+    s + U(r) < L(u + r) for every r >= 1 within max_norm, as no extension
+    of it is a candidate.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
-    cycles = {(): Chain(1, INT, {})}
-    if max_norm >= 1:
-        circuits = _all_circuits(complex_, max_norm)
-        vecs = [c.induced_cycle().coeffs for c in circuits]
-        lens = [c.length for c in circuits]
-        n = len(circuits)
+    if fills is None:
+        circuits = _all_circuits(complex_, max_norm) if max_norm >= 1 else []
+        fills = [(circuit, 0) for circuit in circuits]
+    lower = [0] * (max_norm + 1)
+    for circuit, value in fills:
+        lower[circuit.length] = max(lower[circuit.length], value)
+    upper = [0] * (max_norm + 1)
+    for k in range(1, max_norm + 1):
+        lower[k] = max(lower[k], lower[k - 1])
+        upper[k] = max(lower[j] + upper[k - j] for j in range(1, k + 1))
+    # reach[u]: the least summed fill at norm u that some extension can
+    # raise to L of its norm
+    reach = [min((lower[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
+             for u in range(max_norm + 1)]
+    signed = [[(e, sign * s) for s, e in circuit.walk] for circuit, _ in fills for sign in (1, -1)]
+    lens = [circuit.length for circuit, _ in fills]
+    values = [value for _, value in fills]
+    found = {(): 0}  # serialization -> norm
 
-        def extend(idx_from, budget, acc):
-            for i in range(idx_from, n):
-                li = lens[i]
-                if li > budget:
+    def extend(start, used, filled, acc):
+        for i in range(start, len(fills)):
+            li = lens[i]
+            if used + li > max_norm:
+                break  # circuits come sorted by length
+            for vec in signed[2 * i:2 * i + 2]:
+                if any(acc.get(e, 0) * c < 0 for e, c in vec):
                     continue
-                for sign in (1, -1):
-                    m = 1
-                    while m * li <= budget:
-                        nxt = dict(acc)
-                        for e, c in vecs[i].items():
-                            v = nxt.get(e, 0) + sign * m * c
-                            if v:
-                                nxt[e] = v
-                            elif e in nxt:
-                                del nxt[e]
-                        key = tuple(sorted(nxt.items()))
-                        if key not in cycles:
-                            cycles[key] = Chain(1, INT, nxt)
-                        extend(i + 1, budget - m * li, nxt)
-                        m += 1
+                nxt, norm, total = acc, used, filled
+                while norm + li <= max_norm:
+                    nxt = dict(nxt)
+                    for e, c in vec:
+                        nxt[e] = nxt.get(e, 0) + c
+                    norm += li
+                    total += values[i]
+                    if total >= lower[norm]:
+                        found.setdefault(tuple(sorted(nxt.items())), norm)
+                    if norm < max_norm and total >= reach[norm]:
+                        extend(i + 1, norm, total, nxt)
 
-        extend(0, max_norm, {})
-    return sorted(cycles.values(), key=lambda c: (c.l1(), c.serialize()))
+    extend(0, 0, 0, {})
+    return [Chain(1, INT, dict(key)) for key in sorted(found, key=lambda k: (found[k], k))]
 
 
 # -- cy v1 text format --------------------------------------------------------

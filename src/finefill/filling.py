@@ -22,10 +22,12 @@ INFINITE is a real value here (the infimum of an empty set), not an error.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from itertools import groupby
+from math import ceil, floor, lcm
+from operator import attrgetter
 
 from . import linalg, simplex
-from .chains import decompose_into_circuits, enumerate_cycles, is_cycle, require_circuit
+from .chains import enumerate_circuits, enumerate_cycles, is_cycle, require_circuit
 from .complexes import Chain, INT, RAT, boundary, format_ratio
 from .constructions import face_circuit, omega_n
 from .errors import HasFacesError, InternalError, NotACycleError
@@ -164,14 +166,7 @@ def filling_norm(complex_, gamma, ring):
     ctx = _context(complex_)
     key = (ring, gamma.serialize())
     if key not in ctx.value_cache:
-        result = _verify_filling(complex_, gamma, _solve(ctx, gamma, ring))
-        ctx.value_cache[key] = result
-        neg_key = (ring, gamma.neg().serialize())
-        if neg_key not in ctx.value_cache:
-            neg = FillingResult(result.value,
-                                result.witness.neg() if result.witness else None,
-                                ring, result.certificate)
-            ctx.value_cache[neg_key] = neg
+        ctx.value_cache[key] = _verify_filling(complex_, gamma, _solve(ctx, gamma, ring))
     return ctx.value_cache[key]
 
 
@@ -214,36 +209,43 @@ def _solve(ctx, gamma, ring):
 
 
 def _minimize_on_line(mu, z, integral):
-    """Exact min of |mu + t z|_1 over rational or integral t (z may be None)."""
-    if z is None or all(v == 0 for v in z):
-        val = sum(abs(Fraction(v)) for v in mu)
-        return list(mu), val
+    """Exact min of |mu + t z|_1 over rational or integral t (z may be None).
 
-    def norm_at(t):
-        return Fraction(sum(abs(m + t * w) for m, w in zip(mu, z)))
-
-    weight = {}  # breakpoint -> total |w| of the entries that vanish there
-    for m, w in zip(mu, z):
-        if w != 0:
-            p = Fraction(-m, w)
+    The scan runs on ints: mu and z are scaled by one common denominator D
+    to M and W, and the breakpoint -M_i / W_i is keyed by the int
+    -M_i * (lam / W_i), lam the lcm of the nonzero |W_i|, which orders the
+    breakpoints as their values do.  The value is one Fraction at the end.
+    """
+    den = lcm(*(v.denominator for v in mu), *(v.denominator for v in z or ()))
+    big_m = [v.numerator * (den // v.denominator) for v in mu]
+    if z is None or not any(z):
+        return list(mu), Fraction(sum(abs(m) for m in big_m), den)
+    big_w = [v.numerator * (den // v.denominator) for v in z]
+    lam = lcm(*(w for w in big_w if w))
+    weight = {}  # lam * breakpoint -> total |W| of the entries that vanish there
+    for m, w in zip(big_m, big_w):
+        if w:
+            p = -m * (lam // w)
             weight[p] = weight.get(p, 0) + abs(w)
-    points = sorted(weight)
-    total = sum(abs(w) for w in z)
+    total = sum(weight.values())
     acc = 0
-    t_star = points[-1]
-    for p in points:
+    for p in sorted(weight):  # the weighted median p / lam
         acc += weight[p]
         if 2 * acc >= total:
-            t_star = p
             break
     if integral:
-        # an int t keeps the sums in ints when mu and z are ints
-        best_t = min(sorted({floor(t_star), ceil(t_star)}), key=lambda t: (norm_at(t), t))
-        x = [int(m + best_t * w) for m, w in zip(mu, z)]
+        def norm_at(t):
+            return sum(abs(m + t * w) for m, w in zip(big_m, big_w))
+
+        best_t = min(sorted({p // lam, -(-p // lam)}), key=lambda t: (norm_at(t), t))
+        scaled = [m + best_t * w for m, w in zip(big_m, big_w)]
+        # int() of each entry: truncate toward zero
+        x = [v // den if v >= 0 else -(-v // den) for v in scaled]
     else:
-        best_t = t_star
-        x = [m + best_t * w for m, w in zip(mu, z)]
-    return x, norm_at(best_t)
+        scaled = [m * lam + p * w for m, w in zip(big_m, big_w)]
+        den *= lam
+        x = [Fraction(v, den) for v in scaled]
+    return x, Fraction(sum(abs(v) for v in scaled), den)
 
 
 def _lp_optimum(ctx, vec, bounds=None):
@@ -347,31 +349,74 @@ class FVTable:
 
 
 def fv(complex_, k_max, ring):
-    """sup of filling norms over integral cycles of norm <= k, for each k.
+    """sup of filling norms over integral cycles of norm <= k, for each k,
+    each value witnessed by the first cycle attaining it in (norm,
+    serialization) order (the zero cycle while the value is 0).
 
-    The cycle set comes from circuit-multiset enumeration; the table turns
-    INFINITE at the first unfillable cycle and stays there (it is monotone).
+    Every cycle is a sign-conformal sum of circuits whose lengths add up to
+    its norm, and filling norms are subadditive, so a cycle fills to at
+    most the summed fills of such a split.  With L(k) the largest fill of a
+    circuit of length <= k and U the superadditive closure of L, this gives
+    L <= FV <= U.  Each circuit is filled once, and the other cycles filled
+    are the candidates of ``enumerate_cycles``: those with a split whose
+    summed fill is >= L(norm).  Any other cycle fills to less than
+    L(norm) <= FV(norm), so it is never the first to attain a value, while
+    ties stay in; the running maximum over the candidates in (norm,
+    serialization) order therefore has the values and witnesses of the one
+    over all cycles.  A cycle and its negation fill alike, so one of each
+    pair is solved.
+
+    A cycle is unfillable only if some circuit of its split is, so the
+    table turns INFINITE at the length l of the shortest unfillable circuit
+    and stays there.  The unfillable cycles of norm l are the induced
+    cycles of those circuits, either sign, and the least of them in
+    serialization order is the witness.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
 
     def build():
-        # cycles come sorted by norm, so a running maximum read off before
-        # the first cycle of norm k is FV(k - 1), witnessed by the first
-        # cycle that reached it; INF exceeds every value and ends the table
+        filled = {}  # serialization -> fill value
+
+        def fill(cycle):
+            key = cycle.serialize()
+            value = filled.get(key)
+            if value is None:
+                value = filled.get(tuple((e, -c) for e, c in key))
+            if value is None:
+                value = filled[key] = filling_norm(complex_, cycle, ring).value
+            return value
+
+        # fill the circuits one length at a time, up to the first length
+        # holding an unfillable one
+        circuits = enumerate_circuits(complex_, None, k_max) if k_max else []
+        fills, unfillable, finite_max = [], [], k_max
+        for length, group in groupby(circuits, key=attrgetter("length")):
+            group = [(circuit, fill(circuit.induced_cycle())) for circuit in group]
+            unfillable = [circuit for circuit, value in group if value is INF]
+            if unfillable:
+                finite_max = length - 1
+                break
+            fills += group
+
+        # candidates come sorted by norm, so a running maximum read off
+        # before the first candidate of norm k is FV(k - 1)
         top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
         rows = []  # index k -> (value, witness)
-        for cycle in enumerate_cycles(complex_, k_max):
+        for cycle in enumerate_cycles(complex_, finite_max, fills):
             norm = cycle.l1()
             if norm == 0:
                 continue
             rows.extend([top] * (norm - len(rows)))
-            res = filling_norm(complex_, cycle, ring)
-            if res.value > top[0]:
-                top = (res.value, cycle)
-            if top[0] is INF:
-                break
-        rows.extend([top] * (k_max + 1 - len(rows)))
+            value = fill(cycle)
+            if value > top[0]:
+                top = (value, cycle)
+        rows.extend([top] * (finite_max + 1 - len(rows)))
+        if unfillable:
+            witness = min((cycle for circuit in unfillable
+                           for cycle in (circuit.induced_cycle(), circuit.induced_cycle().neg())),
+                          key=Chain.serialize)
+            rows.extend([(INF, witness)] * (k_max - finite_max))
         values, witnesses = zip(*rows)
         return FVTable(ring, k_max, values, witnesses)
 

@@ -48,6 +48,15 @@ def figure8_faces():
                      ("fq", [(1, "q1"), (1, "q2"), (1, "q3")])])
 
 
+def figure8_one_face():
+    # only the p loop is filled: p and q are both circuits of length 3,
+    # and p, which fills, sorts before q, which does not
+    return validate("vabcd",
+                    [("p1", "v", "a"), ("p2", "a", "b"), ("p3", "b", "v"),
+                     ("q1", "v", "c"), ("q2", "c", "d"), ("q3", "d", "v")],
+                    [("fp", [(1, "p1"), (1, "p2"), (1, "p3")])])
+
+
 def tetrahedron():
     return validate("1234",
                     [("e12", "1", "2"), ("e13", "1", "3"), ("e14", "1", "4"),
@@ -169,6 +178,15 @@ def grid_disk(rows, cols):
                          (-1, f"h{r + 1}_{c}"), (-1, f"v{r}_{c}")])
           for r in range(rows) for c in range(cols)]
     return validate(vs, es, fs)
+
+
+def triangle_face_open_square():
+    # a filled triangle and an empty square sharing the vertex a: the
+    # shortest circuit fills, the shortest unfillable one is longer
+    return validate("abcxyz",
+                    [("t1", "a", "b"), ("t2", "b", "c"), ("t3", "c", "a"),
+                     ("q1", "a", "x"), ("q2", "x", "y"), ("q3", "y", "z"), ("q4", "z", "a")],
+                    [("ft", [(1, "t1"), (1, "t2"), (1, "t3")])])
 
 
 def loop_triangle():

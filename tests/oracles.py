@@ -3,22 +3,26 @@
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
 divisors, distances use Floyd-Warshall, four-point delta scans every
-quadruple, cycle sets use raw coefficient vectors, circuit counts use
-degree-two edge subsets, rational solves use Gauss-Jordan elimination
-over Fractions, linear programs use a Fraction tableau,
-integral fillings can also come from branch and bound that boxes every face
-at every node, line minimizations rescan every entry at every breakpoint,
-and special 2-chains come from a separate search per base edge over Chain
-objects.  The one exception is :func:`lp_route_filling_value`, which runs
-the package's own LP and branch and bound on every cycle, so that they
-check the closed form the package takes at kernel rank <= 1.
+quadruple, cycle sets use raw coefficient vectors or sums of every circuit
+multiset (cancelling ones too), circuit counts use degree-two edge
+subsets, rational solves use Gauss-Jordan elimination over Fractions,
+linear programs use a Fraction tableau, integral fillings can also come
+from branch and bound that boxes every face at every node, line
+minimizations rescan every entry at every breakpoint, and special
+2-chains come from a separate search per base edge over Chain objects.
+Two exceptions: :func:`lp_route_filling_value` runs the package's own LP
+and branch and bound on every cycle, so that they check the closed form
+the package takes at kernel rank <= 1, and :func:`all_cycles_fv` fills
+every cycle with the package's ``filling_norm``, so that it checks which
+cycles ``fv`` leaves unfilled.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
 
-from finefill import Chain, INF, INT, RAT, boundary, filling, is_cycle, linalg
+from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
+                      linalg)
 from finefill.chains import circuit_from_chain
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -71,6 +75,60 @@ def fillings_of_norm(cx, gamma, norm):
 
     rec(0, norm, {})
     return out
+
+
+def multiset_cycles(cx, max_norm):
+    """Every integral 1-cycle with l1-norm <= max_norm, sorted by (norm,
+    serialization), zero cycle included: sums of every multiset of signed
+    circuits of total length <= max_norm, cancelling ones included,
+    deduplicated."""
+    cycles = {(): Chain(1, INT, {})}
+    if max_norm >= 1:
+        circuits = enumerate_circuits(cx, None, max_norm)
+        vecs = [c.induced_cycle().coeffs for c in circuits]
+        lens = [c.length for c in circuits]
+
+        def extend(idx_from, budget, acc):
+            for i in range(idx_from, len(circuits)):
+                if lens[i] > budget:
+                    continue
+                for sign in (1, -1):
+                    m = 1
+                    while m * lens[i] <= budget:
+                        nxt = dict(acc)
+                        for e, c in vecs[i].items():
+                            nxt[e] = nxt.get(e, 0) + sign * m * c
+                            if not nxt[e]:
+                                del nxt[e]
+                        key = tuple(sorted(nxt.items()))
+                        if key not in cycles:
+                            cycles[key] = Chain(1, INT, nxt)
+                        extend(i + 1, budget - m * lens[i], nxt)
+                        m += 1
+
+        extend(0, max_norm, {})
+    return sorted(cycles.values(), key=lambda c: (c.l1(), c.serialize()))
+
+
+def all_cycles_fv(cx, k_max, ring):
+    """(values, witnesses) of FV(0..k_max): a running maximum of filling
+    norms over every cycle of :func:`multiset_cycles` in its order, the
+    witness of a value the first cycle reaching it; INF ends the scan."""
+    top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
+    rows = []
+    for cycle in multiset_cycles(cx, k_max):
+        norm = cycle.l1()
+        if norm == 0:
+            continue
+        rows.extend([top] * (norm - len(rows)))
+        value = filling.filling_norm(cx, cycle, ring).value
+        if value > top[0]:
+            top = (value, cycle)
+        if value is INF:
+            break
+    rows.extend([top] * (k_max + 1 - len(rows)))
+    values, witnesses = zip(*rows)
+    return list(values), list(witnesses)
 
 
 def brute_cycles(cx, k):

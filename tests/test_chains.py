@@ -11,7 +11,7 @@ from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 
 from instances import (CORPUS, figure8_graph, k4_graph, small_tree,
                        tetrahedron, triangle_graph)
-from oracles import brute_circuit_count, brute_cycles
+from oracles import brute_circuit_count, brute_cycles, multiset_cycles
 
 
 def triangle_cycle():
@@ -96,6 +96,15 @@ def test_enumerate_cycles_against_vector_oracle():
         k = 4
         got = {c.serialize() for c in enumerate_cycles(cx, k)}
         assert got == brute_cycles(cx, k), name
+
+
+def test_enumerate_cycles_matches_multiset_oracle():
+    # same cycles in the same order as summing every circuit multiset,
+    # cancelling ones included
+    for name, build in CORPUS:
+        cx = build()
+        for k in range(6):
+            assert enumerate_cycles(cx, k) == multiset_cycles(cx, k), (name, k)
 
 
 def test_enumerate_cycles_no_duplicates_sorted():

@@ -7,17 +7,19 @@ from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, filling_norm, fv,
                       homology_h1, linearity_report, superadditive_closure,
                       validate, weak_area)
-from finefill import filling, linalg, simplex
+from finefill import BARYCENTRIC, filling, linalg, simplex, subdivide
 from finefill.chains import require_circuit
 from finefill.constructions import omega_n
 from finefill.errors import HasFacesError, NotACycleError
 
-from instances import (CORPUS, CORPUS_GRAPHS, double_traversal, hexagon,
-                       hexagon_chord, k4_graph, square_face, tetrahedron,
-                       triangle_face, triangle_graph)
-from oracles import (exhaustive_int_filling, fraction_solve_lp,
+from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal,
+                       figure8_one_face, grid_disk, hexagon, hexagon_chord,
+                       k4_graph, square_face, tetrahedron, triangle_face,
+                       triangle_face_open_square, triangle_graph)
+from oracles import (all_cycles_fv, exhaustive_int_filling, fraction_solve_lp,
                      full_box_branch_and_bound, lp_route_filling_value,
-                     minimize_on_line, partition_maximum, rref_rational_solve)
+                     minimize_on_line, multiset_cycles, partition_maximum,
+                     rref_rational_solve)
 
 
 def test_single_face_fills_its_boundary():
@@ -140,7 +142,6 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
             continue
         z = ctx.kernel[0] if ctx.kernel else None
         for cycle in enumerate_cycles(cx, 4):
-            ctx.value_cache.clear()  # a cached -cycle would hand back its witness negated
             res = filling_norm(cx, cycle, RAT)
             particular = rref_rational_solve(ctx.d2, ctx.gamma_vector(cycle))
             if particular is None:
@@ -151,6 +152,20 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
             assert res.witness == ctx.chain_from_vector(x, RAT), (name, cycle.coeffs)
             lines += z is not None
     assert lines >= 10
+
+
+def test_witness_does_not_depend_on_query_order():
+    # the optimum on this cycle's line of solutions is an interval, and the
+    # weighted median's tie rule is not symmetric under t -> -t, so the
+    # witness of -gamma negated is the other end of that interval
+    gamma = Chain(1, INT, {"e12": 1, "e13": -1, "e24": 1, "e34": -1})
+    for ring in (INT, RAT):
+        fresh = filling_norm(tetrahedron(), gamma, ring)
+        cx = tetrahedron()
+        filling_norm(cx, gamma.neg(), ring)
+        after = filling_norm(cx, gamma, ring)
+        assert after == fresh, ring
+        assert sorted(fresh.witness.coeffs) == ["f123", "f234"], ring
 
 
 def test_witnesses_verify():
@@ -357,6 +372,43 @@ def test_fv_tetrahedron_table():
         w = tz.witness(k)
         assert w.l1() <= k
         assert filling_norm(cx, w, INT).value == tz.value(k)
+
+
+def test_fv_matches_all_cycles_oracle(monkeypatch):
+    candidates = {}
+
+    def counted(cx, max_norm, fills=None):
+        found = enumerate_cycles(cx, max_norm, fills)
+        candidates[id(cx)] = len(found)
+        return found
+
+    monkeypatch.setattr(filling, "enumerate_cycles", counted)
+    cases = CORPUS + CORPUS_GRAPHS + [
+        ("disk2x2", lambda: grid_disk(2, 2)), ("disk2x3", lambda: grid_disk(2, 3)),
+        ("disk3x3", lambda: grid_disk(3, 3)), ("S3-coned", lambda: coned_s3().complex),
+        ("triangle-face+open-square", triangle_face_open_square),
+        ("figure8-one-face", figure8_one_face)]
+    cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
+              for name, build in CORPUS if build().faces]
+    kmax = 6
+    fewer = set()
+    for name, build in cases:
+        for ring in (INT, RAT):
+            values, witnesses = all_cycles_fv(build(), kmax, ring)
+            cx = build()
+            for k in range(kmax + 1):
+                table = fv(cx, k, ring)
+                assert list(table.values) == values[:k + 1], (name, ring, k)
+                assert list(table.witnesses) == witnesses[:k + 1], (name, ring, k)
+            if name.endswith("''") and ring == INT:
+                everything = len(multiset_cycles(cx, kmax))
+                if candidates[id(cx)] < everything:
+                    fewer.add(name)
+    assert "tetrahedron''" in fewer and len(fewer) >= 3, fewer
+    # the table turns inf at the empty square, not at the filled triangle
+    assert all_cycles_fv(triangle_face_open_square(), 4, INT)[0] == [0, 0, 0, 1, INF]
+    # a fillable circuit sorts before an unfillable one of the same length
+    assert all_cycles_fv(figure8_one_face(), 4, INT)[0] == [0, 0, 0, INF, INF]
 
 
 def test_fv_zero_entry_monotone_and_ring_comparison():
