@@ -57,7 +57,7 @@ class Chain:
                     c = c.numerator
                 clean[cell] = int(c)
             else:
-                clean[cell] = Fraction(c)
+                clean[cell] = c if type(c) is Fraction else Fraction(c)
         object.__setattr__(self, "coeffs", clean)
 
     def l1(self):

@@ -28,7 +28,7 @@ from operator import attrgetter
 
 from . import linalg, simplex
 from .chains import enumerate_circuits, enumerate_cycles, is_cycle, require_circuit
-from .complexes import Chain, INT, RAT, boundary, format_ratio
+from .complexes import Chain, INT, RAT, format_ratio
 from .constructions import face_circuit, omega_n
 from .errors import HasFacesError, InternalError, NotACycleError
 
@@ -95,20 +95,23 @@ class FillingResult:
             raise InternalError("witness must be present exactly when the value is finite")
 
 
-def _verify_filling(complex_, gamma, result):
-    if result.value is INF:
-        return result
-    mu = result.witness
-    if boundary(complex_, mu).to_ring(RAT) != gamma.to_ring(RAT):
+def _verify_filling(ctx, vec, x, den, value):
+    """Re-check a finite result x / den of value in ints: d2 x = den gamma
+    (``vec``) and |x|_1 = den value."""
+    image = [0] * len(vec)
+    for xj, column in zip(x, ctx.columns):
+        if xj:
+            for i, c in column:
+                image[i] += c * xj
+    if image != [den * g for g in vec]:
         raise InternalError("witness boundary mismatch")
-    if Fraction(mu.l1()) != Fraction(result.value):
+    if sum(abs(v) for v in x) * value.denominator != den * value.numerator:
         raise InternalError("witness norm mismatch")
-    return result
 
 
 class _FillingContext:
-    """Per-complex solver state: boundary matrix, the Smith form of d2 and
-    what is read off it, and the value cache."""
+    """Per-complex solver state: boundary matrix and its face columns, the
+    Smith form of d2 and what is read off it, and the value cache."""
 
     def __init__(self, complex_):
         self.complex = complex_
@@ -116,6 +119,8 @@ class _FillingContext:
         self.edges = [e.id for e in complex_.edges]
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.d2 = complex_.boundary_matrix_2()
+        self.columns = [[(i, row[j]) for i, row in enumerate(self.d2) if row[j]]
+                        for j in range(len(self.faces))]
         self._rat = None
         self._ker = None
         self.value_cache = {}
@@ -142,8 +147,11 @@ class _FillingContext:
             vec[self.edge_pos[eid]] = c
         return vec
 
-    def chain_from_vector(self, x, ring):
-        return Chain(2, ring, {self.faces[i]: x[i] for i in range(len(self.faces)) if x[i]})
+    def chain_from_vector(self, x, ring, den=1):
+        """The 2-chain x / den."""
+        if ring == RAT:
+            return Chain(2, RAT, {f: Fraction(v, den) for f, v in zip(self.faces, x) if v})
+        return Chain(2, INT, {f: v for f, v in zip(self.faces, x) if v})
 
 
 def _context(complex_):
@@ -166,86 +174,91 @@ def filling_norm(complex_, gamma, ring):
     ctx = _context(complex_)
     key = (ring, gamma.serialize())
     if key not in ctx.value_cache:
-        ctx.value_cache[key] = _verify_filling(complex_, gamma, _solve(ctx, gamma, ring))
+        ctx.value_cache[key] = _solve(ctx, gamma, ring)
     return ctx.value_cache[key]
 
 
 def _solve(ctx, gamma, ring):
-    zero = 0 if ring == INT else Fraction(0)
-    if gamma.is_zero():
-        return FillingResult(zero, Chain(2, ring, {}), ring, FEASIBLE_OPTIMAL)
-    if not ctx.faces:
-        return FillingResult(INF, None, ring, NO_FACES)
+    """The FillingResult of gamma over ring.  Every route ends in an int
+    vector x over one denominator den; the witness x / den is re-checked
+    before it is turned into a Chain."""
     vec = ctx.gamma_vector(gamma)
-    u, d, _ = ctx.snf
-    rank = linalg.snf_rank(d)
-    ker_dim = len(ctx.faces) - rank
-    if ring == RAT:
-        mu_rat = ctx.rat.solve(vec)
-        if mu_rat is None:
-            return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
-        if ker_dim <= 1:
-            # another particular solution shifts every breakpoint of the line
-            # by the same amount, so the minimizer found is the same point
-            x, val = _minimize_on_line(mu_rat, ctx.kernel[0] if ker_dim else None,
-                                       integral=False)
-        else:
-            x, val = _lp_optimum(ctx, vec)
-        return FillingResult(val, ctx.chain_from_vector(x, RAT), RAT, FEASIBLE_OPTIMAL)
-    mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
-    if mu_int is None:
-        # u is unimodular, so u.gamma vanishes from the rank on exactly when
-        # gamma is a rational boundary
-        if any(linalg.mat_vec(u, vec)[rank:]):
-            return FillingResult(INF, None, INT, RATIONALLY_INFEASIBLE)
-        return FillingResult(INF, None, INT, INTEGRALLY_INFEASIBLE)
-    if ker_dim <= 1:
-        x, val = _minimize_on_line(mu_int, ctx.kernel[0] if ker_dim else None,
-                                   integral=True)
+    nf = len(ctx.faces)
+    if gamma.is_zero():
+        x, den, val = [0] * nf, 1, Fraction(0) if ring == RAT else 0
+    elif not nf:
+        return FillingResult(INF, None, ring, NO_FACES)
     else:
-        x, val = _branch_and_bound(ctx, vec, mu_int)
-    x = [int(v) for v in x]
-    return FillingResult(int(val), ctx.chain_from_vector(x, INT), INT, FEASIBLE_OPTIMAL)
+        u, d, _ = ctx.snf
+        rank = linalg.snf_rank(d)
+        z = ctx.kernel[0] if nf - rank == 1 else None
+        if ring == RAT:
+            particular = ctx.rat.solve(vec)
+            if particular is None:
+                return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
+            if nf - rank <= 1:
+                # another particular solution shifts every breakpoint of the
+                # line by the same amount, so the minimizer found is the same
+                x, den, val = _minimize_on_line(*particular, z, integral=False)
+            else:
+                q, val = _lp_optimum(ctx, vec)
+                den = lcm(*(v.denominator for v in q))
+                x = [v.numerator * (den // v.denominator) for v in q]
+        else:
+            # u is unimodular, so u.gamma vanishes from the rank on exactly
+            # when gamma is a rational boundary
+            ub = linalg.mat_vec(u, vec)
+            mu = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf, ub=ub)
+            if mu is None:
+                label = RATIONALLY_INFEASIBLE if any(ub[rank:]) else INTEGRALLY_INFEASIBLE
+                return FillingResult(INF, None, INT, label)
+            den = 1
+            if nf - rank <= 1:
+                x, _, val = _minimize_on_line(mu, den, z, integral=True)
+            else:
+                x, val = _branch_and_bound(ctx, vec, mu)
+    _verify_filling(ctx, vec, x, den, val)
+    if ring == INT:
+        val = int(val)
+    return FillingResult(val, ctx.chain_from_vector(x, ring, den), ring, FEASIBLE_OPTIMAL)
 
 
-def _minimize_on_line(mu, z, integral):
-    """Exact min of |mu + t z|_1 over rational or integral t (z may be None).
+def _minimize_on_line(big_m, den, z, integral):
+    """Exact min of |x|_1 over x = M / den + t z, t rational or integral,
+    for an int vector M and an int vector z (which may be None): (X, den',
+    value), the minimizer x = X / den' and its norm, the one Fraction.
 
-    The scan runs on ints: mu and z are scaled by one common denominator D
-    to M and W, and the breakpoint -M_i / W_i is keyed by the int
-    -M_i * (lam / W_i), lam the lcm of the nonzero |W_i|, which orders the
-    breakpoints as their values do.  The value is one Fraction at the end.
+    The scan runs on ints: the breakpoint -M_i / (den z_i) of entry i is
+    keyed by the int -M_i * (lam / z_i), lam the lcm of the nonzero |z_i|,
+    which orders the breakpoints as their values do.
     """
-    den = lcm(*(v.denominator for v in mu), *(v.denominator for v in z or ()))
-    big_m = [v.numerator * (den // v.denominator) for v in mu]
     if z is None or not any(z):
-        return list(mu), Fraction(sum(abs(m) for m in big_m), den)
-    big_w = [v.numerator * (den // v.denominator) for v in z]
-    lam = lcm(*(w for w in big_w if w))
-    weight = {}  # lam * breakpoint -> total |W| of the entries that vanish there
-    for m, w in zip(big_m, big_w):
+        return big_m, den, Fraction(sum(abs(m) for m in big_m), den)
+    lam = lcm(*(w for w in z if w))
+    weight = {}  # den * lam * breakpoint -> total |z| of the entries that vanish there
+    for m, w in zip(big_m, z):
         if w:
             p = -m * (lam // w)
             weight[p] = weight.get(p, 0) + abs(w)
     total = sum(weight.values())
     acc = 0
-    for p in sorted(weight):  # the weighted median p / lam
+    for p in sorted(weight):  # the weighted median p / (den * lam)
         acc += weight[p]
         if 2 * acc >= total:
             break
     if integral:
-        def norm_at(t):
-            return sum(abs(m + t * w) for m, w in zip(big_m, big_w))
+        step = [den * w for w in z]
 
-        best_t = min(sorted({p // lam, -(-p // lam)}), key=lambda t: (norm_at(t), t))
-        scaled = [m + best_t * w for m, w in zip(big_m, big_w)]
-        # int() of each entry: truncate toward zero
-        x = [v // den if v >= 0 else -(-v // den) for v in scaled]
+        def norm_at(t):
+            return sum(abs(m + t * w) for m, w in zip(big_m, step))
+
+        best_t = min(sorted({p // (den * lam), -(-p // (den * lam))}),
+                     key=lambda t: (norm_at(t), t))
+        x = [m + best_t * w for m, w in zip(big_m, step)]
     else:
-        scaled = [m * lam + p * w for m, w in zip(big_m, big_w)]
+        x = [m * lam + p * w for m, w in zip(big_m, z)]
         den *= lam
-        x = [Fraction(v, den) for v in scaled]
-    return x, Fraction(sum(abs(v) for v in scaled), den)
+    return x, den, Fraction(sum(abs(v) for v in x), den)
 
 
 def _lp_optimum(ctx, vec, bounds=None):
@@ -272,14 +285,13 @@ def _lp_optimum(ctx, vec, bounds=None):
 
 def _reduce_by_kernel(mu, kernel):
     """Greedily shrink |mu|_1 by integer multiples of kernel vectors."""
-    mu = list(mu)
     improved = True
     while improved:
         improved = False
         for z in kernel:
-            x, val = _minimize_on_line(mu, z, integral=True)
+            x, _, val = _minimize_on_line(mu, 1, z, integral=True)
             if val < sum(abs(v) for v in mu):
-                mu = [int(v) for v in x]
+                mu = x
                 improved = True
     return mu
 

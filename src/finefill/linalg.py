@@ -1,13 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here works on dense row-major lists of Python ints or
-Fractions.  Sizes are desk scale (hundreds of rows at most), so clarity
-wins over asymptotics; all results are exact.  The Smith normal form is
-the one factorization: integral and rational solves, the kernel and the
-invariant factors all read it.
+Everything here works on dense row-major lists of Python ints; a rational
+solution comes back as an int vector over one common denominator.  Sizes
+are desk scale (hundreds of rows at most), so clarity wins over
+asymptotics; all results are exact.  The Smith normal form is the one
+factorization: integral and rational solves, the kernel and the invariant
+factors all read it.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -148,14 +147,18 @@ def invariant_factors(a, snf=None):
     return out
 
 
-def solve_integer(a, b, snf=None):
-    """One integral solution x of a*x = b, or None if there is none."""
+def solve_integer(a, b, snf=None, ub=None):
+    """One integral solution x of a*x = b, or None if there is none.
+
+    ``ub`` is u*b for the u of ``snf``, when the caller has read it already.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if snf is None:
         snf = smith_normal_form(a)
     u, d, v = snf
-    ub = mat_vec(u, b)
+    if ub is None:
+        ub = mat_vec(u, b)
     y = [0] * cols
     r = min(rows, cols)
     for i in range(r):
@@ -192,8 +195,8 @@ class RationalSolver:
 
     With u*a*v = d, a*x = b has a rational solution exactly when u*b
     vanishes from the rank on, and then x = v*y with y_i = (u*b)_i / d_i.
-    The last invariant factor D is a multiple of every other, so y is kept
-    as ints scaled by D and divided once at the end.
+    The last invariant factor D is a multiple of every other, so D*y is
+    an int vector, and so is X = v*(D*y): the solution is X / D.
     """
 
     def __init__(self, a, snf=None):
@@ -205,11 +208,12 @@ class RationalSolver:
         self.scale = [self.denominator // d[i][i] for i in range(self.rank)]
 
     def solve(self, b):
-        """One rational solution of a*x = b, or None."""
+        """(X, D) with X an int vector and x = X / D a rational solution of
+        a*x = b, or None when there is none."""
         ub = mat_vec(self.u, b)
         if any(ub[self.rank:]):
             return None
         y = [0] * len(self.v)
         for i, s in enumerate(self.scale):
             y[i] = ub[i] * s
-        return [Fraction(x, self.denominator) for x in mat_vec(self.v, y)]
+        return mat_vec(self.v, y), self.denominator

@@ -534,8 +534,6 @@ def minimize_on_line(mu, z, integral):
     else:
         best_t = t_star
     x = [Fraction(m) + best_t * w for m, w in zip(mu, z)]
-    if integral:
-        x = [int(v) for v in x]
     return x, norm_at(best_t)
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from math import gcd, lcm
 
 from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, filling_norm, fv,
@@ -10,7 +11,7 @@ from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
 from finefill import BARYCENTRIC, filling, linalg, simplex, subdivide
 from finefill.chains import require_circuit
 from finefill.constructions import omega_n
-from finefill.errors import HasFacesError, NotACycleError
+from finefill.errors import HasFacesError, InternalError, NotACycleError
 
 from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal,
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
@@ -60,6 +61,27 @@ def test_rationally_infeasible_label_in_both_rings(monkeypatch):
     rz = filling_norm(fresh, gamma, INT)
     assert rz.value is INF and rz.certificate == "RATIONALLY_INFEASIBLE"
     assert filling_norm(fresh, Chain(1, INT, {"e0": 3}), INT).value == 3
+
+
+def test_integral_label_reads_one_product_with_u(monkeypatch):
+    # an integrally infeasible and a rationally infeasible Z fill each take
+    # their label from the one u.gamma that the integral solve reads
+    two_loops = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
+    products = []
+    mat_vec = linalg.mat_vec
+
+    def counting(a, v):
+        products.append(a)
+        return mat_vec(a, v)
+
+    monkeypatch.setattr(linalg, "mat_vec", counting)
+    for cx, gamma, label in ((double_traversal(), {"e": 1}, "INTEGRALLY_INFEASIBLE"),
+                             (two_loops, {"e1": 1}, "RATIONALLY_INFEASIBLE")):
+        u = cx.smith_form_2()[0]
+        products.clear()
+        res = filling_norm(cx, Chain(1, INT, gamma), INT)
+        assert res.value is INF and res.certificate == label
+        assert sum(a is u for a in products) == 1, label
 
 
 def test_no_faces_certificate():
@@ -147,9 +169,11 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
             if particular is None:
                 assert res.value is INF, (name, cycle.coeffs)
                 continue
-            x, val = filling._minimize_on_line(particular, z, integral=False)
+            den = lcm(*(v.denominator for v in particular))
+            big_m = [v.numerator * (den // v.denominator) for v in particular]
+            x, den, val = filling._minimize_on_line(big_m, den, z, integral=False)
             assert res.value == val, (name, cycle.coeffs)
-            assert res.witness == ctx.chain_from_vector(x, RAT), (name, cycle.coeffs)
+            assert res.witness == ctx.chain_from_vector(x, RAT, den), (name, cycle.coeffs)
             lines += z is not None
     assert lines >= 10
 
@@ -178,6 +202,58 @@ def test_witnesses_verify():
                     continue
                 assert boundary(cx, res.witness).to_ring(RAT) == cycle.to_ring(RAT)
                 assert Fraction(res.witness.l1()) == Fraction(res.value)
+
+
+def test_int_recheck_rejects_bad_witnesses(monkeypatch):
+    # (complex, cycle, witness x over den, value) that pass, each spoiled once
+    # in a face coefficient (same norm) and once in the value
+    tri = Chain(1, INT, {"e12": 1, "e23": 1, "e13": -1})
+    cases = [(tetrahedron(), tri, INT, [1, 0, 0, 0], 1, 1, [0, 1, 0, 0]),
+             (double_traversal(), Chain(1, INT, {"e": 1}), RAT, [1], 2, Fraction(1, 2), [-1])]
+    for cx, gamma, ring, x, den, value, off in cases:
+        ctx = filling._context(cx)
+        vec = ctx.gamma_vector(gamma)
+        filling._verify_filling(ctx, vec, x, den, value)
+        with pytest.raises(InternalError, match="witness boundary mismatch"):
+            filling._verify_filling(ctx, vec, off, den, value)
+        with pytest.raises(InternalError, match="witness norm mismatch"):
+            filling._verify_filling(ctx, vec, x, den, value * 2)
+        assert filling_norm(cx, gamma, ring).value == value
+
+    # a fill whose line minimizer comes back spoiled raises and caches nothing
+    minimize_on_line = filling._minimize_on_line
+
+    def spoiled(big_m, den, z, integral):
+        x, den, val = minimize_on_line(big_m, den, z, integral)
+        return [v + den for v in x], den, val
+
+    monkeypatch.setattr(filling, "_minimize_on_line", spoiled)
+    for build, gamma, ring in ((tetrahedron, tri, INT),
+                               (double_traversal, Chain(1, INT, {"e": 1}), RAT)):
+        cx = build()
+        with pytest.raises(InternalError):
+            filling_norm(cx, gamma, ring)
+        assert not filling._context(cx).value_cache
+
+
+def test_result_types():
+    # the CLI formats Z values and coefficients as ints and Q ones as
+    # Fractions in lowest terms
+    proper = 0
+    for name, build in CORPUS:
+        cx = build()
+        for cycle in enumerate_cycles(cx, 4):
+            rz = filling_norm(cx, cycle, INT)
+            if rz.value is not INF:
+                assert type(rz.value) is int, (name, cycle.coeffs)
+                assert all(type(c) is int for c in rz.witness.coeffs.values())
+            rq = filling_norm(cx, cycle, RAT)
+            if rq.value is not INF:
+                for v in (rq.value, *rq.witness.coeffs.values()):
+                    assert type(v) is Fraction, (name, cycle.coeffs)
+                    assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+                proper += rq.value.denominator > 1
+    assert proper >= 1
 
 
 def test_rational_at_most_integral():
@@ -577,9 +653,17 @@ def test_minimize_on_line_matches_oracle():
             mu[j], z[j] = mu[i] * c, z[i] * c
         if trial % 50 == 0:
             z = None if trial % 100 == 0 else [0] * n
+        # the line takes mu as ints over one denominator and an int z: scale
+        # z by its own lcm (both sides get the same z)
+        if z is not None:
+            z_scale = lcm(*(Fraction(w).denominator for w in z))
+            z = [int(w * z_scale) for w in z]
+        den = lcm(*(Fraction(m).denominator for m in mu))
+        big_m = [int(m * den) for m in mu]
         for integral in (False, True):
-            x, val = filling._minimize_on_line(mu, z, integral)
+            x, x_den, val = filling._minimize_on_line(big_m, den, z, integral)
             want_x, want_val = minimize_on_line(mu, z, integral)
-            assert (x, val) == (want_x, want_val), (mu, z, integral)
-            assert [type(v) for v in x] == [type(v) for v in want_x]
-            assert type(val) is type(want_val)
+            assert ([Fraction(v, x_den) for v in x], val) == (want_x, want_val), (
+                mu, z, integral)
+            assert all(type(v) is int for v in x) and type(x_den) is int and x_den > 0
+            assert type(val) is Fraction

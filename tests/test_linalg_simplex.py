@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import lcm
 
 from finefill import linalg
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
@@ -83,10 +84,11 @@ def test_integer_solve_infeasible():
 
 
 def test_rational_solver():
+    # x = X / D over the last invariant factor D
     rs = linalg.RationalSolver([[2]])
-    assert rs.solve([Fraction(1)]) == [Fraction(1, 2)]
+    assert rs.solve([1]) == ([1], 2)
     rs = linalg.RationalSolver([[1, 1], [1, 1]])
-    assert rs.solve([Fraction(1), Fraction(2)]) is None
+    assert rs.solve([1, 2]) is None
     assert rs.rank == 1
 
 
@@ -132,17 +134,22 @@ def test_rational_solver_matches_row_reduction_oracle():
                 x0 = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
                       for _ in range(cols)]
                 b = linalg.mat_vec(a, x0)
+                # the solver takes an int b: clear b's denominators
+                scale = lcm(*(Fraction(v).denominator for v in b))
+                b = [int(v * scale) for v in b]
             else:
                 b = [rng.randint(-4, 4) for _ in range(rows)]
-            x = solver.solve(b)
+            solution = solver.solve(b)
             x_oracle = rref_rational_solve(a, b)
-            assert (x is None) == (x_oracle is None), (a, b)
-            if x is None:
+            assert (solution is None) == (x_oracle is None), (a, b)
+            if solution is None:
                 seen["infeasible"] += 1
                 continue
             seen["feasible"] += 1
-            assert linalg.mat_vec(a, x) == b, (a, b)
-            diff = [p - q for p, q in zip(x, x_oracle)]
+            big_x, den = solution
+            assert all(type(v) is int for v in big_x) and type(den) is int and den > 0
+            assert linalg.mat_vec(a, big_x) == [den * v for v in b], (a, b)
+            diff = [Fraction(p, den) - q for p, q in zip(big_x, x_oracle)]
             assert not any(linalg.mat_vec(a, diff)), (a, b)
     assert min(seen.values()) >= 30, seen
 
