@@ -64,9 +64,6 @@ class Chain:
         return sum(abs(c) for c in self.coeffs.values()) if self.coeffs else (
             0 if self.ring == INT else Fraction(0))
 
-    def support(self):
-        return frozenset(self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
 

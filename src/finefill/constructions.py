@@ -218,9 +218,6 @@ class ConedOffComplex:
     relator_faces: dict       # face id -> relator index
     triangle_faces: dict      # face id -> subgroup name
 
-    def cayley_graph_vertices(self):
-        return self.element_vertices
-
 
 def _validated_presentation(presentation):
     names = [n for n, _ in presentation.generators]

@@ -169,11 +169,11 @@ def filling_norm(complex_, gamma, ring):
         if any(Fraction(c).denominator != 1 for c in gamma.coeffs.values()):
             raise NotACycleError("fillings are computed for integral cycles")
         gamma = gamma.to_ring(INT)
-    if not is_cycle(complex_, gamma):
-        raise NotACycleError("boundary is nonzero")
     ctx = _context(complex_)
     key = (ring, gamma.serialize())
-    if key not in ctx.value_cache:
+    if key not in ctx.value_cache:  # a cached gamma was checked when it was filled
+        if not is_cycle(complex_, gamma):
+            raise NotACycleError("boundary is nonzero")
         ctx.value_cache[key] = _solve(ctx, gamma, ring)
     return ctx.value_cache[key]
 

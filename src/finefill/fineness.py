@@ -18,13 +18,20 @@ S(e) = union over the faces f meeting e of R(f, +1) and R(f, -1), where
 R(f, s) is the set of states reachable from the single signed face (f, s).
 Negating every sign maps states to states, so R(f, -1) = -R(f, +1): each
 face is searched once, from sign +1, and every state of R(f, +1) holds
-(f, +1), so no two of them are negatives of each other.  A state's circuit
-depends only on its boundary, and x and -x induce the same circuit key, so
-the circuit is found once per state of one sign, from the running boundary
-the search holds.  :func:`fineness_certificate` runs each face's search once
-and shares it among the edges of the face, keeping only its size and its
-circuits until the last of those edges is done; :func:`enumerate_special_chains`
-and :func:`circuits_via_fillings` search the faces of their one edge.
+(f, +1), so no two of them are negatives of each other.
+:func:`fineness_certificate` runs each face's search once and shares it
+among the edges of the face, keeping only its size and its circuits until
+the last of those edges is done; :func:`enumerate_special_chains` and
+:func:`circuits_via_fillings` search the faces of their one edge.
+
+Circuits are read off the list of circuits of length <= L that the FV bound
+has already enumerated, by their support: a cycle supported on exactly the
+edges of a circuit is a multiple of the circuit's cycle, so a +-1 boundary
+is a circuit exactly when its support is the support of one.  x and -x
+induce the same circuit, so it is found once per state of one sign, from
+the running boundary the search holds; of x and -x, the one whose least
+face has sign -1 comes first, and the circuit runs along its boundary,
+which is +-running.
 
 The budget bounds |S(e)|: an edge is INCOMPLETE exactly when it has more
 than ``budget`` states.  A face search that expands more than budget // 2
@@ -39,7 +46,7 @@ signed face (g, s), faces numbered in id order, and a boundary is an
 
 from dataclasses import dataclass
 
-from .chains import Circuit, circuit_from_chain, enumerate_circuits
+from .chains import Circuit, enumerate_circuits
 from .complexes import Chain, INT, boundary
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
@@ -107,23 +114,26 @@ class _Tables:
 
     Faces are numbered in id order and a signed face (g, s) is the int
     2g + (s > 0), so sorting these ints sorts the (face id, sign) pairs of
-    ``Chain.serialize``.
+    ``Chain.serialize``.  ``circuits`` maps the edge-index support of every
+    circuit of length <= max_length to the circuit; it is empty when
+    max_length < 1, and the search then finds no circuits.
     """
 
-    def __init__(self, complex_):
-        self.complex = complex_
+    def __init__(self, complex_, max_length=0):
         self.face_ids = sorted(f.id for f in complex_.faces)
-        self.edge_ids = [e.id for e in complex_.edges]
-        self.edge_index = {eid: i for i, eid in enumerate(self.edge_ids)}
+        self.edge_index = {e.id: i for i, e in enumerate(complex_.edges)}
         self.face_boundary = [
             {self.edge_index[eid]: c
              for eid, c in complex_.face_boundary(fid).coeffs.items()}
             for fid in self.face_ids]
-        self.meets = [[] for _ in self.edge_ids]  # edge -> faces, ascending
+        self.meets = [[] for _ in complex_.edges]  # edge -> faces, ascending
         for g, df in enumerate(self.face_boundary):
             for e in df:
                 self.meets[e].append(g)
-        self.circuits = {}  # frozenset of edges -> Circuit or None
+        self.circuits = {
+            frozenset(self.edge_index[eid] for _, eid in circ.walk): circ
+            for circ in (enumerate_circuits(complex_, None, max_length)
+                         if max_length >= 1 else ())}
 
     def faces_meeting(self, edge):
         if edge not in self.edge_index:
@@ -134,35 +144,6 @@ class _Tables:
         """The 2-chain of the signed faces ``ordinals``."""
         return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
                               for o in ordinals})
-
-    def circuit_of(self, running):
-        """The circuit a +-1 boundary {edge: coefficient} induces, or None.
-
-        A boundary is a cycle, so with +-1 coefficients it is a circuit
-        exactly when its support is one, in one of the two directions: the
-        support alone decides, and the circuit is kept per support in the
-        direction of the first boundary met.
-        """
-        support = frozenset(running)
-        if support not in self.circuits:
-            gamma = Chain(1, INT, {self.edge_ids[e]: c for e, c in running.items()})
-            self.circuits[support] = circuit_from_chain(self.complex, gamma)
-        return self.circuits[support]
-
-    def oriented(self, circ, ordinals):
-        """``circ`` in the direction of the boundary of the state ``ordinals``.
-
-        The walk from the least vertex of -gamma is that of gamma reversed,
-        so one edge's coefficient in the boundary of the state settles the
-        direction.
-        """
-        sign, eid = circ.walk[0]
-        e = self.edge_index[eid]
-        c = sum(self.face_boundary[o >> 1].get(e, 0) * (1 if o & 1 else -1)
-                for o in ordinals)
-        if (c > 0) == (sign > 0):
-            return circ
-        return Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
 
 
 def _negate(x):
@@ -179,9 +160,6 @@ def _order(x):
     return len(x), tuple(sorted(x))
 
 
-_PLUS_MINUS_ONE = frozenset((1, -1))
-
-
 def _search_face(tables, g, max_norm, cap):
     """Depth-first search of the states reachable from (g, +1), expanding
     at most ``cap`` states: (states, circuits, cut).
@@ -191,10 +169,12 @@ def _search_face(tables, g, max_norm, cap):
     ``states`` holds every state generated, each containing (g, +1).
     ``circuits`` maps a circuit key to (order, circuit), ``order`` the
     :func:`_order` key of the least state, over the expanded states and
-    their negatives, whose boundary induces that circuit.  ``cut`` is set
-    when the search stopped at its cap with states left to expand.
+    their negatives, whose boundary is +-1 times a circuit of
+    ``tables.circuits``; the circuit runs along that state's boundary.
+    ``cut`` is set when the search stopped at its cap with states left to
+    expand.
     """
-    face_boundary, meets = tables.face_boundary, tables.meets
+    face_boundary, meets, by_support = tables.face_boundary, tables.meets, tables.circuits
     start = frozenset((2 * g + 1,))
     states = {start}
     circuits = {}
@@ -205,14 +185,21 @@ def _search_face(tables, g, max_norm, cap):
             return states, circuits, True
         expanded += 1
         x, running = stack.pop()
-        if running and set(running.values()) <= _PLUS_MINUS_ONE:
-            circ = tables.circuit_of(running)
-            if circ is not None:
-                # of x and -x, the one whose least face has sign -1 comes first
-                least = _order(_negate(_representative(x)))
-                best = circuits.get(circ.key)
-                if best is None or least < best[0]:
-                    circuits[circ.key] = (least, circ)
+        circ = by_support.get(frozenset(running)) if by_support else None
+        if circ is not None:
+            # running is c times the circuit's cycle; the first of x and -x
+            # has least face sign -1, and the circuit runs along its boundary
+            sign, eid = circ.walk[0]
+            c = sign * running[tables.edge_index[eid]]
+            first = x
+            if min(x) & 1:
+                first, c = _negate(x), -c
+            least = _order(first)
+            best = circuits.get(circ.key)
+            if abs(c) == 1 and (best is None or least < best[0]):
+                if c < 0:
+                    circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
+                circuits[circ.key] = (least, circ)
         if len(x) >= max_norm:
             continue
         used = {o >> 1 for o in x}
@@ -254,10 +241,10 @@ def _representatives(tables, faces, max_norm, budget):
     return reps
 
 
-def _edge_record(tables, edge, max_norm, max_length, budget, searches):
+def _edge_record(tables, edge, max_norm, budget, searches):
     """(complete, circuits) for ``edge``: whether S(edge) has at most
-    ``budget`` states, and the circuits through the edge of length
-    <= max_length that the boundaries of the searched states induce.
+    ``budget`` states, and the circuits of ``tables.circuits`` through the
+    edge that the boundaries of the searched states induce.
 
     ``searches`` maps a face to its (size, circuits, cut), searched here
     when missing; only the number of states of a face search is kept.  A
@@ -265,7 +252,8 @@ def _edge_record(tables, edge, max_norm, max_length, budget, searches):
     representatives|, which is at most 2 x the sum of the sizes: when that
     sum does not settle the budget, the faces are searched again for the
     union.  Each circuit runs in the direction of the boundary of its least
-    state in (norm, serialization) order.
+    state in (norm, serialization) order, as :func:`_search_face` oriented
+    it.
     """
     faces = tables.faces_meeting(edge)
     if max_norm < 1:
@@ -287,8 +275,7 @@ def _edge_record(tables, edge, max_norm, max_length, budget, searches):
         for key, (order, circ) in circuits.items():
             if key not in least or order < least[key][0]:
                 least[key] = (order, circ)
-    found = [tables.oriented(circ, ordinals) for (_, ordinals), circ in least.values()
-             if circ.length <= max_length and circ.contains_edge(edge)]
+    found = [circ for _, circ in least.values() if circ.contains_edge(edge)]
     return complete, sorted(found)
 
 
@@ -343,7 +330,7 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     1-acyclic complexes it must reproduce the search exactly.
     """
     bound = _special_chain_bound(complex_, max_length)
-    complete, circuits = _edge_record(_Tables(complex_), edge, bound, max_length,
+    complete, circuits = _edge_record(_Tables(complex_, max_length), edge, bound,
                                       budget, {})
     if not complete:
         raise BudgetExceededError(
@@ -354,7 +341,7 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
 def _special_chain_bound(complex_, max_length):
     """FV_Z(max_length): the norm bound of the special-chain method."""
     table = fv(complex_, max_length, INT)
-    if any(table.value(k) is INF for k in range(max_length + 1)):
+    if table.value(max_length) is INF:  # FV is monotone in the scale
         raise FVInfiniteError(
             f"FV_Z is infinite at scale <= {max_length}; the special-chain "
             "method does not apply")
@@ -395,20 +382,18 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
     records = []
     exact = True
     if method == GRAPH_SEARCH:
-        all_circuits = enumerate_circuits(complex_, None, scale)
         for e in complex_.edges:
-            mine = tuple(c for c in all_circuits if c.contains_edge(e.id))
+            mine = tuple(enumerate_circuits(complex_, e.id, scale))
             records.append(FinenessRecord(e.id, len(mine), mine, "OK"))
     else:
         bound = _special_chain_bound(complex_, scale)
-        tables = _Tables(complex_)
+        tables = _Tables(complex_, scale)
         # a face is searched for the first edge it meets; the size and the
         # circuits kept of its search are dropped after the last one
         last = {g: i for i, faces in enumerate(tables.meets) for g in faces}
         searches = {}
         for i, e in enumerate(complex_.edges):
-            complete, circuits = _edge_record(tables, e.id, bound, scale, budget,
-                                              searches)
+            complete, circuits = _edge_record(tables, e.id, bound, budget, searches)
             for g in tables.meets[i]:
                 if last[g] == i:
                     searches.pop(g, None)

@@ -585,12 +585,28 @@ def per_edge_special_chain_search(complex_, edge, max_norm, budget):
     return out, complete
 
 
-def circuits_from_special_chains(complex_, chains, edge, max_length):
+def circuits_from_special_chains(complex_, chains, edge, max_length, rejected=None):
     """Circuits through ``edge`` of length <= max_length that boundaries of
-    the chains induce, each as the boundary of the first chain inducing it."""
+    the chains induce, each as the boundary of the first chain inducing it.
+
+    ``rejected``, a Counter when given, counts the chains whose boundary is
+    nonzero with +-1 coefficients but no circuit ("not a circuit"), k > 1
+    times a circuit ("multiple"), or a circuit longer than max_length ("too
+    long")."""
     found = {}
     for mu in chains:
-        circ = circuit_from_chain(complex_, boundary(complex_, mu))
+        gamma = boundary(complex_, mu)
+        circ = circuit_from_chain(complex_, gamma)
+        if rejected is not None and gamma.coeffs:
+            k = abs(next(iter(gamma.coeffs.values())))
+            uniform = all(abs(c) == k for c in gamma.coeffs.values())
+            if circ is not None and circ.length > max_length:
+                rejected["too long"] += 1
+            elif circ is None and uniform and k == 1:
+                rejected["not a circuit"] += 1
+            elif uniform and k > 1 and circuit_from_chain(complex_, Chain(1, INT, {
+                    e: c // k for e, c in gamma.coeffs.items()})) is not None:
+                rejected["multiple"] += 1
         if circ is None or circ.length > max_length or not circ.contains_edge(edge):
             continue
         found.setdefault(circ.key, circ)

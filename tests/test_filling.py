@@ -101,6 +101,32 @@ def test_rejects_non_cycles():
         filling_norm(double_traversal(), Chain(1, RAT, {"e": Fraction(1, 2)}), RAT)
 
 
+def test_value_cache_hit_runs_no_cycle_check(monkeypatch):
+    # a cached gamma was checked when it was filled; a non-cycle is never
+    # cached, so it is rejected every time
+    checks = []
+    is_cycle = filling.is_cycle
+
+    def counting(complex_, chain):
+        checks.append(chain)
+        return is_cycle(complex_, chain)
+
+    monkeypatch.setattr(filling, "is_cycle", counting)
+    cx = double_traversal()
+    gamma = Chain(1, INT, {"e": 1})
+    rz = filling_norm(cx, gamma, INT)
+    assert rz.value is INF and len(checks) == 1
+    assert filling_norm(cx, gamma, INT) is rz and len(checks) == 1
+    # the Q value of a gamma filled over Z is its own entry
+    rq = filling_norm(cx, gamma, RAT)
+    assert rq.value == Fraction(1, 2) and rq.ring == RAT and len(checks) == 2
+    assert filling_norm(cx, gamma, RAT) is rq and len(checks) == 2
+    for _ in range(2):
+        with pytest.raises(NotACycleError):
+            filling_norm(tetrahedron(), Chain(1, INT, {"e12": 1}), INT)
+    assert len(checks) == 4
+
+
 def test_tetrahedron_fillings_match_exhaustive_oracle():
     cx = tetrahedron()
     for cycle in enumerate_cycles(cx, 6):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from finefill import fineness
@@ -214,12 +216,21 @@ def _filled_corpus():
     return [(name, build()) for name, build in CORPUS if build().faces]
 
 
-def _oracle_records(cx, scale, budget=fineness.DEFAULT_BUDGET):
+def _twice_a_circuit():
+    # f1 + f2 bounds twice the triangle, which needs three faces to fill once
+    return validate("abc", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                            ("l", "a", "a")],
+                    [("f1", [(1, "e1"), (1, "e2"), (1, "e3"), (1, "l")]),
+                     ("f2", [(1, "e1"), (1, "e2"), (1, "e3"), (-1, "l")]),
+                     ("f3", [(1, "e1"), (1, "e2"), (1, "e3"), (1, "l"), (1, "l")])])
+
+
+def _oracle_records(cx, scale, budget=fineness.DEFAULT_BUDGET, rejected=None):
     bound = int(fv(cx, scale, INT).value(scale))
     records = []
     for e in cx.edges:
         chains, complete = per_edge_special_chain_search(cx, e.id, bound, budget)
-        circuits = tuple(circuits_from_special_chains(cx, chains, e.id, scale))
+        circuits = tuple(circuits_from_special_chains(cx, chains, e.id, scale, rejected))
         records.append(FinenessRecord(e.id, len(circuits), circuits,
                                       "OK" if complete else "INCOMPLETE"))
     return tuple(records)
@@ -244,20 +255,26 @@ def test_special_chains_match_per_edge_oracle():
 
 def test_certificates_match_per_edge_oracle():
     # records compare whole: edge, count, status and every Circuit, whose walk
-    # runs in the direction of the boundary of the first chain inducing it
+    # runs in the direction of the boundary of the first chain inducing it.
+    # The cases meet every boundary that the search's lookup by support must
+    # reject: +-1 ones that are no circuit (coned-S3 from scale 6), multiples
+    # of a circuit and circuits longer than the scale
+    rejected = Counter()
     cases = _filled_corpus() + [("disk2x2", grid_disk(2, 2)), ("disk2x3", grid_disk(2, 3)),
                                 ("disk3x3", grid_disk(3, 3)),
-                                ("coned-S3", coned_s3().complex)]
+                                ("coned-S3", coned_s3().complex),
+                                ("twice-a-circuit", _twice_a_circuit())]
     for name, cx in cases:
         for scale in range(1, 9):
             if any(fv(cx, scale, INT).value(k) is INF for k in range(scale + 1)):
                 continue
             cert = fineness_certificate(cx, scale, SPECIAL_CHAIN)
             assert cert.exact
-            assert cert.records == _oracle_records(cx, scale), (name, scale)
+            assert cert.records == _oracle_records(cx, scale, rejected=rejected), (name, scale)
             for e in cx.edges:
                 assert circuits_via_fillings(cx, e.id, scale) == list(
                     cert.record(e.id).circuits)
+    assert rejected["not a circuit"] and rejected["multiple"] and rejected["too long"], rejected
 
 
 def test_budget_boundary_is_the_state_count():
