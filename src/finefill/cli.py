@@ -27,8 +27,10 @@ def main(argv=None):
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
-    sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    sink = sys.stdout
     try:
+        if args.output:
+            sink = open(args.output, "w", encoding="utf-8")
         code = args.func(args, sink)
     except BudgetExceededError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)

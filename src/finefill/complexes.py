@@ -474,10 +474,11 @@ def format_ratio(value):
 
 def parse_ratio(token):
     token = token.strip()
-    if "/" in token:
-        p, q = token.split("/", 1)
-        p, q = int(p), int(q)
-        if q == 0:
-            raise FormatError(f"zero denominator in {token!r}")
-        return Fraction(p, q)
-    return Fraction(int(token))
+    p, slash, q = token.partition("/")
+    try:
+        p, q = int(p), int(q) if slash else 1
+    except ValueError:
+        raise FormatError(f"not a number: {token!r}") from None
+    if q == 0:
+        raise FormatError(f"zero denominator in {token!r}")
+    return Fraction(p, q)

@@ -141,17 +141,14 @@ class GroupTable:
         return self.index[compose(self.elements[i], self.presentation.generator(gen_name))]
 
 
-def group_closure(presentation, cap=DEFAULT_GROUP_CAP):
-    """Breadth-first closure from the identity, in generator order.
-
-    Element ids are assigned in discovery order, relators are verified to
-    evaluate to the identity, and the closure refuses to grow past ``cap``.
-    """
-    ident = identity_perm(presentation.degree)
+def _closure(degree, gens, cap):
+    """The elements that the permutations ``gens`` generate, breadth first
+    from the identity in generator order: (elements, element -> position).
+    Refuses to grow past ``cap``."""
+    ident = identity_perm(degree)
     elements = [ident]
     index = {ident: 0}
     frontier = [ident]
-    gens = [p for _, p in presentation.generators]
     while frontier:
         nxt = []
         for g in frontier:
@@ -164,6 +161,18 @@ def group_closure(presentation, cap=DEFAULT_GROUP_CAP):
                     elements.append(h)
                     nxt.append(h)
         frontier = nxt
+    return elements, index
+
+
+def group_closure(presentation, cap=DEFAULT_GROUP_CAP):
+    """Breadth-first closure from the identity, in generator order.
+
+    Element ids are assigned in discovery order, relators are verified to
+    evaluate to the identity, and the closure refuses to grow past ``cap``.
+    """
+    elements, index = _closure(presentation.degree,
+                               [p for _, p in presentation.generators], cap)
+    ident = elements[0]
     for word in presentation.relators:
         val = ident
         for name in word:
@@ -175,20 +184,9 @@ def group_closure(presentation, cap=DEFAULT_GROUP_CAP):
 
 
 def _subgroup_elements(table, gen_names):
-    ident = identity_perm(table.presentation.degree)
-    elems = {ident}
-    frontier = [ident]
     gens = [table.presentation.generator(n) for n in gen_names]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in gens:
-                h = compose(g, p)
-                if h not in elems:
-                    elems.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(table.index[p] for p in elems)
+    elements, _ = _closure(table.presentation.degree, gens, table.order)
+    return sorted(table.index[p] for p in elements)
 
 
 def left_cosets(table, sub_ids):

@@ -4,10 +4,11 @@ The rational problem is an l1-minimization min |mu|_1 with d2(mu) = gamma;
 the integral problem additionally restricts mu to integer chains.  Both are
 solved exactly:
 
-* both rings read infeasibility and a particular solution off the one
+* both rings take one rational particular solution X / D off the one
   Smith normal form of d2, built the first time a query needs it and then
   cached with the complex, where it also gives the homology and the kernel
-  of d2; over Z it also tells a cycle that is not even a rational boundary;
+  of d2; a cycle with none bounds nothing even over Q, and over Z a cycle
+  bounds exactly when D divides every entry of X;
 * the rank of that kernel alone picks the route: at rank 0 or 1 the
   solution set is a point or a line and the optimum is a weighted-median
   computation;
@@ -189,34 +190,28 @@ def _solve(ctx, gamma, ring):
     elif not nf:
         return FillingResult(INF, None, ring, NO_FACES)
     else:
-        u, d, _ = ctx.snf
-        rank = linalg.snf_rank(d)
-        z = ctx.kernel[0] if nf - rank == 1 else None
-        if ring == RAT:
-            particular = ctx.rat.solve(vec)
-            if particular is None:
-                return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
-            if nf - rank <= 1:
-                # another particular solution shifts every breakpoint of the
-                # line by the same amount, so the minimizer found is the same
-                x, den, val = _minimize_on_line(*particular, z, integral=False)
-            else:
-                q, val = _lp_optimum(ctx, vec)
-                den = lcm(*(v.denominator for v in q))
-                x = [v.numerator * (den // v.denominator) for v in q]
+        particular = ctx.rat.solve(vec)
+        if particular is None:
+            return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
+        x, den = particular
+        if ring == INT:
+            # v is unimodular, so x / den is integral exactly when gamma is
+            # an integral boundary, and then it is the normal-form solution
+            if any(v % den for v in x):
+                return FillingResult(INF, None, INT, INTEGRALLY_INFEASIBLE)
+            x, den = [v // den for v in x], 1
+        kernel_rank = nf - ctx.rat.rank
+        if kernel_rank <= 1:
+            # another particular solution shifts every breakpoint of the
+            # line by the same amount, so the minimizer found is the same
+            z = ctx.kernel[0] if kernel_rank else None
+            x, den, val = _minimize_on_line(x, den, z, integral=ring == INT)
+        elif ring == RAT:
+            q, val = _lp_optimum(ctx, vec)
+            den = lcm(*(v.denominator for v in q))
+            x = [v.numerator * (den // v.denominator) for v in q]
         else:
-            # u is unimodular, so u.gamma vanishes from the rank on exactly
-            # when gamma is a rational boundary
-            ub = linalg.mat_vec(u, vec)
-            mu = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf, ub=ub)
-            if mu is None:
-                label = RATIONALLY_INFEASIBLE if any(ub[rank:]) else INTEGRALLY_INFEASIBLE
-                return FillingResult(INF, None, INT, label)
-            den = 1
-            if nf - rank <= 1:
-                x, _, val = _minimize_on_line(mu, den, z, integral=True)
-            else:
-                x, val = _branch_and_bound(ctx, vec, mu)
+            x, val = _branch_and_bound(ctx, vec, x)
     _verify_filling(ctx, vec, x, den, val)
     if ring == INT:
         val = int(val)

@@ -147,33 +147,16 @@ def invariant_factors(a, snf=None):
     return out
 
 
-def solve_integer(a, b, snf=None, ub=None):
-    """One integral solution x of a*x = b, or None if there is none.
-
-    ``ub`` is u*b for the u of ``snf``, when the caller has read it already.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if snf is None:
-        snf = smith_normal_form(a)
-    u, d, v = snf
-    if ub is None:
-        ub = mat_vec(u, b)
-    y = [0] * cols
-    r = min(rows, cols)
-    for i in range(r):
-        di = d[i][i]
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    for i in range(r, rows):
-        if ub[i] != 0:
-            return None
-    return mat_vec(v, y)
+def solve_integer(a, b, snf=None):
+    """One integral solution x of a*x = b, or None if there is none: the
+    rational solution X / D, when D divides every entry of X."""
+    solution = RationalSolver(a, snf=snf).solve(b)
+    if solution is None:
+        return None
+    big_x, den = solution
+    if any(v % den for v in big_x):
+        return None
+    return [v // den for v in big_x]
 
 
 def integer_kernel_basis(a, snf=None):
@@ -196,7 +179,9 @@ class RationalSolver:
     With u*a*v = d, a*x = b has a rational solution exactly when u*b
     vanishes from the rank on, and then x = v*y with y_i = (u*b)_i / d_i.
     The last invariant factor D is a multiple of every other, so D*y is
-    an int vector, and so is X = v*(D*y): the solution is X / D.
+    an int vector, and so is X = v*(D*y): the solution is X / D.  As v is
+    unimodular, X lies in D*Z^n exactly when D*y does, that is when every
+    d_i divides (u*b)_i: then X / D is the integral solution v*y.
     """
 
     def __init__(self, a, snf=None):

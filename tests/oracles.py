@@ -10,11 +10,13 @@ linear programs use a Fraction tableau, integral fillings can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects.
-Two exceptions: :func:`lp_route_filling_value` runs the package's own LP
+Three exceptions: :func:`lp_route_filling_value` runs the package's own LP
 and branch and bound on every cycle, so that they check the closed form
-the package takes at kernel rank <= 1, and :func:`all_cycles_fv` fills
-every cycle with the package's ``filling_norm``, so that it checks which
-cycles ``fv`` leaves unfilled.
+the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
+cycle with the package's ``filling_norm``, so that it checks which cycles
+``fv`` leaves unfilled, and :func:`smith_integer_solve` reads the package's
+Smith form, dividing u*b by its diagonal where ``linalg.solve_integer``
+reads the rational solution X / D.
 """
 
 from fractions import Fraction
@@ -271,6 +273,33 @@ def rref_rational_solve(a, b):
     for i, col in enumerate(pivots):
         x[col] = m[i][-1]
     return x
+
+
+def smith_integer_solve(a, b, snf=None):
+    """The normal-form integral solution of a*x = b, or None: with u*a*v = d,
+    y_i = (u*b)_i / d_i when every d_i divides (u*b)_i and u*b vanishes
+    from the rank on, y_i = 0 beyond the rank, and x = v*y."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if snf is None:
+        snf = linalg.smith_normal_form(a)
+    u, d, v = snf
+    ub = linalg.mat_vec(u, b)
+    y = [0] * cols
+    r = min(rows, cols)
+    for i in range(r):
+        di = d[i][i]
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+    for i in range(r, rows):
+        if ub[i] != 0:
+            return None
+    return linalg.mat_vec(v, y)
 
 
 def partition_maximum(values, n):

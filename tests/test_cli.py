@@ -159,16 +159,31 @@ def test_sadd():
 
 
 def test_zero_denominator_is_format_error(tmp_path, capsys):
-    table = tmp_path / "zero.tsv"
-    table.write_text("1 1/0\n")
-    chain = tmp_path / "zero.cy"
-    chain.write_text("chain1 v1 INT\n1/0 e12\n")
-    for argv in (["sadd", str(table)],
-                 ["fill", "--ring", "z", "--cycle", str(chain), data("tetra.cx")]):
+    # so is a number that does not parse
+    cases = []
+    for i, (token, message) in enumerate((("1/0", "zero denominator in '1/0'"),
+                                          ("x", "not a number: 'x'"),
+                                          ("abc", "not a number: 'abc'"))):
+        table = tmp_path / f"{i}.tsv"
+        table.write_text(f"1 {token}\n")
+        chain = tmp_path / f"{i}.cy"
+        chain.write_text(f"chain1 v1 INT\n{token} e12\n")
+        cases += [(["sadd", str(table)], message),
+                  (["fill", "--ring", "z", "--cycle", str(chain), data("tetra.cx")], message)]
+    for argv, message in cases:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error[BAD_FORMAT]: zero denominator in '1/0'\n"
+        assert captured.err == f"error[BAD_FORMAT]: {message}\n"
+
+
+def test_unopenable_output_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "out.tsv"
+    assert main(["validate", "--output", str(missing), data("tetra.cx")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert not missing.parent.exists()
 
 
 def test_corpus_runner():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,7 +21,7 @@ from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal,
 from oracles import (all_cycles_fv, exhaustive_int_filling, fraction_solve_lp,
                      full_box_branch_and_bound, lp_route_filling_value,
                      minimize_on_line, multiset_cycles, partition_maximum,
-                     rref_rational_solve)
+                     rref_rational_solve, smith_integer_solve)
 
 
 def test_single_face_fills_its_boundary():
@@ -45,18 +46,13 @@ def test_double_traversal_separates_rings():
     assert rz.certificate == "INTEGRALLY_INFEASIBLE"
 
 
-def test_rationally_infeasible_label_in_both_rings(monkeypatch):
+def test_rationally_infeasible_label_in_both_rings():
     # two loops, one face on the first: the second loop bounds nothing, not
     # even over Q
     cx = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
     gamma = Chain(1, INT, {"e1": 1})
     rq = filling_norm(cx, gamma, RAT)
     assert rq.value is INF and rq.certificate == "RATIONALLY_INFEASIBLE"
-
-    def no_rational_factorization(*args):
-        raise AssertionError("an integral query built the rational factorization")
-
-    monkeypatch.setattr(linalg, "RationalSolver", no_rational_factorization)
     fresh = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
     rz = filling_norm(fresh, gamma, INT)
     assert rz.value is INF and rz.certificate == "RATIONALLY_INFEASIBLE"
@@ -82,6 +78,66 @@ def test_integral_label_reads_one_product_with_u(monkeypatch):
         res = filling_norm(cx, Chain(1, INT, gamma), INT)
         assert res.value is INF and res.certificate == label
         assert sum(a is u for a in products) == 1, label
+
+
+def _z3_moore_loop(triangle_faces):
+    """A loop e with the face e+e+e, so H_1 has torsion Z/3, and a triangle
+    through its vertex with ``triangle_faces`` faces glued along it."""
+    triangle = [(1, "t1"), (1, "t2"), (1, "t3")]
+    return validate("vab", [("e", "v", "v"), ("t1", "v", "a"), ("t2", "a", "b"),
+                            ("t3", "b", "v")],
+                    [("f", [(1, "e")] * 3)]
+                    + [(f"g{i}", triangle) for i in range(triangle_faces)])
+
+
+def test_torsion_fills_match_oracles(monkeypatch):
+    # the last invariant factor D > 1 on each complex, at kernel ranks 0, 1
+    # and 2 (branch and bound): a Z fill is integral exactly when D divides
+    # the rational solution X.  Each complex: (build, largest cycle norm,
+    # exhaustive search cap, (D, kernel rank))
+    solves = []
+    solve = linalg.RationalSolver.solve
+
+    def counting(self, b):
+        solves.append(b)
+        return solve(self, b)
+
+    def no_integer_solve(*args, **kwargs):
+        raise AssertionError("a fill called solve_integer")
+
+    monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
+    monkeypatch.setattr(linalg, "solve_integer", no_integer_solve)
+    cases = [(lambda: subdivide(double_traversal(), BARYCENTRIC).complex, 6, 4, (2, 0)),
+             (lambda: _z3_moore_loop(2), 6, 3, (3, 1)),
+             (lambda: _z3_moore_loop(3), 6, 3, (3, 2)),
+             (lambda: subdivide(_z3_moore_loop(3), BARYCENTRIC).complex, 4, 1, (3, 2))]
+    for build, k_max, cap, shape in cases:
+        cx = build()
+        ctx = filling._context(cx)
+        assert (ctx.rat.denominator, len(cx.faces) - ctx.rat.rank) == shape
+        labels = Counter()
+        for cycle in enumerate_cycles(cx, k_max):
+            if cycle.is_zero() or cycle.serialize() > cycle.neg().serialize():
+                continue  # one cycle of each pair +-gamma: both fill alike
+            vec = ctx.gamma_vector(cycle)
+            rational = rref_rational_solve(ctx.d2, vec) is not None
+            integral = smith_integer_solve(ctx.d2, vec, snf=ctx.snf) is not None
+            solves.clear()
+            rq, rz = filling_norm(cx, cycle, RAT), filling_norm(cx, cycle, INT)
+            assert solves == [vec, vec]  # one particular solve per fill, either ring
+            assert rq.certificate == ("FEASIBLE_OPTIMAL" if rational
+                                      else "RATIONALLY_INFEASIBLE"), cycle.coeffs
+            assert rz.certificate == ("FEASIBLE_OPTIMAL" if integral
+                                      else "INTEGRALLY_INFEASIBLE" if rational
+                                      else "RATIONALLY_INFEASIBLE"), cycle.coeffs
+            labels[rz.certificate] += 1
+            oracle = exhaustive_int_filling(cx, cycle, cap)
+            if oracle is not None:
+                assert rz.value == oracle, cycle.coeffs
+            else:
+                assert rz.value is INF or rz.value > cap, cycle.coeffs
+            assert rq.value <= rz.value
+        assert labels["FEASIBLE_OPTIMAL"] >= 5 and labels["INTEGRALLY_INFEASIBLE"] >= 5, labels
 
 
 def test_no_faces_certificate():

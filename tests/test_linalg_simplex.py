@@ -1,13 +1,15 @@
 import random
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from finefill import linalg
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 from instances import CORPUS
-from oracles import determinant_divisor_factors, fraction_solve_lp, rref_rational_solve
+from oracles import (determinant_divisor_factors, fraction_solve_lp, rref_rational_solve,
+                     smith_integer_solve)
 
 
 def matmul(a, b):
@@ -152,6 +154,36 @@ def test_rational_solver_matches_row_reduction_oracle():
             diff = [Fraction(p, den) - q for p, q in zip(big_x, x_oracle)]
             assert not any(linalg.mat_vec(a, diff)), (a, b)
     assert min(seen.values()) >= 30, seen
+
+
+def test_integer_solve_matches_smith_division_oracle():
+    # solve_integer reads the rational solution X / D; the oracle divides
+    # u*b by the Smith diagonal.  Right-hand sides a*x0 solve integrally,
+    # a*x0 over the gcd of its entries often only rationally, random ones
+    # often not at all.
+    rng = random.Random(1001)
+    seen = Counter()
+    for _ in range(300):
+        a = _random_solver_matrix(rng)
+        rows, cols = len(a), len(a[0])
+        snf = linalg.smith_normal_form(a)
+        for kind in ("integral", "divided", "random"):
+            b = linalg.mat_vec(a, [rng.randint(-4, 4) for _ in range(cols)])
+            if kind == "divided" and any(b):
+                b = [v // gcd(*b) for v in b]
+            elif kind == "random":
+                b = [rng.randint(-4, 4) for _ in range(rows)]
+            x = linalg.solve_integer(a, b, snf=snf)
+            assert x == smith_integer_solve(a, b, snf=snf), (a, b)
+            assert x == linalg.solve_integer(a, b), (a, b)
+            if x is not None:
+                assert linalg.mat_vec(a, x) == b
+                seen["integral"] += 1
+            elif rref_rational_solve(a, b) is not None:
+                seen["rational only"] += 1
+            else:
+                seen["none"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 30, seen
 
 
 def test_lp_known_instances():
