@@ -318,7 +318,7 @@ def _cmd_sadd(args, out):
             continue  # header
         if len(parts) != 2:
             raise FinefillError(f"cannot parse table line: {line!r}", "BAD_FORMAT")
-        n = int(parts[0])
+        n = complexes.parse_int(parts[0])
         if n != len(values) + 1:
             raise FinefillError("table rows must be n = 1, 2, ... in order",
                                 "BAD_FORMAT")

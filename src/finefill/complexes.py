@@ -174,17 +174,6 @@ class TwoComplex:
             self._cache[key] = Chain(1, INT, acc)
         return self._cache[key]
 
-    def boundary_matrix_1(self):
-        """d1 as rows=vertices, cols=edges (ints)."""
-        if "d1" not in self._cache:
-            vi = {v: i for i, v in enumerate(self.vertices)}
-            m = [[0] * len(self.edges) for _ in self.vertices]
-            for j, e in enumerate(self.edges):
-                m[vi[e.head]][j] += 1
-                m[vi[e.tail]][j] -= 1
-            self._cache["d1"] = m
-        return self._cache["d1"]
-
     def boundary_matrix_2(self):
         """d2 as rows=edges, cols=faces (ints)."""
         if "d2" not in self._cache:
@@ -302,18 +291,39 @@ def boundary(complex_, chain):
     raise UnknownCellError(f"no boundary for dimension {chain.dimension}")
 
 
+def rank_d1(complex_):
+    """Rank of d1: the number of vertices less the number of connected
+    components, counted as the edges that join two components of a
+    union-find."""
+    parent = {v: v for v in complex_.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = 0
+    for e in complex_.edges:
+        a, b = root(e.tail), root(e.head)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def homology_h1(complex_):
-    """Betti number and invariant factors of H1 over the integers."""
+    """Betti number and invariant factors of H1 over the integers: the rank
+    of d1 from the connected components, that of d2 and the torsion from
+    the Smith form of d2."""
     def build():
-        d1 = complex_.boundary_matrix_1()
-        d2 = complex_.boundary_matrix_2()
         n_edges = len(complex_.edges)
         if n_edges == 0:
             return H1Report(0, ())
-        rank1 = linalg.snf_rank(linalg.smith_normal_form(d1)[1]) if complex_.vertices else 0
-        cycles = n_edges - rank1
+        cycles = n_edges - rank_d1(complex_)
         if complex_.faces:
-            factors = linalg.invariant_factors(d2, snf=complex_.smith_form_2())
+            factors = linalg.invariant_factors(complex_.boundary_matrix_2(),
+                                               snf=complex_.smith_form_2())
             rank2 = len(factors)
         else:
             factors, rank2 = [], 0
@@ -470,6 +480,14 @@ def format_ratio(value):
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def parse_int(token):
+    """An int token of a text format; FormatError when it does not parse."""
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(f"not a number: {token!r}") from None
 
 
 def parse_ratio(token):

@@ -9,7 +9,7 @@ across runs.
 from dataclasses import dataclass, field
 
 from .chains import canonical_walk_key, enumerate_circuits, make_circuit
-from .complexes import TwoComplex, content_lines, validate, write_complex
+from .complexes import TwoComplex, content_lines, parse_int, validate, write_complex
 from .errors import (CapExceededError, FormatError, HasFacesError,
                      RelatorFailsError, ValidationError)
 
@@ -95,7 +95,7 @@ def parse_cycles(text, degree):
     if not body.startswith("(") or not body.endswith(")"):
         raise FormatError(f"bad cycle notation {text!r}")
     for part in body[1:-1].split(")("):
-        pts = [int(t) for t in part.split()]
+        pts = [parse_int(t) for t in part.split()]
         if not pts:
             continue
         if any(p < 1 or p > degree for p in pts):
@@ -387,7 +387,7 @@ def parse_group(text):
         parts = line.split()
         kind = parts[0]
         if kind == "degree" and len(parts) == 2:
-            degree = int(parts[1])
+            degree = parse_int(parts[1])
         elif kind == "gen" and len(parts) >= 2:
             if degree is None:
                 raise FormatError("degree must come before gen lines")

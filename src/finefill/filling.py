@@ -120,8 +120,7 @@ class _FillingContext:
         self.edges = [e.id for e in complex_.edges]
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.d2 = complex_.boundary_matrix_2()
-        self.columns = [[(i, row[j]) for i, row in enumerate(self.d2) if row[j]]
-                        for j in range(len(self.faces))]
+        self.columns = linalg.sparse_columns(self.d2)
         self._rat = None
         self._ker = None
         self.value_cache = {}

@@ -1,22 +1,26 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here works on dense row-major lists of Python ints; a rational
-solution comes back as an int vector over one common denominator.  Sizes
-are desk scale (hundreds of rows at most), so clarity wins over
-asymptotics; all results are exact.  The Smith normal form is the one
-factorization: integral and rational solves, the kernel and the invariant
-factors all read it.
+Matrices are dense row-major lists of Python ints, and all results are
+exact; a rational solution comes back as an int vector over one common
+denominator.  The Smith normal form is the one factorization: integral and
+rational solves, the kernel and the invariant factors all read it.  Its
+factors u and v are sparse, so the repeated solve keeps them as lists of
+column nonzeros and costs the support of its right-hand side, not the
+size of the matrix.
 """
+
+from itertools import compress, islice
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    """a.v, reading only the nonzero entries of v."""
-    nonzero = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nonzero) for row in a]
+def sparse_columns(m, count=None):
+    """The (row, entry) nonzeros of each of the first ``count`` columns of m
+    (all of them by default), in one pass over its entries."""
+    columns = zip(*m) if count is None else islice(zip(*m), count)
+    return [list(compress(enumerate(col), col)) for col in columns]
 
 
 def _swap_rows(m, i, j):
@@ -187,18 +191,31 @@ class RationalSolver:
     def __init__(self, a, snf=None):
         if snf is None:
             snf = smith_normal_form(a)
-        self.u, d, self.v = snf
+        u, d, v = snf
         self.rank = snf_rank(d)
         self.denominator = d[self.rank - 1][self.rank - 1] if self.rank else 1
         self.scale = [self.denominator // d[i][i] for i in range(self.rank)]
+        # y is zero from the rank on, so only the first rank columns of v count
+        self.u_columns = sparse_columns(u)
+        self.v_columns = sparse_columns(v, self.rank)
+        self.width = len(v)
 
     def solve(self, b):
         """(X, D) with X an int vector and x = X / D a rational solution of
-        a*x = b, or None when there is none."""
-        ub = mat_vec(self.u, b)
+        a*x = b, or None when there is none.  u*b and v*y are summed over
+        the nonzero entries of b and y only."""
+        u_columns = self.u_columns
+        ub = [0] * len(u_columns)
+        for j, bj in enumerate(b):
+            if bj:
+                for i, c in u_columns[j]:
+                    ub[i] += c * bj
         if any(ub[self.rank:]):
             return None
-        y = [0] * len(self.v)
-        for i, s in enumerate(self.scale):
-            y[i] = ub[i] * s
-        return mat_vec(self.v, y), self.denominator
+        x = [0] * self.width
+        for ubi, s, column in zip(ub, self.scale, self.v_columns):
+            if ubi:
+                yi = ubi * s
+                for j, c in column:
+                    x[j] += c * yi
+        return x, self.denominator

@@ -7,7 +7,7 @@ suite stays inside its runtime budgets.  CORPUS_GRAPHS holds the twenty
 faceless graphs used by the weak-area bridge.
 """
 
-from finefill import validate, parse_group, coned_off_cayley_complex
+from finefill import BARYCENTRIC, validate, parse_group, coned_off_cayley_complex, subdivide
 
 
 def triangle_graph():
@@ -199,6 +199,16 @@ def bigon_graph():
     return validate("uv", [("p", "u", "v"), ("q", "u", "v")])
 
 
+def z3_moore_loop(triangle_faces):
+    """A loop e with the face e+e+e, so H_1 has torsion Z/3, and a triangle
+    through its vertex with ``triangle_faces`` faces glued along it."""
+    triangle = [(1, "t1"), (1, "t2"), (1, "t3")]
+    return validate("vab", [("e", "v", "v"), ("t1", "v", "a"), ("t2", "a", "b"),
+                            ("t3", "b", "v")],
+                    [("f", [(1, "e")] * 3)]
+                    + [(f"g{i}", triangle) for i in range(triangle_faces)])
+
+
 # canonical corpus complexes (criteria 3, 4, 5, 6, 9 and the invariants)
 CORPUS = [
     ("triangle-graph", triangle_graph),
@@ -214,6 +224,15 @@ CORPUS = [
     ("hexagon-chord", hexagon_chord),
     ("tree", small_tree),
     ("theta", theta_graph),
+]
+
+# complexes whose last invariant factor of d2 is D = 2 or 3, at kernel
+# ranks 0, 1, 2 and 2
+TORSION = [
+    ("double-traversal-barycentric", lambda: subdivide(double_traversal(), BARYCENTRIC).complex),
+    ("z3-moore-2", lambda: z3_moore_loop(2)),
+    ("z3-moore-3", lambda: z3_moore_loop(3)),
+    ("z3-moore-3-barycentric", lambda: subdivide(z3_moore_loop(3), BARYCENTRIC).complex),
 ]
 
 # twenty faceless graphs for the weak-area bridge (criterion 8)

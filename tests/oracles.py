@@ -10,13 +10,15 @@ linear programs use a Fraction tableau, integral fillings can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects.
-Three exceptions: :func:`lp_route_filling_value` runs the package's own LP
+Four exceptions: :func:`lp_route_filling_value` runs the package's own LP
 and branch and bound on every cycle, so that they check the closed form
 the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
 cycle with the package's ``filling_norm``, so that it checks which cycles
-``fv`` leaves unfilled, and :func:`smith_integer_solve` reads the package's
+``fv`` leaves unfilled, :func:`smith_integer_solve` reads the package's
 Smith form, dividing u*b by its diagonal where ``linalg.solve_integer``
-reads the rational solution X / D.
+reads the rational solution X / D, and :func:`dense_rational_solve` reads
+that Smith form too, forming the dense products u*b and v*y that
+``linalg.RationalSolver`` sums over the nonzero entries only.
 """
 
 from fractions import Fraction
@@ -275,6 +277,22 @@ def rref_rational_solve(a, b):
     return x
 
 
+def boundary_matrix_1(cx):
+    """d1 as rows=vertices, cols=edges (ints)."""
+    vi = {v: i for i, v in enumerate(cx.vertices)}
+    m = [[0] * len(cx.edges) for _ in cx.vertices]
+    for j, e in enumerate(cx.edges):
+        m[vi[e.head]][j] += 1
+        m[vi[e.tail]][j] -= 1
+    return m
+
+
+def mat_vec(a, v):
+    """The dense product a.v, reading only the nonzero entries of v."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in a]
+
+
 def smith_integer_solve(a, b, snf=None):
     """The normal-form integral solution of a*x = b, or None: with u*a*v = d,
     y_i = (u*b)_i / d_i when every d_i divides (u*b)_i and u*b vanishes
@@ -284,7 +302,7 @@ def smith_integer_solve(a, b, snf=None):
     if snf is None:
         snf = linalg.smith_normal_form(a)
     u, d, v = snf
-    ub = linalg.mat_vec(u, b)
+    ub = mat_vec(u, b)
     y = [0] * cols
     r = min(rows, cols)
     for i in range(r):
@@ -299,7 +317,27 @@ def smith_integer_solve(a, b, snf=None):
     for i in range(r, rows):
         if ub[i] != 0:
             return None
-    return linalg.mat_vec(v, y)
+    return mat_vec(v, y)
+
+
+def dense_rational_solve(a, b, snf=None):
+    """(X, D) with X / D a rational solution of a*x = b, or None, through
+    the two dense products of the Smith form u*a*v = d: u*b must vanish
+    from the rank on, y_i = (u*b)_i * (D / d_i) below it, D the last
+    nonzero d_i (1 at rank 0), and X = v*y."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if snf is None:
+        snf = linalg.smith_normal_form(a)
+    u, d, v = snf
+    diagonal = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
+    rank = len(diagonal)
+    den = diagonal[-1] if diagonal else 1
+    ub = mat_vec(u, b)
+    if any(ub[rank:]):
+        return None
+    y = [ub[i] * (den // diagonal[i]) if i < rank else 0 for i in range(cols)]
+    return mat_vec(v, y), den
 
 
 def partition_maximum(values, n):
@@ -532,7 +570,7 @@ def lp_route_filling_value(cx, gamma, ring):
         x, val = (None, None) if mu is None else filling._branch_and_bound(ctx, vec, mu)
     if x is None:
         return INF
-    assert linalg.mat_vec(ctx.d2, x) == vec and sum(abs(v) for v in x) == val
+    assert mat_vec(ctx.d2, x) == vec and sum(abs(v) for v in x) == val
     return val
 
 

@@ -177,6 +177,20 @@ def test_zero_denominator_is_format_error(tmp_path, capsys):
         assert captured.err == f"error[BAD_FORMAT]: {message}\n"
 
 
+@pytest.mark.parametrize("command, name, text, token", [
+    ("sadd", "table.tsv", "abc 1\n", "abc"),
+    ("coneoff", "degree.grp", "group v1\ndegree abc\n", "abc"),
+    ("coneoff", "cycle.grp", "group v1\ndegree 3\ngen a (1 x)\n", "x"),
+], ids=["sadd-row", "grp-degree", "grp-cycle"])
+def test_int_token_is_format_error(tmp_path, capsys, command, name, text, token):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[BAD_FORMAT]: not a number: {token!r}\n"
+
+
 def test_unopenable_output_is_an_error(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "out.tsv"
     assert main(["validate", "--output", str(missing), data("tetra.cx")]) == 1

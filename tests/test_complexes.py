@@ -1,14 +1,17 @@
+import random
+
 import pytest
 from fractions import Fraction
 
 from finefill import (BARYCENTRIC, INT, MIDPOINT, RAT, Chain, H1Report,
-                      boundary, homology_h1, l1_norm, parse_complex,
+                      boundary, homology_h1, l1_norm, linalg, parse_complex,
                       subdivide, validate, write_complex)
+from finefill.complexes import rank_d1
 from finefill.errors import UnknownCellError, ValidationError
 
 from instances import (CORPUS, double_traversal, tetrahedron, triangle_face,
                        triangle_graph)
-from oracles import determinant_divisor_factors, rank_over_q
+from oracles import boundary_matrix_1, determinant_divisor_factors, rank_over_q
 
 
 def test_validate_triangle_graph():
@@ -84,7 +87,7 @@ def test_homology_tetrahedron():
     assert homology_h1(cx) == H1Report(0, ())
     # independent oracle: betti = (E - rank d1) - rank d2, torsion from
     # determinant divisors
-    d1, d2 = cx.boundary_matrix_1(), cx.boundary_matrix_2()
+    d1, d2 = boundary_matrix_1(cx), cx.boundary_matrix_2()
     betti = (len(cx.edges) - rank_over_q(d1)) - rank_over_q(d2)
     torsion = tuple(f for f in determinant_divisor_factors(d2) if f > 1)
     assert homology_h1(cx) == H1Report(betti, torsion)
@@ -103,10 +106,31 @@ def test_homology_double_traversal():
 def test_homology_matches_oracle_on_corpus():
     for name, build in CORPUS:
         cx = build()
-        d1, d2 = cx.boundary_matrix_1(), cx.boundary_matrix_2()
+        d1, d2 = boundary_matrix_1(cx), cx.boundary_matrix_2()
         betti = (len(cx.edges) - rank_over_q(d1)) - (rank_over_q(d2) if cx.faces else 0)
         torsion = tuple(f for f in determinant_divisor_factors(d2) if f > 1) if cx.faces else ()
         assert homology_h1(cx) == H1Report(betti, torsion), name
+
+
+def test_rank_d1_matches_smith_rank():
+    # |V| less the number of components equals the rank of the Smith form
+    # of d1, on the corpus and on random graphs with loops, parallel edges
+    # and isolated vertices
+    rng = random.Random(4242)
+    complexes = [build() for _, build in CORPUS]
+    for _ in range(200):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 8))]
+        edges = [(f"e{j}", rng.choice(vertices), rng.choice(vertices))
+                 for j in range(rng.randint(0, 10))]
+        complexes.append(validate(vertices, edges))
+    loops = parallel = 0
+    for cx in complexes:
+        d1 = boundary_matrix_1(cx)
+        smith = linalg.snf_rank(linalg.smith_normal_form(d1)[1]) if cx.edges else 0
+        assert rank_d1(cx) == smith == rank_over_q(d1), cx
+        loops += any(e.tail == e.head for e in cx.edges)
+        parallel += len({frozenset((e.tail, e.head)) for e in cx.edges}) < len(cx.edges)
+    assert loops >= 30 and parallel >= 30, (loops, parallel)
 
 
 def test_midpoint_subdivision_counts():

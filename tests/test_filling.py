@@ -14,7 +14,7 @@ from finefill.chains import require_circuit
 from finefill.constructions import omega_n
 from finefill.errors import HasFacesError, InternalError, NotACycleError
 
-from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal,
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, double_traversal,
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
@@ -59,35 +59,45 @@ def test_rationally_infeasible_label_in_both_rings():
     assert filling_norm(fresh, Chain(1, INT, {"e0": 3}), INT).value == 3
 
 
+class _Reads(list):
+    """A list that counts the items read through indexing or iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
 def test_integral_label_reads_one_product_with_u(monkeypatch):
     # an integrally infeasible and a rationally infeasible Z fill each take
-    # their label from the one u.gamma that the integral solve reads
+    # their label from the one u.gamma of one RationalSolver.solve, which
+    # reads one column of u for each nonzero entry of gamma and no row of
+    # the dense u
     two_loops = validate("v", [("e0", "v", "v"), ("e1", "v", "v")], [("f", [(1, "e0")])])
-    products = []
-    mat_vec = linalg.mat_vec
+    solves = []
+    solve = linalg.RationalSolver.solve
 
-    def counting(a, v):
-        products.append(a)
-        return mat_vec(a, v)
+    def counting(self, b):
+        solves.append(b)
+        return solve(self, b)
 
-    monkeypatch.setattr(linalg, "mat_vec", counting)
+    monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
     for cx, gamma, label in ((double_traversal(), {"e": 1}, "INTEGRALLY_INFEASIBLE"),
                              (two_loops, {"e1": 1}, "RATIONALLY_INFEASIBLE")):
-        u = cx.smith_form_2()[0]
-        products.clear()
+        rat = filling._context(cx).rat
+        u, d, v = cx.smith_form_2()
+        dense_u = cx._cache["snf2"] = (_Reads(u), d, v)
+        columns = rat.u_columns = _Reads(rat.u_columns)
+        solves.clear()
         res = filling_norm(cx, Chain(1, INT, gamma), INT)
         assert res.value is INF and res.certificate == label
-        assert sum(a is u for a in products) == 1, label
-
-
-def _z3_moore_loop(triangle_faces):
-    """A loop e with the face e+e+e, so H_1 has torsion Z/3, and a triangle
-    through its vertex with ``triangle_faces`` faces glued along it."""
-    triangle = [(1, "t1"), (1, "t2"), (1, "t3")]
-    return validate("vab", [("e", "v", "v"), ("t1", "v", "a"), ("t2", "a", "b"),
-                            ("t3", "b", "v")],
-                    [("f", [(1, "e")] * 3)]
-                    + [(f"g{i}", triangle) for i in range(triangle_faces)])
+        assert len(solves) == 1, label
+        assert (columns.reads, dense_u[0].reads) == (len(gamma), 0), label
 
 
 def test_torsion_fills_match_oracles(monkeypatch):
@@ -107,10 +117,8 @@ def test_torsion_fills_match_oracles(monkeypatch):
 
     monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
     monkeypatch.setattr(linalg, "solve_integer", no_integer_solve)
-    cases = [(lambda: subdivide(double_traversal(), BARYCENTRIC).complex, 6, 4, (2, 0)),
-             (lambda: _z3_moore_loop(2), 6, 3, (3, 1)),
-             (lambda: _z3_moore_loop(3), 6, 3, (3, 2)),
-             (lambda: subdivide(_z3_moore_loop(3), BARYCENTRIC).complex, 4, 1, (3, 2))]
+    cases = [(build, *params) for (_, build), params
+             in zip(TORSION, [(6, 4, (2, 0)), (6, 3, (3, 1)), (6, 3, (3, 2)), (4, 1, (3, 2))])]
     for build, k_max, cap, shape in cases:
         cx = build()
         ctx = filling._context(cx)

@@ -4,12 +4,12 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from finefill import linalg
+from finefill import enumerate_cycles, filling, linalg
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
-from instances import CORPUS
-from oracles import (determinant_divisor_factors, fraction_solve_lp, rref_rational_solve,
-                     smith_integer_solve)
+from instances import CORPUS, TORSION
+from oracles import (dense_rational_solve, determinant_divisor_factors, fraction_solve_lp,
+                     mat_vec, rref_rational_solve, smith_integer_solve)
 
 
 def matmul(a, b):
@@ -27,7 +27,7 @@ def test_mat_vec_matches_dense_product():
         v = [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 3)))
              if rng.random() < density else 0 for _ in range(cols)]
         dense = [sum(row[j] * v[j] for j in range(cols)) for row in a]
-        assert linalg.mat_vec(a, v) == dense
+        assert mat_vec(a, v) == dense
 
 
 def test_snf_randomized():
@@ -135,7 +135,7 @@ def test_rational_solver_matches_row_reduction_oracle():
             if rng.random() < 0.5:
                 x0 = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
                       for _ in range(cols)]
-                b = linalg.mat_vec(a, x0)
+                b = mat_vec(a, x0)
                 # the solver takes an int b: clear b's denominators
                 scale = lcm(*(Fraction(v).denominator for v in b))
                 b = [int(v * scale) for v in b]
@@ -150,10 +150,42 @@ def test_rational_solver_matches_row_reduction_oracle():
             seen["feasible"] += 1
             big_x, den = solution
             assert all(type(v) is int for v in big_x) and type(den) is int and den > 0
-            assert linalg.mat_vec(a, big_x) == [den * v for v in b], (a, b)
+            assert mat_vec(a, big_x) == [den * v for v in b], (a, b)
             diff = [Fraction(p, den) - q for p, q in zip(big_x, x_oracle)]
-            assert not any(linalg.mat_vec(a, diff)), (a, b)
+            assert not any(mat_vec(a, diff)), (a, b)
     assert min(seen.values()) >= 30, seen
+
+
+def test_sparse_solve_matches_dense_smith_products():
+    # RationalSolver.solve sums u*b and v*y over the nonzero entries of b
+    # and y only; the oracle forms both dense products.  (X, D) and None
+    # agree on random matrices and on d2 of the corpus and the torsion
+    # complexes, whose right-hand sides include every cycle of norm <= 4.
+    rng = random.Random(1212)
+    matrices = [(_random_solver_matrix(rng), []) for _ in range(400)]
+    for _, build in CORPUS + TORSION:
+        ctx = filling._context(build())
+        matrices.append((ctx.d2, [ctx.gamma_vector(c) for c in enumerate_cycles(ctx.complex, 4)]))
+    seen = Counter()
+    for a, vectors in matrices:
+        rows, cols = len(a), len(a[0]) if a else 0
+        snf = linalg.smith_normal_form(a)
+        solver = linalg.RationalSolver(a, snf=snf)
+        seen["factor > 1"] += any(f > 1 for f in linalg.invariant_factors(a, snf=snf))
+        seen["rank-deficient"] += solver.rank < min(rows, cols)
+        for _ in range(3):
+            if rng.random() < 0.5:
+                b = mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)])
+                if any(b) and rng.random() < 0.5:
+                    b = [v // gcd(*b) for v in b]
+            else:
+                b = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(rows)]
+            vectors.append(b)
+        for b in vectors:
+            solution = solver.solve(b)
+            assert solution == dense_rational_solve(a, b, snf=snf), (a, b)
+            seen["infeasible" if solution is None else "feasible"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 30, seen
 
 
 def test_integer_solve_matches_smith_division_oracle():
@@ -168,7 +200,7 @@ def test_integer_solve_matches_smith_division_oracle():
         rows, cols = len(a), len(a[0])
         snf = linalg.smith_normal_form(a)
         for kind in ("integral", "divided", "random"):
-            b = linalg.mat_vec(a, [rng.randint(-4, 4) for _ in range(cols)])
+            b = mat_vec(a, [rng.randint(-4, 4) for _ in range(cols)])
             if kind == "divided" and any(b):
                 b = [v // gcd(*b) for v in b]
             elif kind == "random":
@@ -177,7 +209,7 @@ def test_integer_solve_matches_smith_division_oracle():
             assert x == smith_integer_solve(a, b, snf=snf), (a, b)
             assert x == linalg.solve_integer(a, b), (a, b)
             if x is not None:
-                assert linalg.mat_vec(a, x) == b
+                assert mat_vec(a, x) == b
                 seen["integral"] += 1
             elif rref_rational_solve(a, b) is not None:
                 seen["rational only"] += 1
