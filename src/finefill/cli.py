@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import chains, complexes, constructions, fineness, filling, hyperbolicity
 from .complexes import BARYCENTRIC, INT, MIDPOINT, RAT
-from .errors import BudgetExceededError, FinefillError, InternalError
+from .errors import BudgetExceededError, FinefillError, FormatError, InternalError
 
 BUDGET_ENV = "FINEFILL_BUDGET"
 
@@ -149,7 +149,10 @@ def _budget(args):
         return args.budget
     env = os.environ.get(BUDGET_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise FormatError(f"${BUDGET_ENV} is not an integer: {env!r}") from None
     return fineness.DEFAULT_BUDGET
 
 
@@ -317,11 +320,10 @@ def _cmd_sadd(args, out):
         if parts[0] in ("n", "k"):
             continue  # header
         if len(parts) != 2:
-            raise FinefillError(f"cannot parse table line: {line!r}", "BAD_FORMAT")
+            raise FormatError(f"cannot parse table line: {line!r}")
         n = complexes.parse_int(parts[0])
         if n != len(values) + 1:
-            raise FinefillError("table rows must be n = 1, 2, ... in order",
-                                "BAD_FORMAT")
+            raise FormatError("table rows must be n = 1, 2, ... in order")
         values.append(complexes.parse_ratio(parts[1]))
     closed = filling.superadditive_closure(values)
     print("n\tvalue", file=out)
@@ -335,7 +337,7 @@ def _cmd_corpus(args, out):
     rng = random.Random(args.seed)
     files = sorted(f for f in os.listdir(args.directory) if f.endswith(".cx"))
     if not files:
-        raise FinefillError(f"no .cx files in {args.directory!r}", "BAD_FORMAT")
+        raise FormatError(f"no .cx files in {args.directory!r}")
     failures = 0
     for name in files:
         path = os.path.join(args.directory, name)

@@ -10,11 +10,6 @@ class FinefillError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class ValidationError(FinefillError):
     """Raised when a raw complex description is rejected.

@@ -47,7 +47,7 @@ signed face (g, s), faces numbered in id order, and a boundary is an
 from dataclasses import dataclass
 
 from .chains import Circuit, enumerate_circuits
-from .complexes import Chain, INT, boundary
+from .complexes import Chain, INT
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
 from .filling import INF, filling_norm, fv
@@ -420,10 +420,11 @@ def check_minimal_fillings_special(complex_, circuit, base_edge):
     orderings based at ``base_edge``?
 
     Enumerates every integral 2-chain of norm equal to the circuit's
-    integral filling norm whose boundary is the circuit, then searches for
-    a special ordering of each.  The fineness argument rules a False out:
-    a norm-minimal filling always admits an ordering whose running
-    boundaries stay chained to the base edge.
+    integral filling norm whose boundary is the circuit, face by face
+    under that constraint, then searches for a special ordering of each.
+    The fineness argument rules a False out: a norm-minimal filling always
+    admits an ordering whose running boundaries stay chained to the base
+    edge.
     """
     if not circuit.contains_edge(base_edge):
         raise UnknownEdgeError(f"edge {base_edge!r} is not on the circuit")
@@ -431,41 +432,39 @@ def check_minimal_fillings_special(complex_, circuit, base_edge):
     res = filling_norm(complex_, gamma, INT)
     if res.value is INF:
         raise FillingInfiniteError("the circuit has no integral filling")
-    value = int(res.value)
-    fillings = []
-    counterexample = None
-    ok = True
-    for mu in _chains_of_norm(complex_, value):
-        if boundary(complex_, mu) != gamma:
-            continue
-        state = find_special_ordering(complex_, mu, base_edge)
-        fillings.append((mu, state))
-        if state is None and counterexample is None:
-            ok = False
-            counterexample = mu
-    return MinimalFillingsReport(ok, tuple(fillings), counterexample)
+    fillings = tuple((mu, find_special_ordering(complex_, mu, base_edge))
+                     for mu in _fillings_within(_Tables(complex_), gamma, int(res.value)))
+    refuted = [mu for mu, state in fillings if state is None]
+    return MinimalFillingsReport(not refuted, fillings, refuted[0] if refuted else None)
 
 
-def _chains_of_norm(complex_, norm):
-    """All integral 2-chains with l1-norm exactly ``norm``, sorted."""
-    faces = [f.id for f in complex_.faces]
-    out = []
+def _fillings_within(tables, gamma, norm):
+    """Every integral 2-chain of norm <= ``norm`` bounding ``gamma``, sorted.
 
-    def rec(i, rem, acc):
-        if rem == 0:
-            out.append(Chain(2, INT, dict(acc)))
+    Faces take their coefficients in id order.  Once the last face meeting
+    an edge has its coefficient, a branch goes on only if gamma minus the
+    boundary is 0 on that edge; an edge on no face is 0 in a gamma that
+    bounds.
+    """
+    last = [faces[-1] if faces else -1 for faces in tables.meets]
+    residual = [gamma.coeffs.get(eid, 0) for eid in tables.edge_index]
+    coeffs, out = [], []
+
+    def extend(g, rem):
+        if g == len(tables.face_ids):
+            out.append(Chain(2, INT, {tables.face_ids[h]: c
+                                      for h, c in enumerate(coeffs) if c}))
             return
-        if i == len(faces):
-            return
-        rec(i + 1, rem, acc)
-        for c in range(1, rem + 1):
-            for s in (1, -1):
-                acc[faces[i]] = s * c
-                rec(i + 1, rem - c, acc)
-            del acc[faces[i]]
+        df = tables.face_boundary[g]
+        for c in range(-rem, rem + 1):
+            if all(residual[e] == c * b for e, b in df.items() if last[e] == g):
+                for e, b in df.items():
+                    residual[e] -= c * b
+                coeffs.append(c)
+                extend(g + 1, rem - abs(c))
+                coeffs.pop()
+                for e, b in df.items():
+                    residual[e] += c * b
 
-    if norm == 0:
-        return [Chain(2, INT, {})]
-    rec(0, norm, {})
-    out.sort(key=lambda c: c.serialize())
-    return out
+    extend(0, norm)
+    return sorted(out, key=Chain.serialize)

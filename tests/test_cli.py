@@ -104,6 +104,23 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("FINEFILL_BUDGET")
 
 
+def test_budget_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("FINEFILL_BUDGET", "abc")
+    assert main(["fine", "--method", "special", "--length", "4", data("tetra.cx")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[BAD_FORMAT]: $FINEFILL_BUDGET is not an integer: 'abc'\n"
+
+
+def test_budget_exceeded_exits_2(capsys):
+    assert main(["special", "--edge", "e12", "--norm", "2", "--budget", "1",
+                 data("tetra.cx")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error[BUDGET_EXCEEDED]: special-chain search for edge "
+                            "'e12' exceeded 1 states\n")
+
+
 def test_special():
     code, out = run_cli("special", "--edge", "e12", "--norm", "1", data("tetra.cx"))
     lines = out.splitlines()
@@ -198,6 +215,39 @@ def test_unopenable_output_is_an_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: [Errno 2] No such file or directory")
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 1 1\n", "cannot parse table line: '1 1 1'"),
+    ("2 1\n1 1\n", "table rows must be n = 1, 2, ... in order"),
+], ids=["three-tokens", "out-of-order"])
+def test_sadd_bad_rows_are_format_errors(tmp_path, capsys, text, message):
+    table = tmp_path / "table.tsv"
+    table.write_text(text)
+    assert main(["sadd", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[BAD_FORMAT]: {message}\n"
+
+
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys):
+    argv = ["fill", "--ring", "q", "--cycle", data("loop.cy"), data("double.cx")]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert plain.count("\n") > 1
+    target = tmp_path / "out.tsv"
+    assert main([*argv, "--output", str(target)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+    assert target.read_bytes() == plain.encode("utf-8")
+
+
+def test_corpus_without_complexes_is_format_error(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no complexes here\n")
+    assert main(["corpus", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[BAD_FORMAT]: no .cx files in {str(tmp_path)!r}\n"
 
 
 def test_corpus_runner():

@@ -40,6 +40,21 @@ def test_validate_rejects_dangling_and_duplicates():
     assert codes == {"DUPLICATE_ID", "DANGLING_REFERENCE"}
 
 
+@pytest.mark.parametrize("edges, faces, violation", [
+    ([("e", "a", "a")], [("f", [(2, "e")])], ("DANGLING_REFERENCE", "face 'f': bad sign 2")),
+    ([("e", "a", "a")], [("f", [(1, "zz")])],
+     ("DANGLING_REFERENCE", "face 'f': unknown edge 'zz'")),
+    ([("e", "a", "a")], [("f", [])], ("WALK_NOT_CLOSED", "face 'f': empty walk")),
+    ([("e", "a", "a"), ("e", "a", "a")], [], ("DUPLICATE_ID", "duplicate id 'e'")),
+    ([("e", "a", "a")], [("f", [(1, "e")]), ("f", [(1, "e")])],
+     ("DUPLICATE_ID", "duplicate id 'f'")),
+], ids=["bad-sign", "unknown-edge", "empty-walk", "duplicate-edge", "duplicate-face"])
+def test_validate_face_checks(edges, faces, violation):
+    with pytest.raises(ValidationError) as err:
+        validate("a", edges, faces)
+    assert err.value.violations == [violation]
+
+
 def test_double_traversal_is_valid():
     cx = double_traversal()
     assert boundary(cx, Chain(2, INT, {"f": 1})).coeffs == {"e": 2}

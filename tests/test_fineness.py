@@ -1,12 +1,15 @@
+import time
 from collections import Counter
 
 import pytest
 
 from finefill import fineness
-from finefill import (INF, Chain, INT, check_minimal_fillings_special,
-                      circuits_via_fillings, enumerate_circuits,
-                      enumerate_special_chains, fineness_certificate,
-                      find_special_ordering, fv, homology_h1)
+from finefill import (BARYCENTRIC, INF, Chain, INT, boundary,
+                      check_minimal_fillings_special, circuits_via_fillings,
+                      enumerate_circuits, enumerate_special_chains,
+                      fineness_certificate, filling_norm, find_special_ordering, fv,
+                      homology_h1, subdivide)
+from finefill.chains import circuit_from_chain
 from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
                              FVInfiniteError, UnknownEdgeError)
@@ -171,6 +174,96 @@ def test_minimal_fillings_special_tetrahedron():
             value = int(filling_norm(cx, gamma, INT).value)
             want = {c.serialize() for c in fillings_of_norm(cx, gamma, value)}
             assert {c.serialize() for c, _ in rep.fillings} == want
+
+
+def test_find_special_ordering_refusals():
+    # two triangles f1, f2 on the base edge e1, and a triangle g apart from both
+    cx = validate("abcdxyz",
+                  [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                   ("e4", "b", "d"), ("e5", "d", "a"),
+                   ("d1", "x", "y"), ("d2", "y", "z"), ("d3", "z", "x")],
+                  [("f1", [(1, "e1"), (1, "e2"), (1, "e3")]),
+                   ("f2", [(1, "e1"), (1, "e4"), (1, "e5")]),
+                   ("g", [(1, "d1"), (1, "d2"), (1, "d3")])])
+    assert find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "e1") is not None
+    # disjoint faces: no running boundary ever meets g
+    assert find_special_ordering(cx, Chain(2, INT, {"f1": 1, "g": 1}), "e1") is None
+    # f2 then f1 leaves {g} once more, which f1 then f2 already refuted
+    assert find_special_ordering(cx, Chain(2, INT, {"f1": 1, "f2": -1, "g": 1}),
+                                 "e1") is None
+    assert find_special_ordering(cx, Chain(2, INT, {"f1": 2}), "e1") is None
+    # no face of the chain meets the base edge
+    assert find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "e4") is None
+    with pytest.raises(UnknownEdgeError):
+        find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "zz")
+
+
+def test_minimal_fillings_counterexample(monkeypatch):
+    # a 4-circuit of the tetrahedron bounds either pair of faces it separates
+    cx = tetrahedron()
+    circ = next(c for c in enumerate_circuits(cx, None, 4) if c.length == 4)
+    monkeypatch.setattr(fineness, "find_special_ordering", lambda *args: None)
+    rep = check_minimal_fillings_special(cx, circ, circ.walk[0][1])
+    assert not rep.ok and len(rep.fillings) == 2
+    assert rep.counterexample == rep.fillings[0][0]
+    assert all(state is None for _, state in rep.fillings) and rep.orderings() == ()
+
+
+def test_minimal_fillings_match_oracle():
+    # every (circuit, edge) pair on which the brute-force oracle finishes; a
+    # filling has a special ordering exactly when the per-edge special-chain
+    # search of the oracles reaches it at the filling norm
+    cases = [(name, build()) for name, build in CORPUS if 0 < len(build().faces) <= 6]
+    cases += [("disk2x2", grid_disk(2, 2)), ("disk2x3", grid_disk(2, 3))]
+    pairs = 0
+    for name, cx in cases:
+        for circ in enumerate_circuits(cx, None, len(cx.edges)):
+            gamma = circ.induced_cycle()
+            value = filling_norm(cx, gamma, INT).value
+            if value is INF:
+                with pytest.raises(FillingInfiniteError):
+                    check_minimal_fillings_special(cx, circ, circ.walk[0][1])
+                continue
+            value = int(value)
+            want = sorted(fillings_of_norm(cx, gamma, value), key=lambda c: c.serialize())
+            for eid in sorted(circ.edge_ids()):
+                rep = check_minimal_fillings_special(cx, circ, eid)
+                assert [c for c, _ in rep.fillings] == want, (name, circ.key, eid)
+                special, complete = per_edge_special_chain_search(
+                    cx, eid, value, fineness.DEFAULT_BUDGET)
+                assert complete
+                special = {c.serialize() for c in special}
+                assert rep.ok == all(c.serialize() in special for c in want)
+                for chain, state in rep.fillings:
+                    assert (state is not None) == (chain.serialize() in special)
+                    assert state is None or (state.verify(cx) and state.chain() == chain)
+                pairs += 1
+    assert pairs > 100
+
+
+def test_minimal_fillings_of_large_fills():
+    # the boundary circuits of the 3x3 and 4x4 disks (fills 9 and 16) and the
+    # barycentric tetrahedron's first circuit of the largest fill at length
+    # <= 6 (12): far too many 2-chains have those norms to list them all
+    cases = []
+    for n, fill in ((3, 9), (4, 16)):
+        cx = grid_disk(n, n)
+        rim = boundary(cx, Chain(2, INT, {f.id: 1 for f in cx.faces}))
+        cases.append((cx, circuit_from_chain(cx, rim), fill))
+    bary = subdivide(tetrahedron(), BARYCENTRIC).complex
+    circuits = enumerate_circuits(bary, None, 6)
+    fills = [filling_norm(bary, c.induced_cycle(), INT).value for c in circuits]
+    cases.append((bary, circuits[fills.index(max(fills))], 12))
+    for cx, circ, fill in cases:
+        gamma = circ.induced_cycle()
+        assert filling_norm(cx, gamma, INT).value == fill
+        for eid in sorted(circ.edge_ids()):
+            started = time.perf_counter()
+            rep = check_minimal_fillings_special(cx, circ, eid)
+            assert time.perf_counter() - started < 2, (circ.key, eid)
+            assert rep.ok and rep.fillings
+            for chain, _ in rep.fillings:
+                assert boundary(cx, chain) == gamma and chain.l1() == fill
 
 
 def test_minimal_fillings_special_errors():
