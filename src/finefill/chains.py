@@ -3,7 +3,9 @@
 A circuit is a simple closed combinatorial path: vertices distinct except
 the closing return, edges pairwise distinct.  Circuits are deduplicated by
 a canonical key (lexicographically least over rotations and the two
-directions), so loops and parallel-edge bigons count once each.
+directions), so loops and parallel-edge bigons count once each.  The search
+finds each circuit in both directions and keeps the first walk of each edge
+set, which determines the circuit, so each key is computed once.
 """
 
 from dataclasses import dataclass
@@ -45,16 +47,18 @@ def _reverse_walk(walk):
 
 
 def canonical_walk_key(walk):
-    """Least token tuple over all rotations of both directions."""
+    """Least token tuple over all rotations of both directions; only the
+    rotations starting at a least token can be least."""
     walk = tuple(walk)
     best = None
     for w in (walk, _reverse_walk(walk)):
         toks = _walk_tokens(w)
-        n = len(toks)
-        for r in range(n):
-            cand = toks[r:] + toks[:r]
-            if best is None or cand < best:
-                best = cand
+        least = min(toks, default=None)
+        for r, tok in enumerate(toks):
+            if tok == least:
+                cand = toks[r:] + toks[:r]
+                if best is None or cand < best:
+                    best = cand
     return best
 
 
@@ -132,30 +136,33 @@ def enumerate_circuits(complex_, anchor=None, max_length=1):
 
 
 def _all_circuits(complex_, max_length):
+    """Depth-first search on vertex ranks, with the used edges and the
+    visited vertices as bit sets."""
     def build():
-        found = {}
-        order = {v: i for i, v in enumerate(sorted(complex_.vertex_set))}
-        for start in sorted(complex_.vertex_set):
+        vertices = sorted(complex_.vertex_set)
+        rank = {v: i for i, v in enumerate(vertices)}
+        bit = {e.id: 1 << i for i, e in enumerate(complex_.edges)}
+        # rank -> (signed edge, end rank, edge bit) of each step leaving it
+        outs = [[(step, rank[complex_.edge_endpoints(step)[1]], bit[step[1]])
+                 for step in complex_.incident(v)] for v in vertices]
+        found = {}  # used-edge bits -> circuit
+        for start in range(len(vertices)):
             # only circuits whose least vertex is the start; prevents
             # rediscovery from every vertex on the circuit
-            stack = [(start, (), frozenset(), frozenset((start,)))]
+            stack = [(start, (), 0, 1 << start)]
             while stack:
                 cur, walk, used, visited = stack.pop()
-                for step in complex_.incident(cur):
-                    _sign, eid = step
-                    if eid in used:
+                for step, end, b in outs[cur]:
+                    if used & b:
                         continue
-                    end = complex_.edge_endpoints(step)[1]
                     if end == start:
-                        c = make_circuit(walk + (step,))
-                        found.setdefault(c.key, c)
+                        if used | b not in found:
+                            found[used | b] = make_circuit(walk + (step,))
                         continue
-                    if len(walk) + 1 >= max_length:
+                    if len(walk) + 1 >= max_length or end < start or visited >> end & 1:
                         continue
-                    if order[end] < order[start] or end in visited:
-                        continue
-                    stack.append((end, walk + (step,), used | {eid}, visited | {end}))
-        return tuple(sorted(found.values()))
+                    stack.append((end, walk + (step,), used | b, visited | 1 << end))
+        return tuple(sorted(found.values(), key=lambda c: (len(c.walk), c.key)))
     key = ("circuits", max_length)
     return list(complex_.cached(key, build))
 

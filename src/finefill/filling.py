@@ -142,8 +142,12 @@ class _FillingContext:
         return self._ker
 
     def gamma_vector(self, gamma):
+        return self.edge_vector(gamma.coeffs.items())
+
+    def edge_vector(self, terms):
+        """The vector, one entry per edge, of (edge id, coefficient) terms."""
         vec = [0] * len(self.edges)
-        for eid, c in gamma.coeffs.items():
+        for eid, c in terms:
             vec[self.edge_pos[eid]] = c
         return vec
 
@@ -179,25 +183,34 @@ def filling_norm(complex_, gamma, ring):
 
 
 def _solve(ctx, gamma, ring):
-    """The FillingResult of gamma over ring.  Every route ends in an int
-    vector x over one denominator den; the witness x / den is re-checked
-    before it is turned into a Chain."""
-    vec = ctx.gamma_vector(gamma)
+    """The FillingResult of gamma over ring, its witness the 2-chain x / den
+    of :func:`_solve_vector`."""
+    certificate, x, den, val = _solve_vector(ctx, ctx.gamma_vector(gamma), ring)
+    if val is INF:
+        return FillingResult(INF, None, ring, certificate)
+    return FillingResult(val, ctx.chain_from_vector(x, ring, den), ring, certificate)
+
+
+def _solve_vector(ctx, vec, ring):
+    """(certificate, x, den, value) of the integral cycle ``vec`` (one entry
+    per edge) over ring; x and den are None when the value is INF.  Every
+    route ends in an int vector x over one denominator den, and the witness
+    x / den is re-checked before it is returned."""
     nf = len(ctx.faces)
-    if gamma.is_zero():
+    if not any(vec):
         x, den, val = [0] * nf, 1, Fraction(0) if ring == RAT else 0
     elif not nf:
-        return FillingResult(INF, None, ring, NO_FACES)
+        return NO_FACES, None, None, INF
     else:
         particular = ctx.rat.solve(vec)
         if particular is None:
-            return FillingResult(INF, None, ring, RATIONALLY_INFEASIBLE)
+            return RATIONALLY_INFEASIBLE, None, None, INF
         x, den = particular
         if ring == INT:
             # v is unimodular, so x / den is integral exactly when gamma is
             # an integral boundary, and then it is the normal-form solution
             if any(v % den for v in x):
-                return FillingResult(INF, None, INT, INTEGRALLY_INFEASIBLE)
+                return INTEGRALLY_INFEASIBLE, None, None, INF
             x, den = [v // den for v in x], 1
         kernel_rank = nf - ctx.rat.rank
         if kernel_rank <= 1:
@@ -212,9 +225,7 @@ def _solve(ctx, gamma, ring):
         else:
             x, val = _branch_and_bound(ctx, vec, x)
     _verify_filling(ctx, vec, x, den, val)
-    if ring == INT:
-        val = int(val)
-    return FillingResult(val, ctx.chain_from_vector(x, ring, den), ring, FEASIBLE_OPTIMAL)
+    return FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val
 
 
 def _minimize_on_line(big_m, den, z, integral):
@@ -370,7 +381,8 @@ def fv(complex_, k_max, ring):
     ties stay in; the running maximum over the candidates in (norm,
     serialization) order therefore has the values and witnesses of the one
     over all cycles.  A cycle and its negation fill alike, so one of each
-    pair is solved.
+    pair is solved.  Circuits and candidates are solved from their edge
+    vectors, with no Chain built for them and no witness kept.
 
     A cycle is unfillable only if some circuit of its split is, so the
     table turns INFINITE at the length l of the shortest unfillable circuit
@@ -382,15 +394,17 @@ def fv(complex_, k_max, ring):
         raise ValueError("k_max must be >= 0")
 
     def build():
+        ctx = _context(complex_)
         filled = {}  # serialization -> fill value
 
-        def fill(cycle):
-            key = cycle.serialize()
+        def fill(key):
+            # the value of the cycle serialized as key, solved from its edge
+            # vector when neither it nor its negation has been filled
             value = filled.get(key)
             if value is None:
                 value = filled.get(tuple((e, -c) for e, c in key))
             if value is None:
-                value = filled[key] = filling_norm(complex_, cycle, ring).value
+                value = filled[key] = _solve_vector(ctx, ctx.edge_vector(key), ring)[3]
             return value
 
         # fill the circuits one length at a time, up to the first length
@@ -398,7 +412,8 @@ def fv(complex_, k_max, ring):
         circuits = enumerate_circuits(complex_, None, k_max) if k_max else []
         fills, unfillable, finite_max = [], [], k_max
         for length, group in groupby(circuits, key=attrgetter("length")):
-            group = [(circuit, fill(circuit.induced_cycle())) for circuit in group]
+            group = [(circuit, fill(tuple(sorted((e, s) for s, e in circuit.walk))))
+                     for circuit in group]
             unfillable = [circuit for circuit, value in group if value is INF]
             if unfillable:
                 finite_max = length - 1
@@ -414,7 +429,7 @@ def fv(complex_, k_max, ring):
             if norm == 0:
                 continue
             rows.extend([top] * (norm - len(rows)))
-            value = fill(cycle)
+            value = fill(cycle.serialize())
             if value > top[0]:
                 top = (value, cycle)
         rows.extend([top] * (finite_max + 1 - len(rows)))

@@ -6,7 +6,9 @@ divisors, distances use Floyd-Warshall, four-point delta scans every
 quadruple, cycle sets use raw coefficient vectors or sums of every circuit
 multiset (cancelling ones too), circuit counts use degree-two edge
 subsets, rational solves use Gauss-Jordan elimination over Fractions,
-linear programs use a Fraction tableau, integral fillings can also come
+linear programs use a Fraction tableau, circuit lists come from a search
+over frozensets that keys every closing walk by comparing all its rotations
+in both directions, integral fillings can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects.
@@ -27,7 +29,7 @@ from math import ceil, floor, gcd
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
-from finefill.chains import circuit_from_chain
+from finefill.chains import Circuit, circuit_from_chain
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -189,6 +191,54 @@ def brute_circuit_count(cx, max_len, anchor=None):
             if seen == vs:
                 count += 1
     return count
+
+
+def all_rotations_walk_key(walk):
+    """Least token tuple over every rotation of the walk and of its reversal,
+    a token being the sign and the edge id, as in ``"+e1"``; None for the
+    empty walk."""
+    walk = tuple(walk)
+    best = None
+    for w in (walk, tuple((-s, e) for s, e in reversed(walk))):
+        toks = tuple(("+" if s > 0 else "-") + e for s, e in w)
+        for r in range(len(toks)):
+            cand = toks[r:] + toks[:r]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def frozenset_circuit_search(cx, max_length):
+    """Every circuit of length <= max_length, sorted by (length, key).
+
+    A depth-first search from each vertex for the circuits whose least
+    vertex it is, holding the used edges and the visited vertices as
+    frozensets.  It finds each circuit once in each direction, keys every
+    closing walk with :func:`all_rotations_walk_key`, and keeps the first
+    walk found per key.
+    """
+    found = {}
+    order = {v: i for i, v in enumerate(sorted(cx.vertex_set))}
+    for start in sorted(cx.vertex_set):
+        stack = [(start, (), frozenset(), frozenset((start,)))]
+        while stack:
+            cur, walk, used, visited = stack.pop()
+            for step in cx.incident(cur):
+                eid = step[1]
+                if eid in used:
+                    continue
+                end = cx.edge_endpoints(step)[1]
+                if end == start:
+                    closed = walk + (step,)
+                    found.setdefault(all_rotations_walk_key(closed), closed)
+                    continue
+                if len(walk) + 1 >= max_length:
+                    continue
+                if order[end] < order[start] or end in visited:
+                    continue
+                stack.append((end, walk + (step,), used | {eid}, visited | {end}))
+    return [Circuit(walk, key)
+            for key, walk in sorted(found.items(), key=lambda kw: (len(kw[1]), kw[0]))]
 
 
 def determinant_divisor_factors(matrix):

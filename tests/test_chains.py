@@ -3,15 +3,17 @@ import random
 import pytest
 from fractions import Fraction
 
-from finefill import (Chain, INT, RAT, decompose_into_circuits,
+from finefill import (BARYCENTRIC, Chain, INT, RAT, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, is_cycle,
-                      is_disjoint, parse_chain, validate, write_chain)
-from finefill.chains import circuit_from_chain, make_circuit, require_circuit
+                      is_disjoint, parse_chain, subdivide, validate, write_chain)
+from finefill.chains import (canonical_walk_key, circuit_from_chain, make_circuit,
+                             require_circuit)
 from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 
-from instances import (CORPUS, figure8_graph, k4_graph, small_tree,
-                       tetrahedron, triangle_graph)
-from oracles import brute_circuit_count, brute_cycles, multiset_cycles
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, figure8_graph, k4_graph,
+                       small_tree, tetrahedron, triangle_graph)
+from oracles import (all_rotations_walk_key, brute_circuit_count, brute_cycles,
+                     frozenset_circuit_search, multiset_cycles)
 
 
 def triangle_cycle():
@@ -38,6 +40,81 @@ def test_circuit_canonical_key_identifies_rotations_and_reversals():
     rot = ((1, "e2"), (1, "e3"), (1, "e1"))
     rev = ((-1, "e3"), (-1, "e2"), (-1, "e1"))
     assert make_circuit(w).key == make_circuit(rot).key == make_circuit(rev).key
+
+
+def _search_cases():
+    """CORPUS, CORPUS_GRAPHS, TORSION, coned-S3 and the barycentric
+    subdivisions of CORPUS and CORPUS_GRAPHS."""
+    cases = [(name, build()) for name, build in CORPUS + CORPUS_GRAPHS + TORSION]
+    cases.append(("S3-coned", coned_s3().complex))
+    cases += [(name + "''", subdivide(build(), BARYCENTRIC).complex)
+              for name, build in CORPUS + CORPUS_GRAPHS]
+    return cases
+
+
+def _random_multigraph(rng):
+    """Up to 5 vertices (some isolated) and up to 8 edges, loops and parallel
+    edges included."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 5))]
+    es = []
+    for i in range(rng.randint(1, 8)):
+        tail = rng.choice(vs)
+        roll = rng.random()
+        if roll < 0.2:
+            head = tail  # a loop
+        elif roll < 0.45 and es:
+            _, tail, head = rng.choice(es)  # parallel to an earlier edge
+        else:
+            head = rng.choice(vs)
+        es.append((f"e{i}", tail, head))
+    return validate(vs, es)
+
+
+def test_circuit_search_matches_frozenset_oracle():
+    # the same walks in the same order, not only the same keys: the
+    # orientation of every omega face is the walk found first
+    total = 0
+    for name, cx in _search_cases():
+        got = enumerate_circuits(cx, None, 8)
+        want = frozenset_circuit_search(cx, 8)
+        assert [(c.walk, c.key) for c in got] == [(c.walk, c.key) for c in want], name
+        total += len(got)
+    assert total > 6000
+
+
+def test_circuit_search_matches_oracle_with_loops_and_parallel_edges():
+    rng = random.Random(1301)
+    loops = parallel = 0
+    for _ in range(300):
+        cx = _random_multigraph(rng)
+        ends = [frozenset((e.tail, e.head)) for e in cx.edges]
+        loops += any(e.tail == e.head for e in cx.edges)
+        parallel += len(set(ends)) < len(ends)
+        for scale in (1, 2, len(cx.edges)):
+            got = enumerate_circuits(cx, None, scale)
+            want = frozenset_circuit_search(cx, scale)
+            assert [(c.walk, c.key) for c in got] == [(c.walk, c.key) for c in want], (
+                cx.edges, scale)
+    assert loops >= 100 and parallel >= 100, (loops, parallel)
+
+
+def test_canonical_walk_key_matches_all_rotations():
+    walks = [(), ((1, "e0"), (1, "e0")), ((1, "e"), (-1, "e")),
+             ((1, "a"), (-1, "b"), (1, "a"), (-1, "b")), ((-1, "x"),) * 3]
+    for _, cx in _search_cases():
+        walks += [f.walk for f in cx.faces]
+        for circ in enumerate_circuits(cx, None, 4):
+            walks += [circ.walk[r:] + circ.walk[:r] for r in range(circ.length)]
+    # words over two or three signed letters repeat their least token, and
+    # periodic ones tie on several rotations
+    rng = random.Random(1302)
+    letters = [(s, e) for s in (1, -1) for e in ("a", "b", "c")]
+    for _ in range(3000):
+        word = [rng.choice(letters[:rng.randint(2, 6)]) for _ in range(rng.randint(1, 6))]
+        walks.append(tuple(word * rng.randint(1, 3)))
+    for walk in walks:
+        assert canonical_walk_key(walk) == all_rotations_walk_key(walk), walk
+    assert canonical_walk_key(((1, "e0"), (1, "e0"))) == ("+e0", "+e0")
 
 
 def test_enumerate_circuits_k4():

@@ -14,7 +14,7 @@ from finefill.chains import require_circuit
 from finefill.constructions import omega_n
 from finefill.errors import HasFacesError, InternalError, NotACycleError
 
-from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, double_traversal,
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, double_traversal,
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
@@ -575,6 +575,79 @@ def test_fv_matches_all_cycles_oracle(monkeypatch):
     assert all_cycles_fv(triangle_face_open_square(), 4, INT)[0] == [0, 0, 0, 1, INF]
     # a fillable circuit sorts before an unfillable one of the same length
     assert all_cycles_fv(figure8_one_face(), 4, INT)[0] == [0, 0, 0, INF, INF]
+
+
+def test_fv_circuit_fills_match_filling_norm(monkeypatch):
+    # fv solves each circuit from its edge vector; the certificate and value
+    # are those filling_norm gives the circuit's cycle, inf included
+    solved = []
+    solve_vector = filling._solve_vector
+
+    def recording(ctx, vec, ring):
+        result = solve_vector(ctx, vec, ring)
+        solved.append((tuple(vec), result[0], result[3]))
+        return result
+
+    monkeypatch.setattr(filling, "_solve_vector", recording)
+    cases = CORPUS + CORPUS_GRAPHS[:4] + TORSION + [
+        ("S3-coned", lambda: coned_s3().complex), ("disk3x3", lambda: grid_disk(3, 3)),
+        ("omega4-K4", lambda: omega_n(k4_graph(), 4)),
+        ("triangle-face+open-square", triangle_face_open_square),
+        ("figure8-one-face", figure8_one_face)]
+    cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
+              for name, build in CORPUS if build().faces]
+    kmax = 5
+    checked, certificates, kernel_ranks = Counter(), Counter(), set()
+    for name, build in cases:
+        for ring in (INT, RAT):
+            cx = build()
+            solved.clear()
+            table = fv(cx, kmax, ring)
+            inside = {vec: (certificate, value) for vec, certificate, value in solved}
+            ctx = filling._context(cx)
+            # circuits are filled up to the first length holding an unfillable one
+            stop = next((k for k in range(kmax + 1) if table.value(k) is INF), kmax)
+            fresh = build()
+            for circ in enumerate_circuits(cx, None, stop) if stop else ():
+                cycle = circ.induced_cycle()
+                want = filling_norm(fresh, cycle, ring)
+                got = inside[tuple(ctx.gamma_vector(cycle))]
+                assert got == (want.certificate, want.value), (name, ring, circ.walk)
+                assert type(got[1]) is type(want.value), (name, ring, circ.walk)
+                checked[ring] += 1
+                certificates[ring, want.certificate] += 1
+            if cx.faces:
+                kernel_ranks.add(len(ctx.kernel))
+    assert min(checked.values()) > 300, checked
+    for ring, certificate in ((INT, filling.NO_FACES), (RAT, filling.NO_FACES),
+                              (INT, filling.INTEGRALLY_INFEASIBLE),
+                              (INT, filling.RATIONALLY_INFEASIBLE),
+                              (RAT, filling.RATIONALLY_INFEASIBLE)):
+        assert certificates[ring, certificate] > 0, (ring, certificate)
+    assert {0, 1} <= kernel_ranks and max(kernel_ranks) >= 2, kernel_ranks
+
+
+def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
+    # the particular solution of every circuit fill goes through the int
+    # re-check inside fv too; the spoiled fill raises and caches no table
+    for build in (tetrahedron, triangle_face, bigon):
+        for ring in (INT, RAT):
+            cx = build()
+            ctx = filling._context(cx)
+            solve = ctx.rat.solve
+
+            def spoiled(vec, solve=solve):
+                result = solve(vec)
+                if result is None:
+                    return None
+                x, den = result
+                return [x[0] + den] + x[1:], den
+
+            monkeypatch.setattr(ctx.rat, "solve", spoiled)
+            with pytest.raises(InternalError, match="witness boundary mismatch"):
+                fv(cx, 4, ring)
+            monkeypatch.setattr(ctx.rat, "solve", solve)
+            assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
 
 
 def test_fv_zero_entry_monotone_and_ring_comparison():

@@ -14,7 +14,7 @@ from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
                              FVInfiniteError, UnknownEdgeError)
 
-from instances import (CORPUS, coned_s3, double_traversal, grid_disk, k4_graph,
+from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal, grid_disk, k4_graph,
                        small_tree, tetrahedron, triangle_face, validate)
 from oracles import (circuits_from_special_chains, fillings_of_norm,
                      per_edge_special_chain_search)
@@ -130,6 +130,24 @@ def test_fineness_certificate_graph_method():
     assert all(r.count == 0 for r in cert.records)
     cert = fineness_certificate(k4_graph(), 3, GRAPH_SEARCH)
     assert all(r.count == 2 for r in cert.records)
+
+
+def test_graph_search_lists_match_per_edge_calls():
+    # the per-edge lists come from one pass over the circuit list
+    cases = CORPUS + CORPUS_GRAPHS + [("S3-coned", lambda: coned_s3().complex),
+                                      ("disk2x3", lambda: grid_disk(2, 3))]
+    found = 0
+    for name, build in cases:
+        cx = build()
+        for scale in (1, 3, 6):
+            cert = fineness_certificate(cx, scale, GRAPH_SEARCH)
+            assert [r.edge for r in cert.records] == [e.id for e in cx.edges], name
+            for record in cert.records:
+                want = tuple(enumerate_circuits(cx, record.edge, scale))
+                assert record.circuits == want, (name, scale, record.edge)
+                assert (record.count, record.status) == (len(want), "OK")
+                found += record.count
+    assert found > 500, found
 
 
 def test_fineness_certificate_methods_agree():
