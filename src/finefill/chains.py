@@ -10,6 +10,7 @@ set, which determines the circuit, so each key is computed once.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .complexes import Chain, INT, RAT, boundary, content_lines, format_ratio, parse_ratio
 from .errors import (FormatError, NotACircuitError, NotACycleError,
@@ -135,13 +136,17 @@ def enumerate_circuits(complex_, anchor=None, max_length=1):
     return circuits
 
 
+def _edge_bits(complex_):
+    return {e.id: 1 << i for i, e in enumerate(complex_.edges)}
+
+
 def _all_circuits(complex_, max_length):
     """Depth-first search on vertex ranks, with the used edges and the
     visited vertices as bit sets."""
     def build():
         vertices = sorted(complex_.vertex_set)
         rank = {v: i for i, v in enumerate(vertices)}
-        bit = {e.id: 1 << i for i, e in enumerate(complex_.edges)}
+        bit = _edge_bits(complex_)
         # rank -> (signed edge, end rank, edge bit) of each step leaving it
         outs = [[(step, rank[complex_.edge_endpoints(step)[1]], bit[step[1]])
                  for step in complex_.incident(v)] for v in vertices]
@@ -229,18 +234,29 @@ def enumerate_cycles(complex_, max_norm, fills=None):
     finite.  From them come L(k), the largest fill of a circuit of length
     <= k, and U, its superadditive closure, which bounds the summed fills
     of any circuit multiset of total length <= r.  Then only the candidates
-    come back: the cycles reached by a sum whose summed fill is >= L(norm).
-    A sum at norm u with summed fill s is not extended when
-    s + U(r) < L(u + r) for every r >= 1 within max_norm, as no extension
-    of it is a candidate.
+    come back, as their serializations (``Chain.serialize`` keys) in the
+    same (norm, serialization) order: the cycles reached by a sum whose
+    summed fill is >= L(norm).  A sum at norm u with summed fill s is not
+    extended when s + U(r) < L(u + r) for every r >= 1 within max_norm, as
+    no extension of it is a candidate.
+
+    The search runs on ints.  Each signed circuit carries the bit masks of
+    its positive and its negative edges, and so does each sum, exactly,
+    since no edge of a sign-conformal sum cancels; a circuit conforms to a
+    sum when neither mask of one meets the other mask of the opposite sign.
+    The fill values are scaled by the lcm D of their denominators, which
+    leaves every comparison of summed fills as it is.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
+    as_keys = fills is not None
     if fills is None:
         circuits = _all_circuits(complex_, max_norm) if max_norm >= 1 else []
         fills = [(circuit, 0) for circuit in circuits]
+    den = lcm(*(value.denominator for _, value in fills))
+    values = [value.numerator * (den // value.denominator) for _, value in fills]
     lower = [0] * (max_norm + 1)
-    for circuit, value in fills:
+    for (circuit, _), value in zip(fills, values):
         lower[circuit.length] = max(lower[circuit.length], value)
     upper = [0] * (max_norm + 1)
     for k in range(1, max_norm + 1):
@@ -250,20 +266,26 @@ def enumerate_cycles(complex_, max_norm, fills=None):
     # raise to L of its norm
     reach = [min((lower[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
              for u in range(max_norm + 1)]
-    signed = [[(e, sign * s) for s, e in circuit.walk] for circuit, _ in fills for sign in (1, -1)]
+    bit = _edge_bits(complex_)
+    signed = []  # (edge vector, positive edge bits, negative edge bits)
+    for circuit, _ in fills:
+        pos = sum(bit[e] for s, e in circuit.walk if s > 0)
+        neg = sum(bit[e] for s, e in circuit.walk if s < 0)
+        signed.append(([(e, s) for s, e in circuit.walk], pos, neg))
+        signed.append(([(e, -s) for s, e in circuit.walk], neg, pos))
     lens = [circuit.length for circuit, _ in fills]
-    values = [value for _, value in fills]
     found = {(): 0}  # serialization -> norm
 
-    def extend(start, used, filled, acc):
+    def extend(start, used, filled, acc, apos, aneg):
         for i in range(start, len(fills)):
             li = lens[i]
             if used + li > max_norm:
                 break  # circuits come sorted by length
-            for vec in signed[2 * i:2 * i + 2]:
-                if any(acc.get(e, 0) * c < 0 for e, c in vec):
+            for vec, vpos, vneg in signed[2 * i:2 * i + 2]:
+                if vpos & aneg or vneg & apos:
                     continue
                 nxt, norm, total = acc, used, filled
+                npos, nneg = apos | vpos, aneg | vneg
                 while norm + li <= max_norm:
                     nxt = dict(nxt)
                     for e, c in vec:
@@ -273,10 +295,11 @@ def enumerate_cycles(complex_, max_norm, fills=None):
                     if total >= lower[norm]:
                         found.setdefault(tuple(sorted(nxt.items())), norm)
                     if norm < max_norm and total >= reach[norm]:
-                        extend(i + 1, norm, total, nxt)
+                        extend(i + 1, norm, total, nxt, npos, nneg)
 
-    extend(0, 0, 0, {})
-    return [Chain(1, INT, dict(key)) for key in sorted(found, key=lambda k: (found[k], k))]
+    extend(0, 0, 0, {}, 0, 0)
+    keys = sorted(found, key=lambda k: (found[k], k))
+    return keys if as_keys else [Chain(1, INT, dict(key)) for key in keys]
 
 
 # -- cy v1 text format --------------------------------------------------------

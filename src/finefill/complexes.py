@@ -51,11 +51,13 @@ class Chain:
             if c == 0:
                 continue
             if self.ring == INT:
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise ValueError(f"non-integer coefficient {c} in INT chain")
-                    c = c.numerator
-                clean[cell] = int(c)
+                if type(c) is not int:  # an int skips Fraction's slow ABC check
+                    if isinstance(c, Fraction):
+                        if c.denominator != 1:
+                            raise ValueError(f"non-integer coefficient {c} in INT chain")
+                        c = c.numerator
+                    c = int(c)
+                clean[cell] = c
             else:
                 clean[cell] = c if type(c) is Fraction else Fraction(c)
         object.__setattr__(self, "coeffs", clean)

@@ -382,7 +382,9 @@ def fv(complex_, k_max, ring):
     serialization) order therefore has the values and witnesses of the one
     over all cycles.  A cycle and its negation fill alike, so one of each
     pair is solved.  Circuits and candidates are solved from their edge
-    vectors, with no Chain built for them and no witness kept.
+    vectors, with no Chain built for them and no witness kept; candidates
+    come as serializations, and only a new running maximum, the witness,
+    becomes a Chain.
 
     A cycle is unfillable only if some circuit of its split is, so the
     table turns INFINITE at the length l of the shortest unfillable circuit
@@ -424,14 +426,14 @@ def fv(complex_, k_max, ring):
         # before the first candidate of norm k is FV(k - 1)
         top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
         rows = []  # index k -> (value, witness)
-        for cycle in enumerate_cycles(complex_, finite_max, fills):
-            norm = cycle.l1()
+        for key in enumerate_cycles(complex_, finite_max, fills):
+            norm = sum(abs(c) for _, c in key)
             if norm == 0:
                 continue
             rows.extend([top] * (norm - len(rows)))
-            value = fill(cycle.serialize())
+            value = fill(key)
             if value > top[0]:
-                top = (value, cycle)
+                top = (value, Chain(1, INT, dict(key)))
         rows.extend([top] * (finite_max + 1 - len(rows)))
         if unfillable:
             witness = min((cycle for circuit in unfillable

@@ -58,12 +58,15 @@ def smith_normal_form(a):
 
     def pivot_at(t):
         # smallest nonzero |entry| in the remaining block keeps numbers tame
+        # (the first least one; nothing beats a unit)
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
                 e = d[i][j]
                 if e != 0 and (best is None or abs(e) < abs(best[2])):
                     best = (i, j, e)
+                    if e in (1, -1):
+                        return best
         return best
 
     def clear_once(t):
@@ -108,6 +111,8 @@ def smith_normal_form(a):
         while True:
             while not clear_once(t):
                 pass
+            if d[t][t] in (1, -1):
+                break  # a unit divides everything
             # divisibility: fold a non-multiple into row t and re-clear
             bad = None
             for i in range(t + 1, rows):

@@ -8,7 +8,10 @@ multiset (cancelling ones too), circuit counts use degree-two edge
 subsets, rational solves use Gauss-Jordan elimination over Fractions,
 linear programs use a Fraction tableau, circuit lists come from a search
 over frozensets that keys every closing walk by comparing all its rotations
-in both directions, integral fillings can also come
+in both directions, the candidate cycles of ``fv`` from a search over
+coefficient dicts with Fraction fill totals, the Smith form from an
+elimination that scans the whole block at every pivot, integral fillings
+can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects.
@@ -23,6 +26,7 @@ that Smith form too, forming the dense products u*b and v*y that
 ``linalg.RationalSolver`` sums over the nonzero entries only.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
@@ -239,6 +243,141 @@ def frozenset_circuit_search(cx, max_length):
                 stack.append((end, walk + (step,), used | {eid}, visited | {end}))
     return [Circuit(walk, key)
             for key, walk in sorted(found.items(), key=lambda kw: (len(kw[1]), kw[0]))]
+
+
+def dict_conformal_search(cx, max_norm, fills=None):
+    """The candidate cycles of ``chains.enumerate_cycles`` as Chains, in
+    (norm, serialization) order, from a search that keeps each sum as an
+    {edge: coefficient} dict, tests a circuit's sign conformity against it
+    entry by entry and adds the fill values as given (Fractions over Q)."""
+    if fills is None:
+        circuits = enumerate_circuits(cx, None, max_norm) if max_norm >= 1 else []
+        fills = [(circuit, 0) for circuit in circuits]
+    lower = [0] * (max_norm + 1)
+    for circuit, value in fills:
+        lower[circuit.length] = max(lower[circuit.length], value)
+    upper = [0] * (max_norm + 1)
+    for k in range(1, max_norm + 1):
+        lower[k] = max(lower[k], lower[k - 1])
+        upper[k] = max(lower[j] + upper[k - j] for j in range(1, k + 1))
+    reach = [min((lower[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
+             for u in range(max_norm + 1)]
+    signed = [[(e, sign * s) for s, e in circuit.walk] for circuit, _ in fills for sign in (1, -1)]
+    lens = [circuit.length for circuit, _ in fills]
+    values = [value for _, value in fills]
+    found = {(): 0}
+
+    def extend(start, used, filled, acc):
+        for i in range(start, len(fills)):
+            li = lens[i]
+            if used + li > max_norm:
+                break
+            for vec in signed[2 * i:2 * i + 2]:
+                if any(acc.get(e, 0) * c < 0 for e, c in vec):
+                    continue
+                nxt, norm, total = acc, used, filled
+                while norm + li <= max_norm:
+                    nxt = dict(nxt)
+                    for e, c in vec:
+                        nxt[e] = nxt.get(e, 0) + c
+                    norm += li
+                    total += values[i]
+                    if total >= lower[norm]:
+                        found.setdefault(tuple(sorted(nxt.items())), norm)
+                    if norm < max_norm and total >= reach[norm]:
+                        extend(i + 1, norm, total, nxt)
+
+    extend(0, 0, 0, {})
+    return [Chain(1, INT, dict(key)) for key in sorted(found, key=lambda k: (found[k], k))]
+
+
+def scanning_smith_normal_form(a, events=None):
+    """(u, d, v) with u*a*v = d, by the elimination of
+    ``linalg.smith_normal_form`` without its unit shortcuts: every pivot
+    search scans the whole remaining block, and every pivot, a unit too,
+    is followed by the divisibility scan.  ``events`` (a Counter), when
+    given, counts the non-unit pivots chosen and the divisibility folds."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    d = [list(row) for row in a]
+    u = linalg.identity(rows)
+    v = linalg.identity(cols)
+    if events is None:
+        events = Counter()
+
+    def swap_rows(m, i, j):
+        m[i], m[j] = m[j], m[i]
+
+    def swap_cols(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(m, dst, src, q):
+        m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+    def add_col(m, dst, src, q):
+        for row in m:
+            row[dst] += q * row[src]
+
+    def clear_once(t):
+        clean = True
+        for i in range(t + 1, rows):
+            if d[i][t] != 0:
+                q = d[i][t] // d[t][t]
+                add_row(d, i, t, -q)
+                add_row(u, i, t, -q)
+                if d[i][t] != 0:
+                    swap_rows(d, t, i)
+                    swap_rows(u, t, i)
+                    clean = False
+        for j in range(t + 1, cols):
+            if d[t][j] != 0:
+                q = d[t][j] // d[t][t]
+                add_col(d, j, t, -q)
+                add_col(v, j, t, -q)
+                if d[t][j] != 0:
+                    swap_cols(d, t, j)
+                    swap_cols(v, t, j)
+                    clean = False
+        if clean:
+            clean = all(d[i][t] == 0 for i in range(t + 1, rows)) and all(
+                d[t][j] == 0 for j in range(t + 1, cols))
+        return clean
+
+    t = 0
+    while t < min(rows, cols):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < abs(best[2])):
+                    best = (i, j, e)
+        if best is None:
+            break
+        i, j, e = best
+        if abs(e) != 1:
+            events["non_unit_pivot"] += 1
+        if i != t:
+            swap_rows(d, t, i)
+            swap_rows(u, t, i)
+        if j != t:
+            swap_cols(d, t, j)
+            swap_cols(v, t, j)
+        while True:
+            while not clear_once(t):
+                pass
+            bad = next((i for i in range(t + 1, rows)
+                        if any(d[i][j] % d[t][t] for j in range(t + 1, cols))), None)
+            if bad is None:
+                break
+            events["fold"] += 1
+            add_row(d, t, bad, 1)
+            add_row(u, t, bad, 1)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, d, v
 
 
 def determinant_divisor_factors(matrix):

@@ -95,6 +95,13 @@ def test_norm_triangle_inequality_and_homogeneity():
 def test_int_chain_rejects_fractions():
     with pytest.raises(ValueError):
         Chain(1, INT, {"e": Fraction(1, 2)})
+    # integral values of other types are stored as ints, zeros dropped
+    ch = Chain(1, INT, {"a": True, "b": Fraction(4, 2), "c": 0, "d": Fraction(0), "e": -3})
+    assert ch.coeffs == {"a": 1, "b": 2, "e": -3}
+    assert all(type(c) is int for c in ch.coeffs.values())
+    rat = Chain(1, RAT, {"a": 1, "b": Fraction(1, 2), "c": 0, "d": True})
+    assert rat.coeffs == {"a": 1, "b": Fraction(1, 2), "d": 1}
+    assert all(type(c) is Fraction for c in rat.coeffs.values())
 
 
 def test_homology_tetrahedron():

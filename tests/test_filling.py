@@ -18,8 +18,8 @@ from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, double_t
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
-from oracles import (all_cycles_fv, exhaustive_int_filling, fraction_solve_lp,
-                     full_box_branch_and_bound, lp_route_filling_value,
+from oracles import (all_cycles_fv, dict_conformal_search, exhaustive_int_filling,
+                     fraction_solve_lp, full_box_branch_and_bound, lp_route_filling_value,
                      minimize_on_line, multiset_cycles, partition_maximum,
                      rref_rational_solve, smith_integer_solve)
 
@@ -575,6 +575,48 @@ def test_fv_matches_all_cycles_oracle(monkeypatch):
     assert all_cycles_fv(triangle_face_open_square(), 4, INT)[0] == [0, 0, 0, 1, INF]
     # a fillable circuit sorts before an unfillable one of the same length
     assert all_cycles_fv(figure8_one_face(), 4, INT)[0] == [0, 0, 0, INF, INF]
+
+
+def test_candidate_search_matches_dict_oracle(monkeypatch):
+    # the int search with sign masks returns the keys, in the order, of the
+    # dict search with Fraction totals, for the fills fv passes it
+    calls = []
+
+    def recording(cx, max_norm, fills=None):
+        found = enumerate_cycles(cx, max_norm, fills)
+        calls.append((cx, max_norm, fills, found))
+        return found
+
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    cases = CORPUS + TORSION + [("S3-coned", lambda: coned_s3().complex)]
+    cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
+              for name, build in CORPUS if build().faces]
+    denominators, candidates, pruned = Counter(), 0, 0
+    for name, build in cases:
+        for ring in (INT, RAT):
+            calls.clear()
+            cx = build()
+            for k in (3, 4 if name == "z3-moore-3-barycentric" else 6):  # its Q LPs are slow
+                fv(cx, k, ring)
+            assert len(calls) == 2, (name, ring)
+            for cx, max_norm, fills, found in calls:
+                want = dict_conformal_search(cx, max_norm, fills)
+                assert found == [c.serialize() for c in want], (name, ring, max_norm)
+                assert all(type(key) is tuple for key in found), (name, ring)
+                denominators[max((Fraction(v).denominator for _, v in fills), default=1)] += 1
+                candidates += len(found)
+                if len(found) < len(enumerate_cycles(cx, max_norm)):
+                    pruned += 1
+    # Q fills over denominators 2 (the double traversal's 1/2) and 3 (Moore loops)
+    assert {2, 3} <= set(denominators), denominators
+    assert candidates > 1000 and pruned >= 10, (candidates, pruned)
+    # without fills every cycle comes back as a Chain, as the multiset oracle gives it
+    for name, build in TORSION + [("S3-coned", lambda: coned_s3().complex),
+                                  ("tetrahedron''", lambda: subdivide(tetrahedron(),
+                                                                     BARYCENTRIC).complex)]:
+        cx = build()
+        for k in range(5):
+            assert enumerate_cycles(cx, k) == multiset_cycles(cx, k), (name, k)
 
 
 def test_fv_circuit_fills_match_filling_norm(monkeypatch):

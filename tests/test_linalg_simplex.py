@@ -4,12 +4,13 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from finefill import enumerate_cycles, filling, linalg
+from finefill import BARYCENTRIC, enumerate_cycles, filling, linalg, subdivide
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 from instances import CORPUS, TORSION
 from oracles import (dense_rational_solve, determinant_divisor_factors, fraction_solve_lp,
-                     mat_vec, rref_rational_solve, smith_integer_solve)
+                     mat_vec, rref_rational_solve, scanning_smith_normal_form,
+                     smith_integer_solve)
 
 
 def matmul(a, b):
@@ -44,6 +45,27 @@ def test_snf_randomized():
         assert all(x >= 0 for x in diag)
         # unimodularity
         assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+
+
+def test_smith_form_matches_scanning_oracle():
+    # the unit shortcuts (stop the pivot search at the first +-1, skip the
+    # divisibility scan under a unit pivot) give the same u, d and v
+    matrices = [build().boundary_matrix_2() for _, build in CORPUS + TORSION]
+    matrices += [subdivide(build(), BARYCENTRIC).complex.boundary_matrix_2()
+                 for _, build in CORPUS + TORSION[:3] if build().faces]
+    rng = random.Random(314)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        # sparse entries without units make non-unit pivots and folds
+        entries = rng.choice(((0, 0, 0, -3, -2, 2, 3), tuple(range(-3, 4))))
+        matrices.append([[rng.choice(entries) for _ in range(cols)] for _ in range(rows)])
+    seen = Counter()
+    for a in matrices:
+        events = Counter()
+        assert linalg.smith_normal_form(a) == scanning_smith_normal_form(a, events), a
+        seen["non-unit pivot"] += events["non_unit_pivot"] > 0
+        seen["fold"] += events["fold"] > 0
+    assert seen["non-unit pivot"] >= 50 and seen["fold"] >= 20, seen
 
 
 def _det(m):
