@@ -3,7 +3,9 @@
 delta is half the largest gap between the two biggest of the three pairing
 sums d(x,y)+d(z,w), maximized over vertex quadruples of the 1-skeleton.
 Distances are unit-length BFS and all comparisons are on integer 2*delta;
-graphs above a vertex cap are refused rather than sampled.
+graphs above a vertex cap are refused rather than sampled.  The work runs
+on int distance rows indexed by vertex rank in ``sorted(vertices)`` order,
+and sets of block positions are int bit masks built from whole rows at once.
 
 The value is the maximum over the biconnected blocks with at least four
 vertices (a block is isometric in the graph, and a quadruple whose nearest
@@ -24,7 +26,7 @@ nearest point in B they are.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import ge, itemgetter
 
 from .errors import DisconnectedError, InternalError, TooLargeError
 
@@ -32,16 +34,21 @@ DEFAULT_VERTEX_CAP = 400
 
 
 def all_pairs_distances(complex_):
-    """BFS distance table over the 1-skeleton; unit edge lengths."""
+    """BFS distance table ``{u: {v: d(u, v)}}`` over the 1-skeleton; unit
+    edge lengths.
+
+    The BFS runs on vertex ranks in ``sorted(vertices)`` order, one int row
+    per source, so the table and each of its rows list their keys in that
+    order.
+    """
     def build():
-        adj = {v: set() for v in complex_.vertices}
-        for e in complex_.edges:
-            if e.tail != e.head:
-                adj[e.tail].add(e.head)
-                adj[e.head].add(e.tail)
+        order = sorted(complex_.vertices)
+        adj = _adjacency(order, complex_.edges)
+        n = len(order)
         dist = {}
-        for src in complex_.vertices:
-            d = {src: 0}
+        for src in range(n):
+            row = [-1] * n
+            row[src] = 0
             frontier = [src]
             level = 0
             while frontier:
@@ -49,15 +56,28 @@ def all_pairs_distances(complex_):
                 nxt = []
                 for v in frontier:
                     for w in adj[v]:
-                        if w not in d:
-                            d[w] = level
+                        if row[w] < 0:
+                            row[w] = level
                             nxt.append(w)
                 frontier = nxt
-            if len(d) != len(complex_.vertices):
+            if -1 in row:
                 raise DisconnectedError("graph is not connected")
-            dist[src] = d
+            dist[order[src]] = dict(zip(order, row))
         return dist
     return complex_.cached("apsp", build)
+
+
+def _adjacency(order, edges):
+    """Sorted neighbour rank lists of the graph on ``order``; loops and
+    parallel edges are dropped."""
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [set() for _ in order]
+    for e in edges:
+        t, h = rank[e.tail], rank[e.head]
+        if t != h:
+            adj[t].add(h)
+            adj[h].add(t)
+    return [sorted(nbrs) for nbrs in adj]
 
 
 @dataclass(frozen=True)
@@ -78,10 +98,10 @@ def hyperbolicity_delta(complex_, vertex_cap=DEFAULT_VERTEX_CAP):
     if n > vertex_cap:
         raise TooLargeError(f"{n} vertices exceeds the cap {vertex_cap}")
     dist = all_pairs_distances(complex_)
-    order = sorted(complex_.vertices)
-    rows = [[dist[u][v] for v in order] for u in order]
-    adj = [[w for w, d in enumerate(row) if d == 1] for row in rows]
-    diameter = max((max(row) for row in rows), default=0)
+    order = list(dist)
+    rows = [list(d.values()) for d in dist.values()]
+    adj = _adjacency(order, complex_.edges)
+    diameter = max(map(max, rows), default=0)
     valued = [(_block_twice_delta(rows, adj, b), b) for b in _blocks(adj) if len(b) >= 4]
     best = max((value for value, _ in valued), default=0)
     if best:
@@ -145,21 +165,30 @@ def _block_twice_delta(rows, adj, block):
 
 
 def _far_apart_pairs(rows, adj, block):
-    """(d(a,b), a, b) for the pairs of ``block`` where neither end has a
-    neighbour in the block farther from the other end.
+    """(d(a,b), a, b) for the pairs of ``block``, a before b in block order,
+    where neither end has a neighbour in the block farther from the other end.
 
     Some quadruple attains the block's delta with both pairs of its largest
     pairing far apart: moving an end one step away from its partner raises
     the largest sum by 1 and each other sum by at most 1.
+
+    Bit j of ``apart[i]`` says that no block neighbour of ``block[i]`` is
+    farther from ``block[j]`` than ``block[i]`` is.  Each vertex of a block
+    of at least three vertices has two neighbours in it, so ``map(max, ...)``
+    always takes positionwise maxima over at least two rows.
     """
-    members = set(block)
-    nbrs = {u: [w for w in adj[u] if w in members] for u in block}
-    local = {}
-    for b in block:
-        rb = rows[b]
-        local[b] = {a for a in block if max(map(rb.__getitem__, nbrs[a])) <= rb[a]}
-    return [(rows[a][b], a, b) for a, b in combinations(block, 2)
-            if a in local[b] and b in local[a]]
+    in_block = itemgetter(*block)
+    local = {u: in_block(rows[u]) for u in block}
+    apart = [_mask(map(ge, local[a], map(max, *[local[w] for w in adj[a] if w in local])))
+             for a in block]
+    pairs = []
+    for i, a in enumerate(block):
+        ra = rows[a]
+        for j in _bits(apart[i] & -(2 << i)):      # -(2 << i): positions above i
+            if apart[j] >> i & 1:
+                b = block[j]
+                pairs.append((ra[b], a, b))
+    return pairs
 
 
 def _least_witness(rows, block, target):
@@ -173,11 +202,17 @@ def _least_witness(rows, block, target):
     is at most twice each of the six distances), and both pairs of its
     largest pairing are at least target apart.
     """
-    first = {}
+    first = {u: u for u in block}       # a block vertex is its own nearest point
+    in_block = itemgetter(*block)
     for x, row in enumerate(rows):
-        first.setdefault(min(block, key=row.__getitem__), x)
+        if x not in first:              # outside the block: one nearest point
+            near = in_block(row)
+            u = block[near.index(min(near))]
+            if x < first[u]:
+                first[u] = x
     ranked = sorted(block, key=first.__getitem__)
-    dist = [[rows[u][v] for v in ranked] for u in ranked]
+    in_rank_order = itemgetter(*ranked)
+    dist = [in_rank_order(rows[u]) for u in ranked]
     far = [_at_least(row, (target + 1) // 2) for row in dist]
     long = [_at_least(row, target) for row in dist]
     for a, da in enumerate(dist):
@@ -201,7 +236,15 @@ def _least_witness(rows, block, target):
 
 def _at_least(row, bound):
     """Bit mask of the positions of ``row`` holding at least ``bound``."""
-    return sum(1 << j for j, d in enumerate(row) if d >= bound)
+    return _mask(map(bound.__le__, row))
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags):
+    """Bit mask of the true positions of the bools ``flags``, position 0 lowest."""
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
 def _bits(mask):

@@ -2,9 +2,11 @@
 
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
-divisors, distances use Floyd-Warshall, four-point delta scans every
-quadruple, cycle sets use raw coefficient vectors or sums of every circuit
-multiset (cancelling ones too), circuit counts use degree-two edge
+divisors, distances use Floyd-Warshall or a BFS over dicts of vertex ids,
+four-point delta scans every quadruple, far-apart pairs come from one set
+per vertex tested on every pair, row masks from a sum of bits, cycle sets
+use raw coefficient vectors or sums of every circuit multiset (cancelling
+ones too), circuit counts use degree-two edge
 subsets, rational solves use Gauss-Jordan elimination over Fractions,
 linear programs use a Fraction tableau, circuit lists come from a search
 over frozensets that keys every closing walk by comparing all its rotations
@@ -34,6 +36,7 @@ from math import ceil, floor, gcd
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
 from finefill.chains import Circuit, circuit_from_chain
+from finefill.errors import DisconnectedError
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -591,6 +594,55 @@ def exhaustive_delta(cx):
     if witness is None and len(cx.vertices) >= 4:
         witness = tuple(sorted(cx.vertices)[:4])
     return best, witness, diameter
+
+
+def dict_bfs_distances(cx):
+    """BFS distance table ``{u: {v: d}}`` over dicts and sets of vertex ids,
+    one BFS per vertex; raises DisconnectedError as the package does."""
+    adj = {v: set() for v in cx.vertices}
+    for e in cx.edges:
+        if e.tail != e.head:
+            adj[e.tail].add(e.head)
+            adj[e.head].add(e.tail)
+    dist = {}
+    for src in cx.vertices:
+        d = {src: 0}
+        frontier = [src]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in d:
+                        d[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        if len(d) != len(cx.vertices):
+            raise DisconnectedError("graph is not connected")
+        dist[src] = d
+    return dist
+
+
+def set_far_apart_pairs(rows, adj, block):
+    """(d(a,b), a, b) for the pairs a, b of ``block`` in ``combinations``
+    order where neither end has a block neighbour farther from the other
+    end, from one set per vertex b of the vertices a that no block
+    neighbour of a beats in distance from b."""
+    members = set(block)
+    nbrs = {u: [w for w in adj[u] if w in members] for u in block}
+    local = {}
+    for b in block:
+        rb = rows[b]
+        local[b] = {a for a in block if max(map(rb.__getitem__, nbrs[a])) <= rb[a]}
+    return [(rows[a][b], a, b) for a, b in combinations(block, 2)
+            if a in local[b] and b in local[a]]
+
+
+def sum_at_least(row, bound):
+    """Bit mask of the positions of ``row`` holding at least ``bound``, as a
+    sum of bits."""
+    return sum(1 << j for j, d in enumerate(row) if d >= bound)
 
 
 # -- linear programs -----------------------------------------------------------

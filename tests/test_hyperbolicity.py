@@ -1,15 +1,19 @@
 import random
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
 
-from finefill import all_pairs_distances, hyperbolicity_delta, validate
+from finefill import all_pairs_distances, coned_off_cayley_graph, hyperbolicity_delta, validate
+from finefill import hyperbolicity
+from finefill.constructions import parse_group
 from finefill.errors import DisconnectedError, TooLargeError
 
 from finefill.hyperbolicity import DEFAULT_VERTEX_CAP
 
-from instances import cycle_graph, k4_graph, path_graph, small_tree
-from oracles import exhaustive_delta, floyd_warshall, four_point_delta
+from instances import cycle_graph, k4_graph, path_graph, small_tree, wheel_graph
+from oracles import (dict_bfs_distances, exhaustive_delta, floyd_warshall, four_point_delta,
+                     set_far_apart_pairs, sum_at_least)
 
 
 def test_distances_path_and_hexagon():
@@ -34,6 +38,26 @@ def test_distances_match_floyd_warshall():
         for u in vs:
             for w in vs:
                 assert bfs[u][w] == fw[u][w]
+        order = sorted(vs)
+        assert list(bfs) == order and all(list(row) == order for row in bfs.values())
+        assert bfs == dict_bfs_distances(cx)
+
+
+def test_delta_reads_the_table_through_the_module_name(monkeypatch):
+    # the benchmark's tracer wraps hyperbolicity.all_pairs_distances by name
+    calls = []
+    real = hyperbolicity.all_pairs_distances
+
+    def spy(complex_):
+        calls.append(complex_)
+        return real(complex_)
+
+    monkeypatch.setattr(hyperbolicity, "all_pairs_distances", spy)
+    graphs = [cycle_graph(6), small_tree(), k4_graph()]
+    for g in graphs + graphs[:1]:
+        before = len(calls)
+        hyperbolicity_delta(g)
+        assert calls[before:] == [g]
 
 
 def test_disconnected_refused():
@@ -195,3 +219,60 @@ def test_default_cap_finishes():
         assert _twice_four_point(all_pairs_distances(g), rep.witness) == 2 * want
     assert rep.witness == ("g0_0", "g0_19", "g19_0", "g19_19")
     assert hyperbolicity_delta(path_graph(400)).witness == tuple(sorted(path_graph(400).vertices)[:4])
+
+
+S4_GRP = """group v1
+degree 4
+gen a (1 2)
+gen b (1 2 3 4)
+gen binv (1 4 3 2)
+sgen a a
+sgen b binv
+subgroup A a
+relator a a
+relator b b b b
+relator a b a b a b
+"""
+
+
+def _oracle_cases():
+    rng = random.Random(15)
+    kinds = ("tree", "chorded", "chorded")
+    cases = [_random_connected(rng, rng.randint(4, 30), kinds[t % 3]) for t in range(60)]
+    cases += [wheel_graph(n) for n in range(4, 13)]
+    cases += [cycle_graph(n) for n in (4, 5, 9, 16, 31)]
+    cases += [_grid(r, c) for r, c in ((2, 2), (2, 7), (4, 4), (5, 6))]
+    cases.append(coned_off_cayley_graph(parse_group(S4_GRP)).complex)
+    return cases
+
+
+def test_fast_paths_match_moved_oracles():
+    seen = {"blocks": 0, "one_sided": 0, "cut_in_pair": 0, "loops_or_parallel": 0}
+    for g in _oracle_cases():
+        table = all_pairs_distances(g)
+        assert table == dict_bfs_distances(g)
+        order = sorted(g.vertices)
+        assert list(table) == order
+        rows = [list(row.values()) for row in table.values()]
+        adj = hyperbolicity._adjacency(order, g.edges)
+        assert adj == [[w for w, d in enumerate(row) if d == 1] for row in rows]
+        seen["loops_or_parallel"] += sum(map(len, adj)) < 2 * len(g.edges)
+        for row in rows:
+            for bound in (0, 1, max(row), max(row) + 1):
+                assert hyperbolicity._at_least(row, bound) == sum_at_least(row, bound)
+        for block in hyperbolicity._blocks(adj):
+            if len(block) < 4:
+                continue
+            seen["blocks"] += 1
+            pairs = hyperbolicity._far_apart_pairs(rows, adj, block)
+            want = set_far_apart_pairs(rows, adj, block)
+            assert pairs == want and set(pairs) == set(want)
+            inside = set(block)
+            cut = {u for u in block if any(w not in inside for w in adj[u])}
+            seen["cut_in_pair"] += sum(a in cut or b in cut for _, a, b in want)
+
+            def far(a, b):      # no block neighbour of a is farther from b than a
+                return max(rows[b][w] for w in adj[a] if w in inside) <= rows[b][a]
+
+            seen["one_sided"] += sum(far(a, b) != far(b, a) for a, b in combinations(block, 2))
+    assert all(count > 0 for count in seen.values()), seen

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import sys
 
 from finefill.cli import main
 
@@ -31,3 +32,23 @@ def test_output_digests_seeds_and_golden_stdout(tmp_path, monkeypatch):
     missing = tool.inputs.Query("missing", ("validate", "no_such_file.cx"), "validate", None)
     [(code, out, err)] = tool.replay(main, [missing])
     assert code == 1 and out == tool.sha256("") and err != tool.sha256("")
+
+
+def test_output_digests_workload_filter(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("output_digests")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = tmp_path / "delta.json"
+    assert tool.main([ROOT, "1", str(out), "delta-scan"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        table = json.load(fh)
+    _, queries = tool.inputs.build("delta-scan", 1)
+    assert sorted(table) == sorted(f"delta-scan/1/{i}/{q.name}" for i, q in enumerate(queries))
+    assert all(code == 0 for code, _, _ in table.values())
+    # a list digests exactly the workloads it names
+    both = tool.output_digests(ROOT, [2], ["delta-scan", "fv-table"])
+    assert {key.split("/")[0] for key in both} == {"delta-scan", "fv-table"}
+    # an unknown name is refused before anything runs
+    assert tool.main([ROOT, "1", str(tmp_path / "none.json"), "delta-scan,nope"]) == 1
+    assert "unknown workload 'nope'" in capsys.readouterr().err
+    assert not (tmp_path / "none.json").exists()
+    assert tool.main([ROOT, "1"]) == 1

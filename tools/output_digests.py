@@ -1,13 +1,15 @@
 """Digest the output of every benchmark query of a finefill checkout.
 
-    python3 tools/output_digests.py ROOT SEEDS OUT.json
+    python3 tools/output_digests.py ROOT SEEDS OUT.json [WORKLOADS]
 
 ROOT is the root of a finefill checkout; its ``src/`` is imported.  SEEDS
-is a list of seeds and ranges, e.g. ``1-10`` or ``1,3,5-7``.  For each
-workload of ``perfbench/inputs.py`` (read from the checkout that holds this
-script, so two checkouts are fed the same queries) and each seed, the
-script writes the query files into a temporary directory and runs every
-query once in-process, as ``perfbench/run.py`` does.  OUT.json maps
+is a list of seeds and ranges, e.g. ``1-10`` or ``1,3,5-7``.  WORKLOADS is
+a comma list of workload names, e.g. ``delta-scan`` or ``fill-lp,fv-table``,
+by default every workload.  For each such workload of
+``perfbench/inputs.py`` (read from the checkout that holds this script, so
+two checkouts are fed the same queries) and each seed, the script writes
+the query files into a temporary directory and runs every query once
+in-process, as ``perfbench/run.py`` does.  OUT.json maps
 ``workload/seed/index/name`` to ``[exit code, sha256(stdout),
 sha256(stderr)]``, one key a line in sorted order, so that two checkouts
 compare with ``diff``.  A query that raises records ``raised <exception>``
@@ -58,12 +60,12 @@ def replay(main, queries):
     return digests
 
 
-def output_digests(root, seeds):
+def output_digests(root, seeds, workloads=inputs.WORKLOADS):
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     main = importlib.import_module("finefill.cli").main
     table = {}
     cwd = os.getcwd()
-    for workload in inputs.WORKLOADS:
+    for workload in workloads:
         for seed in seeds:
             files, queries = inputs.build(workload, seed)
             with tempfile.TemporaryDirectory() as workdir:
@@ -80,14 +82,20 @@ def output_digests(root, seeds):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 3:
+    if len(argv) not in (3, 4):
         print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 1
-    root, seeds, out = argv
+    root, seeds, out = argv[:3]
+    workloads = argv[3].split(",") if len(argv) == 4 else list(inputs.WORKLOADS)
+    unknown = [w for w in workloads if w not in inputs.WORKLOADS]
+    if unknown:
+        print(f"error: unknown workload {unknown[0]!r}; known: {', '.join(inputs.WORKLOADS)}",
+              file=sys.stderr)
+        return 1
     if not os.path.isfile(os.path.join(root, "src", "finefill", "cli.py")):
         print(f"error: no finefill sources under {root}/src", file=sys.stderr)
         return 1
-    table = output_digests(root, parse_seeds(seeds))
+    table = output_digests(root, parse_seeds(seeds), workloads)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                     for k, v in sorted(table.items())) + "\n}\n")
