@@ -219,7 +219,7 @@ def _least_outgoing(complex_, remaining, vertex):
     raise NotACycleError(f"no continuation at vertex {vertex!r}")
 
 
-def enumerate_cycles(complex_, max_norm, fills=None):
+def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     """Every integral 1-cycle with l1-norm <= max_norm, exactly once, sorted
     by (norm, serialization); includes the zero cycle.
 
@@ -238,7 +238,9 @@ def enumerate_cycles(complex_, max_norm, fills=None):
     same (norm, serialization) order: the cycles reached by a sum whose
     summed fill is >= L(norm).  A sum at norm u with summed fill s is not
     extended when s + U(r) < L(u + r) for every r >= 1 within max_norm, as
-    no extension of it is a candidate.
+    no extension of it is a candidate.  ``filling.fv_value`` also passes
+    ``above``, a value: then the candidates are the cycles reached by a sum
+    whose summed fill exceeds it, at every norm alike.
 
     The search runs on ints.  Each signed circuit carries the bit masks of
     its positive and its negative edges, and so does each sum, exactly,
@@ -262,9 +264,15 @@ def enumerate_cycles(complex_, max_norm, fills=None):
     for k in range(1, max_norm + 1):
         lower[k] = max(lower[k], lower[k - 1])
         upper[k] = max(lower[j] + upper[k - j] for j in range(1, k + 1))
+    # target[u]: the least summed fill of a candidate at norm u
+    if above is None:
+        target = lower
+    else:
+        above = Fraction(above)
+        target = [above.numerator * den // above.denominator + 1] * (max_norm + 1)
     # reach[u]: the least summed fill at norm u that some extension can
-    # raise to L of its norm
-    reach = [min((lower[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
+    # raise to the target of its norm
+    reach = [min((target[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
              for u in range(max_norm + 1)]
     bit = _edge_bits(complex_)
     signed = []  # (edge vector, positive edge bits, negative edge bits)
@@ -292,7 +300,7 @@ def enumerate_cycles(complex_, max_norm, fills=None):
                         nxt[e] = nxt.get(e, 0) + c
                     norm += li
                     total += values[i]
-                    if total >= lower[norm]:
+                    if total >= target[norm]:
                         found.setdefault(tuple(sorted(nxt.items())), norm)
                     if norm < max_norm and total >= reach[norm]:
                         extend(i + 1, norm, total, nxt, npos, nneg)

@@ -396,32 +396,8 @@ def fv(complex_, k_max, ring):
         raise ValueError("k_max must be >= 0")
 
     def build():
-        ctx = _context(complex_)
-        filled = {}  # serialization -> fill value
-
-        def fill(key):
-            # the value of the cycle serialized as key, solved from its edge
-            # vector when neither it nor its negation has been filled
-            value = filled.get(key)
-            if value is None:
-                value = filled.get(tuple((e, -c) for e, c in key))
-            if value is None:
-                value = filled[key] = _solve_vector(ctx, ctx.edge_vector(key), ring)[3]
-            return value
-
-        # fill the circuits one length at a time, up to the first length
-        # holding an unfillable one
-        circuits = enumerate_circuits(complex_, None, k_max) if k_max else []
-        fills, unfillable, finite_max = [], [], k_max
-        for length, group in groupby(circuits, key=attrgetter("length")):
-            group = [(circuit, fill(tuple(sorted((e, s) for s, e in circuit.walk))))
-                     for circuit in group]
-            unfillable = [circuit for circuit, value in group if value is INF]
-            if unfillable:
-                finite_max = length - 1
-                break
-            fills += group
-
+        fill, fills, unfillable = _fill_circuits(complex_, k_max, ring)
+        finite_max = unfillable[0].length - 1 if unfillable else k_max
         # candidates come sorted by norm, so a running maximum read off
         # before the first candidate of norm k is FV(k - 1)
         top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
@@ -444,6 +420,65 @@ def fv(complex_, k_max, ring):
         return FVTable(ring, k_max, values, witnesses)
 
     return complex_.cached(("fv", ring, k_max), build)
+
+
+def fv_value(complex_, k, ring):
+    """FV(k) alone, the value of ``fv(complex_, k, ring).value(k)``.
+
+    It is INFINITE exactly when a circuit of length <= k is unfillable.
+    Otherwise let T be the largest fill of such a circuit.  A cycle of norm
+    <= k fills to at most the summed fills of a split into circuits, so
+    only a cycle with a split summing above T can fill above T; those are
+    the candidates of ``enumerate_cycles`` with ``above`` T, and FV(k) is
+    the largest of T and their fills.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+
+    def build():
+        fill, fills, unfillable = _fill_circuits(complex_, k, ring)
+        if unfillable:
+            return INF
+        top = max((value for _, value in fills), default=0 if ring == INT else Fraction(0))
+        for key in enumerate_cycles(complex_, k, fills, above=top):
+            if key:
+                top = max(top, fill(key))
+        return top
+
+    return complex_.cached(("fv_value", ring, k), build)
+
+
+def _fill_circuits(complex_, k_max, ring):
+    """(fill, fills, unfillable) for the circuits of length <= k_max, filled
+    one length at a time up to the first length holding an unfillable one.
+
+    ``fill`` maps a cycle's serialization to its value, solved from its
+    edge vector when neither it nor its negation has been filled.
+    ``fills`` pairs each circuit of the lengths before that one with its
+    value, and ``unfillable`` lists the unfillable circuits of that length,
+    empty when there is none.
+    """
+    ctx = _context(complex_)
+    filled = {}  # serialization -> fill value
+
+    def fill(key):
+        value = filled.get(key)
+        if value is None:
+            value = filled.get(tuple((e, -c) for e, c in key))
+        if value is None:
+            value = filled[key] = _solve_vector(ctx, ctx.edge_vector(key), ring)[3]
+        return value
+
+    circuits = enumerate_circuits(complex_, None, k_max) if k_max else []
+    fills = []
+    for _, group in groupby(circuits, key=attrgetter("length")):
+        group = [(circuit, fill(tuple(sorted((e, s) for s, e in circuit.walk))))
+                 for circuit in group]
+        unfillable = [circuit for circuit, value in group if value is INF]
+        if unfillable:
+            return fill, fills, unfillable
+        fills += group
+    return fill, fills, []
 
 
 def superadditive_closure(values):

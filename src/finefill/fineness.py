@@ -39,9 +39,13 @@ states proves that for every edge of the face; otherwise every search is
 complete and |S(e)| is twice the number of classes {x, -x} among them,
 which twice the sum of the search sizes bounds from above (when that bound
 exceeds the budget, the edge's faces are searched again for the classes).
-Inside the searches a state is a frozenset holding 2g + (s > 0) for each
-signed face (g, s), faces numbered in id order, and a boundary is an
-{edge index: coefficient} dict; Chain objects are built for output only.
+Inside the searches a state is an int with bit 2g + (s > 0) set for each
+signed face (g, s), faces numbered in id order, carried with the int mask of
+its faces and its norm; a running boundary is an {edge index: coefficient}
+dict, carried with the int mask of its support, by which circuits are
+looked up.  The search pushes a state's successors in ascending face order,
+sign +1 before -1; that order decides which states a search stopped by
+its budget has expanded.  Chain objects are built for output only.
 """
 
 from dataclasses import dataclass
@@ -50,7 +54,8 @@ from .chains import Circuit, enumerate_circuits
 from .complexes import Chain, INT
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
-from .filling import INF, filling_norm, fv
+# fv is not called here, but perfbench/spans.py wraps it under this name
+from .filling import INF, filling_norm, fv, fv_value  # noqa: F401
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -105,7 +110,7 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     if reps is None or 2 * len(reps) > cap:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    states = sorted(_order(x) for r in reps for x in (r, _negate(r)))
+    states = sorted(_order(x) for r in reps for x in (r, tables.negate(r)))
     return [tables.chain(o) for _, o in states]
 
 
@@ -114,9 +119,12 @@ class _Tables:
 
     Faces are numbered in id order and a signed face (g, s) is the int
     2g + (s > 0), so sorting these ints sorts the (face id, sign) pairs of
-    ``Chain.serialize``.  ``circuits`` maps the edge-index support of every
-    circuit of length <= max_length to the circuit; it is empty when
-    max_length < 1, and the search then finds no circuits.
+    ``Chain.serialize``; a state sets the bit of each of its signed faces.
+    ``face_mask[e]`` sets the bit g of each face g meeting edge e, and
+    ``signed[2g + (s > 0)]`` lists the (edge, coefficient, edge bit) of
+    s times the boundary of g.  ``circuits`` maps the edge-index support
+    mask of every circuit of length <= max_length to the circuit; it is
+    empty when max_length < 1, and the search then finds no circuits.
     """
 
     def __init__(self, complex_, max_length=0):
@@ -130,8 +138,12 @@ class _Tables:
         for g, df in enumerate(self.face_boundary):
             for e in df:
                 self.meets[e].append(g)
+        self.face_mask = [sum(1 << g for g in faces) for faces in self.meets]
+        self.signed = [[(e, s * c, 1 << e) for e, c in df.items()]
+                       for df in self.face_boundary for s in (-1, 1)]
+        self.odd = int("10" * len(self.face_ids) or "0", 2)  # the bits of sign +1
         self.circuits = {
-            frozenset(self.edge_index[eid] for _, eid in circ.walk): circ
+            sum(1 << self.edge_index[eid] for _, eid in circ.walk): circ
             for circ in (enumerate_circuits(complex_, None, max_length)
                          if max_length >= 1 else ())}
 
@@ -140,24 +152,29 @@ class _Tables:
             raise UnknownEdgeError(f"unknown edge {edge!r}")
         return self.meets[self.edge_index[edge]]
 
+    def negate(self, x):
+        """The state of the signed faces of x, every sign flipped."""
+        return (x & self.odd) >> 1 | (x << 1 & self.odd)
+
+    def representative(self, x):
+        """Of x and -x, the one whose least face has sign +1."""
+        return x if x & -x & self.odd else self.negate(x)
+
     def chain(self, ordinals):
         """The 2-chain of the signed faces ``ordinals``."""
         return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
                               for o in ordinals})
 
 
-def _negate(x):
-    return frozenset(o ^ 1 for o in x)
-
-
-def _representative(x):
-    """Of x and -x, the one whose least face has sign +1."""
-    return x if min(x) & 1 else _negate(x)
-
-
 def _order(x):
-    """The (norm, serialization) sort key of state x."""
-    return len(x), tuple(sorted(x))
+    """The (norm, serialization) sort key of state x: its number of signed
+    faces and their ints, ascending."""
+    ordinals = []
+    while x:
+        low = x & -x
+        ordinals.append(low.bit_length() - 1)
+        x ^= low
+    return len(ordinals), tuple(ordinals)
 
 
 def _search_face(tables, g, max_norm, cap):
@@ -167,60 +184,72 @@ def _search_face(tables, g, max_norm, cap):
     A state's successors add one signed face that meets the support of its
     boundary and is not yet in it; states of norm max_norm are not expanded.
     ``states`` holds every state generated, each containing (g, +1).
-    ``circuits`` maps a circuit key to (order, circuit), ``order`` the
-    :func:`_order` key of the least state, over the expanded states and
-    their negatives, whose boundary is +-1 times a circuit of
+    ``circuits`` maps the support mask of a circuit to (order, circuit),
+    ``order`` the :func:`_order` key of the least state, over the expanded
+    states and their negatives, whose boundary is +-1 times a circuit of
     ``tables.circuits``; the circuit runs along that state's boundary.
     ``cut`` is set when the search stopped at its cap with states left to
     expand.
     """
-    face_boundary, meets, by_support = tables.face_boundary, tables.meets, tables.circuits
-    start = frozenset((2 * g + 1,))
+    signed, face_mask, by_support = tables.signed, tables.face_mask, tables.circuits
+    odd, edge_index = tables.odd, tables.edge_index
+    start = 1 << 2 * g + 1
     states = {start}
     circuits = {}
-    stack = [(start, face_boundary[g])]
+    # a running boundary is copied before it is changed, so g's own can start
+    stack = [(start, 1 << g, 1, tables.face_boundary[g],
+              sum(b for _, _, b in signed[2 * g + 1]))]
     expanded = 0
     while stack:
         if expanded == cap:
             return states, circuits, True
         expanded += 1
-        x, running = stack.pop()
-        circ = by_support.get(frozenset(running)) if by_support else None
+        x, used, norm, running, support = stack.pop()
+        circ = by_support.get(support) if by_support else None
         if circ is not None:
             # running is c times the circuit's cycle; the first of x and -x
             # has least face sign -1, and the circuit runs along its boundary
             sign, eid = circ.walk[0]
-            c = sign * running[tables.edge_index[eid]]
-            first = x
-            if min(x) & 1:
-                first, c = _negate(x), -c
-            least = _order(first)
-            best = circuits.get(circ.key)
-            if abs(c) == 1 and (best is None or least < best[0]):
-                if c < 0:
-                    circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
-                circuits[circ.key] = (least, circ)
-        if len(x) >= max_norm:
+            c = sign * running[edge_index[eid]]
+            if abs(c) == 1:
+                first = x
+                if x & -x & odd:
+                    first, c = tables.negate(x), -c
+                least = _order(first)
+                best = circuits.get(support)
+                if best is None or least < best[0]:
+                    if c < 0:
+                        circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)),
+                                       circ.key)
+                    circuits[support] = (least, circ)
+        if norm >= max_norm:
             continue
-        used = {o >> 1 for o in x}
-        candidates = set()
+        candidates = 0
         for e in running:
-            candidates.update(meets[e])
-        for h in candidates - used:
-            dh = face_boundary[h]
-            for o, sign in ((2 * h + 1, 1), (2 * h, -1)):
-                y = x | {o}
+            candidates |= face_mask[e]
+        candidates &= ~used
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            h = low.bit_length() - 1
+            for o in (2 * h + 1, 2 * h):
+                y = x | 1 << o
                 if y in states:
                     continue
                 states.add(y)
                 running2 = dict(running)
-                for e, c in dh.items():
-                    v = running2.get(e, 0) + sign * c
-                    if v:
-                        running2[e] = v
+                support2 = support
+                for e, c, b in signed[o]:
+                    v = running2.get(e)
+                    if v is None:
+                        running2[e] = c
+                        support2 |= b
+                    elif v + c:
+                        running2[e] = v + c
                     else:
                         del running2[e]
-                stack.append((y, running2))
+                        support2 ^= b
+                stack.append((y, used | low, norm + 1, running2, support2))
     return states, circuits, False
 
 
@@ -235,7 +264,7 @@ def _representatives(tables, faces, max_norm, budget):
         states, _, cut = _search_face(tables, g, max_norm, budget // 2)
         if cut:
             return None
-        reps.update(map(_representative, states))
+        reps.update(map(tables.representative, states))
         if 2 * len(reps) > budget:
             break
     return reps
@@ -270,13 +299,14 @@ def _edge_record(tables, edge, max_norm, budget, searches):
         complete = True
     else:
         complete = 2 * len(_representatives(tables, faces, max_norm, budget)) <= budget
+    bit = 1 << tables.edge_index[edge]
     least = {}
     for _, circuits, _ in mine:
-        for key, (order, circ) in circuits.items():
-            if key not in least or order < least[key][0]:
-                least[key] = (order, circ)
-    found = [circ for _, circ in least.values() if circ.contains_edge(edge)]
-    return complete, sorted(found)
+        for support, (order, circ) in circuits.items():
+            if support & bit and (support not in least or order < least[support][0]):
+                least[support] = (order, circ)
+    return complete, sorted((circ for _, circ in least.values()),
+                            key=lambda circ: (len(circ.walk), circ.key))
 
 
 def find_special_ordering(complex_, chain2, base_edge):
@@ -339,13 +369,14 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
 
 
 def _special_chain_bound(complex_, max_length):
-    """FV_Z(max_length): the norm bound of the special-chain method."""
-    table = fv(complex_, max_length, INT)
-    if table.value(max_length) is INF:  # FV is monotone in the scale
+    """FV_Z(max_length): the norm bound of the special-chain method, as the
+    value alone (:func:`filling.fv_value`), with no table or witness."""
+    value = fv_value(complex_, max_length, INT)
+    if value is INF:  # FV is monotone in the scale
         raise FVInfiniteError(
             f"FV_Z is infinite at scale <= {max_length}; the special-chain "
             "method does not apply")
-    return int(table.value(max_length))
+    return int(value)
 
 
 @dataclass(frozen=True)

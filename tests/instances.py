@@ -121,6 +121,24 @@ def coned_s3():
     return coned_off_cayley_complex(s3_presentation())
 
 
+S4_GRP = """group v1
+degree 4
+gen a (1 2)
+gen b (1 2 3 4)
+gen binv (1 4 3 2)
+sgen a a
+sgen b binv
+subgroup A a
+relator a a
+relator b b b b
+relator a b a b a b
+"""
+
+
+def coned_s4():
+    return coned_off_cayley_complex(parse_group(S4_GRP))
+
+
 def path_graph(n):
     vs = [f"p{i}" for i in range(n)]
     es = [(f"pe{i}", vs[i], vs[i + 1]) for i in range(n - 1)]

@@ -16,7 +16,8 @@ elimination that scans the whole block at every pivot, integral fillings
 can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
-2-chains come from a separate search per base edge over Chain objects.
+2-chains come from a separate search per base edge over Chain objects, or
+from a search per face over frozensets of signed-face ints in set order.
 Four exceptions: :func:`lp_route_filling_value` runs the package's own LP
 and branch and bound on every cycle, so that they check the closed form
 the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
@@ -248,11 +249,13 @@ def frozenset_circuit_search(cx, max_length):
             for key, walk in sorted(found.items(), key=lambda kw: (len(kw[1]), kw[0]))]
 
 
-def dict_conformal_search(cx, max_norm, fills=None):
+def dict_conformal_search(cx, max_norm, fills=None, above=None):
     """The candidate cycles of ``chains.enumerate_cycles`` as Chains, in
     (norm, serialization) order, from a search that keeps each sum as an
     {edge: coefficient} dict, tests a circuit's sign conformity against it
-    entry by entry and adds the fill values as given (Fractions over Q)."""
+    entry by entry and adds the fill values as given (Fractions over Q).
+    With ``above`` set, a sum is a candidate when its total exceeds it, and
+    is extended when its total plus U of the norm left does."""
     if fills is None:
         circuits = enumerate_circuits(cx, None, max_norm) if max_norm >= 1 else []
         fills = [(circuit, 0) for circuit in circuits]
@@ -285,9 +288,10 @@ def dict_conformal_search(cx, max_norm, fills=None):
                         nxt[e] = nxt.get(e, 0) + c
                     norm += li
                     total += values[i]
-                    if total >= lower[norm]:
+                    if total >= lower[norm] if above is None else total > above:
                         found.setdefault(tuple(sorted(nxt.items())), norm)
-                    if norm < max_norm and total >= reach[norm]:
+                    if norm < max_norm and (total >= reach[norm] if above is None
+                                            else total + upper[max_norm - norm] > above):
                         extend(i + 1, norm, total, nxt)
 
     extend(0, 0, 0, {})
@@ -919,3 +923,77 @@ def circuits_from_special_chains(complex_, chains, edge, max_length, rejected=No
             continue
         found.setdefault(circ.key, circ)
     return sorted(found.values())
+
+
+def negate_ordinals(x):
+    """The frozenset state x of signed-face ints 2g + (s > 0), every sign
+    flipped."""
+    return frozenset(o ^ 1 for o in x)
+
+
+def representative_ordinals(x):
+    """Of the frozenset states x and -x, the one whose least face has sign
+    +1."""
+    return x if min(x) & 1 else negate_ordinals(x)
+
+
+def ordinal_order(x):
+    """The (norm, serialization) sort key of the frozenset state x."""
+    return len(x), tuple(sorted(x))
+
+
+def frozenset_face_search(tables, g, max_norm, cap):
+    """The per-face search of ``fineness._search_face`` with a state as the
+    frozenset of its signed-face ints, the faces meeting a boundary's
+    support collected in a set and tried in set order, and a circuit looked
+    up by the frozenset of its edge indices: (states, circuits, cut), with
+    ``circuits`` keyed by the circuit key.  It reads only the face
+    boundaries, the edge-to-face lists and the circuits of ``tables``."""
+    face_boundary, meets = tables.face_boundary, tables.meets
+    by_support = {frozenset(tables.edge_index[e] for _, e in circ.walk): circ
+                  for circ in tables.circuits.values()}
+    start = frozenset((2 * g + 1,))
+    states = {start}
+    circuits = {}
+    stack = [(start, face_boundary[g])]
+    expanded = 0
+    while stack:
+        if expanded == cap:
+            return states, circuits, True
+        expanded += 1
+        x, running = stack.pop()
+        circ = by_support.get(frozenset(running))
+        if circ is not None:
+            sign, eid = circ.walk[0]
+            c = sign * running[tables.edge_index[eid]]
+            first = x
+            if min(x) & 1:
+                first, c = negate_ordinals(x), -c
+            least = ordinal_order(first)
+            best = circuits.get(circ.key)
+            if abs(c) == 1 and (best is None or least < best[0]):
+                if c < 0:
+                    circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)), circ.key)
+                circuits[circ.key] = (least, circ)
+        if len(x) >= max_norm:
+            continue
+        used = {o >> 1 for o in x}
+        candidates = set()
+        for e in running:
+            candidates.update(meets[e])
+        for h in candidates - used:
+            dh = face_boundary[h]
+            for o, sign in ((2 * h + 1, 1), (2 * h, -1)):
+                y = x | {o}
+                if y in states:
+                    continue
+                states.add(y)
+                running2 = dict(running)
+                for e, c in dh.items():
+                    v = running2.get(e, 0) + sign * c
+                    if v:
+                        running2[e] = v
+                    else:
+                        del running2[e]
+                stack.append((y, running2))
+    return states, circuits, False

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -125,6 +126,20 @@ def test_special():
     code, out = run_cli("special", "--edge", "e12", "--norm", "1", data("tetra.cx"))
     lines = out.splitlines()
     assert len(lines) == 4 and all(l.startswith("chain2\t1\t") for l in lines)
+
+
+def test_special_stdout_on_tetra_is_pinned():
+    # every edge at norms 1-4, 936 lines in (norm, serialization) order; the
+    # digest is that of the frozenset search the bit-mask one replaced
+    out = io.StringIO()
+    for norm in range(1, 5):
+        for edge in ("e12", "e13", "e14", "e23", "e24", "e34"):
+            code, text = run_cli("special", "--edge", edge, "--norm", str(norm), data("tetra.cx"))
+            assert code == 0
+            out.write(text)
+    assert len(out.getvalue().splitlines()) == 936
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "0b0dc2d340155a4745002941b0a4a773dfe0587cbdb22e5aa04e85717267d47e")
 
 
 def test_subdivide_round_trip(tmp_path):

@@ -14,7 +14,8 @@ from finefill.chains import require_circuit
 from finefill.constructions import omega_n
 from finefill.errors import HasFacesError, InternalError, NotACycleError
 
-from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, double_traversal,
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4,
+                       double_traversal,
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
@@ -872,3 +873,69 @@ def test_minimize_on_line_matches_oracle():
                 mu, z, integral)
             assert all(type(v) is int for v in x) and type(x_den) is int and x_den > 0
             assert type(val) is Fraction
+
+
+def _largest_circuit_fill(cx, k, ring):
+    circuits = enumerate_circuits(cx, None, k) if k else []
+    return max((filling_norm(cx, c.induced_cycle(), ring).value for c in circuits), default=0)
+
+
+def test_fv_value_matches_table_and_all_cycles_oracle(monkeypatch):
+    # FV(k) alone equals the table's entry at k, and the all-cycles running
+    # maximum where that oracle finishes; its candidates, the cycles with a
+    # split summing above the largest circuit fill T, are those of the dict
+    # search asked for the same threshold
+    calls = []
+
+    def recording(cx, max_norm, fills=None, above=None):
+        found = enumerate_cycles(cx, max_norm, fills, above)
+        calls.append((cx, max_norm, fills, above, found))
+        return found
+
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    small = CORPUS + [(name, build) for name, build in TORSION
+                      if name != "z3-moore-3-barycentric"]
+    small += [("disk2x2", lambda: grid_disk(2, 2)), ("disk2x3", lambda: grid_disk(2, 3))]
+    large = [("z3-moore-3-barycentric", dict(TORSION)["z3-moore-3-barycentric"]),
+             ("disk3x3", lambda: grid_disk(3, 3)), ("S3-coned", lambda: coned_s3().complex),
+             ("S4-coned", lambda: coned_s4().complex),
+             ("tetrahedron''", lambda: subdivide(tetrahedron(), BARYCENTRIC).complex)]
+    infinite = above_t = 0
+    for name, build in small + large:
+        for ring in (INT, RAT):
+            # the Q LPs of the barycentric Moore loop are slow beyond k = 4
+            kmax = 4 if (name, ring) == ("z3-moore-3-barycentric", RAT) else 8
+            cx = build()
+            table = fv(cx, kmax, ring)
+            if (name, build) in small:
+                want = all_cycles_fv(cx, kmax, ring)[0]
+            for k in range(1, kmax + 1):
+                calls.clear()
+                got = filling.fv_value(cx, k, ring)
+                value_calls = list(calls)
+                assert got == table.value(k), (name, ring, k)
+                if (name, build) in small:
+                    assert got == want[k], (name, ring, k)
+                if got is INF:
+                    infinite += 1
+                    assert not value_calls
+                    continue
+                assert type(got) is (int if ring == INT else Fraction)
+                [(called, max_norm, fills, above, found)] = value_calls
+                assert max_norm == k and above == _largest_circuit_fill(called, k, ring)
+                assert found == [c.serialize() for c in dict_conformal_search(
+                    called, k, fills, above)], (name, ring, k)
+                above_t += got > above
+    assert infinite >= 20 and above_t >= 20, (infinite, above_t)
+
+
+def test_fv_value_exceeds_the_largest_circuit_fill():
+    # FV above T, the largest fill of a circuit: a value that stops at T
+    # fails these
+    for cx, k, value, t in ((tetrahedron(), 7, 3, 2), (tetrahedron(), 8, 4, 2),
+                            (coned_s4().complex, 6, 2, 1)):
+        assert _largest_circuit_fill(cx, k, INT) == t
+        assert filling.fv_value(cx, k, INT) == value == fv(cx, k, INT).value(k)
+    assert filling.fv_value(tetrahedron(), 0, INT) == 0
+    with pytest.raises(ValueError):
+        filling.fv_value(tetrahedron(), -1, INT)

@@ -14,9 +14,9 @@ from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
                              FVInfiniteError, UnknownEdgeError)
 
-from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, double_traversal, grid_disk, k4_graph,
-                       small_tree, tetrahedron, triangle_face, validate)
-from oracles import (circuits_from_special_chains, fillings_of_norm,
+from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, coned_s4, double_traversal, grid_disk,
+                       k4_graph, small_tree, tetrahedron, triangle_face, validate)
+from oracles import (circuits_from_special_chains, fillings_of_norm, frozenset_face_search,
                      per_edge_special_chain_search)
 
 
@@ -456,3 +456,50 @@ def test_each_face_searched_once_per_certificate(monkeypatch):
         fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=budget)
         assert sorted(f for f, _, _ in calls) == sorted(f.id for f in cx.faces)
         assert {(n, cap) for _, n, cap in calls} == {(bound, budget // 2)}
+
+
+def _ordinals(x):
+    return frozenset(o for o in range(x.bit_length()) if x >> o & 1)
+
+
+def test_bitmask_search_matches_frozenset_oracle():
+    # every face at every cap from 0 to |R(f, +1)| + 1: the same cut and the
+    # same states, read as sets of signed-face ints.  A search that is not
+    # cut finds the same circuits, keyed by support here and by circuit key
+    # there; a cut one finds part of them, as the oracle tries its
+    # candidates in set order and so may expand other states first
+    cases = [(name, cx, (8,)) for name, cx in _filled_corpus()]
+    cases += [("disk2x2", grid_disk(2, 2), (6, 8)), ("disk2x3", grid_disk(2, 3), (6, 8)),
+              ("disk3x3", grid_disk(3, 3), (6,)), ("coned-S3", coned_s3().complex, (5, 6)),
+              ("coned-S4", coned_s4().complex, (6,)), ("twice-a-circuit", _twice_a_circuit(), (8,))]
+    searched = cuts = 0
+    for name, cx, scales in cases:
+        for scale in scales:
+            value = fv(cx, scale, INT).value(scale)
+            if value is INF:
+                continue
+            bound = int(value)
+            tables = fineness._Tables(cx, scale)
+            for g in range(len(tables.face_ids)):
+                full_states, full_circuits, cut = frozenset_face_search(tables, g, bound, -1)
+                assert not cut
+                full = {key: (order, circ.walk) for key, (order, circ) in full_circuits.items()}
+                for cap in range(len(full_states) + 2):
+                    states, circuits, cut = fineness._search_face(tables, g, bound, cap)
+                    old_states, old_circuits, old_cut = frozenset_face_search(
+                        tables, g, bound, cap)
+                    assert cut == old_cut == (cap < len(full_states)), (name, scale, g, cap)
+                    assert all(tables.circuits[support].key == circ.key
+                               for support, (_, circ) in circuits.items())
+                    got = {circ.key: (order, circ.walk) for order, circ in circuits.values()}
+                    assert len(got) == len(circuits)
+                    ordinal_states = {_ordinals(x) for x in states}
+                    assert len(ordinal_states) == len(states)
+                    assert ordinal_states == old_states, (name, scale, g, cap)
+                    if cut:
+                        cuts += 1
+                        assert got.keys() <= full.keys(), (name, scale, g, cap)
+                    else:
+                        assert old_states == full_states and got == full, (name, scale, g, cap)
+                    searched += 1
+    assert searched > 1000 and cuts > 1000, (searched, cuts)

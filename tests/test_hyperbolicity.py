@@ -11,7 +11,7 @@ from finefill.errors import DisconnectedError, TooLargeError
 
 from finefill.hyperbolicity import DEFAULT_VERTEX_CAP
 
-from instances import cycle_graph, k4_graph, path_graph, small_tree, wheel_graph
+from instances import S4_GRP, cycle_graph, k4_graph, path_graph, small_tree, wheel_graph
 from oracles import (dict_bfs_distances, exhaustive_delta, floyd_warshall, four_point_delta,
                      set_far_apart_pairs, sum_at_least)
 
@@ -219,20 +219,6 @@ def test_default_cap_finishes():
         assert _twice_four_point(all_pairs_distances(g), rep.witness) == 2 * want
     assert rep.witness == ("g0_0", "g0_19", "g19_0", "g19_19")
     assert hyperbolicity_delta(path_graph(400)).witness == tuple(sorted(path_graph(400).vertices)[:4])
-
-
-S4_GRP = """group v1
-degree 4
-gen a (1 2)
-gen b (1 2 3 4)
-gen binv (1 4 3 2)
-sgen a a
-sgen b binv
-subgroup A a
-relator a a
-relator b b b b
-relator a b a b a b
-"""
 
 
 def _oracle_cases():

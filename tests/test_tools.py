@@ -52,3 +52,32 @@ def test_output_digests_workload_filter(tmp_path, monkeypatch, capsys):
     assert "unknown workload 'nope'" in capsys.readouterr().err
     assert not (tmp_path / "none.json").exists()
     assert tool.main([ROOT, "1"]) == 1
+
+
+def test_output_digests_under_a_budget(tmp_path, monkeypatch, capsys):
+    tool = _load_tool("output_digests")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delenv("FINEFILL_BUDGET", raising=False)
+    _, queries = tool.inputs.build("fine-special", 1)
+    codes = {}
+    for budget in (None, 40, 1):
+        table = tool.output_digests(ROOT, [1], ["fine-special"], budget)
+        assert "FINEFILL_BUDGET" not in os.environ
+        codes[budget] = [table[f"fine-special/1/{i}/{q.name}"][0] for i, q in enumerate(queries)]
+    # the default budget finishes every query; a budget of 1 leaves every
+    # search INCOMPLETE (exit 2), and 40 some of them
+    assert set(codes[None]) == {0} and set(codes[1]) == {2}
+    assert 0 < codes[40].count(2) < len(queries)
+    # a budget already set is restored after the run
+    monkeypatch.setenv("FINEFILL_BUDGET", "7")
+    with tool.budget_env(3):
+        assert os.environ["FINEFILL_BUDGET"] == "3"
+    assert os.environ["FINEFILL_BUDGET"] == "7"
+    out = tmp_path / "fine.json"
+    assert tool.main([ROOT, "1", str(out), "fine-special", "--budget=1"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        assert {code for code, _, _ in json.load(fh).values()} == {2}
+    assert os.environ["FINEFILL_BUDGET"] == "7"
+    assert tool.main([ROOT, "1", str(tmp_path / "none.json"), "--budget=many"]) == 1
+    assert "--budget is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "none.json").exists()

@@ -1,11 +1,13 @@
 """Digest the output of every benchmark query of a finefill checkout.
 
-    python3 tools/output_digests.py ROOT SEEDS OUT.json [WORKLOADS]
+    python3 tools/output_digests.py ROOT SEEDS OUT.json [WORKLOADS] [--budget=N]
 
 ROOT is the root of a finefill checkout; its ``src/`` is imported.  SEEDS
 is a list of seeds and ranges, e.g. ``1-10`` or ``1,3,5-7``.  WORKLOADS is
 a comma list of workload names, e.g. ``delta-scan`` or ``fill-lp,fv-table``,
-by default every workload.  For each such workload of
+by default every workload.  ``--budget=N`` sets ``FINEFILL_BUDGET`` to N
+while the queries run, so that every query without a ``--budget`` of its
+own searches under that budget.  For each such workload of
 ``perfbench/inputs.py`` (read from the checkout that holds this script, so
 two checkouts are fed the same queries) and each seed, the script writes
 the query files into a temporary directory and runs every query once
@@ -23,13 +25,15 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 sys.path.insert(0, PERFBENCH)
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+
+BUDGET_ENV = "FINEFILL_BUDGET"  # finefill.cli.BUDGET_ENV
 
 
 def parse_seeds(text):
@@ -60,7 +64,23 @@ def replay(main, queries):
     return digests
 
 
-def output_digests(root, seeds, workloads=inputs.WORKLOADS):
+@contextmanager
+def budget_env(budget):
+    """``FINEFILL_BUDGET`` set to ``budget`` inside, and as it was after;
+    nothing changes when ``budget`` is None."""
+    saved = os.environ.get(BUDGET_ENV)
+    if budget is not None:
+        os.environ[BUDGET_ENV] = str(budget)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(BUDGET_ENV, None)
+        else:
+            os.environ[BUDGET_ENV] = saved
+
+
+def output_digests(root, seeds, workloads=inputs.WORKLOADS, budget=None):
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     main = importlib.import_module("finefill.cli").main
     table = {}
@@ -68,7 +88,7 @@ def output_digests(root, seeds, workloads=inputs.WORKLOADS):
     for workload in workloads:
         for seed in seeds:
             files, queries = inputs.build(workload, seed)
-            with tempfile.TemporaryDirectory() as workdir:
+            with tempfile.TemporaryDirectory() as workdir, budget_env(budget):
                 inputs.write(files, workdir)
                 os.chdir(workdir)
                 try:
@@ -82,6 +102,15 @@ def output_digests(root, seeds, workloads=inputs.WORKLOADS):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    budget = None
+    if argv and argv[-1].startswith("--budget="):
+        budget = argv[-1].partition("=")[2]
+        argv = argv[:-1]
+        try:
+            budget = int(budget)
+        except ValueError:
+            print(f"error: --budget is not an integer: {budget!r}", file=sys.stderr)
+            return 1
     if len(argv) not in (3, 4):
         print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 1
@@ -95,7 +124,7 @@ def main(argv=None):
     if not os.path.isfile(os.path.join(root, "src", "finefill", "cli.py")):
         print(f"error: no finefill sources under {root}/src", file=sys.stderr)
         return 1
-    table = output_digests(root, parse_seeds(seeds), workloads)
+    table = output_digests(root, parse_seeds(seeds), workloads, budget)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
                                     for k, v in sorted(table.items())) + "\n}\n")
