@@ -112,7 +112,8 @@ def _verify_filling(ctx, vec, x, den, value):
 
 class _FillingContext:
     """Per-complex solver state: boundary matrix and its face columns, the
-    Smith form of d2 and what is read off it, and the value cache."""
+    Smith form of d2 and what is read off it, the value cache, and the fill
+    values of :func:`_fill_circuits` for each ring."""
 
     def __init__(self, complex_):
         self.complex = complex_
@@ -124,6 +125,7 @@ class _FillingContext:
         self._rat = None
         self._ker = None
         self.value_cache = {}
+        self.fills = {}  # ring -> {serialization: fill value}
 
     @property
     def rat(self):
@@ -453,13 +455,14 @@ def _fill_circuits(complex_, k_max, ring):
     one length at a time up to the first length holding an unfillable one.
 
     ``fill`` maps a cycle's serialization to its value, solved from its
-    edge vector when neither it nor its negation has been filled.
+    edge vector when neither it nor its negation has been filled on this
+    complex over this ring, by any call.
     ``fills`` pairs each circuit of the lengths before that one with its
     value, and ``unfillable`` lists the unfillable circuits of that length,
     empty when there is none.
     """
     ctx = _context(complex_)
-    filled = {}  # serialization -> fill value
+    filled = ctx.fills.setdefault(ring, {})
 
     def fill(key):
         value = filled.get(key)

@@ -12,40 +12,47 @@ on the running boundary, which is determined by the chain), so factorially
 many orderings collapse to one state; an ordering witness is reconstructed
 on demand.
 
-One search per face serves every edge.  A state's successors depend only on
-its set of signed faces, so the states based at e are
+One search expands each class {x, -x} once.  A state's successors depend
+only on its set of signed faces, so the states based at e are
 S(e) = union over the faces f meeting e of R(f, +1) and R(f, -1), where
 R(f, s) is the set of states reachable from the single signed face (f, s).
-Negating every sign maps states to states, so R(f, -1) = -R(f, +1): each
-face is searched once, from sign +1, and every state of R(f, +1) holds
-(f, +1), so no two of them are negatives of each other.
-:func:`fineness_certificate` runs each face's search once and shares it
-among the edges of the face, keeping only its size and its circuits until
-the last of those edges is done; :func:`enumerate_special_chains` and
-:func:`circuits_via_fillings` search the faces of their one edge.
+Negating every sign maps successors to successors, so R(f, -1) = -R(f, +1)
+and the search runs on classes, each keyed by its member whose least face
+has sign +1.  It starts from a set of seed faces g, each the class of
+(g, +1), and goes level by level in norm.  Each class carries a reach mask,
+the seeds whose search reaches it: 1 << g for the seed g, and the OR of its
+parents' masks for any other class.  Every parent has norm one less, so a
+mask is final before its level is expanded.  S(e) is then the classes whose
+mask meets the faces of e, each as x and -x.
 
 Circuits are read off the list of circuits of length <= L that the FV bound
 has already enumerated, by their support: a cycle supported on exactly the
 edges of a circuit is a multiple of the circuit's cycle, so a +-1 boundary
 is a circuit exactly when its support is the support of one.  x and -x
-induce the same circuit, so it is found once per state of one sign, from
-the running boundary the search holds; of x and -x, the one whose least
-face has sign -1 comes first, and the circuit runs along its boundary,
-which is +-running.
+induce the same circuit, so it is found once per class.  For each circuit
+through e, the class that decides it is the least, in (norm,
+serialization) order, among those whose mask meets the faces of e; of x
+and -x, the one whose least face has sign -1 comes first, and the circuit
+runs along its boundary.
 
 The budget bounds |S(e)|: an edge is INCOMPLETE exactly when it has more
-than ``budget`` states.  A face search that expands more than budget // 2
-states proves that for every edge of the face; otherwise every search is
-complete and |S(e)| is twice the number of classes {x, -x} among them,
-which twice the sum of the search sizes bounds from above (when that bound
-exceeds the budget, the edge's faces are searched again for the classes).
-Inside the searches a state is an int with bit 2g + (s > 0) set for each
-signed face (g, s), faces numbered in id order, carried with the int mask of
-its faces and its norm; a running boundary is an {edge index: coefficient}
-dict, carried with the int mask of its support, by which circuits are
-looked up.  The search pushes a state's successors in ascending face order,
-sign +1 before -1; that order decides which states a search stopped by
-its budget has expanded.  Chain objects are built for output only.
+than ``budget`` states.  A search stops as soon as it has found more than
+budget / 2 classes.  :func:`fineness_certificate` seeds every face; when
+that search finishes, every edge is OK, and otherwise each edge is decided
+by a search seeded with the faces meeting it, which finds |S(e)| / 2
+classes or stops.  :func:`enumerate_special_chains` and
+:func:`circuits_via_fillings` seed the faces of their one edge.  An
+INCOMPLETE record lists the circuits of the classes found before the stop.
+
+Inside the search a state is an int with bit 2g + (s > 0) set for each
+signed face (g, s), faces numbered in id order.  A level maps each class to
+its mask, except a last level after the first, which is a set.  A class's running boundary, an
+{edge index: coefficient} dict, is recomputed from its bits when it is
+expanded, and its successors are generated in ascending face order, sign
++1 before -1; a child's support mask, by which circuits are looked up, is
+read off the parent's boundary.  Only the classes whose boundary is a
+circuit are kept beyond their level.  Chain objects are built for output
+only.
 """
 
 from dataclasses import dataclass
@@ -102,15 +109,12 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     silently truncating when the state budget runs out.
     """
     tables = _Tables(complex_)
-    faces = tables.faces_meeting(edge)
-    if max_norm < 1:
-        return []
-    cap = max(budget, 0)
-    reps = _representatives(tables, faces, max_norm, cap)
-    if reps is None or 2 * len(reps) > cap:
+    levels = []
+    if not _search(tables, tables.faces_meeting(edge), max_norm, budget, levels)[0]:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    states = sorted(_order(x) for r in reps for x in (r, tables.negate(r)))
+    states = sorted(_order(x) for level in levels for r in level
+                    for x in (r, tables.negate(r)))
     return [tables.chain(o) for _, o in states]
 
 
@@ -123,8 +127,9 @@ class _Tables:
     ``face_mask[e]`` sets the bit g of each face g meeting edge e, and
     ``signed[2g + (s > 0)]`` lists the (edge, coefficient, edge bit) of
     s times the boundary of g.  ``circuits`` maps the edge-index support
-    mask of every circuit of length <= max_length to the circuit; it is
-    empty when max_length < 1, and the search then finds no circuits.
+    mask of every circuit of length <= max_length to the circuit, in
+    (length, key) order; it is empty when max_length < 1, and the search
+    then finds no circuits.
     """
 
     def __init__(self, complex_, max_length=0):
@@ -156,10 +161,6 @@ class _Tables:
         """The state of the signed faces of x, every sign flipped."""
         return (x & self.odd) >> 1 | (x << 1 & self.odd)
 
-    def representative(self, x):
-        """Of x and -x, the one whose least face has sign +1."""
-        return x if x & -x & self.odd else self.negate(x)
-
     def chain(self, ordinals):
         """The 2-chain of the signed faces ``ordinals``."""
         return Chain(2, INT, {self.face_ids[o >> 1]: 1 if o & 1 else -1
@@ -177,136 +178,173 @@ def _order(x):
     return len(ordinals), tuple(ordinals)
 
 
-def _search_face(tables, g, max_norm, cap):
-    """Depth-first search of the states reachable from (g, +1), expanding
-    at most ``cap`` states: (states, circuits, cut).
+def _boundary(signed, x):
+    """(running, used) of state x: its boundary as an {edge index:
+    coefficient} dict, and the bit mask of its faces."""
+    running = {}
+    used = 0
+    while x:
+        low = x & -x
+        x ^= low
+        o = low.bit_length() - 1
+        used |= 1 << (o >> 1)
+        for e, c, _ in signed[o]:
+            v = running.get(e, 0) + c
+            if v:
+                running[e] = v
+            else:
+                del running[e]
+    return running, used
 
-    A state's successors add one signed face that meets the support of its
-    boundary and is not yet in it; states of norm max_norm are not expanded.
-    ``states`` holds every state generated, each containing (g, +1).
-    ``circuits`` maps the support mask of a circuit to (order, circuit),
-    ``order`` the :func:`_order` key of the least state, over the expanded
-    states and their negatives, whose boundary is +-1 times a circuit of
-    ``tables.circuits``; the circuit runs along that state's boundary.
-    ``cut`` is set when the search stopped at its cap with states left to
-    expand.
+
+def _search(tables, seeds, max_norm, budget, levels=None):
+    """Expand once each class {x, -x} of states of norm <= max_norm reachable
+    from the faces ``seeds``, level by level in norm: (complete, hits).
+
+    A class is keyed by its member whose least face has sign +1.  Level 1
+    holds the class of (g, +1) for each seed g, with reach mask 1 << g;
+    level n + 1 holds the successors of the members of level n's classes,
+    each class with the OR of the masks of its parents.  Every parent has
+    norm n, so a level's masks are final before it is expanded.  A level
+    that is expanded maps each class to its mask, and a last level after
+    the first is the set of its classes; when ``levels`` is a list, each
+    level is appended to it.
+
+    The search stops, with complete False, as soon as it has found more
+    than budget / 2 classes, that is more than ``budget`` states.  ``hits``
+    lists (order, mask, support, c) for each class found before the stop
+    whose boundary is +-1 times a circuit of ``tables.circuits``: ``order``
+    is the :func:`_order` key of its member whose least face has sign -1,
+    the first of the two, ``support`` the circuit's edge support mask, and
+    c is +1 when that member's boundary runs along the circuit's walk, -1
+    when it runs against it.
     """
-    signed, face_mask, by_support = tables.signed, tables.face_mask, tables.circuits
-    odd, edge_index = tables.odd, tables.edge_index
-    start = 1 << 2 * g + 1
-    states = {start}
-    circuits = {}
-    # a running boundary is copied before it is changed, so g's own can start
-    stack = [(start, 1 << g, 1, tables.face_boundary[g],
-              sum(b for _, _, b in signed[2 * g + 1]))]
-    expanded = 0
-    while stack:
-        if expanded == cap:
-            return states, circuits, True
-        expanded += 1
-        x, used, norm, running, support = stack.pop()
-        circ = by_support.get(support) if by_support else None
-        if circ is not None:
-            # running is c times the circuit's cycle; the first of x and -x
-            # has least face sign -1, and the circuit runs along its boundary
-            sign, eid = circ.walk[0]
-            c = sign * running[edge_index[eid]]
-            if abs(c) == 1:
-                first = x
-                if x & -x & odd:
-                    first, c = tables.negate(x), -c
-                least = _order(first)
-                best = circuits.get(support)
-                if best is None or least < best[0]:
-                    if c < 0:
-                        circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)),
-                                       circ.key)
-                    circuits[support] = (least, circ)
-        if norm >= max_norm:
-            continue
-        candidates = 0
+    limit = max(budget, 0) // 2
+    hits = {}  # class -> [mask, support, c]
+    level = {}
+    complete = True
+    for g in seeds if max_norm >= 1 else ():
+        if len(level) == limit:
+            complete = False
+            break
+        o = 2 * g + 1
+        level[1 << o] = 1 << g
+        support = sum(b for _, _, b in tables.signed[o])
+        c = support in tables.circuits and _along(tables, {}, o, support)
+        if c:
+            hits[1 << o] = [1 << g, support, -c]
+    found, norm = len(level), 1
+    while complete and norm < max_norm:
+        norm += 1
+        if levels is not None:
+            levels.append(level)
+        level, complete = _grow(tables, level, norm < max_norm, limit - found, hits)
+        found += len(level)
+    if levels is not None:
+        levels.append(level)
+    return complete, [(_order(tables.negate(y)), *hit) for y, hit in hits.items()]
+
+
+def _grow(tables, level, keep, room, hits):
+    """The next level after ``level``: (children, complete).
+
+    ``children`` maps each class of the next level to its reach mask when
+    ``keep`` is set, and is the set of those classes otherwise.  A class's
+    boundary is recomputed from its bits, and its successors are generated
+    in ascending face order, sign +1 before -1, each child's support read
+    off its parent's boundary.  A child whose boundary is +-1 times a
+    circuit enters ``hits`` as in :func:`_search`, and its mask there takes
+    the mask of each parent that generates it.  ``complete`` is False, and
+    the level partial, when a child is found after ``room`` of them.
+    """
+    signed, face_mask, odd, by_support = (tables.signed, tables.face_mask, tables.odd,
+                                          tables.circuits)
+    children = {} if keep else set()
+    for x, mask in level.items():
+        running, used = _boundary(signed, x)
+        support = candidates = 0
         for e in running:
+            support |= 1 << e
             candidates |= face_mask[e]
         candidates &= ~used
+        least = (x & -x).bit_length() - 1 >> 1
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             h = low.bit_length() - 1
             for o in (2 * h + 1, 2 * h):
-                y = x | 1 << o
-                if y in states:
+                z = x | 1 << o
+                # z is its class's key unless its new face comes first with sign -1
+                y = z if o & 1 or h > least else (z & odd) >> 1 | (z << 1 & odd)
+                if y in children:
+                    if keep:
+                        children[y] |= mask
+                    if y in hits:
+                        hits[y][0] |= mask
                     continue
-                states.add(y)
-                running2 = dict(running)
-                support2 = support
-                for e, c, b in signed[o]:
-                    v = running2.get(e)
-                    if v is None:
-                        running2[e] = c
-                        support2 |= b
-                    elif v + c:
-                        running2[e] = v + c
-                    else:
-                        del running2[e]
-                        support2 ^= b
-                stack.append((y, used | low, norm + 1, running2, support2))
-    return states, circuits, False
+                if len(children) == room:
+                    return children, False
+                if keep:
+                    children[y] = mask
+                else:
+                    children.add(y)
+                if by_support:
+                    child = support
+                    for e, c, b in signed[o]:
+                        v = running.get(e)
+                        if v is None:
+                            child |= b
+                        elif v + c == 0:
+                            child ^= b
+                    c = child in by_support and _along(tables, running, o, child)
+                    if c:
+                        # the first member is z when z is not the key, -z otherwise
+                        hits[y] = [mask, child, -c if y == z else c]
+    return children, True
 
 
-def _representatives(tables, faces, max_norm, budget):
-    """The states based at an edge met by ``faces``, up to sign: each class
-    {x, -x} by its member whose least face has sign +1.  None when a face
-    search stops at its cap of budget // 2 expansions, which proves
-    |S(edge)| >= 2 |R(f, +1)| > budget; the union is left partial once
-    it already holds more than budget / 2 classes."""
-    reps = set()
-    for g in faces:
-        states, _, cut = _search_face(tables, g, max_norm, budget // 2)
-        if cut:
-            return None
-        reps.update(map(tables.representative, states))
-        if 2 * len(reps) > budget:
-            break
-    return reps
+def _along(tables, running, o, support):
+    """+-1 when the boundary ``running`` plus that of the signed face o is
+    +-1 times the circuit of ``tables.circuits`` with edge support mask
+    ``support``, the sign saying whether it runs along the circuit's walk;
+    0 when the multiple is not +-1."""
+    sign, eid = tables.circuits[support].walk[0]
+    e0 = tables.edge_index[eid]
+    c = sign * (running.get(e0, 0) + sum(c for e, c, _ in tables.signed[o] if e == e0))
+    return c if abs(c) == 1 else 0
 
 
-def _edge_record(tables, edge, max_norm, budget, searches):
-    """(complete, circuits) for ``edge``: whether S(edge) has at most
-    ``budget`` states, and the circuits of ``tables.circuits`` through the
-    edge that the boundaries of the searched states induce.
-
-    ``searches`` maps a face to its (size, circuits, cut), searched here
-    when missing; only the number of states of a face search is kept.  A
-    cut search decides INCOMPLETE; otherwise |S(edge)| = 2 |union of
-    representatives|, which is at most 2 x the sum of the sizes: when that
-    sum does not settle the budget, the faces are searched again for the
-    union.  Each circuit runs in the direction of the boundary of its least
-    state in (norm, serialization) order, as :func:`_search_face` oriented
-    it.
-    """
-    faces = tables.faces_meeting(edge)
-    if max_norm < 1:
-        return True, []
-    budget = max(budget, 0)
-    for g in faces:
-        if g not in searches:
-            states, circuits, cut = _search_face(tables, g, max_norm, budget // 2)
-            searches[g] = (len(states), circuits, cut)
-    mine = [searches[g] for g in faces]
-    if any(cut for _, _, cut in mine):
-        complete = False
-    elif 2 * sum(size for size, _, _ in mine) <= budget:
-        complete = True
-    else:
-        complete = 2 * len(_representatives(tables, faces, max_norm, budget)) <= budget
-    bit = 1 << tables.edge_index[edge]
-    least = {}
-    for _, circuits, _ in mine:
-        for support, (order, circ) in circuits.items():
-            if support & bit and (support not in least or order < least[support][0]):
-                least[support] = (order, circ)
-    return complete, sorted((circ for _, circ in least.values()),
-                            key=lambda circ: (len(circ.walk), circ.key))
+def _circuits_through(tables, hits, want):
+    """{edge index: circuits} for the edges of the bit mask ``want``: the
+    circuits through the edge that the boundaries of ``hits``, as
+    :func:`_search` lists them, induce.  Each runs as the boundary of the
+    least hit, in (norm, serialization) order, whose reach mask meets the
+    faces of the edge, and each list is sorted by (length, key)."""
+    firsts = {}  # support -> [faces reached, [(mask, c), ...]], each reaching new faces
+    for _, mask, support, c in sorted(hits):
+        entry = firsts.setdefault(support, [0, []])
+        if mask & ~entry[0]:
+            entry[0] |= mask
+            entry[1].append((mask, c))
+    out = {}
+    for support, circ in tables.circuits.items():  # in (length, key) order
+        if support not in firsts:
+            continue
+        kept = firsts[support][1]
+        runs = {1: circ}
+        bits = support & want
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            i = low.bit_length() - 1
+            for mask, c in kept:
+                if mask & tables.face_mask[i]:
+                    if c not in runs:
+                        runs[c] = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)),
+                                          circ.key)
+                    out.setdefault(i, []).append(runs[c])
+                    break
+    return out
 
 
 def find_special_ordering(complex_, chain2, base_edge):
@@ -360,12 +398,13 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     1-acyclic complexes it must reproduce the search exactly.
     """
     bound = _special_chain_bound(complex_, max_length)
-    complete, circuits = _edge_record(_Tables(complex_, max_length), edge, bound,
-                                      budget, {})
+    tables = _Tables(complex_, max_length)
+    complete, hits = _search(tables, tables.faces_meeting(edge), bound, budget)
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    return circuits
+    i = tables.edge_index[edge]
+    return _circuits_through(tables, hits, 1 << i).get(i, [])
 
 
 def _special_chain_bound(complex_, max_length):
@@ -423,20 +462,20 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
     else:
         bound = _special_chain_bound(complex_, scale)
         tables = _Tables(complex_, scale)
-        # a face is searched for the first edge it meets; the size and the
-        # circuits kept of its search are dropped after the last one
-        last = {g: i for i, faces in enumerate(tables.meets) for g in faces}
-        searches = {}
+        # one search from every face decides every edge OK when it finishes;
+        # otherwise each edge is decided by a search from its own faces
+        everywhere, hits = _search(tables, range(len(tables.face_ids)), bound, budget)
+        if everywhere:
+            through = _circuits_through(tables, hits, (1 << len(complex_.edges)) - 1)
+        complete = everywhere
         for i, e in enumerate(complex_.edges):
-            complete, circuits = _edge_record(tables, e.id, bound, budget, searches)
-            for g in tables.meets[i]:
-                if last[g] == i:
-                    searches.pop(g, None)
-            status = "OK" if complete else "INCOMPLETE"
-            if not complete:
-                exact = False
-            records.append(FinenessRecord(e.id, len(circuits), tuple(circuits),
-                                          status))
+            if not everywhere:
+                complete, hits = _search(tables, tables.meets[i], bound, budget)
+                through = _circuits_through(tables, hits, 1 << i)
+                exact = exact and complete
+            circuits = tuple(through.get(i, ()))
+            records.append(FinenessRecord(e.id, len(circuits), circuits,
+                                          "OK" if complete else "INCOMPLETE"))
     return FinenessCertificate(scale, method, tuple(records), exact)
 
 

@@ -17,7 +17,8 @@ can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
-from a search per face over frozensets of signed-face ints in set order.
+from a search per face, over frozensets of signed-face ints in set order or
+over int bit sets in face order.
 Four exceptions: :func:`lp_route_filling_value` runs the package's own LP
 and branch and bound on every cycle, so that they check the closed form
 the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
@@ -943,7 +944,7 @@ def ordinal_order(x):
 
 
 def frozenset_face_search(tables, g, max_norm, cap):
-    """The per-face search of ``fineness._search_face`` with a state as the
+    """The per-face search of :func:`bitmask_face_search` with a state as the
     frozenset of its signed-face ints, the faces meeting a boundary's
     support collected in a set and tried in set order, and a circuit looked
     up by the frozenset of its edge indices: (states, circuits, cut), with
@@ -996,4 +997,90 @@ def frozenset_face_search(tables, g, max_norm, cap):
                     else:
                         del running2[e]
                 stack.append((y, running2))
+    return states, circuits, False
+
+
+def bit_order(x):
+    """The (norm, serialization) sort key of the int state x: its number of
+    set bits and their positions, ascending."""
+    ordinals = [o for o in range(x.bit_length()) if x >> o & 1]
+    return len(ordinals), tuple(ordinals)
+
+
+def bitmask_face_search(tables, g, max_norm, cap):
+    """Depth-first search of the states reachable from (g, +1), a state the
+    int with bit 2g + (s > 0) set for each signed face (g, s), expanding at
+    most ``cap`` states: (states, circuits, cut).  The special chains based
+    at an edge are the states of these searches from the faces meeting it,
+    and their negatives.
+
+    A state's successors add one signed face that meets the support of its
+    boundary and is not yet in it; states of norm max_norm are not expanded.
+    ``states`` holds every state generated, each containing (g, +1).
+    ``circuits`` maps the support mask of a circuit to (order, circuit),
+    ``order`` the :func:`bit_order` key of the least state, over the expanded
+    states and their negatives, whose boundary is +-1 times a circuit of
+    ``tables.circuits``; the circuit runs along that state's boundary.
+    ``cut`` is set when the search stopped at its cap with states left to
+    expand.
+    """
+    signed, face_mask, by_support = tables.signed, tables.face_mask, tables.circuits
+    odd, edge_index = tables.odd, tables.edge_index
+    start = 1 << 2 * g + 1
+    states = {start}
+    circuits = {}
+    # a running boundary is copied before it is changed, so g's own can start
+    stack = [(start, 1 << g, 1, tables.face_boundary[g],
+              sum(b for _, _, b in signed[2 * g + 1]))]
+    expanded = 0
+    while stack:
+        if expanded == cap:
+            return states, circuits, True
+        expanded += 1
+        x, used, norm, running, support = stack.pop()
+        circ = by_support.get(support) if by_support else None
+        if circ is not None:
+            # running is c times the circuit's cycle; the first of x and -x
+            # has least face sign -1, and the circuit runs along its boundary
+            sign, eid = circ.walk[0]
+            c = sign * running[edge_index[eid]]
+            if abs(c) == 1:
+                first = x
+                if x & -x & odd:
+                    first, c = (x & odd) >> 1 | (x << 1 & odd), -c
+                least = bit_order(first)
+                best = circuits.get(support)
+                if best is None or least < best[0]:
+                    if c < 0:
+                        circ = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)),
+                                       circ.key)
+                    circuits[support] = (least, circ)
+        if norm >= max_norm:
+            continue
+        candidates = 0
+        for e in running:
+            candidates |= face_mask[e]
+        candidates &= ~used
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            h = low.bit_length() - 1
+            for o in (2 * h + 1, 2 * h):
+                y = x | 1 << o
+                if y in states:
+                    continue
+                states.add(y)
+                running2 = dict(running)
+                support2 = support
+                for e, c, b in signed[o]:
+                    v = running2.get(e)
+                    if v is None:
+                        running2[e] = c
+                        support2 |= b
+                    elif v + c:
+                        running2[e] = v + c
+                    else:
+                        del running2[e]
+                        support2 ^= b
+                stack.append((y, used | low, norm + 1, running2, support2))
     return states, circuits, False

@@ -939,3 +939,27 @@ def test_fv_value_exceeds_the_largest_circuit_fill():
     assert filling.fv_value(tetrahedron(), 0, INT) == 0
     with pytest.raises(ValueError):
         filling.fv_value(tetrahedron(), -1, INT)
+
+
+def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
+    # fv_value at k = 1..8 on one complex, then fv up to 8 in the same ring,
+    # solve each cycle once up to sign: the fills of a ring stay on the complex
+    solved = []
+    solve = filling._solve_vector
+
+    def counted(ctx, vec, ring):
+        solved.append((ring, tuple(vec)))
+        return solve(ctx, vec, ring)
+
+    monkeypatch.setattr(filling, "_solve_vector", counted)
+    for build, rings in ((tetrahedron, (INT, RAT)), (lambda: grid_disk(2, 3), (INT, RAT)),
+                         (lambda: coned_s3().complex, (INT, RAT)),
+                         (lambda: subdivide(tetrahedron(), BARYCENTRIC).complex, (INT,))):
+        for ring in rings:
+            cx = build()
+            solved.clear()
+            values = [filling.fv_value(cx, k, ring) for k in range(1, 9)]
+            assert solved
+            assert fv(cx, 8, ring).values[1:] == tuple(values)
+            keys = [(r, min(vec, tuple(-c for c in vec))) for r, vec in solved]
+            assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))

@@ -16,8 +16,9 @@ from finefill.errors import (BudgetExceededError, FillingInfiniteError,
 
 from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, coned_s4, double_traversal, grid_disk,
                        k4_graph, small_tree, tetrahedron, triangle_face, validate)
-from oracles import (circuits_from_special_chains, fillings_of_norm, frozenset_face_search,
-                     per_edge_special_chain_search)
+from oracles import (bitmask_face_search, circuits_from_special_chains, fillings_of_norm,
+                     frozenset_face_search, per_edge_special_chain_search,
+                     representative_ordinals)
 
 
 def test_special_chains_single_face():
@@ -321,7 +322,7 @@ def test_special_chain_method_on_coned_s3():
         assert special == direct, e.id
 
 
-# -- the shared per-face search against the per-edge oracle ---------------------
+# -- the search over classes against the per-edge and per-face oracles -----------
 
 def _filled_corpus():
     return [(name, build()) for name, build in CORPUS if build().faces]
@@ -419,10 +420,13 @@ def test_status_agrees_with_per_edge_oracle_at_every_budget():
         complete = {r.edge: r for r in _oracle_records(cx, scale)}
         tables = fineness._Tables(cx)
         for e in cx.edges:
-            searched = [fineness._search_face(tables, g, bound, fineness.DEFAULT_BUDGET)
-                        for g in tables.faces_meeting(e.id)]
-            # states met from two faces: the sum of the face searches overcounts
-            union_decided |= 2 * sum(len(s) for s, _, _ in searched) > sizes[e.id]
+            # classes met from two faces: the sum of one-face searches overcounts
+            per_face = 0
+            for g in tables.faces_meeting(e.id):
+                levels = []
+                assert fineness._search(tables, [g], bound, fineness.DEFAULT_BUDGET, levels)[0]
+                per_face += sum(map(len, levels))
+            union_decided |= 2 * per_face > sizes[e.id]
         for budget in range(-1, max(sizes.values()) + 2):
             cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
             want = _oracle_records(cx, scale, budget)
@@ -440,22 +444,46 @@ def test_status_agrees_with_per_edge_oracle_at_every_budget():
     assert union_decided
 
 
-def test_each_face_searched_once_per_certificate(monkeypatch):
-    calls = []
-    search = fineness._search_face
+def test_each_class_expanded_once_per_search(monkeypatch):
+    # a certificate runs one search from every face, and when that one stops
+    # at the budget, one search per edge from the faces meeting it.  A
+    # search expands each class it finds below the norm bound once, and a
+    # complete one expands every class of the per-face oracle below it
+    searches = []
+    search, boundary = fineness._search, fineness._boundary
 
-    def counted(tables, g, max_norm, cap):
-        calls.append((tables.face_ids[g], max_norm, cap))
-        return search(tables, g, max_norm, cap)
+    def counted_search(tables, seeds, max_norm, budget, levels=None):
+        searches.append((list(seeds), max_norm, budget, []))
+        return search(tables, seeds, max_norm, budget, levels)
 
-    monkeypatch.setattr(fineness, "_search_face", counted)
+    def counted_boundary(signed, x):
+        searches[-1][3].append(x)
+        return boundary(signed, x)
+
+    monkeypatch.setattr(fineness, "_search", counted_search)
+    monkeypatch.setattr(fineness, "_boundary", counted_boundary)
     cx = grid_disk(2, 3)
     bound = int(fv(cx, 8, INT).value(8))
-    for budget in (fineness.DEFAULT_BUDGET, 100):
-        calls.clear()
-        fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=budget)
-        assert sorted(f for f, _, _ in calls) == sorted(f.id for f in cx.faces)
-        assert {(n, cap) for _, n, cap in calls} == {(bound, budget // 2)}
+    tables = fineness._Tables(cx)
+    below = {representative_ordinals(_ordinals(x))
+             for g in range(len(tables.face_ids))
+             for x in bitmask_face_search(tables, g, bound, -1)[0] if len(_ordinals(x)) < bound}
+    everywhere = list(range(len(tables.face_ids)))
+    searches.clear()
+    fineness_certificate(cx, 8, SPECIAL_CHAIN)
+    assert [(seeds, n, budget) for seeds, n, budget, _ in searches] == [
+        (everywhere, bound, fineness.DEFAULT_BUDGET)]
+    expanded = [_ordinals(x) for x in searches[0][3]]
+    assert len(expanded) == len(set(expanded)) and set(expanded) == below
+    searches.clear()
+    cert = fineness_certificate(cx, 8, SPECIAL_CHAIN, budget=100)
+    assert not cert.exact
+    assert [(seeds, n, budget) for seeds, n, budget, _ in searches] == [
+        (everywhere, bound, 100)] + [(tables.meets[i], bound, 100) for i in range(len(cx.edges))]
+    for _, _, _, expanded in searches:
+        expanded = [_ordinals(x) for x in expanded]
+        assert len(expanded) == len(set(expanded)) and set(expanded) <= below
+        assert len(expanded) <= 100 // 2
 
 
 def _ordinals(x):
@@ -463,11 +491,13 @@ def _ordinals(x):
 
 
 def test_bitmask_search_matches_frozenset_oracle():
-    # every face at every cap from 0 to |R(f, +1)| + 1: the same cut and the
-    # same states, read as sets of signed-face ints.  A search that is not
-    # cut finds the same circuits, keyed by support here and by circuit key
-    # there; a cut one finds part of them, as the oracle tries its
-    # candidates in set order and so may expand other states first
+    # a search seeded with one face g at every budget from -1 to
+    # 2 |R(g, +1)| + 1, R(g, +1) the states reachable from (g, +1): it stops
+    # exactly when 2 |R(g, +1)| exceeds the budget, and finds the classes
+    # of R(g, +1), each once and by its key, all of them when complete.  A
+    # complete search finds the circuits of the per-face oracles, each
+    # directed by its least state, and a stopped one part of them.  The two
+    # per-face oracles, over int bit sets and over frozensets, agree
     cases = [(name, cx, (8,)) for name, cx in _filled_corpus()]
     cases += [("disk2x2", grid_disk(2, 2), (6, 8)), ("disk2x3", grid_disk(2, 3), (6, 8)),
               ("disk3x3", grid_disk(3, 3), (6,)), ("coned-S3", coned_s3().complex, (5, 6)),
@@ -484,22 +514,83 @@ def test_bitmask_search_matches_frozenset_oracle():
                 full_states, full_circuits, cut = frozenset_face_search(tables, g, bound, -1)
                 assert not cut
                 full = {key: (order, circ.walk) for key, (order, circ) in full_circuits.items()}
-                for cap in range(len(full_states) + 2):
-                    states, circuits, cut = fineness._search_face(tables, g, bound, cap)
-                    old_states, old_circuits, old_cut = frozenset_face_search(
-                        tables, g, bound, cap)
-                    assert cut == old_cut == (cap < len(full_states)), (name, scale, g, cap)
-                    assert all(tables.circuits[support].key == circ.key
-                               for support, (_, circ) in circuits.items())
-                    got = {circ.key: (order, circ.walk) for order, circ in circuits.values()}
-                    assert len(got) == len(circuits)
-                    ordinal_states = {_ordinals(x) for x in states}
-                    assert len(ordinal_states) == len(states)
-                    assert ordinal_states == old_states, (name, scale, g, cap)
-                    if cut:
-                        cuts += 1
-                        assert got.keys() <= full.keys(), (name, scale, g, cap)
+                states, circuits, cut = bitmask_face_search(tables, g, bound, -1)
+                assert not cut and {_ordinals(x) for x in states} == full_states
+                assert {circ.key: (order, circ.walk) for order, circ in circuits.values()} == full
+                classes = {representative_ordinals(x) for x in full_states}
+                assert len(classes) == len(full_states)
+                for budget in range(-1, 2 * len(full_states) + 2):
+                    levels = []
+                    complete, hits = fineness._search(tables, [g], bound, budget, levels)
+                    assert complete == (2 * len(full_states) <= max(budget, 0)), \
+                        (name, scale, g, budget)
+                    found = [_ordinals(x) for level in levels for x in level]
+                    assert len(set(found)) == len(found)
+                    assert all(representative_ordinals(x) == x for x in found)
+                    got = {}
+                    for order, mask, support, c in sorted(hits):
+                        assert mask == 1 << g
+                        circ = tables.circuits[support]
+                        walk = circ.walk if c > 0 else tuple(
+                            (-s, e) for s, e in reversed(circ.walk))
+                        got.setdefault(circ.key, (order, walk))
+                    if complete:
+                        assert set(found) == classes and got == full, (name, scale, g, budget)
                     else:
-                        assert old_states == full_states and got == full, (name, scale, g, cap)
+                        cuts += 1
+                        assert set(found) <= classes and got.keys() <= full.keys()
                     searched += 1
     assert searched > 1000 and cuts > 1000, (searched, cuts)
+
+
+def test_search_matches_per_edge_oracle_at_every_budget():
+    # every edge at every budget from -1 to |S(e)| + 1, S(e) the special
+    # chains based at it, counted by the per-edge oracle: the record is OK
+    # exactly when |S(e)| <= budget (where the per-edge oracle, run with
+    # that budget, completes), and is then the oracle's complete record;
+    # otherwise it is INCOMPLETE and lists part of the complete list.
+    # ``special`` lists S(e), which is the union of the per-face oracle's
+    # states over the faces meeting e, with their negations
+    cases = [(name, cx, 8) for name, cx in _filled_corpus()]
+    cases += [("disk2x2", grid_disk(2, 2), 8), ("disk2x3", grid_disk(2, 3), 7),
+              ("disk3x3", grid_disk(3, 3), 7), ("coned-S3", coned_s3().complex, 5),
+              ("coned-S4", coned_s4().complex, 6)]
+    checked = partial = 0
+    for name, cx, scale in cases:
+        value = fv(cx, scale, INT).value(scale)
+        if value is INF:
+            continue
+        bound = int(value)
+        tables = fineness._Tables(cx, scale)
+        complete = {r.edge: r for r in _oracle_records(cx, scale)}
+        sizes = {}
+        for e in cx.edges:
+            states, done = per_edge_special_chain_search(cx, e.id, bound,
+                                                         fineness.DEFAULT_BUDGET)
+            assert done
+            sizes[e.id] = len(states)
+            union = set()
+            for g in tables.faces_meeting(e.id):
+                union |= {y for x in bitmask_face_search(tables, g, bound, -1)[0]
+                          for y in (x, tables.negate(x))}
+            chains = enumerate_special_chains(cx, e.id, bound)
+            assert [c.serialize() for c in chains] == [c.serialize() for c in states]
+            assert {c.serialize() for c in chains} == {
+                tables.chain(_ordinals(x)).serialize() for x in union}, (name, e.id)
+        for budget in range(-1, max(sizes.values()) + 2):
+            cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
+            assert cert.exact == all(size <= max(budget, 0) for size in sizes.values())
+            for rec in cert.records:
+                if budget > sizes[rec.edge] + 1:
+                    continue
+                checked += 1
+                assert rec.status == ("OK" if sizes[rec.edge] <= max(budget, 0)
+                                      else "INCOMPLETE"), (name, budget, rec.edge)
+                assert rec.count == len(rec.circuits)
+                if rec.status == "OK":
+                    assert rec == complete[rec.edge], (name, budget, rec.edge)
+                else:
+                    partial += 1
+                    assert {c.key for c in rec.circuits} <= {
+                        c.key for c in complete[rec.edge].circuits}
+    assert checked > 1000 and partial > 500, (checked, partial)
