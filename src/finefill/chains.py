@@ -5,7 +5,10 @@ the closing return, edges pairwise distinct.  Circuits are deduplicated by
 a canonical key (lexicographically least over rotations and the two
 directions), so loops and parallel-edge bigons count once each.  The search
 finds each circuit in both directions and keeps the first walk of each edge
-set, which determines the circuit, so each key is computed once.
+set, which determines the circuit, so each key is computed once.  It drops
+every path that is too far from its start to close within the length
+bound, which cuts only subtrees holding no circuit, so the walks, keys and
+their order stay those of the full search.
 """
 
 from dataclasses import dataclass
@@ -130,7 +133,7 @@ def enumerate_circuits(complex_, anchor=None, max_length=1):
         raise ValueError("max_length must be >= 1")
     if anchor is not None and anchor not in complex_.edge_by_id:
         raise UnknownEdgeError(f"unknown edge {anchor!r}")
-    circuits = _all_circuits(complex_, max_length)
+    circuits = list(circuit_masks(complex_, max_length).values())
     if anchor is not None:
         circuits = [c for c in circuits if c.contains_edge(anchor)]
     return circuits
@@ -140,36 +143,59 @@ def _edge_bits(complex_):
     return {e.id: 1 << i for i, e in enumerate(complex_.edges)}
 
 
+def circuit_masks(complex_, max_length):
+    """The circuits of length <= max_length keyed by their edge support
+    masks (bit i for the i-th edge of ``complex_.edges``), in (length, key)
+    order; the one cached dict, not a copy."""
+    return complex_.cached(("circuits", max_length), lambda: _all_circuits(complex_, max_length))
+
+
 def _all_circuits(complex_, max_length):
     """Depth-first search on vertex ranks, with the used edges and the
-    visited vertices as bit sets."""
-    def build():
-        vertices = sorted(complex_.vertex_set)
-        rank = {v: i for i, v in enumerate(vertices)}
-        bit = _edge_bits(complex_)
-        # rank -> (signed edge, end rank, edge bit) of each step leaving it
-        outs = [[(step, rank[complex_.edge_endpoints(step)[1]], bit[step[1]])
-                 for step in complex_.incident(v)] for v in vertices]
-        found = {}  # used-edge bits -> circuit
-        for start in range(len(vertices)):
-            # only circuits whose least vertex is the start; prevents
-            # rediscovery from every vertex on the circuit
-            stack = [(start, (), 0, 1 << start)]
-            while stack:
-                cur, walk, used, visited = stack.pop()
-                for step, end, b in outs[cur]:
-                    if used & b:
-                        continue
-                    if end == start:
-                        if used | b not in found:
-                            found[used | b] = make_circuit(walk + (step,))
-                        continue
-                    if len(walk) + 1 >= max_length or end < start or visited >> end & 1:
-                        continue
-                    stack.append((end, walk + (step,), used | b, visited | 1 << end))
-        return tuple(sorted(found.values(), key=lambda c: (len(c.walk), c.key)))
-    key = ("circuits", max_length)
-    return list(complex_.cached(key, build))
+    visited vertices as bit sets.  From each start it first takes the BFS
+    distance back[v] from v to the start through vertices above the start,
+    and a path of length l ending at v is pushed only when l + back[v] <=
+    max_length: no closing walk can start from any other."""
+    vertices = sorted(complex_.vertex_set)
+    rank = {v: i for i, v in enumerate(vertices)}
+    bit = _edge_bits(complex_)
+    # rank -> (signed edge, end rank, edge bit) of each step leaving it
+    outs = [[(step, rank[complex_.edge_endpoints(step)[1]], bit[step[1]])
+             for step in complex_.incident(v)] for v in vertices]
+    found = {}  # used-edge bits -> circuit
+    for start in range(len(vertices)):
+        # distances below max_length; max_length stands for every larger one,
+        # and for the vertices below the start
+        back = [max_length] * len(vertices)
+        back[start] = 0
+        frontier = [start]
+        for d in range(1, max_length):
+            if not frontier:
+                break
+            nxt = []
+            for v in frontier:
+                for _, end, _ in outs[v]:
+                    if end > start and back[end] == max_length:
+                        back[end] = d
+                        nxt.append(end)
+            frontier = nxt
+        # only circuits whose least vertex is the start; prevents
+        # rediscovery from every vertex on the circuit
+        stack = [(start, (), 0, 1 << start)]
+        while stack:
+            cur, walk, used, visited = stack.pop()
+            room = max_length - len(walk) - 1  # the steps left after the next one
+            for step, end, b in outs[cur]:
+                if used & b:
+                    continue
+                if end == start:
+                    if used | b not in found:
+                        found[used | b] = make_circuit(walk + (step,))
+                    continue
+                if back[end] > room or visited >> end & 1:
+                    continue
+                stack.append((end, walk + (step,), used | b, visited | 1 << end))
+    return dict(sorted(found.items(), key=lambda mc: (len(mc[1].walk), mc[1].key)))
 
 
 def decompose_into_circuits(complex_, cycle):
@@ -253,7 +279,7 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
         raise ValueError("max_norm must be >= 0")
     as_keys = fills is not None
     if fills is None:
-        circuits = _all_circuits(complex_, max_norm) if max_norm >= 1 else []
+        circuits = circuit_masks(complex_, max_norm).values() if max_norm >= 1 else []
         fills = [(circuit, 0) for circuit in circuits]
     den = lcm(*(value.denominator for _, value in fills))
     values = [value.numerator * (den // value.denominator) for _, value in fills]

@@ -11,7 +11,10 @@ solved exactly:
   bounds exactly when D divides every entry of X;
 * the rank of that kernel alone picks the route: at rank 0 or 1 the
   solution set is a point or a line and the optimum is a weighted-median
-  computation;
+  computation.  It runs on supports: the cycle comes as its (edge index,
+  coefficient) nonzeros, X as its nonzeros, and the line as the nonzeros
+  of its kernel vector z, so the solve, the minimization and the int
+  re-check of the witness cost the supports of gamma, X and z;
 * otherwise the rational optimum comes from a two-phase exact simplex in
   split-variable form, and the integral optimum from branch and bound
   seeded with a normal-form particular solution, with the simplex bound
@@ -96,24 +99,32 @@ class FillingResult:
             raise InternalError("witness must be present exactly when the value is finite")
 
 
-def _verify_filling(ctx, vec, x, den, value):
-    """Re-check a finite result x / den of value in ints: d2 x = den gamma
-    (``vec``) and |x|_1 = den value."""
-    image = [0] * len(vec)
-    for xj, column in zip(x, ctx.columns):
-        if xj:
-            for i, c in column:
-                image[i] += c * xj
-    if image != [den * g for g in vec]:
+def _verify_filling(ctx, terms, x, den, value):
+    """Re-check a finite result x / den of value in ints, over the face
+    columns of x ({face index: entry}, its nonzeros): d2 x = den gamma,
+    gamma the (edge index, coefficient) ``terms``, and |x|_1 = den value."""
+    image = ctx.image(x)
+    for i, g in terms:
+        image[i] -= den * g
+    if any(image):
         raise InternalError("witness boundary mismatch")
-    if sum(abs(v) for v in x) * value.denominator != den * value.numerator:
+    if sum(map(abs, x.values())) * value.denominator != den * value.numerator:
         raise InternalError("witness norm mismatch")
+
+
+def _line(z):
+    """The line of the kernel vector z as :func:`_minimize_on_line` reads
+    it: (the {face index: entry} nonzeros of z, the lcm of their |entries|,
+    the sum of their |entries|)."""
+    nonzeros = {j: w for j, w in enumerate(z) if w}
+    return nonzeros, lcm(*nonzeros.values()), sum(map(abs, nonzeros.values()))
 
 
 class _FillingContext:
     """Per-complex solver state: boundary matrix and its face columns, the
-    Smith form of d2 and what is read off it, the value cache, and the fill
-    values of :func:`_fill_circuits` for each ring."""
+    Smith form of d2 and what is read off it (the rational solver, the
+    kernel and its lines), the value cache, and the fill values of
+    :func:`_fill_circuits` for each ring."""
 
     def __init__(self, complex_):
         self.complex = complex_
@@ -124,6 +135,7 @@ class _FillingContext:
         self.columns = linalg.sparse_columns(self.d2)
         self._rat = None
         self._ker = None
+        self._lines = None
         self.value_cache = {}
         self.fills = {}  # ring -> {serialization: fill value}
 
@@ -143,21 +155,38 @@ class _FillingContext:
             self._ker = linalg.integer_kernel_basis(self.d2, snf=self.snf)
         return self._ker
 
-    def gamma_vector(self, gamma):
-        return self.edge_vector(gamma.coeffs.items())
+    @property
+    def lines(self):
+        """The :func:`_line` of each kernel basis vector, built once after
+        checking that d2 maps every one of them to 0."""
+        if self._lines is None:
+            lines = [_line(z) for z in self.kernel]
+            if any(any(self.image(zs)) for zs, _, _ in lines):
+                raise InternalError("kernel vector with a nonzero boundary")
+            self._lines = lines
+        return self._lines
 
-    def edge_vector(self, terms):
-        """The vector, one entry per edge, of (edge id, coefficient) terms."""
-        vec = [0] * len(self.edges)
-        for eid, c in terms:
-            vec[self.edge_pos[eid]] = c
-        return vec
+    def image(self, x):
+        """d2 x, one int per edge, summed over the face columns of the dict
+        {face index: entry} x."""
+        image = [0] * len(self.edges)
+        columns = self.columns
+        for j, xj in x.items():
+            for i, c in columns[j]:
+                image[i] += c * xj
+        return image
 
-    def chain_from_vector(self, x, ring, den=1):
-        """The 2-chain x / den."""
+    def terms(self, items):
+        """The (edge index, coefficient) pairs of (edge id, coefficient) items."""
+        edge_pos = self.edge_pos
+        return [(edge_pos[e], c) for e, c in items]
+
+    def chain(self, x, ring, den=1):
+        """The 2-chain x / den, x a dict {face index: entry}."""
+        faces = self.faces
         if ring == RAT:
-            return Chain(2, RAT, {f: Fraction(v, den) for f, v in zip(self.faces, x) if v})
-        return Chain(2, INT, {f: v for f, v in zip(self.faces, x) if v})
+            return Chain(2, RAT, {faces[j]: Fraction(x[j], den) for j in sorted(x)})
+        return Chain(2, INT, {faces[j]: x[j] for j in sorted(x)})
 
 
 def _context(complex_):
@@ -186,86 +215,107 @@ def filling_norm(complex_, gamma, ring):
 
 def _solve(ctx, gamma, ring):
     """The FillingResult of gamma over ring, its witness the 2-chain x / den
-    of :func:`_solve_vector`."""
-    certificate, x, den, val = _solve_vector(ctx, ctx.gamma_vector(gamma), ring)
+    of :func:`_solve_vector`, built from the nonzeros of x."""
+    certificate, x, den, val = _solve_vector(ctx, ctx.terms(gamma.coeffs.items()), ring)
     if val is INF:
         return FillingResult(INF, None, ring, certificate)
-    return FillingResult(val, ctx.chain_from_vector(x, ring, den), ring, certificate)
+    return FillingResult(val, ctx.chain(x, ring, den), ring, certificate)
 
 
-def _solve_vector(ctx, vec, ring):
-    """(certificate, x, den, value) of the integral cycle ``vec`` (one entry
-    per edge) over ring; x and den are None when the value is INF.  Every
-    route ends in an int vector x over one denominator den, and the witness
-    x / den is re-checked before it is returned."""
+def _solve_vector(ctx, terms, ring):
+    """(certificate, x, den, value) of the integral cycle with the (edge
+    index, coefficient) nonzeros ``terms`` over ring: x is an int vector as
+    a dict {face index: entry} of its nonzeros, over one denominator den,
+    and both are None when the value is INF.  Every route ends in such an
+    x, and the witness x / den is re-checked before it is returned; the LP
+    and branch and bound convert their dense optimum once."""
     nf = len(ctx.faces)
-    if not any(vec):
-        x, den, val = [0] * nf, 1, Fraction(0) if ring == RAT else 0
+    if not terms:
+        x, den, val = {}, 1, Fraction(0) if ring == RAT else 0
     elif not nf:
         return NO_FACES, None, None, INF
     else:
-        particular = ctx.rat.solve(vec)
+        particular = ctx.rat.solve(terms)
         if particular is None:
             return RATIONALLY_INFEASIBLE, None, None, INF
         x, den = particular
-        if ring == INT:
+        if ring == INT and den > 1:
             # v is unimodular, so x / den is integral exactly when gamma is
             # an integral boundary, and then it is the normal-form solution
-            if any(v % den for v in x):
+            if any(v % den for v in x.values()):
                 return INTEGRALLY_INFEASIBLE, None, None, INF
-            x, den = [v // den for v in x], 1
-        kernel_rank = nf - ctx.rat.rank
-        if kernel_rank <= 1:
+            x, den = {j: v // den for j, v in x.items()}, 1
+        lines = ctx.lines
+        if len(lines) <= 1:
             # another particular solution shifts every breakpoint of the
             # line by the same amount, so the minimizer found is the same
-            z = ctx.kernel[0] if kernel_rank else None
-            x, den, val = _minimize_on_line(x, den, z, integral=ring == INT)
-        elif ring == RAT:
-            q, val = _lp_optimum(ctx, vec)
-            den = lcm(*(v.denominator for v in q))
-            x = [v.numerator * (den // v.denominator) for v in q]
+            x, den, val = _minimize_on_line(x, den, lines[0] if lines else None,
+                                            integral=ring == INT)
         else:
-            x, val = _branch_and_bound(ctx, vec, x)
-    _verify_filling(ctx, vec, x, den, val)
+            vec = [0] * len(ctx.edges)
+            for i, c in terms:
+                vec[i] = c
+            if ring == RAT:
+                q, val = _lp_optimum(ctx, vec)
+                den = lcm(*(v.denominator for v in q))
+                x = {j: v.numerator * (den // v.denominator) for j, v in enumerate(q) if v}
+            else:
+                x, val = _branch_and_bound(ctx, vec, x)
+    _verify_filling(ctx, terms, x, den, val)
     return FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val
 
 
-def _minimize_on_line(big_m, den, z, integral):
-    """Exact min of |x|_1 over x = M / den + t z, t rational or integral,
-    for an int vector M and an int vector z (which may be None): (X, den',
-    value), the minimizer x = X / den' and its norm, the one Fraction.
+def _minimize_on_line(x, den, line, integral):
+    """Exact min of |y|_1 over y = X / den + t z, t rational or integral,
+    for X an int vector given as a dict {face index: entry} of its nonzeros
+    and z the int kernel vector of ``line`` (:func:`_line`, or None for no
+    line): (Y, den', value), the minimizer y = Y / den' as the dict of its
+    nonzeros and its norm, the one Fraction.
 
-    The scan runs on ints: the breakpoint -M_i / (den z_i) of entry i is
-    keyed by the int -M_i * (lam / z_i), lam the lcm of the nonzero |z_i|,
-    which orders the breakpoints as their values do.
+    The scan runs on ints: the breakpoint -X_i / (den z_i) of entry i is
+    keyed by the int -X_i * (lam / z_i), lam the lcm of the nonzero |z_i|,
+    which orders the breakpoints as their values do.  Every entry of
+    supp(z) off supp(X) has the breakpoint 0, so they enter the weighted
+    median as one weight, and the choice of t reads supp(X) only; z is
+    added in only when t is not 0.
     """
-    if z is None or not any(z):
-        return big_m, den, Fraction(sum(abs(m) for m in big_m), den)
-    lam = lcm(*(w for w in z if w))
+    if line is None:
+        return x, den, Fraction(sum(map(abs, x.values())), den)
+    zs, lam, total = line
     weight = {}  # den * lam * breakpoint -> total |z| of the entries that vanish there
-    for m, w in zip(big_m, z):
+    rest = total  # the |z| of the entries off supp(X)
+    for j, v in x.items():
+        w = zs.get(j)
         if w:
-            p = -m * (lam // w)
+            p = -v * (lam // w)
             weight[p] = weight.get(p, 0) + abs(w)
-    total = sum(weight.values())
+            rest -= abs(w)
+    if rest:
+        weight[0] = weight.get(0, 0) + rest
     acc = 0
     for p in sorted(weight):  # the weighted median p / (den * lam)
         acc += weight[p]
         if 2 * acc >= total:
             break
     if integral:
-        step = [den * w for w in z]
+        # the norm at t, less the entries off supp(z), which do not move
+        def moved_norm(t):
+            return sum(abs(v + t * den * zs[j]) for j, v in x.items() if j in zs) + (
+                abs(t) * den * rest)
 
-        def norm_at(t):
-            return sum(abs(m + t * w) for m, w in zip(big_m, step))
-
-        best_t = min(sorted({p // (den * lam), -(-p // (den * lam))}),
-                     key=lambda t: (norm_at(t), t))
-        x = [m + best_t * w for m, w in zip(big_m, step)]
+        step = min(sorted({p // (den * lam), -(-p // (den * lam))}),
+                   key=lambda t: (moved_norm(t), t)) * den
     else:
-        x = [m * lam + p * w for m, w in zip(big_m, z)]
-        den *= lam
-    return x, den, Fraction(sum(abs(v) for v in x), den)
+        step = p
+        if p:
+            x = {j: v * lam for j, v in x.items()}
+            den *= lam
+    if step:
+        y = dict(x)
+        for j, w in zs.items():
+            y[j] = y.get(j, 0) + step * w
+        x = {j: v for j, v in y.items() if v}
+    return x, den, Fraction(sum(map(abs, x.values())), den)
 
 
 def _lp_optimum(ctx, vec, bounds=None):
@@ -290,21 +340,23 @@ def _lp_optimum(ctx, vec, bounds=None):
     return [x[j] - x[nf + j] for j in range(nf)], val
 
 
-def _reduce_by_kernel(mu, kernel):
-    """Greedily shrink |mu|_1 by integer multiples of kernel vectors."""
+def _reduce_by_kernel(mu, lines):
+    """Greedily shrink |mu|_1 by integer multiples of the kernel vectors of
+    ``lines``, mu and the result dicts {face index: entry} of nonzeros."""
     improved = True
     while improved:
         improved = False
-        for z in kernel:
-            x, _, val = _minimize_on_line(mu, 1, z, integral=True)
-            if val < sum(abs(v) for v in mu):
+        for line in lines:
+            x, _, val = _minimize_on_line(mu, 1, line, integral=True)
+            if val < sum(map(abs, mu.values())):
                 mu = x
                 improved = True
     return mu
 
 
 def _branch_and_bound(ctx, vec, mu_int):
-    """Exact integral optimum; LP relaxation bounds each node from below.
+    """Exact integral optimum (x, value), x a dict {face index: entry} of
+    nonzeros; the LP relaxation bounds each node from below.
 
     Branches on the face variable with the largest fractional part (ties by
     canonical face order), depth first, lower branch first.  The initial
@@ -316,8 +368,8 @@ def _branch_and_bound(ctx, vec, mu_int):
     rows: an LP optimum below the incumbent norm already lies inside them.
     """
     nf = len(ctx.faces)
-    incumbent = _reduce_by_kernel(mu_int, ctx.kernel)
-    inc_val = sum(abs(v) for v in incumbent)
+    incumbent = _reduce_by_kernel(mu_int, ctx.lines)
+    inc_val = sum(map(abs, incumbent.values()))
     box = inc_val
     stack = [{}]
     while stack:
@@ -333,8 +385,8 @@ def _branch_and_bound(ctx, vec, mu_int):
                 frac_part = fp
                 frac_face = j
         if frac_face is None:
-            cand = [int(v) for v in x]
-            cand_val = sum(abs(v) for v in cand)
+            cand = {j: int(v) for j, v in enumerate(x) if v}
+            cand_val = sum(map(abs, cand.values()))
             if cand_val < inc_val:
                 incumbent, inc_val = cand, cand_val
             continue
@@ -469,7 +521,7 @@ def _fill_circuits(complex_, k_max, ring):
         if value is None:
             value = filled.get(tuple((e, -c) for e, c in key))
         if value is None:
-            value = filled[key] = _solve_vector(ctx, ctx.edge_vector(key), ring)[3]
+            value = filled[key] = _solve_vector(ctx, ctx.terms(key), ring)[3]
         return value
 
     circuits = enumerate_circuits(complex_, None, k_max) if k_max else []

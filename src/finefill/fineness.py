@@ -57,7 +57,7 @@ only.
 
 from dataclasses import dataclass
 
-from .chains import Circuit, enumerate_circuits
+from .chains import Circuit, circuit_masks, enumerate_circuits
 from .complexes import Chain, INT
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
@@ -128,8 +128,9 @@ class _Tables:
     ``signed[2g + (s > 0)]`` lists the (edge, coefficient, edge bit) of
     s times the boundary of g.  ``circuits`` maps the edge-index support
     mask of every circuit of length <= max_length to the circuit, in
-    (length, key) order; it is empty when max_length < 1, and the search
-    then finds no circuits.
+    (length, key) order, read as the search found them
+    (``chains.circuit_masks``); it is empty when max_length < 1, and the
+    search then finds no circuits.
     """
 
     def __init__(self, complex_, max_length=0):
@@ -147,10 +148,7 @@ class _Tables:
         self.signed = [[(e, s * c, 1 << e) for e, c in df.items()]
                        for df in self.face_boundary for s in (-1, 1)]
         self.odd = int("10" * len(self.face_ids) or "0", 2)  # the bits of sign +1
-        self.circuits = {
-            sum(1 << self.edge_index[eid] for _, eid in circ.walk): circ
-            for circ in (enumerate_circuits(complex_, None, max_length)
-                         if max_length >= 1 else ())}
+        self.circuits = circuit_masks(complex_, max_length) if max_length >= 1 else {}
 
     def faces_meeting(self, edge):
         if edge not in self.edge_index:

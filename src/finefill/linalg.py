@@ -6,7 +6,8 @@ denominator.  The Smith normal form is the one factorization: integral and
 rational solves, the kernel and the invariant factors all read it.  Its
 factors u and v are sparse, so the repeated solve keeps them as lists of
 column nonzeros and costs the support of its right-hand side, not the
-size of the matrix.
+size of the matrix: it takes the right-hand side as its (row, entry)
+nonzeros and returns the solution as its nonzeros.
 """
 
 from itertools import compress, islice
@@ -159,13 +160,17 @@ def invariant_factors(a, snf=None):
 def solve_integer(a, b, snf=None):
     """One integral solution x of a*x = b, or None if there is none: the
     rational solution X / D, when D divides every entry of X."""
-    solution = RationalSolver(a, snf=snf).solve(b)
+    solver = RationalSolver(a, snf=snf)
+    solution = solver.solve([(i, v) for i, v in enumerate(b) if v])
     if solution is None:
         return None
     big_x, den = solution
-    if any(v % den for v in big_x):
+    if any(v % den for v in big_x.values()):
         return None
-    return [v // den for v in big_x]
+    x = [0] * solver.width
+    for j, v in big_x.items():
+        x[j] = v // den
+    return x
 
 
 def integer_kernel_basis(a, snf=None):
@@ -206,21 +211,21 @@ class RationalSolver:
         self.width = len(v)
 
     def solve(self, b):
-        """(X, D) with X an int vector and x = X / D a rational solution of
-        a*x = b, or None when there is none.  u*b and v*y are summed over
-        the nonzero entries of b and y only."""
+        """(X, D) with x = X / D a rational solution of a*x = b, or None when
+        there is none.  b comes as its (row, entry) nonzeros and X as a dict
+        {column: entry} of its nonzeros; u*b and v*y are summed over the
+        nonzero entries of b and y only."""
         u_columns = self.u_columns
         ub = [0] * len(u_columns)
-        for j, bj in enumerate(b):
-            if bj:
-                for i, c in u_columns[j]:
-                    ub[i] += c * bj
+        for j, bj in b:
+            for i, c in u_columns[j]:
+                ub[i] += c * bj
         if any(ub[self.rank:]):
             return None
-        x = [0] * self.width
+        x = {}
         for ubi, s, column in zip(ub, self.scale, self.v_columns):
             if ubi:
                 yi = ubi * s
                 for j, c in column:
-                    x[j] += c * yi
-        return x, self.denominator
+                    x[j] = x.get(j, 0) + c * yi
+        return {j: v for j, v in x.items() if v}, self.denominator

@@ -19,7 +19,7 @@ minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
 from a search per face, over frozensets of signed-face ints in set order or
 over int bit sets in face order.
-Four exceptions: :func:`lp_route_filling_value` runs the package's own LP
+Five exceptions: :func:`lp_route_filling_value` runs the package's own LP
 and branch and bound on every cycle, so that they check the closed form
 the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
 cycle with the package's ``filling_norm``, so that it checks which cycles
@@ -27,18 +27,22 @@ cycle with the package's ``filling_norm``, so that it checks which cycles
 Smith form, dividing u*b by its diagonal where ``linalg.solve_integer``
 reads the rational solution X / D, and :func:`dense_rational_solve` reads
 that Smith form too, forming the dense products u*b and v*y that
-``linalg.RationalSolver`` sums over the nonzero entries only.
+``linalg.RationalSolver`` sums over the nonzero entries only, and
+:func:`dense_line_fill` reads that Smith form and the package's kernel,
+filling a cycle at kernel rank <= 1 through full-length vectors where
+``filling`` works on the supports of the cycle, the solution and the
+kernel vector.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
 from finefill.chains import Circuit, circuit_from_chain
-from finefill.errors import DisconnectedError
+from finefill.errors import DisconnectedError, InternalError
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -804,16 +808,121 @@ def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
     return incumbent, inc_val
 
 
+def gamma_vector(ctx, gamma):
+    """The int vector of the 1-chain gamma, one entry per edge of the
+    filling context ``ctx``."""
+    vec = [0] * len(ctx.edges)
+    for eid, c in gamma.coeffs.items():
+        vec[ctx.edge_pos[eid]] = c
+    return vec
+
+
+def nonzeros(vec):
+    """The {index: entry} dict of the nonzero entries of vec."""
+    return {j: v for j, v in enumerate(vec) if v}
+
+
+def dense(x, width):
+    """The vector of length width whose nonzeros are the {index: entry} x."""
+    vec = [0] * width
+    for j, v in x.items():
+        vec[j] = v
+    return vec
+
+
+def chain_from_vector(ctx, x, ring, den=1):
+    """The 2-chain x / den of the int vector x, one entry per face."""
+    if ring == RAT:
+        return Chain(2, RAT, {f: Fraction(v, den) for f, v in zip(ctx.faces, x) if v})
+    return Chain(2, INT, {f: v for f, v in zip(ctx.faces, x) if v})
+
+
+def dense_verify_filling(ctx, vec, x, den, value):
+    """Raise InternalError unless d2 x = den vec and |x|_1 = den value, x and
+    vec full-length int vectors."""
+    if mat_vec(ctx.d2, x) != [den * g for g in vec]:
+        raise InternalError("witness boundary mismatch")
+    if sum(abs(v) for v in x) * value.denominator != den * value.numerator:
+        raise InternalError("witness norm mismatch")
+
+
+def dense_minimize_on_line(big_m, den, z, integral):
+    """Exact min of |x|_1 over x = M / den + t z, t rational or integral, for
+    full-length int vectors M and z (z may be None): (X, den', value), X a
+    full-length int vector.  The breakpoint -M_i / (den z_i) is keyed by the
+    int -M_i * (lam / z_i), lam the lcm of the nonzero |z_i|, and the
+    integral t is the better of the floor and the ceiling of the median."""
+    if z is None or not any(z):
+        return list(big_m), den, Fraction(sum(abs(m) for m in big_m), den)
+    lam = lcm(*(w for w in z if w))
+    weight = {}
+    for m, w in zip(big_m, z):
+        if w:
+            p = -m * (lam // w)
+            weight[p] = weight.get(p, 0) + abs(w)
+    total = sum(weight.values())
+    acc = 0
+    for p in sorted(weight):
+        acc += weight[p]
+        if 2 * acc >= total:
+            break
+    if integral:
+        step = [den * w for w in z]
+
+        def norm_at(t):
+            return sum(abs(m + t * w) for m, w in zip(big_m, step))
+
+        best_t = min(sorted({p // (den * lam), -(-p // (den * lam))}),
+                     key=lambda t: (norm_at(t), t))
+        x = [m + best_t * w for m, w in zip(big_m, step)]
+    else:
+        x = [m * lam + p * w for m, w in zip(big_m, z)]
+        den *= lam
+    return x, den, Fraction(sum(abs(v) for v in x), den)
+
+
+def dense_line_fill(ctx, vec, ring):
+    """(certificate, x, den, value) of the integral cycle ``vec`` (one entry
+    per edge) over ring at kernel rank <= 1, through full-length vectors: the
+    dense particular solution of :func:`dense_rational_solve`, the line
+    minimization of :func:`dense_minimize_on_line` along the package's kernel
+    vector, and :func:`dense_verify_filling`; x and den are None when the
+    value is INF."""
+    nf = len(ctx.faces)
+    assert len(ctx.kernel) <= 1
+    if not any(vec):
+        x, den, val = [0] * nf, 1, Fraction(0) if ring == RAT else 0
+    elif not nf:
+        return filling.NO_FACES, None, None, INF
+    else:
+        particular = dense_rational_solve(ctx.d2, vec, snf=ctx.snf)
+        if particular is None:
+            return filling.RATIONALLY_INFEASIBLE, None, None, INF
+        x, den = particular
+        if ring == INT:
+            if any(v % den for v in x):
+                return filling.INTEGRALLY_INFEASIBLE, None, None, INF
+            x, den = [v // den for v in x], 1
+        z = ctx.kernel[0] if ctx.kernel else None
+        x, den, val = dense_minimize_on_line(x, den, z, integral=ring == INT)
+    dense_verify_filling(ctx, vec, x, den, val)
+    return filling.FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val
+
+
 def lp_route_filling_value(cx, gamma, ring):
     """Filling norm of the integral cycle ``gamma`` by the LP (over Q) or
     branch and bound (over Z), whatever the rank of the kernel of d2."""
     ctx = filling._context(cx)
-    vec = ctx.gamma_vector(gamma)
+    vec = gamma_vector(ctx, gamma)
     if ring == RAT:
         x, val = filling._lp_optimum(ctx, vec)
     else:
         mu = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
-        x, val = (None, None) if mu is None else filling._branch_and_bound(ctx, vec, mu)
+        if mu is None:
+            x = None
+        else:
+            x, val = filling._branch_and_bound(ctx, vec, nonzeros(mu))
+            x = dense(x, len(ctx.faces))
     if x is None:
         return INF
     assert mat_vec(ctx.d2, x) == vec and sum(abs(v) for v in x) == val

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -6,8 +7,8 @@ from fractions import Fraction
 from finefill import (BARYCENTRIC, Chain, INT, RAT, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, is_cycle,
                       is_disjoint, parse_chain, subdivide, validate, write_chain)
-from finefill.chains import (canonical_walk_key, circuit_from_chain, make_circuit,
-                             require_circuit)
+from finefill.chains import (canonical_walk_key, circuit_from_chain, circuit_masks,
+                             make_circuit, require_circuit)
 from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, figure8_graph, k4_graph,
@@ -96,6 +97,30 @@ def test_circuit_search_matches_oracle_with_loops_and_parallel_edges():
             assert [(c.walk, c.key) for c in got] == [(c.walk, c.key) for c in want], (
                 cx.edges, scale)
     assert loops >= 100 and parallel >= 100, (loops, parallel)
+
+
+def test_pruned_circuit_search_matches_oracle_at_every_scale():
+    # the search drops a path only when the BFS distance back to its start
+    # leaves no room to close within the scale, a bound that moves with the
+    # scale: the same walks in the same order at every scale 1..8, on the
+    # search cases and the 300 multigraphs of the test above.  The cached
+    # masks are the circuits' edge supports.
+    rng = random.Random(1301)
+    cases = _search_cases() + [("random", _random_multigraph(rng)) for _ in range(300)]
+    total = Counter()
+    for name, cx in cases:
+        index = {e.id: i for i, e in enumerate(cx.edges)}
+        for scale in range(1, 9):
+            got = enumerate_circuits(cx, None, scale)
+            want = frozenset_circuit_search(cx, scale)
+            assert [(c.walk, c.key) for c in got] == [(c.walk, c.key) for c in want], (
+                name, cx.edges if name == "random" else None, scale)
+            masks = circuit_masks(cx, scale)
+            assert list(masks.values()) == got
+            assert all(mask == sum(1 << index[e] for _, e in c.walk)
+                       for mask, c in masks.items())
+            total[scale] += len(got)
+    assert all(total[scale] < total[scale + 1] for scale in range(1, 8)), total
 
 
 def test_canonical_walk_key_matches_all_rotations():

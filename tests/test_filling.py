@@ -19,9 +19,11 @@ from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
-from oracles import (all_cycles_fv, dict_conformal_search, exhaustive_int_filling,
-                     fraction_solve_lp, full_box_branch_and_bound, lp_route_filling_value,
-                     minimize_on_line, multiset_cycles, partition_maximum,
+from oracles import (all_cycles_fv, chain_from_vector, dense, dense_line_fill,
+                     dense_minimize_on_line, dense_rational_solve, dict_conformal_search,
+                     exhaustive_int_filling, fraction_solve_lp,
+                     full_box_branch_and_bound, gamma_vector, lp_route_filling_value,
+                     minimize_on_line, multiset_cycles, nonzeros, partition_maximum,
                      rref_rational_solve, smith_integer_solve)
 
 
@@ -128,12 +130,13 @@ def test_torsion_fills_match_oracles(monkeypatch):
         for cycle in enumerate_cycles(cx, k_max):
             if cycle.is_zero() or cycle.serialize() > cycle.neg().serialize():
                 continue  # one cycle of each pair +-gamma: both fill alike
-            vec = ctx.gamma_vector(cycle)
+            vec = gamma_vector(ctx, cycle)
             rational = rref_rational_solve(ctx.d2, vec) is not None
             integral = smith_integer_solve(ctx.d2, vec, snf=ctx.snf) is not None
             solves.clear()
             rq, rz = filling_norm(cx, cycle, RAT), filling_norm(cx, cycle, INT)
-            assert solves == [vec, vec]  # one particular solve per fill, either ring
+            # one particular solve per fill, either ring, of gamma's nonzeros
+            assert [dict(b) for b in solves] == [nonzeros(vec)] * 2
             assert rq.certificate == ("FEASIBLE_OPTIMAL" if rational
                                       else "RATIONALLY_INFEASIBLE"), cycle.coeffs
             assert rz.certificate == ("FEASIBLE_OPTIMAL" if integral
@@ -256,15 +259,15 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
         z = ctx.kernel[0] if ctx.kernel else None
         for cycle in enumerate_cycles(cx, 4):
             res = filling_norm(cx, cycle, RAT)
-            particular = rref_rational_solve(ctx.d2, ctx.gamma_vector(cycle))
+            particular = rref_rational_solve(ctx.d2, gamma_vector(ctx, cycle))
             if particular is None:
                 assert res.value is INF, (name, cycle.coeffs)
                 continue
             den = lcm(*(v.denominator for v in particular))
             big_m = [v.numerator * (den // v.denominator) for v in particular]
-            x, den, val = filling._minimize_on_line(big_m, den, z, integral=False)
+            x, den, val = dense_minimize_on_line(big_m, den, z, integral=False)
             assert res.value == val, (name, cycle.coeffs)
-            assert res.witness == ctx.chain_from_vector(x, RAT, den), (name, cycle.coeffs)
+            assert res.witness == chain_from_vector(ctx, x, RAT, den), (name, cycle.coeffs)
             lines += z is not None
     assert lines >= 10
 
@@ -299,24 +302,27 @@ def test_int_recheck_rejects_bad_witnesses(monkeypatch):
     # (complex, cycle, witness x over den, value) that pass, each spoiled once
     # in a face coefficient (same norm) and once in the value
     tri = Chain(1, INT, {"e12": 1, "e23": 1, "e13": -1})
-    cases = [(tetrahedron(), tri, INT, [1, 0, 0, 0], 1, 1, [0, 1, 0, 0]),
-             (double_traversal(), Chain(1, INT, {"e": 1}), RAT, [1], 2, Fraction(1, 2), [-1])]
+    # (witnesses as {face index: entry} nonzeros, cycles as (edge index,
+    # coefficient) pairs)
+    cases = [(tetrahedron(), tri, INT, {0: 1}, 1, 1, {1: 1}),
+             (double_traversal(), Chain(1, INT, {"e": 1}), RAT, {0: 1}, 2, Fraction(1, 2),
+              {0: -1})]
     for cx, gamma, ring, x, den, value, off in cases:
         ctx = filling._context(cx)
-        vec = ctx.gamma_vector(gamma)
-        filling._verify_filling(ctx, vec, x, den, value)
+        terms = ctx.terms(gamma.coeffs.items())
+        filling._verify_filling(ctx, terms, x, den, value)
         with pytest.raises(InternalError, match="witness boundary mismatch"):
-            filling._verify_filling(ctx, vec, off, den, value)
+            filling._verify_filling(ctx, terms, off, den, value)
         with pytest.raises(InternalError, match="witness norm mismatch"):
-            filling._verify_filling(ctx, vec, x, den, value * 2)
+            filling._verify_filling(ctx, terms, x, den, value * 2)
         assert filling_norm(cx, gamma, ring).value == value
 
     # a fill whose line minimizer comes back spoiled raises and caches nothing
     minimize_on_line = filling._minimize_on_line
 
-    def spoiled(big_m, den, z, integral):
-        x, den, val = minimize_on_line(big_m, den, z, integral)
-        return [v + den for v in x], den, val
+    def spoiled(big_m, den, line, integral):
+        x, den, val = minimize_on_line(big_m, den, line, integral)
+        return {j: v + den for j, v in x.items()}, den, val
 
     monkeypatch.setattr(filling, "_minimize_on_line", spoiled)
     for build, gamma, ring in ((tetrahedron, tri, INT),
@@ -325,6 +331,18 @@ def test_int_recheck_rejects_bad_witnesses(monkeypatch):
         with pytest.raises(InternalError):
             filling_norm(cx, gamma, ring)
         assert not filling._context(cx).value_cache
+    monkeypatch.setattr(filling, "_minimize_on_line", minimize_on_line)
+
+    # a spoiled kernel vector fails the check that d2 z = 0, made once per
+    # complex before its line is built, and nothing is cached
+    for ring in (INT, RAT):
+        cx = tetrahedron()
+        ctx = filling._context(cx)
+        [z] = ctx.kernel
+        ctx._ker = [[z[0] + 1] + z[1:]]
+        with pytest.raises(InternalError, match="kernel vector with a nonzero boundary"):
+            filling_norm(cx, tri, ring)
+        assert not ctx.value_cache and ctx._lines is None
 
 
 def test_result_types():
@@ -408,16 +426,17 @@ def _check_against_full_box(om, k, solve_lp):
     for cycle in enumerate_cycles(om, k):
         if cycle.is_zero():
             continue
-        vec = ctx.gamma_vector(cycle)
+        vec = gamma_vector(ctx, cycle)
         mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
         if mu_int is None:
             continue
-        x, val = filling._branch_and_bound(ctx, vec, mu_int)
-        start = filling._reduce_by_kernel(mu_int, ctx.kernel)
-        y, want = full_box_branch_and_bound(ctx.d2, vec, start, solve_lp)
+        x, val = filling._branch_and_bound(ctx, vec, nonzeros(mu_int))
+        start = filling._reduce_by_kernel(nonzeros(mu_int), ctx.lines)
+        y, want = full_box_branch_and_bound(ctx.d2, vec, dense(start, len(ctx.faces)),
+                                            solve_lp)
         assert val == want, cycle.coeffs
-        for witness in (x, y):
-            mu = ctx.chain_from_vector(witness, INT)
+        for witness in (dense(x, len(ctx.faces)), y):
+            mu = chain_from_vector(ctx, witness, INT)
             assert boundary(om, mu) == cycle and mu.l1() == val, cycle.coeffs
         checked += 1
     return checked
@@ -626,9 +645,9 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
     solved = []
     solve_vector = filling._solve_vector
 
-    def recording(ctx, vec, ring):
-        result = solve_vector(ctx, vec, ring)
-        solved.append((tuple(vec), result[0], result[3]))
+    def recording(ctx, terms, ring):
+        result = solve_vector(ctx, terms, ring)
+        solved.append((tuple(sorted(terms)), result[0], result[3]))
         return result
 
     monkeypatch.setattr(filling, "_solve_vector", recording)
@@ -654,7 +673,7 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
             for circ in enumerate_circuits(cx, None, stop) if stop else ():
                 cycle = circ.induced_cycle()
                 want = filling_norm(fresh, cycle, ring)
-                got = inside[tuple(ctx.gamma_vector(cycle))]
+                got = inside[tuple(sorted(ctx.terms(cycle.coeffs.items())))]
                 assert got == (want.certificate, want.value), (name, ring, circ.walk)
                 assert type(got[1]) is type(want.value), (name, ring, circ.walk)
                 checked[ring] += 1
@@ -668,6 +687,54 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
                               (RAT, filling.RATIONALLY_INFEASIBLE)):
         assert certificates[ring, certificate] > 0, (ring, certificate)
     assert {0, 1} <= kernel_ranks and max(kernel_ranks) >= 2, kernel_ranks
+
+
+def test_sparse_line_fills_match_dense_oracle():
+    # at kernel rank <= 1 a fill works on the supports of gamma, X and z; the
+    # oracle takes the dense route through full-length vectors.  Every cycle
+    # of norm <= 5, both rings, both call orders (gamma then -gamma, -gamma
+    # then gamma), each order on a fresh complex: the same certificate, the
+    # same value of the same type and the same witness
+    cases = CORPUS + [(name, build) for name, build in TORSION
+                      if name in ("double-traversal-barycentric", "z3-moore-2")]
+    cases += [("disk3x3", lambda: grid_disk(3, 3)), ("S3-coned", lambda: coned_s3().complex),
+              ("S4-coned", lambda: coned_s4().complex),
+              ("tetrahedron''", lambda: subdivide(tetrahedron(), BARYCENTRIC).complex),
+              # cycles that bound nothing over Q beside faces
+              ("triangle-face+open-square", triangle_face_open_square),
+              ("figure8-one-face", figure8_one_face)]
+    seen = Counter()
+    for name, build in cases:
+        cycles = [c for c in enumerate_cycles(build(), 5)
+                  if not c.is_zero() and c.serialize() < c.neg().serialize()]
+        for ring in (INT, RAT):
+            for negated_first in (False, True):
+                cx = build()
+                ctx = filling._context(cx)
+                if cx.faces:
+                    assert len(ctx.kernel) <= 1, name
+                    seen["kernel rank", len(ctx.kernel)] += 1
+                for cycle in cycles:
+                    for gamma in ((cycle.neg(), cycle) if negated_first
+                                  else (cycle, cycle.neg())):
+                        vec = gamma_vector(ctx, gamma)
+                        certificate, x, den, value = dense_line_fill(ctx, vec, ring)
+                        got = filling_norm(cx, gamma, ring)
+                        where = (name, ring, negated_first, gamma.coeffs)
+                        assert got.certificate == certificate, where
+                        assert got.value == value and type(got.value) is type(value), where
+                        assert got.witness == (None if x is None
+                                               else chain_from_vector(ctx, x, ring, den)), where
+                        seen[certificate] += 1
+                        if x is not None and cx.faces:
+                            # the minimizer left the particular solution
+                            big_x, d = dense_rational_solve(ctx.d2, vec, snf=ctx.snf)
+                            seen["moved"] += [Fraction(v, den) for v in x] != [
+                                Fraction(v, d) for v in big_x]
+    assert seen["kernel rank", 0] and seen["kernel rank", 1], seen
+    for key in ("FEASIBLE_OPTIMAL", "INTEGRALLY_INFEASIBLE", "RATIONALLY_INFEASIBLE",
+                "NO_FACES", "moved"):
+        assert seen[key] >= 10, seen
 
 
 def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
@@ -684,7 +751,9 @@ def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
                 if result is None:
                     return None
                 x, den = result
-                return [x[0] + den] + x[1:], den
+                x = dict(x)
+                x[0] = x.get(0, 0) + den
+                return {j: v for j, v in x.items() if v}, den
 
             monkeypatch.setattr(ctx.rat, "solve", spoiled)
             with pytest.raises(InternalError, match="witness boundary mismatch"):
@@ -866,13 +935,16 @@ def test_minimize_on_line_matches_oracle():
             z = [int(w * z_scale) for w in z]
         den = lcm(*(Fraction(m).denominator for m in mu))
         big_m = [int(m * den) for m in mu]
+        # the package takes M and the minimizer as their nonzeros, and z as
+        # its line; a kernel vector is never zero, so a zero z is no line
+        line = filling._line(z) if z is not None and any(z) else None
         for integral in (False, True):
-            x, x_den, val = filling._minimize_on_line(big_m, den, z, integral)
+            x, x_den, val = filling._minimize_on_line(nonzeros(big_m), den, line, integral)
             want_x, want_val = minimize_on_line(mu, z, integral)
-            assert ([Fraction(v, x_den) for v in x], val) == (want_x, want_val), (
+            assert ([Fraction(v, x_den) for v in dense(x, n)], val) == (want_x, want_val), (
                 mu, z, integral)
-            assert all(type(v) is int for v in x) and type(x_den) is int and x_den > 0
-            assert type(val) is Fraction
+            assert all(type(v) is int and v for v in x.values())
+            assert type(x_den) is int and x_den > 0 and type(val) is Fraction
 
 
 def _largest_circuit_fill(cx, k, ring):
@@ -947,9 +1019,9 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
     solved = []
     solve = filling._solve_vector
 
-    def counted(ctx, vec, ring):
-        solved.append((ring, tuple(vec)))
-        return solve(ctx, vec, ring)
+    def counted(ctx, terms, ring):
+        solved.append((ring, tuple(sorted(terms))))
+        return solve(ctx, terms, ring)
 
     monkeypatch.setattr(filling, "_solve_vector", counted)
     for build, rings in ((tetrahedron, (INT, RAT)), (lambda: grid_disk(2, 3), (INT, RAT)),
@@ -961,5 +1033,5 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
             values = [filling.fv_value(cx, k, ring) for k in range(1, 9)]
             assert solved
             assert fv(cx, 8, ring).values[1:] == tuple(values)
-            keys = [(r, min(vec, tuple(-c for c in vec))) for r, vec in solved]
+            keys = [(r, min(terms, tuple((i, -c) for i, c in terms))) for r, terms in solved]
             assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))

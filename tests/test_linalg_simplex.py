@@ -9,8 +9,8 @@ from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 from instances import CORPUS, TORSION
 from oracles import (dense_rational_solve, determinant_divisor_factors, fraction_solve_lp,
-                     mat_vec, rref_rational_solve, scanning_smith_normal_form,
-                     smith_integer_solve)
+                     gamma_vector, mat_vec, nonzeros, rref_rational_solve,
+                     scanning_smith_normal_form, smith_integer_solve)
 
 
 def matmul(a, b):
@@ -108,11 +108,12 @@ def test_integer_solve_infeasible():
 
 
 def test_rational_solver():
-    # x = X / D over the last invariant factor D
+    # x = X / D over the last invariant factor D; b and X as their nonzeros
     rs = linalg.RationalSolver([[2]])
-    assert rs.solve([1]) == ([1], 2)
+    assert rs.solve([(0, 1)]) == ({0: 1}, 2)
+    assert rs.solve([]) == ({}, 2)
     rs = linalg.RationalSolver([[1, 1], [1, 1]])
-    assert rs.solve([1, 2]) is None
+    assert rs.solve([(0, 1), (1, 2)]) is None
     assert rs.rank == 1
 
 
@@ -163,7 +164,7 @@ def test_rational_solver_matches_row_reduction_oracle():
                 b = [int(v * scale) for v in b]
             else:
                 b = [rng.randint(-4, 4) for _ in range(rows)]
-            solution = solver.solve(b)
+            solution = solver.solve(nonzeros(b).items())
             x_oracle = rref_rational_solve(a, b)
             assert (solution is None) == (x_oracle is None), (a, b)
             if solution is None:
@@ -171,7 +172,9 @@ def test_rational_solver_matches_row_reduction_oracle():
                 continue
             seen["feasible"] += 1
             big_x, den = solution
-            assert all(type(v) is int for v in big_x) and type(den) is int and den > 0
+            assert all(type(v) is int and v for v in big_x.values())
+            assert type(den) is int and den > 0
+            big_x = [big_x.get(j, 0) for j in range(cols)]
             assert mat_vec(a, big_x) == [den * v for v in b], (a, b)
             diff = [Fraction(p, den) - q for p, q in zip(big_x, x_oracle)]
             assert not any(mat_vec(a, diff)), (a, b)
@@ -181,13 +184,14 @@ def test_rational_solver_matches_row_reduction_oracle():
 def test_sparse_solve_matches_dense_smith_products():
     # RationalSolver.solve sums u*b and v*y over the nonzero entries of b
     # and y only; the oracle forms both dense products.  (X, D) and None
-    # agree on random matrices and on d2 of the corpus and the torsion
-    # complexes, whose right-hand sides include every cycle of norm <= 4.
+    # agree, X as its nonzeros, on random matrices and on d2 of the corpus
+    # and the torsion complexes, whose right-hand sides include every cycle
+    # of norm <= 4.
     rng = random.Random(1212)
     matrices = [(_random_solver_matrix(rng), []) for _ in range(400)]
     for _, build in CORPUS + TORSION:
         ctx = filling._context(build())
-        matrices.append((ctx.d2, [ctx.gamma_vector(c) for c in enumerate_cycles(ctx.complex, 4)]))
+        matrices.append((ctx.d2, [gamma_vector(ctx, c) for c in enumerate_cycles(ctx.complex, 4)]))
     seen = Counter()
     for a, vectors in matrices:
         rows, cols = len(a), len(a[0]) if a else 0
@@ -204,8 +208,9 @@ def test_sparse_solve_matches_dense_smith_products():
                 b = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(rows)]
             vectors.append(b)
         for b in vectors:
-            solution = solver.solve(b)
-            assert solution == dense_rational_solve(a, b, snf=snf), (a, b)
+            solution = solver.solve(nonzeros(b).items())
+            want = dense_rational_solve(a, b, snf=snf)
+            assert solution == (want and (nonzeros(want[0]), want[1])), (a, b)
             seen["infeasible" if solution is None else "feasible"] += 1
     assert len(seen) == 4 and min(seen.values()) >= 30, seen
 
