@@ -139,13 +139,9 @@ def enumerate_circuits(complex_, anchor=None, max_length=1):
     return circuits
 
 
-def _edge_bits(complex_):
-    return {e.id: 1 << i for i, e in enumerate(complex_.edges)}
-
-
 def circuit_masks(complex_, max_length):
     """The circuits of length <= max_length keyed by their edge support
-    masks (bit i for the i-th edge of ``complex_.edges``), in (length, key)
+    masks (bit i for the edge at ``complex_.edge_index`` i), in (length, key)
     order; the one cached dict, not a copy."""
     return complex_.cached(("circuits", max_length), lambda: _all_circuits(complex_, max_length))
 
@@ -158,9 +154,9 @@ def _all_circuits(complex_, max_length):
     max_length: no closing walk can start from any other."""
     vertices = sorted(complex_.vertex_set)
     rank = {v: i for i, v in enumerate(vertices)}
-    bit = _edge_bits(complex_)
+    index = complex_.edge_index
     # rank -> (signed edge, end rank, edge bit) of each step leaving it
-    outs = [[(step, rank[complex_.edge_endpoints(step)[1]], bit[step[1]])
+    outs = [[(step, rank[complex_.edge_endpoints(step)[1]], 1 << index[step[1]])
              for step in complex_.incident(v)] for v in vertices]
     found = {}  # used-edge bits -> circuit
     for start in range(len(vertices)):
@@ -300,11 +296,11 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     # raise to the target of its norm
     reach = [min((target[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
              for u in range(max_norm + 1)]
-    bit = _edge_bits(complex_)
+    index = complex_.edge_index
     signed = []  # (edge vector, positive edge bits, negative edge bits)
     for circuit, _ in fills:
-        pos = sum(bit[e] for s, e in circuit.walk if s > 0)
-        neg = sum(bit[e] for s, e in circuit.walk if s < 0)
+        pos = sum(1 << index[e] for s, e in circuit.walk if s > 0)
+        neg = sum(1 << index[e] for s, e in circuit.walk if s < 0)
         signed.append(([(e, s) for s, e in circuit.walk], pos, neg))
         signed.append(([(e, -s) for s, e in circuit.walk], neg, pos))
     lens = [circuit.length for circuit, _ in fills]

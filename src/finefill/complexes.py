@@ -107,7 +107,13 @@ class H1Report:
 
 
 class TwoComplex:
-    """Validated immutable 2-complex; construct via :func:`validate`."""
+    """Validated immutable 2-complex; construct via :func:`validate`.
+
+    It owns the one int form that every module reads: ``edge_index`` numbers
+    the edges in ``edges`` order, and the sparse d2 (:meth:`face_columns`),
+    the dense d2, its Smith form and the other derived tables are built once
+    and cached with the complex.
+    """
 
     def __init__(self, vertices, edges, faces, _token=None):
         if _token is not _BUILD_TOKEN:
@@ -116,6 +122,7 @@ class TwoComplex:
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         self.edge_by_id = {e.id: e for e in self.edges}
+        self.edge_index = {eid: i for i, eid in enumerate(self.edge_by_id)}
         self.face_by_id = {f.id: f for f in self.faces}
         self.vertex_set = frozenset(self.vertices)
         self._cache = {}
@@ -137,21 +144,14 @@ class TwoComplex:
         A non-loop edge appears once (with the sign that makes it leave);
         a loop appears with both signs.
         """
-        key = ("incident", vertex)
-        if key not in self._cache:
+        def build():
             table = {v: [] for v in self.vertices}
             for e in self.edges:
-                if e.tail == e.head:
-                    table[e.tail].append((1, e.id))
-                    table[e.tail].append((-1, e.id))
-                else:
-                    table[e.tail].append((1, e.id))
-                    table[e.head].append((-1, e.id))
-            for v in table:
-                table[v].sort(key=lambda se: (se[1], -se[0]))
-            for v, lst in table.items():
-                self._cache[("incident", v)] = tuple(lst)
-        return self._cache[key]
+                table[e.tail].append((1, e.id))
+                table[e.head].append((-1, e.id))
+            return {v: tuple(sorted(steps, key=lambda se: (se[1], -se[0])))
+                    for v, steps in table.items()}
+        return self.cached("incident", build)[vertex]
 
     def faces_meeting_edge(self, eid):
         """Faces whose boundary chain has a nonzero coefficient on ``eid``."""
@@ -176,16 +176,24 @@ class TwoComplex:
             self._cache[key] = Chain(1, INT, acc)
         return self._cache[key]
 
+    def face_columns(self):
+        """d2 as sparse columns: the (edge index, coefficient) nonzeros of
+        each face's boundary, faces in ``faces`` order, edges ascending."""
+        def build():
+            index = self.edge_index
+            return [sorted((index[eid], c) for eid, c in self.face_boundary(f.id).coeffs.items())
+                    for f in self.faces]
+        return self.cached("d2_columns", build)
+
     def boundary_matrix_2(self):
         """d2 as rows=edges, cols=faces (ints)."""
-        if "d2" not in self._cache:
-            ei = {e.id: i for i, e in enumerate(self.edges)}
+        def build():
             m = [[0] * len(self.faces) for _ in self.edges]
-            for j, f in enumerate(self.faces):
-                for eid, c in self.face_boundary(f.id).coeffs.items():
-                    m[ei[eid]][j] = c
-            self._cache["d2"] = m
-        return self._cache["d2"]
+            for j, column in enumerate(self.face_columns()):
+                for i, c in column:
+                    m[i][j] = c
+            return m
+        return self.cached("d2", build)
 
     def smith_form_2(self):
         """Smith normal form (u, d, v) of d2, shared by homology and fillings."""

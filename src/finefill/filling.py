@@ -26,6 +26,7 @@ INFINITE is a real value here (the infimum of an empty set), not an error.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from math import ceil, floor, lcm
 from operator import attrgetter
@@ -121,55 +122,40 @@ def _line(z):
 
 
 class _FillingContext:
-    """Per-complex solver state: boundary matrix and its face columns, the
-    Smith form of d2 and what is read off it (the rational solver, the
+    """Per-complex solver state: the complex's boundary matrix and its face
+    columns, what is read off the Smith form of d2 (the rational solver, the
     kernel and its lines), the value cache, and the fill values of
     :func:`_fill_circuits` for each ring."""
 
     def __init__(self, complex_):
         self.complex = complex_
         self.faces = [f.id for f in complex_.faces]
-        self.edges = [e.id for e in complex_.edges]
-        self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.d2 = complex_.boundary_matrix_2()
-        self.columns = linalg.sparse_columns(self.d2)
-        self._rat = None
-        self._ker = None
-        self._lines = None
+        self.columns = complex_.face_columns()
         self.value_cache = {}
-        self.fills = {}  # ring -> {serialization: fill value}
+        self.fills = {}  # ring -> {serialization: fill value}, both signs of each cycle
 
-    @property
+    @cached_property
     def rat(self):
-        if self._rat is None:
-            self._rat = linalg.RationalSolver(self.d2, snf=self.snf)
-        return self._rat
+        return linalg.RationalSolver(self.d2, snf=self.complex.smith_form_2())
 
-    @property
-    def snf(self):
-        return self.complex.smith_form_2()
-
-    @property
+    @cached_property
     def kernel(self):
-        if self._ker is None:
-            self._ker = linalg.integer_kernel_basis(self.d2, snf=self.snf)
-        return self._ker
+        return linalg.integer_kernel_basis(self.d2, snf=self.complex.smith_form_2())
 
-    @property
+    @cached_property
     def lines(self):
         """The :func:`_line` of each kernel basis vector, built once after
         checking that d2 maps every one of them to 0."""
-        if self._lines is None:
-            lines = [_line(z) for z in self.kernel]
-            if any(any(self.image(zs)) for zs, _, _ in lines):
-                raise InternalError("kernel vector with a nonzero boundary")
-            self._lines = lines
-        return self._lines
+        lines = [_line(z) for z in self.kernel]
+        if any(any(self.image(zs)) for zs, _, _ in lines):
+            raise InternalError("kernel vector with a nonzero boundary")
+        return lines
 
     def image(self, x):
         """d2 x, one int per edge, summed over the face columns of the dict
         {face index: entry} x."""
-        image = [0] * len(self.edges)
+        image = [0] * len(self.complex.edges)
         columns = self.columns
         for j, xj in x.items():
             for i, c in columns[j]:
@@ -178,8 +164,8 @@ class _FillingContext:
 
     def terms(self, items):
         """The (edge index, coefficient) pairs of (edge id, coefficient) items."""
-        edge_pos = self.edge_pos
-        return [(edge_pos[e], c) for e, c in items]
+        index = self.complex.edge_index
+        return [(index[e], c) for e, c in items]
 
     def chain(self, x, ring, den=1):
         """The 2-chain x / den, x a dict {face index: entry}."""
@@ -252,7 +238,7 @@ def _solve_vector(ctx, terms, ring):
             x, den, val = _minimize_on_line(x, den, lines[0] if lines else None,
                                             integral=ring == INT)
         else:
-            vec = [0] * len(ctx.edges)
+            vec = [0] * len(ctx.complex.edges)
             for i, c in terms:
                 vec[i] = c
             if ring == RAT:
@@ -507,8 +493,9 @@ def _fill_circuits(complex_, k_max, ring):
     one length at a time up to the first length holding an unfillable one.
 
     ``fill`` maps a cycle's serialization to its value, solved from its
-    edge vector when neither it nor its negation has been filled on this
-    complex over this ring, by any call.
+    edge vector when it has not been filled on this complex over this ring,
+    by any call; a solved value is stored under the cycle and its negation,
+    which fill alike, so a lookup is one probe.
     ``fills`` pairs each circuit of the lengths before that one with its
     value, and ``unfillable`` lists the unfillable circuits of that length,
     empty when there is none.
@@ -519,9 +506,8 @@ def _fill_circuits(complex_, k_max, ring):
     def fill(key):
         value = filled.get(key)
         if value is None:
-            value = filled.get(tuple((e, -c) for e, c in key))
-        if value is None:
-            value = filled[key] = _solve_vector(ctx, ctx.terms(key), ring)[3]
+            value = filled[key] = filled[tuple((e, -c) for e, c in key)] = _solve_vector(
+                ctx, ctx.terms(key), ring)[3]
         return value
 
     circuits = enumerate_circuits(complex_, None, k_max) if k_max else []

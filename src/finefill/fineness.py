@@ -121,25 +121,26 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
 class _Tables:
     """The int form of a complex that the special-chain search runs on.
 
-    Faces are numbered in id order and a signed face (g, s) is the int
-    2g + (s > 0), so sorting these ints sorts the (face id, sign) pairs of
-    ``Chain.serialize``; a state sets the bit of each of its signed faces.
-    ``face_mask[e]`` sets the bit g of each face g meeting edge e, and
-    ``signed[2g + (s > 0)]`` lists the (edge, coefficient, edge bit) of
-    s times the boundary of g.  ``circuits`` maps the edge-index support
-    mask of every circuit of length <= max_length to the circuit, in
-    (length, key) order, read as the search found them
-    (``chains.circuit_masks``); it is empty when max_length < 1, and the
+    Edges are the complex's ``edge_index`` numbers.  Faces are numbered in
+    id order and a signed face (g, s) is the int 2g + (s > 0), so sorting
+    these ints sorts the (face id, sign) pairs of ``Chain.serialize``; a
+    state sets the bit of each of its signed faces.  ``face_boundary[g]``
+    is the {edge: coefficient} boundary of g, the complex's face column
+    of g, ``face_mask[e]`` sets the bit g of each face g meeting edge e,
+    and ``signed[2g + (s > 0)]`` lists the (edge, coefficient, edge bit)
+    of s times the boundary of g.  ``circuits`` maps the edge support mask
+    of every circuit of length <= max_length to the circuit, in (length,
+    key) order, read as the search found them (``chains.circuit_masks``,
+    in the same edge numbering); it is empty when max_length < 1, and the
     search then finds no circuits.
     """
 
     def __init__(self, complex_, max_length=0):
-        self.face_ids = sorted(f.id for f in complex_.faces)
-        self.edge_index = {e.id: i for i, e in enumerate(complex_.edges)}
-        self.face_boundary = [
-            {self.edge_index[eid]: c
-             for eid, c in complex_.face_boundary(fid).coeffs.items()}
-            for fid in self.face_ids]
+        self.complex = complex_
+        faces, columns = complex_.faces, complex_.face_columns()
+        by_id = sorted(range(len(faces)), key=lambda j: faces[j].id)
+        self.face_ids = [faces[j].id for j in by_id]
+        self.face_boundary = [dict(columns[j]) for j in by_id]
         self.meets = [[] for _ in complex_.edges]  # edge -> faces, ascending
         for g, df in enumerate(self.face_boundary):
             for e in df:
@@ -151,9 +152,9 @@ class _Tables:
         self.circuits = circuit_masks(complex_, max_length) if max_length >= 1 else {}
 
     def faces_meeting(self, edge):
-        if edge not in self.edge_index:
+        if edge not in self.complex.edge_index:
             raise UnknownEdgeError(f"unknown edge {edge!r}")
-        return self.meets[self.edge_index[edge]]
+        return self.meets[self.complex.edge_index[edge]]
 
     def negate(self, x):
         """The state of the signed faces of x, every sign flipped."""
@@ -307,7 +308,7 @@ def _along(tables, running, o, support):
     ``support``, the sign saying whether it runs along the circuit's walk;
     0 when the multiple is not +-1."""
     sign, eid = tables.circuits[support].walk[0]
-    e0 = tables.edge_index[eid]
+    e0 = tables.complex.edge_index[eid]
     c = sign * (running.get(e0, 0) + sum(c for e, c, _ in tables.signed[o] if e == e0))
     return c if abs(c) == 1 else 0
 
@@ -401,7 +402,7 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
-    i = tables.edge_index[edge]
+    i = complex_.edge_index[edge]
     return _circuits_through(tables, hits, 1 << i).get(i, [])
 
 
@@ -519,7 +520,7 @@ def _fillings_within(tables, gamma, norm):
     bounds.
     """
     last = [faces[-1] if faces else -1 for faces in tables.meets]
-    residual = [gamma.coeffs.get(eid, 0) for eid in tables.edge_index]
+    residual = [gamma.coeffs.get(eid, 0) for eid in tables.complex.edge_index]
     coeffs, out = [], []
 
     def extend(g, rem):

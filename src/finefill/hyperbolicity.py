@@ -42,8 +42,7 @@ def all_pairs_distances(complex_):
     order.
     """
     def build():
-        order = sorted(complex_.vertices)
-        adj = _adjacency(order, complex_.edges)
+        order, adj = _adjacency(complex_)
         n = len(order)
         dist = {}
         for src in range(n):
@@ -67,17 +66,21 @@ def all_pairs_distances(complex_):
     return complex_.cached("apsp", build)
 
 
-def _adjacency(order, edges):
-    """Sorted neighbour rank lists of the graph on ``order``; loops and
+def _adjacency(complex_):
+    """(order, adj) of the 1-skeleton, built once per complex: ``order`` the
+    vertices sorted, ``adj`` the sorted neighbour rank lists; loops and
     parallel edges are dropped."""
-    rank = {v: i for i, v in enumerate(order)}
-    adj = [set() for _ in order]
-    for e in edges:
-        t, h = rank[e.tail], rank[e.head]
-        if t != h:
-            adj[t].add(h)
-            adj[h].add(t)
-    return [sorted(nbrs) for nbrs in adj]
+    def build():
+        order = sorted(complex_.vertices)
+        rank = {v: i for i, v in enumerate(order)}
+        adj = [set() for _ in order]
+        for e in complex_.edges:
+            t, h = rank[e.tail], rank[e.head]
+            if t != h:
+                adj[t].add(h)
+                adj[h].add(t)
+        return order, [sorted(nbrs) for nbrs in adj]
+    return complex_.cached("adjacency", build)
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,8 @@ def hyperbolicity_delta(complex_, vertex_cap=DEFAULT_VERTEX_CAP):
     if n > vertex_cap:
         raise TooLargeError(f"{n} vertices exceeds the cap {vertex_cap}")
     dist = all_pairs_distances(complex_)
-    order = list(dist)
+    order, adj = _adjacency(complex_)
     rows = [list(d.values()) for d in dist.values()]
-    adj = _adjacency(order, complex_.edges)
     diameter = max(map(max, rows), default=0)
     valued = [(_block_twice_delta(rows, adj, b), b) for b in _blocks(adj) if len(b) >= 4]
     best = max((value for value, _ in valued), default=0)

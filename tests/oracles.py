@@ -810,10 +810,11 @@ def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
 
 def gamma_vector(ctx, gamma):
     """The int vector of the 1-chain gamma, one entry per edge of the
-    filling context ``ctx``."""
-    vec = [0] * len(ctx.edges)
+    filling context ``ctx``, in the complex's edge numbering."""
+    index = ctx.complex.edge_index
+    vec = [0] * len(index)
     for eid, c in gamma.coeffs.items():
-        vec[ctx.edge_pos[eid]] = c
+        vec[index[eid]] = c
     return vec
 
 
@@ -895,7 +896,7 @@ def dense_line_fill(ctx, vec, ring):
     elif not nf:
         return filling.NO_FACES, None, None, INF
     else:
-        particular = dense_rational_solve(ctx.d2, vec, snf=ctx.snf)
+        particular = dense_rational_solve(ctx.d2, vec, snf=ctx.complex.smith_form_2())
         if particular is None:
             return filling.RATIONALLY_INFEASIBLE, None, None, INF
         x, den = particular
@@ -917,7 +918,7 @@ def lp_route_filling_value(cx, gamma, ring):
     if ring == RAT:
         x, val = filling._lp_optimum(ctx, vec)
     else:
-        mu = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
+        mu = linalg.solve_integer(ctx.d2, vec, snf=cx.smith_form_2())
         if mu is None:
             x = None
         else:
@@ -1060,7 +1061,8 @@ def frozenset_face_search(tables, g, max_norm, cap):
     ``circuits`` keyed by the circuit key.  It reads only the face
     boundaries, the edge-to-face lists and the circuits of ``tables``."""
     face_boundary, meets = tables.face_boundary, tables.meets
-    by_support = {frozenset(tables.edge_index[e] for _, e in circ.walk): circ
+    edge_index = tables.complex.edge_index
+    by_support = {frozenset(edge_index[e] for _, e in circ.walk): circ
                   for circ in tables.circuits.values()}
     start = frozenset((2 * g + 1,))
     states = {start}
@@ -1075,7 +1077,7 @@ def frozenset_face_search(tables, g, max_norm, cap):
         circ = by_support.get(frozenset(running))
         if circ is not None:
             sign, eid = circ.walk[0]
-            c = sign * running[tables.edge_index[eid]]
+            c = sign * running[edge_index[eid]]
             first = x
             if min(x) & 1:
                 first, c = negate_ordinals(x), -c
@@ -1134,7 +1136,7 @@ def bitmask_face_search(tables, g, max_norm, cap):
     expand.
     """
     signed, face_mask, by_support = tables.signed, tables.face_mask, tables.circuits
-    odd, edge_index = tables.odd, tables.edge_index
+    odd, edge_index = tables.odd, tables.complex.edge_index
     start = 1 << 2 * g + 1
     states = {start}
     circuits = {}

@@ -4,13 +4,14 @@ import pytest
 from fractions import Fraction
 
 from finefill import (BARYCENTRIC, INT, MIDPOINT, RAT, Chain, H1Report,
-                      boundary, homology_h1, l1_norm, linalg, parse_complex,
+                      boundary, homology_h1, l1_norm, linalg, omega_n, parse_complex,
                       subdivide, validate, write_complex)
+from finefill import chains, filling, fineness, hyperbolicity
 from finefill.complexes import rank_d1
 from finefill.errors import UnknownCellError, ValidationError
 
-from instances import (CORPUS, double_traversal, tetrahedron, triangle_face,
-                       triangle_graph)
+from instances import (CORPUS, TORSION, double_traversal, tetrahedron, triangle_face,
+                       triangle_graph, wheel_graph)
 from oracles import boundary_matrix_1, determinant_divisor_factors, rank_over_q
 
 
@@ -76,6 +77,60 @@ def test_boundary_squared_vanishes_on_corpus():
         cx = build()
         for f in cx.faces:
             assert boundary(cx, boundary(cx, Chain(2, INT, {f.id: 1}))).is_zero()
+
+
+class _RecordingCache(dict):
+    """A complex's cache that lists every key it stores, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_one_edge_numbering_shared_by_every_module():
+    omega = omega_n(wheel_graph(4), 5)
+    faces = [f.id for f in omega.faces]
+    assert len(faces) >= 11 and sorted(faces) != faces  # ids do not sort as created
+    cases = CORPUS + TORSION + [
+        ("tetrahedron-barycentric", lambda: subdivide(tetrahedron(), BARYCENTRIC).complex),
+        ("omega-w4-5", lambda: omega_n(wheel_graph(4), 5))]
+    for name, build in cases:
+        cx = build()
+        cx._cache = _RecordingCache(cx._cache)
+        index = cx.edge_index
+        assert index == {e.id: i for i, e in enumerate(cx.edges)}, name
+        # circuit support masks are edge_index bits
+        masks = chains.circuit_masks(cx, 4)
+        for mask, circ in masks.items():
+            assert mask == sum(1 << index[e] for _, e in circ.walk), (name, circ)
+        # the sparse d2 is the dense one's columns, and filling reads it
+        assert cx.face_columns() == linalg.sparse_columns(cx.boundary_matrix_2()), name
+        assert filling._context(cx).columns is cx.face_columns(), name
+        # the special-chain tables: faces in id order, the same columns re-indexed
+        tables = fineness._Tables(cx, 4)
+        assert tables.face_ids == sorted(f.id for f in cx.faces), name
+        assert tables.face_boundary == [
+            {index[e]: c for e, c in cx.face_boundary(fid).coeffs.items()}
+            for fid in tables.face_ids], name
+        assert tables.circuits is masks, name
+        # one adjacency per complex, for the distances and delta alike
+        hyperbolicity.hyperbolicity_delta(cx)
+        hyperbolicity.all_pairs_distances(cx)
+        hyperbolicity.hyperbolicity_delta(cx)
+        assert cx._cache.stored.count("adjacency") == 1, name
+
+
+def test_incident_lists_loops_twice_and_parallel_edges_once():
+    cx = validate("abc", [("q", "a", "b"), ("p", "a", "b"), ("m", "b", "a"),
+                          ("l", "a", "a")])
+    assert cx.incident("a") == ((1, "l"), (-1, "l"), (-1, "m"), (1, "p"), (1, "q"))
+    assert cx.incident("b") == ((1, "m"), (-1, "p"), (-1, "q"))
+    assert cx.incident("c") == ()
+    assert list(cx._cache) == ["incident"]  # one entry for every vertex
 
 
 def test_l1_norm():

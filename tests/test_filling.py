@@ -132,7 +132,7 @@ def test_torsion_fills_match_oracles(monkeypatch):
                 continue  # one cycle of each pair +-gamma: both fill alike
             vec = gamma_vector(ctx, cycle)
             rational = rref_rational_solve(ctx.d2, vec) is not None
-            integral = smith_integer_solve(ctx.d2, vec, snf=ctx.snf) is not None
+            integral = smith_integer_solve(ctx.d2, vec, snf=cx.smith_form_2()) is not None
             solves.clear()
             rq, rz = filling_norm(cx, cycle, RAT), filling_norm(cx, cycle, INT)
             # one particular solve per fill, either ring, of gamma's nonzeros
@@ -339,10 +339,10 @@ def test_int_recheck_rejects_bad_witnesses(monkeypatch):
         cx = tetrahedron()
         ctx = filling._context(cx)
         [z] = ctx.kernel
-        ctx._ker = [[z[0] + 1] + z[1:]]
+        ctx.kernel = [[z[0] + 1] + z[1:]]
         with pytest.raises(InternalError, match="kernel vector with a nonzero boundary"):
             filling_norm(cx, tri, ring)
-        assert not ctx.value_cache and ctx._lines is None
+        assert not ctx.value_cache and "lines" not in vars(ctx)
 
 
 def test_result_types():
@@ -427,7 +427,7 @@ def _check_against_full_box(om, k, solve_lp):
         if cycle.is_zero():
             continue
         vec = gamma_vector(ctx, cycle)
-        mu_int = linalg.solve_integer(ctx.d2, vec, snf=ctx.snf)
+        mu_int = linalg.solve_integer(ctx.d2, vec, snf=om.smith_form_2())
         if mu_int is None:
             continue
         x, val = filling._branch_and_bound(ctx, vec, nonzeros(mu_int))
@@ -471,8 +471,7 @@ def test_branch_and_bound_matches_full_box_oracle_when_it_branches(monkeypatch):
         graph = validate(vs, es)
         walks = [_random_closed_walk(graph, rng, 6) for _ in range(rng.randint(3, 6))]
         cx = validate(vs, es, [(f"f{j}", w) for j, w in enumerate(walks) if w])
-        ctx = filling._context(cx)
-        if len(cx.faces) - linalg.snf_rank(ctx.snf[1]) < 2:
+        if len(cx.faces) - linalg.snf_rank(cx.smith_form_2()[1]) < 2:
             continue
         built += 1
         checked += _check_against_full_box(cx, 3, fraction_solve_lp)
@@ -728,7 +727,7 @@ def test_sparse_line_fills_match_dense_oracle():
                         seen[certificate] += 1
                         if x is not None and cx.faces:
                             # the minimizer left the particular solution
-                            big_x, d = dense_rational_solve(ctx.d2, vec, snf=ctx.snf)
+                            big_x, d = dense_rational_solve(ctx.d2, vec, snf=cx.smith_form_2())
                             seen["moved"] += [Fraction(v, den) for v in x] != [
                                 Fraction(v, d) for v in big_x]
     assert seen["kernel rank", 0] and seen["kernel rank", 1], seen

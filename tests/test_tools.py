@@ -17,18 +17,24 @@ def _load_tool(name):
 
 def test_output_digests_seeds_and_golden_stdout(tmp_path, monkeypatch):
     tool = _load_tool("output_digests")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delenv("FINEFILL_BUDGET", raising=False)
     assert tool.parse_seeds("1-3") == [1, 2, 3]
     assert tool.parse_seeds("1,3,5-7") == [1, 3, 5, 6, 7]
-    # the stdout digests of seed 1 are the ones the benchmark keeps
-    files, queries = tool.inputs.build("fill-lp", 1)
-    tool.inputs.write(files, tmp_path)
-    monkeypatch.chdir(tmp_path)
-    digests = tool.replay(main, queries[:6])
+    # every seed-1 query of every workload prints the stdout whose digest
+    # the benchmark keeps, exits 0 and writes nothing to stderr
     with open(os.path.join(ROOT, "perfbench", "golden.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)["fill-lp"]
-    assert [out[:16] for _, out, _ in digests] == golden[:6]
-    assert all(code == 0 and err == tool.sha256("") for code, _, err in digests)
+        golden = json.load(fh)
+    assert sorted(golden) == sorted(tool.inputs.WORKLOADS)
+    table = tool.output_digests(ROOT, [1], list(golden))
+    for workload, want in golden.items():
+        _, queries = tool.inputs.build(workload, 1)
+        digests = [table[f"{workload}/1/{i}/{q.name}"] for i, q in enumerate(queries)]
+        assert [out[:16] for _, out, _ in digests] == want, workload
+        assert all(code == 0 and err == tool.sha256("") for code, _, err in digests), workload
+    assert len(table) == sum(map(len, golden.values())) == 236
     # a failing query keeps its exit code and its stderr
+    monkeypatch.chdir(tmp_path)
     missing = tool.inputs.Query("missing", ("validate", "no_such_file.cx"), "validate", None)
     [(code, out, err)] = tool.replay(main, [missing])
     assert code == 1 and out == tool.sha256("") and err != tool.sha256("")
