@@ -35,8 +35,8 @@ class Circuit:
     def contains_edge(self, eid):
         return any(e == eid for _, e in self.walk)
 
-    def induced_cycle(self, ring=INT):
-        return Chain(1, ring, {e: s for s, e in self.walk})
+    def induced_cycle(self):
+        return Chain(1, INT, {e: s for s, e in self.walk})
 
     def __lt__(self, other):
         return (self.length, self.key) < (other.length, other.key)

@@ -153,17 +153,6 @@ class TwoComplex:
                     for v, steps in table.items()}
         return self.cached("incident", build)[vertex]
 
-    def faces_meeting_edge(self, eid):
-        """Faces whose boundary chain has a nonzero coefficient on ``eid``."""
-        key = "edge_to_faces"
-        if key not in self._cache:
-            table = {e.id: [] for e in self.edges}
-            for f in self.faces:
-                for cell in self.face_boundary(f.id).coeffs:
-                    table[cell].append(f.id)
-            self._cache[key] = {e: tuple(fs) for e, fs in table.items()}
-        return self._cache[key][eid]
-
     # -- boundary maps -------------------------------------------------------
 
     def face_boundary(self, fid):

@@ -6,7 +6,7 @@ cosets keyed by least element id) so constructions serialize identically
 across runs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chains import canonical_walk_key, enumerate_circuits, make_circuit
 from .complexes import TwoComplex, content_lines, parse_int, validate, write_complex
@@ -248,17 +248,17 @@ def _validated_presentation(presentation):
         raise ValidationError(problems)
 
 
-def coned_off_cayley_graph(presentation, cap=DEFAULT_GROUP_CAP):
-    return _coned_off(presentation, with_faces=False, cap=cap)
+def coned_off_cayley_graph(presentation):
+    return _coned_off(presentation, with_faces=False)
 
 
-def coned_off_cayley_complex(presentation, cap=DEFAULT_GROUP_CAP):
-    return _coned_off(presentation, with_faces=True, cap=cap)
+def coned_off_cayley_complex(presentation):
+    return _coned_off(presentation, with_faces=True)
 
 
-def _coned_off(presentation, with_faces, cap):
+def _coned_off(presentation, with_faces):
     _validated_presentation(presentation)
-    table = group_closure(presentation, cap=cap)
+    table = group_closure(presentation)
     n = table.order
     element_vertices = tuple(f"g{i}" for i in range(n))
     vertices = list(element_vertices)

@@ -29,11 +29,11 @@ Circuits are read off the list of circuits of length <= L that the FV bound
 has already enumerated, by their support: a cycle supported on exactly the
 edges of a circuit is a multiple of the circuit's cycle, so a +-1 boundary
 is a circuit exactly when its support is the support of one.  x and -x
-induce the same circuit, so it is found once per class.  For each circuit
-through e, the class that decides it is the least, in (norm,
-serialization) order, among those whose mask meets the faces of e; of x
-and -x, the one whose least face has sign -1 comes first, and the circuit
-runs along its boundary.
+induce the same circuit, so it is found once per class.  Each circuit
+carries the OR of the reach masks of the classes inducing it, and it is
+listed at e when that OR meets the faces of e.  A record lists the circuit
+list's own objects, the ones :func:`chains.enumerate_circuits` returns, so
+both methods return the same circuits, each with its canonical walk.
 
 The budget bounds |S(e)|: an edge is INCOMPLETE exactly when it has more
 than ``budget`` states.  A search stops as soon as it has found more than
@@ -46,18 +46,18 @@ INCOMPLETE record lists the circuits of the classes found before the stop.
 
 Inside the search a state is an int with bit 2g + (s > 0) set for each
 signed face (g, s), faces numbered in id order.  A level maps each class to
-its mask, except a last level after the first, which is a set.  A class's running boundary, an
-{edge index: coefficient} dict, is recomputed from its bits when it is
-expanded, and its successors are generated in ascending face order, sign
-+1 before -1; a child's support mask, by which circuits are looked up, is
-read off the parent's boundary.  Only the classes whose boundary is a
-circuit are kept beyond their level.  Chain objects are built for output
-only.
+its mask, except a last level after the first, which is a set.  A class's
+running boundary, an {edge index: coefficient} dict, is recomputed from its
+bits when it is expanded, and its successors are generated in ascending
+face order, sign +1 before -1; a child's support mask, by which circuits
+are looked up, is read off the parent's boundary.  Beyond its level, a
+class is kept only as its mask, ORed into the reach of the circuit its
+boundary is, if any.  Chain objects are built for output only.
 """
 
 from dataclasses import dataclass
 
-from .chains import Circuit, circuit_masks, enumerate_circuits
+from .chains import circuit_masks, enumerate_circuits
 from .complexes import Chain, INT
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
@@ -198,7 +198,7 @@ def _boundary(signed, x):
 
 def _search(tables, seeds, max_norm, budget, levels=None):
     """Expand once each class {x, -x} of states of norm <= max_norm reachable
-    from the faces ``seeds``, level by level in norm: (complete, hits).
+    from the faces ``seeds``, level by level in norm: (complete, reach).
 
     A class is keyed by its member whose least face has sign +1.  Level 1
     holds the class of (g, +1) for each seed g, with reach mask 1 << g;
@@ -210,16 +210,13 @@ def _search(tables, seeds, max_norm, budget, levels=None):
     level is appended to it.
 
     The search stops, with complete False, as soon as it has found more
-    than budget / 2 classes, that is more than ``budget`` states.  ``hits``
-    lists (order, mask, support, c) for each class found before the stop
-    whose boundary is +-1 times a circuit of ``tables.circuits``: ``order``
-    is the :func:`_order` key of its member whose least face has sign -1,
-    the first of the two, ``support`` the circuit's edge support mask, and
-    c is +1 when that member's boundary runs along the circuit's walk, -1
-    when it runs against it.
+    than budget / 2 classes, that is more than ``budget`` states.  ``reach``
+    maps the edge support mask of each circuit of ``tables.circuits`` that
+    the boundary of a class found before the stop is +-1 times to the OR
+    of the reach masks of those classes.
     """
     limit = max(budget, 0) // 2
-    hits = {}  # class -> [mask, support, c]
+    reach = {}  # circuit support -> OR of its classes' masks
     level = {}
     complete = True
     for g in seeds if max_norm >= 1 else ():
@@ -229,36 +226,37 @@ def _search(tables, seeds, max_norm, budget, levels=None):
         o = 2 * g + 1
         level[1 << o] = 1 << g
         support = sum(b for _, _, b in tables.signed[o])
-        c = support in tables.circuits and _along(tables, {}, o, support)
-        if c:
-            hits[1 << o] = [1 << g, support, -c]
+        if support in tables.circuits and _along({}, tables.signed[o], support):
+            reach[support] = reach.get(support, 0) | 1 << g
     found, norm = len(level), 1
     while complete and norm < max_norm:
         norm += 1
         if levels is not None:
             levels.append(level)
-        level, complete = _grow(tables, level, norm < max_norm, limit - found, hits)
+        level, complete = _grow(tables, level, norm < max_norm, limit - found, reach)
         found += len(level)
     if levels is not None:
         levels.append(level)
-    return complete, [(_order(tables.negate(y)), *hit) for y, hit in hits.items()]
+    return complete, reach
 
 
-def _grow(tables, level, keep, room, hits):
+def _grow(tables, level, keep, room, reach):
     """The next level after ``level``: (children, complete).
 
     ``children`` maps each class of the next level to its reach mask when
     ``keep`` is set, and is the set of those classes otherwise.  A class's
     boundary is recomputed from its bits, and its successors are generated
     in ascending face order, sign +1 before -1, each child's support read
-    off its parent's boundary.  A child whose boundary is +-1 times a
-    circuit enters ``hits`` as in :func:`_search`, and its mask there takes
-    the mask of each parent that generates it.  ``complete`` is False, and
-    the level partial, when a child is found after ``room`` of them.
+    off its parent's boundary.  When a child's boundary is +-1 times a
+    circuit, the mask of each parent that generates it is ORed into
+    ``reach`` of the circuit's support, as in :func:`_search`.
+    ``complete`` is False, and the level partial, when a child is found
+    after ``room`` of them.
     """
     signed, face_mask, odd, by_support = (tables.signed, tables.face_mask, tables.odd,
                                           tables.circuits)
     children = {} if keep else set()
+    hits = {}  # child whose boundary is +-1 times a circuit -> its support
     for x, mask in level.items():
         running, used = _boundary(signed, x)
         support = candidates = 0
@@ -279,7 +277,7 @@ def _grow(tables, level, keep, room, hits):
                     if keep:
                         children[y] |= mask
                     if y in hits:
-                        hits[y][0] |= mask
+                        reach[hits[y]] |= mask
                     continue
                 if len(children) == room:
                     return children, False
@@ -295,54 +293,38 @@ def _grow(tables, level, keep, room, hits):
                             child |= b
                         elif v + c == 0:
                             child ^= b
-                    c = child in by_support and _along(tables, running, o, child)
-                    if c:
-                        # the first member is z when z is not the key, -z otherwise
-                        hits[y] = [mask, child, -c if y == z else c]
+                    if child in by_support and _along(running, signed[o], child):
+                        hits[y] = child
+                        reach[child] = reach.get(child, 0) | mask
     return children, True
 
 
-def _along(tables, running, o, support):
-    """+-1 when the boundary ``running`` plus that of the signed face o is
-    +-1 times the circuit of ``tables.circuits`` with edge support mask
-    ``support``, the sign saying whether it runs along the circuit's walk;
-    0 when the multiple is not +-1."""
-    sign, eid = tables.circuits[support].walk[0]
-    e0 = tables.complex.edge_index[eid]
-    c = sign * (running.get(e0, 0) + sum(c for e, c, _ in tables.signed[o] if e == e0))
-    return c if abs(c) == 1 else 0
+def _along(running, step, support):
+    """Whether the boundary ``running`` plus the signed face boundary
+    ``step``, a cycle on exactly the edges of the bit mask ``support``, is
+    +-1 times the circuit on them rather than a larger multiple: its
+    coefficient on the least of those edges is +-1."""
+    e0 = (support & -support).bit_length() - 1
+    return abs(running.get(e0, 0) + sum(c for e, c, _ in step if e == e0)) == 1
 
 
-def _circuits_through(tables, hits, want):
-    """{edge index: circuits} for the edges of the bit mask ``want``: the
-    circuits through the edge that the boundaries of ``hits``, as
-    :func:`_search` lists them, induce.  Each runs as the boundary of the
-    least hit, in (norm, serialization) order, whose reach mask meets the
-    faces of the edge, and each list is sorted by (length, key)."""
-    firsts = {}  # support -> [faces reached, [(mask, c), ...]], each reaching new faces
-    for _, mask, support, c in sorted(hits):
-        entry = firsts.setdefault(support, [0, []])
-        if mask & ~entry[0]:
-            entry[0] |= mask
-            entry[1].append((mask, c))
+def _circuits_through(tables, reach, want):
+    """{edge index: circuits} for the edges of the bit mask ``want``: a
+    circuit of ``reach``, as :func:`_search` returns it, is listed at each
+    of its edges in ``want`` whose faces its mask there meets, each list in
+    the (length, key) order of ``tables.circuits``."""
     out = {}
-    for support, circ in tables.circuits.items():  # in (length, key) order
-        if support not in firsts:
+    for support, circ in tables.circuits.items():
+        mask = reach.get(support)
+        if mask is None:
             continue
-        kept = firsts[support][1]
-        runs = {1: circ}
         bits = support & want
         while bits:
             low = bits & -bits
             bits ^= low
             i = low.bit_length() - 1
-            for mask, c in kept:
-                if mask & tables.face_mask[i]:
-                    if c not in runs:
-                        runs[c] = Circuit(tuple((-s, f) for s, f in reversed(circ.walk)),
-                                          circ.key)
-                    out.setdefault(i, []).append(runs[c])
-                    break
+            if mask & tables.face_mask[i]:
+                out.setdefault(i, []).append(circ)
     return out
 
 
@@ -394,16 +376,17 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
 
     Intentionally redundant with direct graph search: this is the
     executable form of the minimal-fillings-are-special argument, and on
-    1-acyclic complexes it must reproduce the search exactly.
+    1-acyclic complexes it must reproduce the search exactly: it returns
+    the circuit list's own objects, in the same order.
     """
     bound = _special_chain_bound(complex_, max_length)
     tables = _Tables(complex_, max_length)
-    complete, hits = _search(tables, tables.faces_meeting(edge), bound, budget)
+    complete, reach = _search(tables, tables.faces_meeting(edge), bound, budget)
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")
     i = complex_.edge_index[edge]
-    return _circuits_through(tables, hits, 1 << i).get(i, [])
+    return _circuits_through(tables, reach, 1 << i).get(i, [])
 
 
 def _special_chain_bound(complex_, max_length):
@@ -463,14 +446,14 @@ def fineness_certificate(complex_, scale, method, budget=DEFAULT_BUDGET):
         tables = _Tables(complex_, scale)
         # one search from every face decides every edge OK when it finishes;
         # otherwise each edge is decided by a search from its own faces
-        everywhere, hits = _search(tables, range(len(tables.face_ids)), bound, budget)
+        everywhere, reach = _search(tables, range(len(tables.face_ids)), bound, budget)
         if everywhere:
-            through = _circuits_through(tables, hits, (1 << len(complex_.edges)) - 1)
+            through = _circuits_through(tables, reach, (1 << len(complex_.edges)) - 1)
         complete = everywhere
         for i, e in enumerate(complex_.edges):
             if not everywhere:
-                complete, hits = _search(tables, tables.meets[i], bound, budget)
-                through = _circuits_through(tables, hits, 1 << i)
+                complete, reach = _search(tables, tables.meets[i], bound, budget)
+                through = _circuits_through(tables, reach, 1 << i)
                 exact = exact and complete
             circuits = tuple(through.get(i, ()))
             records.append(FinenessRecord(e.id, len(circuits), circuits,

@@ -960,6 +960,17 @@ def minimize_on_line(mu, z, integral):
     return x, norm_at(best_t)
 
 
+def faces_meeting_edges(complex_):
+    """{edge id: ids of the faces whose boundary chain has a nonzero
+    coefficient on the edge, in face order}, read off the ``face_boundary``
+    chains."""
+    table = {e.id: [] for e in complex_.edges}
+    for f in complex_.faces:
+        for eid in complex_.face_boundary(f.id).coeffs:
+            table[eid].append(f.id)
+    return table
+
+
 def per_edge_special_chain_search(complex_, edge, max_norm, budget):
     """Special 2-chains based at ``edge`` with norm <= max_norm: (chains,
     complete).
@@ -974,7 +985,8 @@ def per_edge_special_chain_search(complex_, edge, max_norm, budget):
     seen = {}
     stack = []
     visited = 0
-    for fid in complex_.faces_meeting_edge(edge):
+    meets = faces_meeting_edges(complex_)
+    for fid in meets[edge]:
         for sign in (1, -1):
             mu = ((fid, sign),)
             running = complex_.face_boundary(fid).scale(sign)
@@ -993,7 +1005,7 @@ def per_edge_special_chain_search(complex_, edge, max_norm, budget):
             continue
         candidates = set()
         for eid in running.coeffs:
-            candidates.update(complex_.faces_meeting_edge(eid))
+            candidates.update(meets[eid])
         for fid in sorted(candidates - used):
             for sign in (1, -1):
                 mu2 = mu + ((fid, sign),)

@@ -9,15 +9,15 @@ from finefill import (BARYCENTRIC, INF, Chain, INT, boundary,
                       enumerate_circuits, enumerate_special_chains,
                       fineness_certificate, filling_norm, find_special_ordering, fv,
                       homology_h1, subdivide)
-from finefill.chains import circuit_from_chain
+from finefill.chains import circuit_from_chain, circuit_masks
 from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
                              FVInfiniteError, UnknownEdgeError)
 
 from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, coned_s4, double_traversal, grid_disk,
                        k4_graph, small_tree, tetrahedron, triangle_face, validate)
-from oracles import (bitmask_face_search, circuits_from_special_chains, fillings_of_norm,
-                     frozenset_face_search, per_edge_special_chain_search,
+from oracles import (bitmask_face_search, circuits_from_special_chains, faces_meeting_edges,
+                     fillings_of_norm, frozenset_face_search, per_edge_special_chain_search,
                      representative_ordinals)
 
 
@@ -54,10 +54,11 @@ def test_special_chains_quantitative_bound():
         cx = build()
         if not cx.faces or not cx.edges:
             continue
-        fadj = max(len(cx.faces_meeting_edge(e.id)) for e in cx.edges)
+        meets = faces_meeting_edges(cx)
+        fadj = max(map(len, meets.values()))
         cbound = max(len(cx.face_boundary(f.id).coeffs) for f in cx.faces)
         e = cx.edges[0].id
-        fmax = len(cx.faces_meeting_edge(e))
+        fmax = len(meets[e])
         for n in (1, 2, 3):
             count = len(enumerate_special_chains(cx, e, n))
             total = 0
@@ -338,11 +339,15 @@ def _twice_a_circuit():
 
 
 def _oracle_records(cx, scale, budget=fineness.DEFAULT_BUDGET, rejected=None):
+    # each oracle circuit, which runs along the boundary of the first chain
+    # inducing it, is mapped by its key to the circuit list's own object
     bound = int(fv(cx, scale, INT).value(scale))
+    own = {c.key: c for c in circuit_masks(cx, scale).values()}
     records = []
     for e in cx.edges:
         chains, complete = per_edge_special_chain_search(cx, e.id, bound, budget)
-        circuits = tuple(circuits_from_special_chains(cx, chains, e.id, scale, rejected))
+        circuits = tuple(own[c.key] for c in circuits_from_special_chains(
+            cx, chains, e.id, scale, rejected))
         records.append(FinenessRecord(e.id, len(circuits), circuits,
                                       "OK" if complete else "INCOMPLETE"))
     return tuple(records)
@@ -366,9 +371,9 @@ def test_special_chains_match_per_edge_oracle():
 
 
 def test_certificates_match_per_edge_oracle():
-    # records compare whole: edge, count, status and every Circuit, whose walk
-    # runs in the direction of the boundary of the first chain inducing it.
-    # The cases meet every boundary that the search's lookup by support must
+    # records compare whole: edge, count, status and every Circuit, the
+    # circuit list's own object for the oracle circuit of that key.  The
+    # cases meet every boundary that the search's lookup by support must
     # reject: +-1 ones that are no circuit (coned-S3 from scale 6), multiples
     # of a circuit and circuits longer than the scale
     rejected = Counter()
@@ -495,9 +500,10 @@ def test_bitmask_search_matches_frozenset_oracle():
     # 2 |R(g, +1)| + 1, R(g, +1) the states reachable from (g, +1): it stops
     # exactly when 2 |R(g, +1)| exceeds the budget, and finds the classes
     # of R(g, +1), each once and by its key, all of them when complete.  A
-    # complete search finds the circuits of the per-face oracles, each
-    # directed by its least state, and a stopped one part of them.  The two
-    # per-face oracles, over int bit sets and over frozensets, agree
+    # complete search finds the circuits of the per-face oracles, each with
+    # reach mask 1 << g, and a stopped one part of them.  The two per-face
+    # oracles, over int bit sets and over frozensets, agree on the circuits
+    # and on the least state inducing each, with the walk along its boundary
     cases = [(name, cx, (8,)) for name, cx in _filled_corpus()]
     cases += [("disk2x2", grid_disk(2, 2), (6, 8)), ("disk2x3", grid_disk(2, 3), (6, 8)),
               ("disk3x3", grid_disk(3, 3), (6,)), ("coned-S3", coned_s3().complex, (5, 6)),
@@ -521,24 +527,20 @@ def test_bitmask_search_matches_frozenset_oracle():
                 assert len(classes) == len(full_states)
                 for budget in range(-1, 2 * len(full_states) + 2):
                     levels = []
-                    complete, hits = fineness._search(tables, [g], bound, budget, levels)
+                    complete, reach = fineness._search(tables, [g], bound, budget, levels)
                     assert complete == (2 * len(full_states) <= max(budget, 0)), \
                         (name, scale, g, budget)
                     found = [_ordinals(x) for level in levels for x in level]
                     assert len(set(found)) == len(found)
                     assert all(representative_ordinals(x) == x for x in found)
-                    got = {}
-                    for order, mask, support, c in sorted(hits):
-                        assert mask == 1 << g
-                        circ = tables.circuits[support]
-                        walk = circ.walk if c > 0 else tuple(
-                            (-s, e) for s, e in reversed(circ.walk))
-                        got.setdefault(circ.key, (order, walk))
+                    assert all(mask == 1 << g for mask in reach.values())
+                    got = {tables.circuits[support].key for support in reach}
                     if complete:
-                        assert set(found) == classes and got == full, (name, scale, g, budget)
+                        assert set(found) == classes and got == full.keys(), \
+                            (name, scale, g, budget)
                     else:
                         cuts += 1
-                        assert set(found) <= classes and got.keys() <= full.keys()
+                        assert set(found) <= classes and got <= full.keys()
                     searched += 1
     assert searched > 1000 and cuts > 1000, (searched, cuts)
 
@@ -594,3 +596,37 @@ def test_search_matches_per_edge_oracle_at_every_budget():
                     assert {c.key for c in rec.circuits} <= {
                         c.key for c in complete[rec.edge].circuits}
     assert checked > 1000 and partial > 500, (checked, partial)
+
+
+def test_both_methods_return_the_circuit_lists_own_circuits():
+    # where H1 is trivial and FV_Z finite, SPECIAL_CHAIN records are the
+    # GRAPH_SEARCH records whole, walks included, and circuits_via_fillings
+    # is enumerate_circuits.  On every case, every circuit that a special
+    # record lists, also a partial one, is the circuit list's own object
+    cases = _filled_corpus() + [("disk2x2", grid_disk(2, 2)), ("disk2x3", grid_disk(2, 3)),
+                                ("disk3x3", grid_disk(3, 3)),
+                                ("coned-S3", coned_s3().complex),
+                                ("twice-a-circuit", _twice_a_circuit())]
+    compared = 0
+    for name, cx in cases:
+        acyclic = homology_h1(cx).trivial
+        table = fv(cx, 8, INT)
+        for scale in range(1, 9):
+            if table.value(scale) is INF:
+                break
+            own = circuit_masks(cx, scale)
+            cert = fineness_certificate(cx, scale, SPECIAL_CHAIN)
+            partial = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=40)
+            for record in cert.records + partial.records:
+                for circ in record.circuits:
+                    mask = sum(1 << cx.edge_index[e] for e in circ.edge_ids())
+                    assert own[mask] is circ, (name, scale, record.edge)
+            if not acyclic:
+                continue
+            assert cert.records == fineness_certificate(cx, scale, GRAPH_SEARCH).records, \
+                (name, scale)
+            for e in cx.edges:
+                assert circuits_via_fillings(cx, e.id, scale) == enumerate_circuits(
+                    cx, e.id, scale), (name, scale, e.id)
+            compared += 1
+    assert compared > 40, compared
