@@ -84,43 +84,21 @@ def is_disjoint(a, b):
 
 
 def circuit_from_chain(complex_, chain):
-    """Reconstruct the circuit inducing ``chain``, or None if it is not one.
+    """The circuit inducing ``chain``, or None if it is not one.
 
-    A circuit-induced cycle has all coefficients +-1 and its signed edges
-    trace a single closed walk with distinct vertices.
+    A chain with every coefficient +-1 on known edges is circuit-induced
+    exactly when it is a cycle that :func:`decompose_into_circuits` splits
+    into exactly one part (the zero chain has none); the walk starts at the
+    tail of the chain's least edge.
     """
-    if chain.dimension != 1 or chain.is_zero():
+    if chain.dimension != 1 or any(abs(c) != 1 or e not in complex_.edge_by_id
+                                   for e, c in chain.coeffs.items()):
         return None
-    if any(abs(c) != 1 for c in chain.coeffs.values()):
+    try:
+        parts = decompose_into_circuits(complex_, Chain(1, INT, chain.coeffs))
+    except NotACycleError:
         return None
-    steps = {}
-    for eid, c in sorted(chain.coeffs.items()):
-        if eid not in complex_.edge_by_id:
-            return None
-        sign = 1 if c > 0 else -1
-        start, end = complex_.edge_endpoints((sign, eid))
-        steps.setdefault(start, []).append(((sign, eid), end))
-    first = min(steps)
-    walk = []
-    seen_vertices = set()
-    cur = first
-    while True:
-        if cur in seen_vertices:
-            return None
-        seen_vertices.add(cur)
-        outs = steps.get(cur)
-        if not outs or len(outs) > 1:
-            return None
-        step, nxt = outs[0]
-        walk.append(step)
-        cur = nxt
-        if cur == first:
-            break
-        if len(walk) > len(chain.coeffs):
-            return None
-    if len(walk) != len(chain.coeffs):
-        return None
-    return make_circuit(walk)
+    return parts[0] if len(parts) == 1 else None
 
 
 def enumerate_circuits(complex_, anchor=None, max_length=1):

@@ -175,10 +175,6 @@ def _ring(tag):
     return INT if tag == "z" else RAT
 
 
-def _fmt(value):
-    return filling.format_value(value)
-
-
 def _walk_tokens(walk):
     return ",".join(("+" if s > 0 else "-") + e for s, e in walk)
 
@@ -202,7 +198,7 @@ def _cmd_fill(args, out):
     cx = _load_complex(args.complex)
     gamma = _load_chain(args.cycle)
     res = filling.filling_norm(cx, gamma, _ring(args.ring))
-    print(f"value\t{_fmt(res.value)}", file=out)
+    print(f"value\t{filling.format_value(res.value)}", file=out)
     if res.witness is not None:
         for fid, c in sorted(res.witness.coeffs.items()):
             print(f"witness\t{complexes.format_ratio(c)}\t{fid}", file=out)
@@ -213,7 +209,7 @@ def _cmd_fv(args, out):
     table = filling.fv(cx, args.kmax, _ring(args.ring))
     print("k\tvalue", file=out)
     for k, v in table.rows():
-        print(f"{k}\t{_fmt(v)}", file=out)
+        print(f"{k}\t{filling.format_value(v)}", file=out)
 
 
 def _cmd_linearity(args, out):
@@ -222,7 +218,7 @@ def _cmd_linearity(args, out):
     print("k\tfv_z\tfv_q\tratio", file=out)
     for k, vz, vq, ratio in rows:
         r = "-" if ratio is None else complexes.format_ratio(ratio)
-        print(f"{k}\t{_fmt(vz)}\t{_fmt(vq)}\t{r}", file=out)
+        print(f"{k}\t{filling.format_value(vz)}\t{filling.format_value(vq)}\t{r}", file=out)
 
 
 def _cmd_decompose(args, out):
@@ -289,7 +285,7 @@ def _cmd_weakarea(args, out):
     graph = _load_complex(args.graph)
     gamma = _load_chain(args.cycle)
     res = filling.weak_area(graph, gamma, args.N)
-    print(f"value\t{_fmt(res.value)}", file=out)
+    print(f"value\t{filling.format_value(res.value)}", file=out)
     for sign, circ in res.expression:
         print(f"term\t{'+' if sign > 0 else '-'}\t{','.join(circ.key)}", file=out)
 

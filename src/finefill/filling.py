@@ -560,11 +560,10 @@ def weak_area(graph, gamma, n_bound):
     if not graph.is_graph():
         raise HasFacesError("weak area is defined for graphs")
     if isinstance(gamma, Chain):
-        circuit = require_circuit(graph, gamma)
+        require_circuit(graph, gamma)
         cycle = gamma
     else:
-        circuit = gamma
-        cycle = circuit.induced_cycle()
+        cycle = gamma.induced_cycle()
     omega = omega_n(graph, n_bound)
     res = filling_norm(omega, cycle, INT)
     if res.value is INF:

@@ -150,11 +150,7 @@ def invariant_factors(a, snf=None):
     if snf is None:
         snf = smith_normal_form(a)
     _, d, _ = snf
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
+    return [d[i][i] for i in range(snf_rank(d))]
 
 
 def solve_integer(a, b, snf=None):

@@ -242,6 +242,10 @@ def test_decompose_single_and_doubled_circuit():
 def test_decompose_rejects_non_cycles():
     with pytest.raises(NotACycleError):
         decompose_into_circuits(triangle_graph(), Chain(1, INT, {"e1": 1}))
+    # a RAT cycle is refused even when every coefficient is integral
+    rat = Chain(1, RAT, {e: Fraction(c) for e, c in triangle_cycle().coeffs.items()})
+    with pytest.raises(NotACycleError):
+        decompose_into_circuits(triangle_graph(), rat)
 
 
 def test_decompose_randomized_norm_additivity():
@@ -294,6 +298,51 @@ def test_circuit_from_chain():
     assert circuit_from_chain(triangle_graph(), triangle_cycle().scale(2)) is None
     with pytest.raises(NotACircuitError):
         require_circuit(triangle_graph(), triangle_cycle().scale(2))
+
+
+def test_circuit_from_chain_matches_the_circuit_list():
+    """A +-1 chain gives a circuit exactly when it is +- the induced cycle of
+    a circuit that the full search lists; that circuit has the listed key,
+    the chain's steps, and is the one part that decompose_into_circuits
+    splits the chain into."""
+    rng = random.Random(20261020)
+    for name, build in CORPUS + CORPUS_GRAPHS + TORSION:
+        cx = build()
+        listed = {}  # signed steps -> listed circuit, both directions
+        for c in enumerate_circuits(cx, None, len(cx.edges)):
+            for s in (1, -1):
+                listed[frozenset((s * t, e) for t, e in c.walk)] = c
+        cases = [Chain(1, INT, {e: t for t, e in steps}) for steps in listed]
+        edges = [e.id for e in cx.edges]
+        for _ in range(200):
+            part = rng.sample(edges, rng.randint(1, min(len(edges), 8)))
+            cases.append(Chain(1, INT, {e: rng.choice((1, -1)) for e in part}))
+        for chain in cases:
+            steps = frozenset((v, e) for e, v in chain.coeffs.items())
+            got = circuit_from_chain(cx, chain)
+            if steps not in listed:
+                assert got is None, (name, chain)
+                continue
+            assert got.key == listed[steps].key and frozenset(got.walk) == steps, (name, chain)
+            assert got == decompose_into_circuits(cx, chain)[0], (name, chain)
+
+
+def test_circuit_from_chain_pinned_cases():
+    tri, cycle = triangle_graph(), triangle_cycle()
+    assert circuit_from_chain(tri, cycle.add(Chain(1, INT, {"zz": 1}))) is None  # unknown edge
+    assert circuit_from_chain(tri, Chain(1, INT, {"zz": 1})) is None
+    assert circuit_from_chain(tri, Chain(1, INT, {})) is None
+    assert circuit_from_chain(tri, Chain(2, INT, {"e1": 1})) is None
+    assert circuit_from_chain(tri, cycle.scale(-2)) is None
+    # two triangles meeting at v: a +-1 cycle that splits into two circuits
+    eight = Chain(1, INT, {e: 1 for e in ("p1", "p2", "p3", "q1", "q2", "q3")})
+    assert circuit_from_chain(figure8_graph(), eight) is None
+    assert circuit_from_chain(figure8_graph(), eight.neg()) is None
+    rat = Chain(1, RAT, {e: Fraction(c) for e, c in cycle.coeffs.items()})
+    assert circuit_from_chain(tri, rat) == circuit_from_chain(tri, cycle) == make_circuit(
+        ((1, "e1"), (1, "e2"), (1, "e3")))
+    # the walk starts at the tail of the least edge: -e1 runs from b
+    assert circuit_from_chain(tri, rat.neg()).walk == ((-1, "e1"), (-1, "e3"), (-1, "e2"))
 
 
 def test_cy_round_trip():

@@ -167,6 +167,17 @@ def test_rejects_non_cycles():
         filling_norm(tetrahedron(), Chain(1, INT, {"e12": 1}), INT)
     with pytest.raises(NotACycleError):
         filling_norm(double_traversal(), Chain(1, RAT, {"e": Fraction(1, 2)}), RAT)
+    with pytest.raises(NotACycleError):
+        filling_norm(triangle_face(), Chain(2, INT, {"f": 1}), INT)
+
+
+def test_rat_gamma_with_integral_coefficients_is_filled_as_int():
+    cx = triangle_face()
+    rat = Chain(1, RAT, {"e1": Fraction(1), "e2": Fraction(1), "e3": Fraction(1)})
+    for ring in (INT, RAT):
+        res = filling_norm(cx, rat, ring)
+        assert res.value == 1 and res.witness == Chain(2, ring, {"f": 1})
+        assert filling_norm(cx, Chain(1, INT, {"e1": 1, "e2": 1, "e3": 1}), ring) is res
 
 
 def test_value_cache_hit_runs_no_cycle_check(monkeypatch):

@@ -106,6 +106,11 @@ def test_circuits_via_fillings_single_face():
     assert len(got) == 1 and got[0].length == 3
 
 
+def test_circuits_via_fillings_budget_refusal():
+    with pytest.raises(BudgetExceededError):
+        circuits_via_fillings(tetrahedron(), "e12", 3, budget=1)
+
+
 def test_circuits_via_fillings_infinite_fv():
     with pytest.raises(FVInfiniteError):
         circuits_via_fillings(double_traversal(), "e", 1)

@@ -50,3 +50,24 @@ def test_every_imported_name_is_used():
         unused += [(name, n) for n in sorted(imported - used)
                    if (name, n) not in PINNED_IMPORTS]
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_definition_is_referenced():
+    # a module-level private function or class, or a private method, that no
+    # code in the package names is a helper a simplification left behind
+    defined, referenced = [], set()
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        defined += [(name, node.name) for body in scopes for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and _private(node.name)]
+        referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert len(defined) > 50
+    assert [d for d in defined if d[1] not in referenced] == []
