@@ -236,9 +236,10 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     of any circuit multiset of total length <= r.  Then only the candidates
     come back, as their serializations (``Chain.serialize`` keys) in the
     same (norm, serialization) order: the cycles reached by a sum whose
-    summed fill is >= L(norm).  A sum at norm u with summed fill s is not
-    extended when s + U(r) < L(u + r) for every r >= 1 within max_norm, as
-    no extension of it is a candidate.  ``filling.fv_value`` also passes
+    summed fill is >= L(norm), and > L(norm) where L(norm) = L(norm - 1).
+    A sum at norm u is not extended when no extension of it within
+    max_norm can be a candidate: its summed fill plus U(r) falls short at
+    every norm u + r.  ``filling.fv_value`` also passes
     ``above``, a value: then the candidates are the cycles reached by a sum
     whose summed fill exceeds it, at every norm alike.
 
@@ -264,12 +265,15 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     for k in range(1, max_norm + 1):
         lower[k] = max(lower[k], lower[k - 1])
         upper[k] = max(lower[j] + upper[k - j] for j in range(1, k + 1))
-    # target[u]: the least summed fill of a candidate at norm u
-    if above is None:
-        target = lower
-    else:
+    # target[u]: the least summed fill of a candidate at norm u; where
+    # L(u) = L(u - 1), a sum of fill L(u) fills to at most FV(u - 1)
+    if above is not None:
         above = Fraction(above)
         target = [above.numerator * den // above.denominator + 1] * (max_norm + 1)
+    elif as_keys:
+        target = lower[:1] + [low + (low == prev) for prev, low in zip(lower, lower[1:])]
+    else:
+        target = lower
     # reach[u]: the least summed fill at norm u that some extension can
     # raise to the target of its norm
     reach = [min((target[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)

@@ -416,11 +416,12 @@ def fv(complex_, k_max, ring):
     circuit of length <= k and U the superadditive closure of L, this gives
     L <= FV <= U.  Each circuit is filled once, and the other cycles filled
     are the candidates of ``enumerate_cycles``: those with a split whose
-    summed fill is >= L(norm).  Any other cycle fills to less than
-    L(norm) <= FV(norm), so it is never the first to attain a value, while
-    ties stay in; the running maximum over the candidates in (norm,
-    serialization) order therefore has the values and witnesses of the one
-    over all cycles.  A cycle and its negation fill alike, so one of each
+    summed fill is >= L(norm), and > L(norm - 1) where L(norm) = L(norm - 1).
+    Any other cycle fills to less than L(norm) <= FV(norm), so it is never
+    the first to attain a value, or to at most L(norm - 1) <= FV(norm - 1),
+    so it never raises the running maximum; the running maximum over the
+    candidates in (norm, serialization) order therefore has the values and
+    witnesses of the one over all cycles.  A cycle and its negation fill alike, so one of each
     pair is solved.  Circuits and candidates are solved from their edge
     vectors, with no Chain built for them and no witness kept; candidates
     come as serializations, and only a new running maximum, the witness,

@@ -3,9 +3,13 @@
 delta is half the largest gap between the two biggest of the three pairing
 sums d(x,y)+d(z,w), maximized over vertex quadruples of the 1-skeleton.
 Distances are unit-length BFS and all comparisons are on integer 2*delta;
-graphs above a vertex cap are refused rather than sampled.  The work runs
-on int distance rows indexed by vertex rank in ``sorted(vertices)`` order,
-and sets of block positions are int bit masks built from whole rows at once.
+graphs above a vertex cap are refused rather than sampled.  One BFS per
+complex fills int distance rows indexed by vertex rank in
+``sorted(vertices)`` order.  Within a block, each row is packed into one
+int, a fixed-width lane per block position with a guard bit on top
+(:class:`_Lanes`), so a comparison of every entry of a row at once is one
+big-int subtraction; its guard bits, compacted to one bit per position,
+give sets of block positions as int bit masks.
 
 The value is the maximum over the biconnected blocks with at least four
 vertices (a block is isometric in the graph, and a quadruple whose nearest
@@ -14,7 +18,11 @@ pairs are scanned by decreasing distance and each pair meets only the pairs
 before it (Cohen, Coudert and Lancin, "On computing the Gromov
 hyperbolicity", ACM JEA 2015): a quadruple's largest pairing sum
 d(a,b)+d(c,d) bounds its 2*delta by min(d(a,b), d(c,d)), so the scan stops
-at the first pair no longer than the best 2*delta found.
+at the first pair no longer than the best 2*delta found.  It also stops once
+the best reaches the block's upper bound: its diameter, except that a
+clique has 2*delta = 0, and a block of diameter 2 has 2*delta = 2 exactly
+when it has an induced 4-cycle (both pairs of the largest pairing at
+distance 2, the other four distances 1), and at most 1 otherwise.
 
 The reported witness is the lexicographically least quadruple attaining the
 maximum.  A quadruple whose four nearest points in a block B are distinct
@@ -24,9 +32,10 @@ lexicographic pass over the vertices of B ranked by the least vertex whose
 nearest point in B they are.
 """
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, itemgetter
+from operator import itemgetter
 
 from .errors import DisconnectedError, InternalError, TooLargeError
 
@@ -37,33 +46,42 @@ def all_pairs_distances(complex_):
     """BFS distance table ``{u: {v: d(u, v)}}`` over the 1-skeleton; unit
     edge lengths.
 
-    The BFS runs on vertex ranks in ``sorted(vertices)`` order, one int row
-    per source, so the table and each of its rows list their keys in that
-    order.
+    The table and each of its rows list their keys in ``sorted(vertices)``
+    order; it is built from the complex's int distance rows.
     """
     def build():
-        order, adj = _adjacency(complex_)
-        n = len(order)
-        dist = {}
-        for src in range(n):
-            row = [-1] * n
-            row[src] = 0
-            frontier = [src]
-            level = 0
-            while frontier:
-                level += 1
-                nxt = []
-                for v in frontier:
-                    for w in adj[v]:
-                        if row[w] < 0:
-                            row[w] = level
-                            nxt.append(w)
-                frontier = nxt
-            if -1 in row:
-                raise DisconnectedError("graph is not connected")
-            dist[order[src]] = dict(zip(order, row))
-        return dist
+        order = _adjacency(complex_)[0]
+        return {u: dict(zip(order, row)) for u, row in zip(order, _distance_rows(complex_))}
     return complex_.cached("apsp", build)
+
+
+def _distance_rows(complex_):
+    """The int distance rows of the 1-skeleton, built once per complex: row
+    i holds the distances from the vertex of rank i, by rank."""
+    return complex_.cached("distance_rows", lambda: _bfs_rows(_adjacency(complex_)[1]))
+
+
+def _bfs_rows(adj):
+    """One BFS per source over the neighbour rank lists ``adj``."""
+    rows = []
+    for src in range(len(adj)):
+        row = [-1] * len(adj)
+        row[src] = 0
+        frontier = [src]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if row[w] < 0:
+                        row[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        if -1 in row:
+            raise DisconnectedError("graph is not connected")
+        rows.append(row)
+    return rows
 
 
 def _adjacency(complex_):
@@ -100,9 +118,11 @@ def hyperbolicity_delta(complex_, vertex_cap=DEFAULT_VERTEX_CAP):
     n = len(complex_.vertices)
     if n > vertex_cap:
         raise TooLargeError(f"{n} vertices exceeds the cap {vertex_cap}")
-    dist = all_pairs_distances(complex_)
+    # the benchmark's tracer times the distances through this name; the
+    # scan reads the int rows the table is built from
+    all_pairs_distances(complex_)
+    rows = _distance_rows(complex_)
     order, adj = _adjacency(complex_)
-    rows = [list(d.values()) for d in dist.values()]
     diameter = max(map(max, rows), default=0)
     valued = [(_block_twice_delta(rows, adj, b), b) for b in _blocks(adj) if len(b) >= 4]
     best = max((value for value, _ in valued), default=0)
@@ -149,12 +169,56 @@ def _blocks(adj):
     return blocks
 
 
+class _Lanes:
+    """Rows of ``count`` ints in [0, top], each packed into one int with
+    position j in the j-th lane of ``width`` bytes.
+
+    The top bit of every lane is a guard bit, clear in a packed row since
+    top < 2**(8 * width - 1), for the least width of 1, 2, 4 or 8 that
+    allows it.  From a packed row with its guards set, subtracting a
+    packed row plus ``ones``, or h * ``ones`` for 0 <= h <= top + 1, makes
+    no lane borrow from the next, and a lane keeps its guard bit exactly
+    when its difference is >= 0.  The guard bits are compacted to one bit
+    per position by byte operations in C.
+    """
+
+    def __init__(self, top, count):
+        code = next(c for c in "BHIQ" if top < 1 << 8 * struct.calcsize("<" + c) - 1)
+        self.layout = struct.Struct(f"<{count}{code}")
+        self.width = struct.calcsize("<" + code)
+        self.count = count
+        self.ones = self.pack([1] * count)
+        self.guard = self.ones << 8 * self.width - 1
+
+    def pack(self, row):
+        return int.from_bytes(self.layout.pack(*row), "little")
+
+    def compact(self, guards):
+        """Bit mask of the lanes whose guard bit is set in ``guards``."""
+        top_bytes = guards.to_bytes(self.count * self.width, "big")[::self.width]
+        return int(top_bytes.translate(_GUARD_DIGITS), 2)
+
+    def at_least(self, packed, bound):
+        """Bit mask of the positions of the packed row holding at least ``bound``."""
+        return self.compact(((packed | self.guard) - bound * self.ones) & self.guard)
+
+
+_GUARD_DIGITS = bytes.maketrans(b"\0\x80", b"01")
+
+
 def _block_twice_delta(rows, adj, block):
-    """Largest 2*delta over the quadruples of ``block``, by the pruned pair scan."""
+    """Largest 2*delta over the quadruples of ``block``, by the pruned pair
+    scan, which stops once the best meets the block's upper bound."""
+    pairs = sorted(_far_apart_pairs(rows, adj, block), reverse=True)
+    bound = pairs[0][0]         # the diameter, as a farthest pair is far apart
+    if bound == 1:              # a clique: every pairing sum is 2
+        bound = 0
+    elif bound == 2 and not _has_induced_c4(adj, block):
+        bound = 1
     best = 0
     earlier = []
-    for dab, a, b in sorted(_far_apart_pairs(rows, adj, block), reverse=True):
-        if dab <= best:
+    for dab, a, b in pairs:
+        if min(dab, bound) <= best:
             break
         ra, rb = rows[a], rows[b]
         for dcd, c, d in earlier:
@@ -166,23 +230,47 @@ def _block_twice_delta(rows, adj, block):
     return best
 
 
+def _has_induced_c4(adj, block):
+    """Whether ``block`` has an induced 4-cycle: two non-adjacent vertices
+    whose common neighbours include two non-adjacent ones."""
+    position = {u: i for i, u in enumerate(block)}
+    nbrs = [sum(1 << position[w] for w in adj[u] if w in position) for u in block]
+    closed = [mask | 1 << i for i, mask in enumerate(nbrs)]
+    for i, mask in enumerate(nbrs):
+        for j in _bits(~closed[i] & (1 << len(block)) - (2 << i)):    # the positions above i
+            common = mask & nbrs[j]
+            if any(common & ~closed[c] for c in _bits(common)):
+                return True
+    return False
+
+
 def _far_apart_pairs(rows, adj, block):
     """(d(a,b), a, b) for the pairs of ``block``, a before b in block order,
-    where neither end has a neighbour in the block farther from the other end.
+    where neither end has a neighbour in the block farther from the other
+    end.
 
     Some quadruple attains the block's delta with both pairs of its largest
     pairing far apart: moving an end one step away from its partner raises
     the largest sum by 1 and each other sum by at most 1.
 
-    Bit j of ``apart[i]`` says that no block neighbour of ``block[i]`` is
-    farther from ``block[j]`` than ``block[i]`` is.  Each vertex of a block
-    of at least three vertices has two neighbours in it, so ``map(max, ...)``
-    always takes positionwise maxima over at least two rows.
+    Bit j of ``apart[i]`` says that no block neighbour w of ``block[i]`` is
+    farther from ``block[j]`` than ``block[i]`` is: on packed rows, lane j
+    of (row(w) | guard) - row(block[i]) - ones keeps its guard bit exactly
+    when w is farther.
     """
     in_block = itemgetter(*block)
-    local = {u: in_block(rows[u]) for u in block}
-    apart = [_mask(map(ge, local[a], map(max, *[local[w] for w in adj[a] if w in local])))
-             for a in block]
+    local = [in_block(rows[u]) for u in block]
+    lanes = _Lanes(max(map(max, local)), len(block))
+    packed = dict(zip(block, map(lanes.pack, local)))
+    guard = lanes.guard
+    apart = []
+    for a in block:
+        step = packed[a] + lanes.ones
+        farther = 0
+        for w in adj[a]:
+            if w in packed:
+                farther |= (packed[w] | guard) - step
+        apart.append(lanes.compact(guard & ~farther))
     pairs = []
     for i, a in enumerate(block):
         ra = rows[a]
@@ -215,8 +303,10 @@ def _least_witness(rows, block, target):
     ranked = sorted(block, key=first.__getitem__)
     in_rank_order = itemgetter(*ranked)
     dist = [in_rank_order(rows[u]) for u in ranked]
-    far = [_at_least(row, (target + 1) // 2) for row in dist]
-    long = [_at_least(row, target) for row in dist]
+    lanes = _Lanes(max(map(max, dist)), len(ranked))
+    packed = list(map(lanes.pack, dist))
+    far = [lanes.at_least(row, (target + 1) // 2) for row in packed]
+    long = [lanes.at_least(row, target) for row in packed]
     for a, da in enumerate(dist):
         if not long[a] >> (a + 1):      # a's long partner comes after a
             continue
@@ -234,19 +324,6 @@ def _least_witness(rows, block, target):
                     if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == target:
                         return tuple(first[ranked[i]] for i in (a, b, c, d))
     raise InternalError("no quadruple attains the block's own maximum")
-
-
-def _at_least(row, bound):
-    """Bit mask of the positions of ``row`` holding at least ``bound``."""
-    return _mask(map(bound.__le__, row))
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask(flags):
-    """Bit mask of the true positions of the bools ``flags``, position 0 lowest."""
-    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
 def _bits(mask):

@@ -3,8 +3,9 @@
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
 divisors, distances use Floyd-Warshall or a BFS over dicts of vertex ids,
-four-point delta scans every quadruple, far-apart pairs come from one set
-per vertex tested on every pair, row masks from a sum of bits, cycle sets
+four-point delta scans every quadruple, induced 4-cycles are looked for
+among every four vertices, far-apart pairs come from one set per vertex
+tested on every pair, row masks from a sum of bits, cycle sets
 use raw coefficient vectors or sums of every circuit multiset (cancelling
 ones too), circuit counts use degree-two edge
 subsets, rational solves use Gauss-Jordan elimination over Fractions,
@@ -19,9 +20,13 @@ minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
 from a search per face, over frozensets of signed-face ints in set order or
 over int bit sets in face order.
-Five exceptions: :func:`lp_route_filling_value` runs the package's own LP
-and branch and bound on every cycle, so that they check the closed form
-the package takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
+Seven exceptions: :func:`mask_far_apart_pairs` and
+:func:`mask_least_witness` run the package's own pair and witness passes
+on masks built from one comparison per entry, so that they check the
+packed rows ``hyperbolicity`` builds its masks from,
+:func:`lp_route_filling_value` runs the package's own LP and branch and
+bound on every cycle, so that they check the closed form the package
+takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
 cycle with the package's ``filling_norm``, so that it checks which cycles
 ``fv`` leaves unfilled, :func:`smith_integer_solve` reads the package's
 Smith form, dividing u*b by its diagonal where ``linalg.solve_integer``
@@ -38,6 +43,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
+from operator import ge, itemgetter
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
@@ -254,13 +260,17 @@ def frozenset_circuit_search(cx, max_length):
             for key, walk in sorted(found.items(), key=lambda kw: (len(kw[1]), kw[0]))]
 
 
-def dict_conformal_search(cx, max_norm, fills=None, above=None):
+def dict_conformal_search(cx, max_norm, fills=None, above=None, keep_ties=False):
     """The candidate cycles of ``chains.enumerate_cycles`` as Chains, in
     (norm, serialization) order, from a search that keeps each sum as an
     {edge: coefficient} dict, tests a circuit's sign conformity against it
     entry by entry and adds the fill values as given (Fractions over Q).
-    With ``above`` set, a sum is a candidate when its total exceeds it, and
-    is extended when its total plus U of the norm left does."""
+    With ``fills`` given, a sum at norm u is a candidate when its total is
+    >= L(u), and > L(u) where L(u) = L(u - 1) (``keep_ties`` drops that
+    second rule); with ``above`` set, when its total exceeds it.  A sum is
+    extended when its total plus U(r) would be a candidate at norm u + r
+    for some r >= 1."""
+    ties = fills is not None and not keep_ties
     if fills is None:
         circuits = enumerate_circuits(cx, None, max_norm) if max_norm >= 1 else []
         fills = [(circuit, 0) for circuit in circuits]
@@ -271,7 +281,22 @@ def dict_conformal_search(cx, max_norm, fills=None, above=None):
     for k in range(1, max_norm + 1):
         lower[k] = max(lower[k], lower[k - 1])
         upper[k] = max(lower[j] + upper[k - j] for j in range(1, k + 1))
-    reach = [min((lower[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
+
+    def bar(norm):
+        """(v, strict): a candidate at ``norm`` has a total > v, or = v
+        unless strict."""
+        if above is not None:
+            return above, True
+        return lower[norm], ties and norm > 0 and lower[norm] == lower[norm - 1]
+
+    def meets(total, bar_):
+        value, strict = bar_
+        return total > value or (total == value and not strict)
+
+    # the weakest bar that a sum at norm u must meet for some extension of
+    # it to meet the bar of its own norm, None at the largest norm
+    reach = [min(((bar(u + r)[0] - upper[r], bar(u + r)[1])
+                  for r in range(1, max_norm - u + 1)), default=None)
              for u in range(max_norm + 1)]
     signed = [[(e, sign * s) for s, e in circuit.walk] for circuit, _ in fills for sign in (1, -1)]
     lens = [circuit.length for circuit, _ in fills]
@@ -293,10 +318,9 @@ def dict_conformal_search(cx, max_norm, fills=None, above=None):
                         nxt[e] = nxt.get(e, 0) + c
                     norm += li
                     total += values[i]
-                    if total >= lower[norm] if above is None else total > above:
+                    if meets(total, bar(norm)):
                         found.setdefault(tuple(sorted(nxt.items())), norm)
-                    if norm < max_norm and (total >= reach[norm] if above is None
-                                            else total + upper[max_norm - norm] > above):
+                    if reach[norm] is not None and meets(total, reach[norm]):
                         extend(i + 1, norm, total, nxt)
 
     extend(0, 0, 0, {})
@@ -652,6 +676,93 @@ def sum_at_least(row, bound):
     """Bit mask of the positions of ``row`` holding at least ``bound``, as a
     sum of bits."""
     return sum(1 << j for j, d in enumerate(row) if d >= bound)
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags):
+    """Bit mask of the true positions of the bools ``flags``, position 0 lowest."""
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_at_least(row, bound):
+    """Bit mask of the positions of ``row`` holding at least ``bound``, from
+    one comparison per entry."""
+    return _mask(map(bound.__le__, row))
+
+
+def mask_far_apart_pairs(rows, adj, block):
+    """The far-apart pairs of ``hyperbolicity._far_apart_pairs``, in its
+    order, with the mask of each vertex built from one comparison per block
+    position against the positionwise maximum of its block neighbours' rows."""
+    in_block = itemgetter(*block)
+    local = {u: in_block(rows[u]) for u in block}
+    apart = [_mask(map(ge, local[a], map(max, *[local[w] for w in adj[a] if w in local])))
+             for a in block]
+    pairs = []
+    for i, a in enumerate(block):
+        ra = rows[a]
+        for j in _bits(apart[i] & -(2 << i)):
+            if apart[j] >> i & 1:
+                b = block[j]
+                pairs.append((ra[b], a, b))
+    return pairs
+
+
+def mask_least_witness(rows, block, target):
+    """The witness of ``hyperbolicity._least_witness`` by the same pruned
+    pass, with its far and long masks from :func:`mask_at_least`."""
+    first = {u: u for u in block}
+    in_block = itemgetter(*block)
+    for x, row in enumerate(rows):
+        if x not in first:
+            near = in_block(row)
+            u = block[near.index(min(near))]
+            if x < first[u]:
+                first[u] = x
+    ranked = sorted(block, key=first.__getitem__)
+    in_rank_order = itemgetter(*ranked)
+    dist = [in_rank_order(rows[u]) for u in ranked]
+    far = [mask_at_least(row, (target + 1) // 2) for row in dist]
+    long = [mask_at_least(row, target) for row in dist]
+    for a, da in enumerate(dist):
+        if not long[a] >> (a + 1):
+            continue
+        for b in _bits(far[a] & -(2 << a)):
+            db = dist[b]
+            cs = far[a] & far[b] & -(2 << b)
+            if da[b] < target:
+                cs &= long[a] | long[b]
+            for c in _bits(cs):
+                dc = dist[c]
+                ds = ((long[c] if da[b] >= target else 0) | (long[b] if da[c] >= target else 0)
+                      | (long[a] if db[c] >= target else 0))
+                for d in _bits(ds & far[a] & far[b] & far[c] & -(2 << c)):
+                    s1, s2, s3 = da[b] + dc[d], da[c] + db[d], da[d] + db[c]
+                    if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == target:
+                        return tuple(first[ranked[i]] for i in (a, b, c, d))
+    raise InternalError("no quadruple attains the block's own maximum")
+
+
+def has_induced_c4(cx):
+    """Whether the graph has an induced 4-cycle, from every 4-subset of its
+    vertices in every cyclic order."""
+    adjacent = {(e.tail, e.head) for e in cx.edges} | {(e.head, e.tail) for e in cx.edges}
+    for quad in combinations(sorted(cx.vertices), 4):
+        for a, b, c, d in (quad, (quad[0], quad[1], quad[3], quad[2]),
+                           (quad[0], quad[2], quad[1], quad[3])):
+            if ({(a, b), (b, c), (c, d), (d, a)} <= adjacent
+                    and (a, c) not in adjacent and (b, d) not in adjacent):
+                return True
+    return False
 
 
 # -- linear programs -----------------------------------------------------------

@@ -649,6 +649,40 @@ def test_candidate_search_matches_dict_oracle(monkeypatch):
             assert enumerate_cycles(cx, k) == multiset_cycles(cx, k), (name, k)
 
 
+def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
+    # the tetrahedron's circuits are 4 triangles filling to 1 and 3 squares
+    # filling to 2, so L(u) = L(4) = 2 from u = 4 on.  A cycle of norm u > 4
+    # whose split only sums to 2 fills to at most FV(u - 1), so fv leaves it
+    # unfilled: at k = 6 it fills the 7 circuits and nothing else, where the
+    # rule that kept such ties also filled 10 pairs of triangles.
+    solved, calls = [], []
+    solve_vector, enumerate_cycles_ = filling._solve_vector, filling.enumerate_cycles
+
+    def counting(ctx, terms, ring):
+        solved.append(terms)
+        return solve_vector(ctx, terms, ring)
+
+    def recording(cx, max_norm, fills=None):
+        found = enumerate_cycles_(cx, max_norm, fills)
+        calls.append((cx, max_norm, fills, found))
+        return found
+
+    monkeypatch.setattr(filling, "_solve_vector", counting)
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    for ring in (INT, RAT):
+        solved.clear()
+        calls.clear()
+        table = fv(tetrahedron(), 6, ring)
+        assert len(solved) == 7, ring
+        assert (list(table.values), list(table.witnesses)) == all_cycles_fv(tetrahedron(), 6, ring)
+        [(cx, max_norm, fills, found)] = calls
+        kept = [c.serialize() for c in dict_conformal_search(cx, max_norm, fills, keep_ties=True)]
+        circuits = {c.serialize() for circuit, _ in fills
+                    for c in (circuit.induced_cycle(), circuit.induced_cycle().neg())}
+        assert set(found) <= circuits | {()}, ring
+        assert len({key for key in kept if key not in circuits} - {()}) == 20, ring
+
+
 def test_fv_circuit_fills_match_filling_norm(monkeypatch):
     # fv solves each circuit from its edge vector; the certificate and value
     # are those filling_norm gives the circuit's cycle, inf included

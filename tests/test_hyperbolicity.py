@@ -7,12 +7,13 @@ from fractions import Fraction
 from finefill import all_pairs_distances, coned_off_cayley_graph, hyperbolicity_delta, validate
 from finefill import hyperbolicity
 from finefill.constructions import parse_group
-from finefill.errors import DisconnectedError, TooLargeError
+from finefill.errors import DisconnectedError, InternalError, TooLargeError
 
 from finefill.hyperbolicity import DEFAULT_VERTEX_CAP
 
 from instances import S4_GRP, cycle_graph, k4_graph, path_graph, small_tree, wheel_graph
 from oracles import (dict_bfs_distances, exhaustive_delta, floyd_warshall, four_point_delta,
+                     has_induced_c4, mask_at_least, mask_far_apart_pairs, mask_least_witness,
                      set_far_apart_pairs, sum_at_least)
 
 
@@ -44,20 +45,34 @@ def test_distances_match_floyd_warshall():
 
 
 def test_delta_reads_the_table_through_the_module_name(monkeypatch):
-    # the benchmark's tracer wraps hyperbolicity.all_pairs_distances by name
-    calls = []
-    real = hyperbolicity.all_pairs_distances
+    # the benchmark's tracer wraps hyperbolicity.all_pairs_distances by name;
+    # the table and the scan read one BFS per complex, whose int rows are
+    # cached on the complex
+    calls, bfs = [], []
+    real, real_bfs = hyperbolicity.all_pairs_distances, hyperbolicity._bfs_rows
 
     def spy(complex_):
         calls.append(complex_)
         return real(complex_)
 
+    def bfs_spy(adj):
+        bfs.append(adj)
+        return real_bfs(adj)
+
     monkeypatch.setattr(hyperbolicity, "all_pairs_distances", spy)
-    graphs = [cycle_graph(6), small_tree(), k4_graph()]
+    monkeypatch.setattr(hyperbolicity, "_bfs_rows", bfs_spy)
+    graphs = [cycle_graph(6), small_tree(), k4_graph(), wheel_graph(7)]
+    seen = set()
     for g in graphs + graphs[:1]:
         before = len(calls)
         hyperbolicity_delta(g)
+        all_pairs_distances(g)
         assert calls[before:] == [g]
+        seen.add(id(g))
+        assert len(bfs) == len(seen)
+        order = sorted(g.vertices)
+        table = dict_bfs_distances(g)
+        assert hyperbolicity._distance_rows(g) == [[table[u][v] for v in order] for u in order]
 
 
 def test_disconnected_refused():
@@ -212,13 +227,26 @@ def _grid(rows, cols):
 
 
 def test_default_cap_finishes():
+    # W399: every far-apart pair of the wheel is at distance 2 and its 2*delta
+    # is 1, so only the bound of a block of diameter 2 without an induced
+    # 4-cycle stops its scan before about n**4 steps
     assert DEFAULT_VERTEX_CAP == 400
-    for g, want in ((cycle_graph(400), 100), (path_graph(400), 0), (_grid(20, 20), 19)):
-        rep = hyperbolicity_delta(g)
+    reps = {}
+    for name, g, want in (("cycle", cycle_graph(400), 100), ("path", path_graph(400), 0),
+                          ("grid", _grid(20, 20), 19), ("wheel", wheel_graph(399), Fraction(1, 2))):
+        rep = reps[name] = hyperbolicity_delta(g)
         assert rep.vertex_count == 400 and rep.delta == want
         assert _twice_four_point(all_pairs_distances(g), rep.witness) == 2 * want
-    assert rep.witness == ("g0_0", "g0_19", "g19_0", "g19_19")
-    assert hyperbolicity_delta(path_graph(400)).witness == tuple(sorted(path_graph(400).vertices)[:4])
+    assert reps["grid"].witness == ("g0_0", "g0_19", "g19_0", "g19_19")
+    assert reps["path"].witness == tuple(sorted(path_graph(400).vertices)[:4])
+    assert reps["wheel"].witness == ("hub", "w0", "w1", "w2")
+    # a clique's scan stops before its first pair; every pair of K100 is far
+    # apart, so meeting each with every earlier one takes about n**4 steps
+    clique = validate([f"k{i:02}" for i in range(100)],
+                      [(f"e{i}", f"k{a:02}", f"k{b:02}")
+                       for i, (a, b) in enumerate(combinations(range(100), 2))])
+    rep = hyperbolicity_delta(clique)
+    assert (rep.delta, rep.witness, rep.diameter) == (0, ("k00", "k01", "k02", "k03"), 1)
 
 
 def _oracle_cases():
@@ -232,26 +260,53 @@ def _oracle_cases():
     return cases
 
 
+def _check_packed_rows(rows):
+    """Masks read off packed rows equal the per-entry and sum-of-bits masks."""
+    lanes = hyperbolicity._Lanes(max(map(max, rows)), len(rows[0]))
+    for row in rows:
+        packed = lanes.pack(row)
+        for bound in (0, 1, max(row), max(row) + 1):
+            want = sum_at_least(row, bound)
+            assert lanes.at_least(packed, bound) == mask_at_least(row, bound) == want
+    return lanes
+
+
+def _outcome(find, *args):
+    try:
+        return find(*args)
+    except InternalError:
+        return "no quadruple"
+
+
 def test_fast_paths_match_moved_oracles():
-    seen = {"blocks": 0, "one_sided": 0, "cut_in_pair": 0, "loops_or_parallel": 0}
+    seen = {"blocks": 0, "one_sided": 0, "cut_in_pair": 0, "loops_or_parallel": 0,
+            "witnesses": 0, "no_quadruple": 0}
     for g in _oracle_cases():
         table = all_pairs_distances(g)
         assert table == dict_bfs_distances(g)
         order, adj = hyperbolicity._adjacency(g)
         assert order == sorted(g.vertices) and list(table) == order
-        rows = [list(row.values()) for row in table.values()]
+        rows = hyperbolicity._distance_rows(g)
+        assert rows == [list(row.values()) for row in table.values()]
         assert adj == [[w for w, d in enumerate(row) if d == 1] for row in rows]
         seen["loops_or_parallel"] += sum(map(len, adj)) < 2 * len(g.edges)
-        for row in rows:
-            for bound in (0, 1, max(row), max(row) + 1):
-                assert hyperbolicity._at_least(row, bound) == sum_at_least(row, bound)
+        _check_packed_rows(rows)
         for block in hyperbolicity._blocks(adj):
             if len(block) < 4:
                 continue
             seen["blocks"] += 1
             pairs = hyperbolicity._far_apart_pairs(rows, adj, block)
             want = set_far_apart_pairs(rows, adj, block)
-            assert pairs == want and set(pairs) == set(want)
+            assert pairs == mask_far_apart_pairs(rows, adj, block) == want
+            assert set(pairs) == set(want)
+            _check_packed_rows([[rows[u][v] for v in block] for u in block])
+            # the block's own maximum, and every smaller target, which some
+            # quadruple may miss
+            for target in range(1, hyperbolicity._block_twice_delta(rows, adj, block) + 1):
+                got = _outcome(hyperbolicity._least_witness, rows, block, target)
+                assert got == _outcome(mask_least_witness, rows, block, target)
+                seen["witnesses"] += 1
+                seen["no_quadruple"] += got == "no quadruple"
             inside = set(block)
             cut = {u for u in block if any(w not in inside for w in adj[u])}
             seen["cut_in_pair"] += sum(a in cut or b in cut for _, a, b in want)
@@ -261,3 +316,70 @@ def test_fast_paths_match_moved_oracles():
 
             seen["one_sided"] += sum(far(a, b) != far(b, a) for a, b in combinations(block, 2))
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_packed_rows_across_the_lane_width_boundary():
+    # one-byte lanes hold distances up to 127 under their guard bit: C254
+    # (diameter 127) is the largest cycle on them, C256 (diameter 128) and
+    # C520 (diameter 260, above the default cap) take two-byte lanes
+    for n, width in ((254, 1), (256, 2), (520, 2)):
+        g = cycle_graph(n)
+        rep = hyperbolicity_delta(g, vertex_cap=n)
+        assert rep.delta == n // 4 and rep.diameter == n // 2
+        assert _twice_four_point(all_pairs_distances(g), rep.witness) == 2 * (n // 4)
+        rows = hyperbolicity._distance_rows(g)
+        assert _check_packed_rows(rows[::4]).width == width    # rows of a cycle: rotations
+        order, adj = hyperbolicity._adjacency(g)
+        [block] = hyperbolicity._blocks(adj)
+        pairs = hyperbolicity._far_apart_pairs(rows, adj, block)
+        assert pairs == mask_far_apart_pairs(rows, adj, block)
+        assert len(pairs) == n // 2
+        assert (hyperbolicity._least_witness(rows, block, 2 * (n // 4))
+                == mask_least_witness(rows, block, 2 * (n // 4)))
+
+
+def _random_diameter_two(rng, n, kind):
+    """A connected graph of diameter 2 on n shuffled ids: a dense random
+    graph, a cone over a random forest with a few chords, or a 5-cycle whose
+    vertices are blown up into cliques (never an induced 4-cycle)."""
+    ids = [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    if kind == "dense":
+        while True:
+            pairs = [p for p in combinations(ids, 2) if rng.random() < 0.6]
+            g = validate(ids, [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)])
+            dist = floyd_warshall(g)
+            if max(d for row in dist.values() for d in row.values()) == 2:
+                return g
+    if kind == "cone":
+        apex, base = ids[0], ids[1:]
+        pairs = [(apex, v) for v in base]
+        pairs += [(base[rng.randrange(i)], base[i]) for i in range(1, len(base))
+                  if rng.random() < 0.8]
+        pairs += [tuple(rng.sample(base, 2)) for _ in range(rng.randint(0, 2))]
+    else:
+        cuts = sorted(rng.sample(range(1, n), 4))
+        parts = [ids[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        pairs = [p for part in parts for p in combinations(part, 2)]
+        pairs += [(a, b) for k in range(5) for a in parts[k] for b in parts[(k + 1) % 5]]
+    return validate(ids, [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)])
+
+
+def test_diameter_two_blocks_stop_at_their_bound():
+    # in a block of diameter 2, 2*delta is 2 exactly when it has an induced
+    # 4-cycle, and at most 1 otherwise; the scan stops at that bound.  A cone
+    # over a forest may split into cliques, of 2*delta 0
+    rng = random.Random(22)
+    kinds = ("dense", "cone", "blown-up C5")
+    with_c4 = without = 0
+    for trial in range(240):
+        g = _random_diameter_two(rng, rng.randint(5, 10), kinds[trial % 3])
+        rep = hyperbolicity_delta(g)
+        assert (rep.delta, rep.witness, rep.diameter) == exhaustive_delta(g), trial
+        c4 = has_induced_c4(g)
+        order, adj = hyperbolicity._adjacency(g)
+        assert hyperbolicity._has_induced_c4(adj, list(range(len(order)))) == c4, trial
+        assert (rep.delta == 1) == c4, trial
+        with_c4 += c4
+        without += rep.delta == Fraction(1, 2)
+    assert with_c4 >= 60 and without >= 60, (with_c4, without)
