@@ -130,17 +130,14 @@ def _all_circuits(complex_, max_length):
     distance back[v] from v to the start through vertices above the start,
     and a path of length l ending at v is pushed only when l + back[v] <=
     max_length: no closing walk can start from any other."""
-    vertices = sorted(complex_.vertex_set)
-    rank = {v: i for i, v in enumerate(vertices)}
-    index = complex_.edge_index
+    steps = complex_.skeleton()[2]
     # rank -> (signed edge, end rank, edge bit) of each step leaving it
-    outs = [[(step, rank[complex_.edge_endpoints(step)[1]], 1 << index[step[1]])
-             for step in complex_.incident(v)] for v in vertices]
+    outs = [[(step, end, 1 << i) for step, end, i in row] for row in steps]
     found = {}  # used-edge bits -> circuit
-    for start in range(len(vertices)):
+    for start in range(len(outs)):
         # distances below max_length; max_length stands for every larger one,
         # and for the vertices below the start
-        back = [max_length] * len(vertices)
+        back = [max_length] * len(outs)
         back[start] = 0
         frontier = [start]
         for d in range(1, max_length):
@@ -183,40 +180,32 @@ def decompose_into_circuits(complex_, cycle):
         raise NotACycleError("decomposition is defined for integral cycles")
     if not is_cycle(complex_, cycle):
         raise NotACycleError("boundary is nonzero")
+    order, rank, steps = complex_.skeleton()
     remaining = dict(cycle.coeffs)
     out = []
     while remaining:
-        start_eid = min(remaining)
-        sign = 1 if remaining[start_eid] > 0 else -1
-        start, _ = complex_.edge_endpoints((sign, start_eid))
-        walk = []
-        positions = {start: 0}
-        cur = start
+        eid = min(remaining)
+        cur = rank[complex_.edge_endpoints((1 if remaining[eid] > 0 else -1, eid))[0]]
+        walk, positions = [], {cur: 0}
         while True:
-            step = _least_outgoing(complex_, remaining, cur)
+            # flow conservation of cycles guarantees an outgoing step exists
+            for step, end, _ in steps[cur]:
+                if remaining.get(step[1], 0) * step[0] > 0:
+                    break
+            else:
+                raise NotACycleError(f"no continuation at vertex {order[cur]!r}")
             walk.append(step)
-            cur = complex_.edge_endpoints(step)[1]
+            cur = end
             if cur in positions:
                 circ_walk = walk[positions[cur]:]
                 break
             positions[cur] = len(walk)
-        circuit = make_circuit(circ_walk)
-        out.append(circuit)
+        out.append(make_circuit(circ_walk))
         for s, eid in circ_walk:
             remaining[eid] -= s
             if remaining[eid] == 0:
                 del remaining[eid]
     return out
-
-
-def _least_outgoing(complex_, remaining, vertex):
-    # flow conservation of cycles guarantees an outgoing step exists
-    for step in complex_.incident(vertex):
-        sign, eid = step
-        c = remaining.get(eid, 0)
-        if c * sign > 0:
-            return step
-    raise NotACycleError(f"no continuation at vertex {vertex!r}")
 
 
 def enumerate_cycles(complex_, max_norm, fills=None, above=None):

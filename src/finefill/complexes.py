@@ -46,20 +46,17 @@ class Chain:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        exact = int if self.ring == INT else Fraction
         clean = {}
         for cell, c in self.coeffs.items():
-            if c == 0:
-                continue
-            if self.ring == INT:
-                if type(c) is not int:  # an int skips Fraction's slow ABC check
-                    if isinstance(c, Fraction):
-                        if c.denominator != 1:
-                            raise ValueError(f"non-integer coefficient {c} in INT chain")
-                        c = c.numerator
-                    c = int(c)
+            if type(c) is not exact:  # a stored type skips the checks
+                if isinstance(c, float):
+                    raise ValueError(f"float coefficient {c!r}: chains are exact")
+                if exact is int and c != int(c):
+                    raise ValueError(f"non-integer coefficient {c} in INT chain")
+                c = exact(c)
+            if c:
                 clean[cell] = c
-            else:
-                clean[cell] = c if type(c) is Fraction else Fraction(c)
         object.__setattr__(self, "coeffs", clean)
 
     def l1(self):
@@ -110,9 +107,10 @@ class TwoComplex:
     """Validated immutable 2-complex; construct via :func:`validate`.
 
     It owns the one int form that every module reads: ``edge_index`` numbers
-    the edges in ``edges`` order, and the sparse d2 (:meth:`face_columns`),
-    the dense d2, its Smith form and the other derived tables are built once
-    and cached with the complex.
+    the edges in ``edges`` order, :meth:`skeleton` ranks the vertices in
+    sorted order and lists the steps leaving each, and the sparse d2
+    (:meth:`face_columns`), the dense d2, its Smith form and the other
+    derived tables are built once and cached with the complex.
     """
 
     def __init__(self, vertices, edges, faces, _token=None):
@@ -124,7 +122,6 @@ class TwoComplex:
         self.edge_by_id = {e.id: e for e in self.edges}
         self.edge_index = {eid: i for i, eid in enumerate(self.edge_by_id)}
         self.face_by_id = {f.id: f for f in self.faces}
-        self.vertex_set = frozenset(self.vertices)
         self._cache = {}
 
     # -- structural helpers -------------------------------------------------
@@ -138,20 +135,22 @@ class TwoComplex:
         e = self.edge_by_id[eid]
         return (e.tail, e.head) if sign > 0 else (e.head, e.tail)
 
-    def incident(self, vertex):
-        """Signed edges leaving ``vertex``, in edge-id order.
-
-        A non-loop edge appears once (with the sign that makes it leave);
-        a loop appears with both signs.
-        """
+    def skeleton(self):
+        """(order, rank, steps) of the 1-skeleton: ``order`` the sorted
+        vertices, ``rank`` its inverse, ``steps[r]`` the (signed edge, end
+        rank, edge index) of each step leaving the vertex of rank r, by edge
+        id and +1 before -1, so a loop appears twice, other edges once."""
         def build():
-            table = {v: [] for v in self.vertices}
-            for e in self.edges:
-                table[e.tail].append((1, e.id))
-                table[e.head].append((-1, e.id))
-            return {v: tuple(sorted(steps, key=lambda se: (se[1], -se[0])))
-                    for v, steps in table.items()}
-        return self.cached("incident", build)[vertex]
+            order = sorted(self.vertices)
+            rank = dict(zip(order, range(len(order))))
+            steps = [[] for _ in order]
+            for eid in sorted(self.edge_index):
+                e, i = self.edge_by_id[eid], self.edge_index[eid]
+                t, h = rank[e.tail], rank[e.head]
+                steps[t].append(((1, eid), h, i))
+                steps[h].append(((-1, eid), t, i))
+            return order, rank, steps
+        return self.cached("skeleton", build)
 
     # -- boundary maps -------------------------------------------------------
 
@@ -268,21 +267,29 @@ def validate(vertices, edges, faces=()):
     return TwoComplex(vlist, elist, flist, _token=_BUILD_TOKEN)
 
 
+def require_cells(chain, dimension, cells):
+    """UnknownCellError unless ``chain`` has ``dimension`` (1 or 2) and
+    every cell of it is in ``cells``."""
+    if chain.dimension != dimension:
+        raise UnknownCellError(f"expected a {dimension}-chain, got dimension {chain.dimension}")
+    for cell in chain.coeffs:
+        if cell not in cells:
+            raise UnknownCellError(f"unknown {'edge' if dimension == 1 else 'face'} {cell!r}")
+
+
 def boundary(complex_, chain):
     """Cellular boundary of a chain of dimension 1 or 2."""
     if chain.dimension == 2:
+        require_cells(chain, 2, complex_.face_by_id)
         acc = {}
         for fid, c in chain.coeffs.items():
-            if fid not in complex_.face_by_id:
-                raise UnknownCellError(f"unknown face {fid!r}")
             for eid, d in complex_.face_boundary(fid).coeffs.items():
                 acc[eid] = acc.get(eid, 0) + c * d
         return Chain(1, chain.ring, acc)
     if chain.dimension == 1:
+        require_cells(chain, 1, complex_.edge_by_id)
         acc = {}
         for eid, c in chain.coeffs.items():
-            if eid not in complex_.edge_by_id:
-                raise UnknownCellError(f"unknown edge {eid!r}")
             e = complex_.edge_by_id[eid]
             acc[e.head] = acc.get(e.head, 0) + c
             acc[e.tail] = acc.get(e.tail, 0) - c
@@ -344,6 +351,7 @@ class SubdivisionResult:
 
     def map_chain1(self, chain):
         """Push a 1-chain forward: each original edge maps to its two halves."""
+        require_cells(chain, 1, self._half_edges)
         acc = {}
         for eid, c in chain.coeffs.items():
             a, b = self._half_edges[eid]

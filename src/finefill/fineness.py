@@ -58,7 +58,7 @@ boundary is, if any.  Chain objects are built for output only.
 from dataclasses import dataclass
 
 from .chains import circuit_masks, enumerate_circuits
-from .complexes import Chain, INT
+from .complexes import Chain, INT, require_cells
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
 # fv is not called here, but perfbench/spans.py wraps it under this name
@@ -86,6 +86,7 @@ class SpecialChainState:
 
     def verify(self, complex_):
         """Check the chaining clauses on every prefix; True iff special."""
+        require_cells(self.chain(), 2, complex_.face_by_id)
         faces = [f for f, _ in self.steps]
         if len(set(faces)) != len(faces):
             return False
@@ -330,10 +331,11 @@ def _circuits_through(tables, reach, want):
 
 def find_special_ordering(complex_, chain2, base_edge):
     """A special ordering of the chain's signed faces, or None."""
-    if any(abs(c) != 1 for c in chain2.coeffs.values()):
-        return None  # repeated faces cannot form a distinct-face sequence
     if base_edge not in complex_.edge_by_id:
         raise UnknownEdgeError(f"unknown edge {base_edge!r}")
+    require_cells(chain2, 2, complex_.face_by_id)
+    if any(abs(c) != 1 for c in chain2.coeffs.values()):
+        return None  # repeated faces cannot form a distinct-face sequence
     entries = sorted(chain2.coeffs.items())
     dead = set()
 

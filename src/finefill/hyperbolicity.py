@@ -4,8 +4,8 @@ delta is half the largest gap between the two biggest of the three pairing
 sums d(x,y)+d(z,w), maximized over vertex quadruples of the 1-skeleton.
 Distances are unit-length BFS and all comparisons are on integer 2*delta;
 graphs above a vertex cap are refused rather than sampled.  One BFS per
-complex fills int distance rows indexed by vertex rank in
-``sorted(vertices)`` order.  Within a block, each row is packed into one
+complex fills int distance rows indexed by the complex's vertex ranks
+(``TwoComplex.skeleton``).  Within a block, each row is packed into one
 int, a fixed-width lane per block position with a guard bit on top
 (:class:`_Lanes`), so a comparison of every entry of a row at once is one
 big-int subtraction; its guard bits, compacted to one bit per position,
@@ -40,6 +40,7 @@ from operator import itemgetter
 from .errors import DisconnectedError, InternalError, TooLargeError
 
 DEFAULT_VERTEX_CAP = 400
+_END = itemgetter(1)  # the end rank of a step of ``TwoComplex.skeleton``
 
 
 def all_pairs_distances(complex_):
@@ -86,18 +87,14 @@ def _bfs_rows(adj):
 
 def _adjacency(complex_):
     """(order, adj) of the 1-skeleton, built once per complex: ``order`` the
-    vertices sorted, ``adj`` the sorted neighbour rank lists; loops and
-    parallel edges are dropped."""
+    complex's sorted vertices, ``adj`` the sorted end ranks of each vertex's
+    steps; loops and parallel edges are dropped."""
     def build():
-        order = sorted(complex_.vertices)
-        rank = {v: i for i, v in enumerate(order)}
-        adj = [set() for _ in order]
-        for e in complex_.edges:
-            t, h = rank[e.tail], rank[e.head]
-            if t != h:
-                adj[t].add(h)
-                adj[h].add(t)
-        return order, [sorted(nbrs) for nbrs in adj]
+        order, _, steps = complex_.skeleton()
+        adj = [set(map(_END, row)) for row in steps]
+        for r, ends in enumerate(adj):
+            ends.discard(r)  # a loop
+        return order, list(map(sorted, adj))
     return complex_.cached("adjacency", build)
 
 

@@ -227,6 +227,24 @@ def z3_moore_loop(triangle_faces):
                     + [(f"g{i}", triangle) for i in range(triangle_faces)])
 
 
+def random_multigraph(rng):
+    """Up to 7 vertices (some isolated) and up to 10 edges, loops and
+    parallel edges included; the ids sort neither as created nor as numbers."""
+    vs = [f"v{x}" for x in rng.sample(range(30), rng.randint(1, 7))]
+    es = []
+    for x in rng.sample(range(30), rng.randint(0, 10)):
+        tail = rng.choice(vs)
+        roll = rng.random()
+        if roll < 0.2:
+            head = tail  # a loop
+        elif roll < 0.45 and es:
+            _, tail, head = rng.choice(es)  # parallel to an earlier edge
+        else:
+            head = rng.choice(vs)
+        es.append((f"e{x}", tail, head))
+    return validate(vs, es)
+
+
 # canonical corpus complexes (criteria 3, 4, 5, 6, 9 and the invariants)
 CORPUS = [
     ("triangle-graph", triangle_graph),

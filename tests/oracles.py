@@ -2,7 +2,10 @@
 
 Nothing here shares code with the implementation paths it verifies:
 fillings are exhaustive bounded searches, homology uses determinant
-divisors, distances use Floyd-Warshall or a BFS over dicts of vertex ids,
+divisors, the steps leaving a vertex come from a sort of the edge ends at
+it, circuit decompositions from a walk over vertex ids, the adjacency
+from one pass over the edges, distances use Floyd-Warshall or a BFS over
+dicts of vertex ids,
 four-point delta scans every quadruple, induced 4-cycles are looked for
 among every four vertices, far-apart pairs come from one set per vertex
 tested on every pair, row masks from a sum of bits, cycle sets
@@ -48,7 +51,7 @@ from operator import ge, itemgetter
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
 from finefill.chains import Circuit, circuit_from_chain
-from finefill.errors import DisconnectedError, InternalError
+from finefill.errors import DisconnectedError, InternalError, NotACycleError
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -227,6 +230,47 @@ def all_rotations_walk_key(walk):
     return best
 
 
+def incident(cx, vertex):
+    """The reference step order: the signed edges leaving ``vertex`` by
+    edge id, +1 before -1, from a sort of every edge end.  A non-loop edge
+    appears once (with the sign that makes it leave); a loop appears with
+    both signs."""
+    ends = [(1, e.id) for e in cx.edges if e.tail == vertex]
+    ends += [(-1, e.id) for e in cx.edges if e.head == vertex]
+    return tuple(sorted(ends, key=lambda se: (se[1], -se[0])))
+
+
+def string_walk_decompose(cx, cycle):
+    """The circuits ``chains.decompose_into_circuits`` splits an integral
+    1-cycle into, traced on vertex ids through :func:`incident`: from the
+    tail of the least remaining edge (its head when the coefficient is
+    negative), take the first step of the remaining support that leaves
+    the current vertex along its sign, and peel a circuit at the first
+    repeated vertex."""
+    if cycle.ring != INT or not is_cycle(cx, cycle):
+        raise NotACycleError("not an integral cycle")
+    remaining = dict(cycle.coeffs)
+    out = []
+    while remaining:
+        eid = min(remaining)
+        cur = cx.edge_endpoints((1 if remaining[eid] > 0 else -1, eid))[0]
+        walk, positions = [], {cur: 0}
+        while True:
+            step = next(se for se in incident(cx, cur) if remaining.get(se[1], 0) * se[0] > 0)
+            walk.append(step)
+            cur = cx.edge_endpoints(step)[1]
+            if cur in positions:
+                walk = walk[positions[cur]:]
+                break
+            positions[cur] = len(walk)
+        out.append(Circuit(tuple(walk), all_rotations_walk_key(walk)))
+        for s, e in walk:
+            remaining[e] -= s
+            if not remaining[e]:
+                del remaining[e]
+    return out
+
+
 def frozenset_circuit_search(cx, max_length):
     """Every circuit of length <= max_length, sorted by (length, key).
 
@@ -237,12 +281,12 @@ def frozenset_circuit_search(cx, max_length):
     walk found per key.
     """
     found = {}
-    order = {v: i for i, v in enumerate(sorted(cx.vertex_set))}
-    for start in sorted(cx.vertex_set):
+    order = {v: i for i, v in enumerate(sorted(cx.vertices))}
+    for start in sorted(cx.vertices):
         stack = [(start, (), frozenset(), frozenset((start,)))]
         while stack:
             cur, walk, used, visited = stack.pop()
-            for step in cx.incident(cur):
+            for step in incident(cx, cur):
                 eid = step[1]
                 if eid in used:
                     continue
@@ -627,6 +671,21 @@ def exhaustive_delta(cx):
     if witness is None and len(cx.vertices) >= 4:
         witness = tuple(sorted(cx.vertices)[:4])
     return best, witness, diameter
+
+
+def edge_loop_adjacency(cx):
+    """(order, adj) of the 1-skeleton from one pass over the edges: ``order``
+    the sorted vertices, ``adj`` the sorted neighbour rank lists, each a set
+    of the other ends of the vertex's non-loop edges."""
+    order = sorted(cx.vertices)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [set() for _ in order]
+    for e in cx.edges:
+        t, h = rank[e.tail], rank[e.head]
+        if t != h:
+            adj[t].add(h)
+            adj[h].add(t)
+    return order, [sorted(nbrs) for nbrs in adj]
 
 
 def dict_bfs_distances(cx):

@@ -12,9 +12,9 @@ from finefill.chains import (canonical_walk_key, circuit_from_chain, circuit_mas
 from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, figure8_graph, k4_graph,
-                       small_tree, tetrahedron, triangle_graph)
+                       random_multigraph, small_tree, tetrahedron, triangle_graph)
 from oracles import (all_rotations_walk_key, brute_circuit_count, brute_cycles,
-                     frozenset_circuit_search, multiset_cycles)
+                     frozenset_circuit_search, multiset_cycles, string_walk_decompose)
 
 
 def triangle_cycle():
@@ -268,6 +268,27 @@ def test_decompose_randomized_norm_additivity():
             if total != gamma or sum(p.length for p in parts) != gamma.l1():
                 failures += 1
     assert failures == 0
+
+
+def test_decompose_walks_match_the_string_vertex_tracer():
+    # the same circuits, walks included, in the same order
+    rng = random.Random(2324)
+    cases = [(name, build()) for name, build in CORPUS + CORPUS_GRAPHS + TORSION]
+    cases += [("random", random_multigraph(rng)) for _ in range(150)]
+    total = 0
+    for name, cx in cases:
+        circuits = enumerate_circuits(cx, None, min(len(cx.edges), 6)) if cx.edges else []
+        for _ in range(40 if circuits else 0):
+            gamma = Chain(1, INT, {})
+            for _ in range(rng.randint(1, 4)):
+                c = rng.choice(circuits)
+                gamma = gamma.add(c.induced_cycle().scale(rng.choice([-2, -1, 1, 2])))
+            got = decompose_into_circuits(cx, gamma)
+            want = string_walk_decompose(cx, gamma)
+            assert [(c.walk, c.key) for c in got] == [(c.walk, c.key) for c in want], (
+                name, gamma)
+            total += len(got)
+    assert total > 5000, total
 
 
 def test_circuit_splits_are_trivial():

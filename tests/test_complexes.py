@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 
 from finefill import (BARYCENTRIC, INT, MIDPOINT, RAT, Chain, H1Report,
@@ -10,9 +12,10 @@ from finefill import chains, filling, fineness, hyperbolicity
 from finefill.complexes import rank_d1
 from finefill.errors import UnknownCellError, ValidationError
 
-from instances import (CORPUS, TORSION, double_traversal, tetrahedron, triangle_face,
-                       triangle_graph, wheel_graph)
-from oracles import boundary_matrix_1, determinant_divisor_factors, rank_over_q
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, double_traversal, random_multigraph,
+                       tetrahedron, triangle_face, triangle_graph, wheel_graph)
+from oracles import (boundary_matrix_1, determinant_divisor_factors, edge_loop_adjacency,
+                     incident, rank_over_q)
 
 
 def test_validate_triangle_graph():
@@ -122,15 +125,47 @@ def test_one_edge_numbering_shared_by_every_module():
         hyperbolicity.all_pairs_distances(cx)
         hyperbolicity.hyperbolicity_delta(cx)
         assert cx._cache.stored.count("adjacency") == 1, name
+        # one vertex numbering, for the circuit search, the walk tracer and delta
+        for circ in masks.values():
+            parts = chains.decompose_into_circuits(cx, circ.induced_cycle())
+            assert [part.key for part in parts] == [circ.key], name
+        chains.circuit_masks(cx, 5)
+        assert cx._cache.stored.count("skeleton") == 1, name
 
 
 def test_incident_lists_loops_twice_and_parallel_edges_once():
     cx = validate("abc", [("q", "a", "b"), ("p", "a", "b"), ("m", "b", "a"),
                           ("l", "a", "a")])
-    assert cx.incident("a") == ((1, "l"), (-1, "l"), (-1, "m"), (1, "p"), (1, "q"))
-    assert cx.incident("b") == ((1, "m"), (-1, "p"), (-1, "q"))
-    assert cx.incident("c") == ()
-    assert list(cx._cache) == ["incident"]  # one entry for every vertex
+    order, rank, steps = cx.skeleton()
+    assert order == ["a", "b", "c"] and rank == {"a": 0, "b": 1, "c": 2}
+    # edge indices in edges order: q 0, p 1, m 2, l 3
+    assert steps[0] == [((1, "l"), 0, 3), ((-1, "l"), 0, 3), ((-1, "m"), 1, 2),
+                        ((1, "p"), 1, 1), ((1, "q"), 1, 0)]
+    assert steps[1] == [((1, "m"), 0, 2), ((-1, "p"), 0, 1), ((-1, "q"), 0, 0)]
+    assert steps[2] == []
+    assert list(cx._cache) == ["skeleton"]  # one entry for every vertex
+
+
+def test_skeleton_matches_the_reference_step_order():
+    rng = random.Random(2323)
+    cases = [(name, build()) for name, build in CORPUS + CORPUS_GRAPHS + TORSION]
+    cases += [("random", random_multigraph(rng)) for _ in range(200)]
+    seen = Counter()
+    for name, cx in cases:
+        order, rank, steps = cx.skeleton()
+        assert order == sorted(cx.vertices) and len(steps) == len(order), name
+        assert rank == {v: r for r, v in enumerate(order)}, name
+        for v, row in zip(order, steps):
+            assert tuple(step for step, _, _ in row) == incident(cx, v), (name, v)
+            for step, end, i in row:
+                assert cx.edge_endpoints(step) == (v, order[end]), (name, step)
+                assert i == cx.edge_index[step[1]], (name, step)
+        assert hyperbolicity._adjacency(cx) == edge_loop_adjacency(cx), name
+        ends = [frozenset((e.tail, e.head)) for e in cx.edges]
+        seen["loops"] += any(e.tail == e.head for e in cx.edges)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["isolated"] += not all(steps)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_l1_norm():
@@ -157,6 +192,19 @@ def test_int_chain_rejects_fractions():
     rat = Chain(1, RAT, {"a": 1, "b": Fraction(1, 2), "c": 0, "d": True})
     assert rat.coeffs == {"a": 1, "b": Fraction(1, 2), "d": 1}
     assert all(type(c) is Fraction for c in rat.coeffs.values())
+
+
+def test_chains_refuse_floats_and_non_integral_int_coefficients():
+    # no float is rounded into an INT chain or expanded into a RAT one
+    for ring in (INT, RAT):
+        for c in (1.5, 0.1, 2.0, 0.0, -1.0):
+            with pytest.raises(ValueError, match="float coefficient"):
+                Chain(1, ring, {"e": c})
+    for c in (Fraction(3, 2), Decimal("1.5"), Decimal("-0.5")):
+        with pytest.raises(ValueError, match="non-integer coefficient .* in INT chain"):
+            Chain(1, INT, {"e": c})
+    assert Chain(1, INT, {"a": Decimal(2), "b": False}).coeffs == {"a": 2}
+    assert Chain(1, RAT, {"a": Decimal("1.5")}).coeffs == {"a": Fraction(3, 2)}
 
 
 def test_homology_tetrahedron():

@@ -22,7 +22,7 @@ from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4
 from oracles import (all_cycles_fv, chain_from_vector, dense, dense_line_fill,
                      dense_minimize_on_line, dense_rational_solve, dict_conformal_search,
                      exhaustive_int_filling, fraction_solve_lp,
-                     full_box_branch_and_bound, gamma_vector, lp_route_filling_value,
+                     full_box_branch_and_bound, gamma_vector, incident, lp_route_filling_value,
                      minimize_on_line, multiset_cycles, nonzeros, partition_maximum,
                      rref_rational_solve, smith_integer_solve)
 
@@ -510,7 +510,7 @@ def _random_closed_walk(cx, rng, max_len):
         walk = []
         cur = start
         for _ in range(rng.randint(1, max_len)):
-            steps = cx.incident(cur)
+            steps = incident(cx, cur)
             if not steps:
                 break
             step = rng.choice(steps)

@@ -12,7 +12,7 @@ from finefill import (BARYCENTRIC, INF, Chain, INT, boundary,
 from finefill.chains import circuit_from_chain, circuit_masks
 from finefill.fineness import GRAPH_SEARCH, SPECIAL_CHAIN, FinenessRecord
 from finefill.errors import (BudgetExceededError, FillingInfiniteError,
-                             FVInfiniteError, UnknownEdgeError)
+                             FVInfiniteError, UnknownCellError, UnknownEdgeError)
 
 from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, coned_s4, double_traversal, grid_disk,
                        k4_graph, small_tree, tetrahedron, triangle_face, validate)
@@ -221,6 +221,28 @@ def test_find_special_ordering_refusals():
     assert find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "e4") is None
     with pytest.raises(UnknownEdgeError):
         find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "zz")
+
+
+def test_chain_taking_helpers_refuse_wrong_dimension_and_unknown_cells():
+    cx = triangle_face()
+    # an unknown face, and a 1-chain on edge ids, are refused before any search
+    for chain in (Chain(2, INT, {"zz": 1}), Chain(2, INT, {"f": 1, "zz": 2}),
+                  Chain(1, INT, {"e1": 1})):
+        with pytest.raises(UnknownCellError):
+            find_special_ordering(cx, chain, "e1")
+    # the edge check runs before the coefficient shortcut
+    with pytest.raises(UnknownEdgeError):
+        find_special_ordering(cx, Chain(2, INT, {"f": 2}), "zz")
+    state = find_special_ordering(cx, Chain(2, INT, {"f": -1}), "e2")
+    assert state.verify(cx)
+    with pytest.raises(UnknownCellError):
+        fineness.SpecialChainState("e1", (("zz", 1),), (Chain(1, INT, {}),)).verify(cx)
+    # a 2-chain whose cell ids happen to be edge ids, and an unknown edge
+    sub = subdivide(cx, BARYCENTRIC)
+    assert sub.map_chain1(Chain(1, INT, {"e1": 1})).coeffs == {"e1:0": 1, "e1:1": 1}
+    for chain in (Chain(2, INT, {"e1": 1}), Chain(1, INT, {"zz": 1})):
+        with pytest.raises(UnknownCellError):
+            sub.map_chain1(chain)
 
 
 def test_minimal_fillings_counterexample(monkeypatch):

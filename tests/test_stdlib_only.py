@@ -71,3 +71,24 @@ def test_every_private_definition_is_referenced():
         referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert len(defined) > 50
     assert [d for d in defined if d[1] not in referenced] == []
+
+
+def test_every_public_member_of_the_complex_is_read_in_the_package():
+    # a TwoComplex method, or an attribute its __init__ sets, that only the
+    # tests read belongs in tests/oracles.py
+    members, read = set(), set()
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "TwoComplex":
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                members |= {m.name for m in methods}
+                init = next(m for m in methods if m.name == "__init__")
+                members |= {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign)
+                            for t in n.targets if isinstance(t, ast.Attribute)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    public = {m for m in members if not m.startswith("_")}
+    assert {"skeleton", "edge_index", "vertices", "cached"} <= public
+    assert sorted(public - read) == []
