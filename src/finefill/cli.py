@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import chains, complexes, constructions, fineness, filling, hyperbolicity
 from .complexes import BARYCENTRIC, INT, MIDPOINT, RAT
-from .errors import BudgetExceededError, FinefillError, FormatError, InternalError
+from .errors import (BudgetExceededError, FinefillError, FormatError, InternalError,
+                     NotACycleError)
 
 BUDGET_ENV = "FINEFILL_BUDGET"
 
@@ -224,9 +225,9 @@ def _cmd_linearity(args, out):
 def _cmd_decompose(args, out):
     cx = _load_complex(args.complex)
     gamma = _load_chain(args.cycle)
-    if gamma.ring != INT:
-        gamma = gamma.to_ring(INT)
-    for circ in chains.decompose_into_circuits(cx, gamma):
+    if any(c.denominator != 1 for c in gamma.coeffs.values()):
+        raise NotACycleError("decomposition is defined for integral cycles")
+    for circ in chains.decompose_into_circuits(cx, gamma.to_ring(INT)):
         print(f"circuit\t{circ.length}\t{_walk_tokens(circ.walk)}", file=out)
 
 

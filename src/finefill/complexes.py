@@ -109,8 +109,8 @@ class TwoComplex:
     It owns the one int form that every module reads: ``edge_index`` numbers
     the edges in ``edges`` order, :meth:`skeleton` ranks the vertices in
     sorted order and lists the steps leaving each, and the sparse d2
-    (:meth:`face_columns`), the dense d2, its Smith form and the other
-    derived tables are built once and cached with the complex.
+    (:meth:`face_columns`), its Smith form and the other derived tables
+    are built once and cached with the complex.
     """
 
     def __init__(self, vertices, edges, faces, _token=None):
@@ -166,15 +166,23 @@ class TwoComplex:
 
     def face_columns(self):
         """d2 as sparse columns: the (edge index, coefficient) nonzeros of
-        each face's boundary, faces in ``faces`` order, edges ascending."""
+        each face's boundary, the signs of its walk summed per edge, faces
+        in ``faces`` order, edges ascending."""
         def build():
             index = self.edge_index
-            return [sorted((index[eid], c) for eid, c in self.face_boundary(f.id).coeffs.items())
-                    for f in self.faces]
+            columns = []
+            for f in self.faces:
+                acc = {}
+                for sign, eid in f.walk:
+                    i = index[eid]
+                    acc[i] = acc.get(i, 0) + sign
+                columns.append(sorted((i, c) for i, c in acc.items() if c))
+            return columns
         return self.cached("d2_columns", build)
 
     def boundary_matrix_2(self):
-        """d2 as rows=edges, cols=faces (ints)."""
+        """d2 as rows=edges, cols=faces (ints), for the LP of fillings at
+        kernel rank >= 2 only."""
         def build():
             m = [[0] * len(self.faces) for _ in self.edges]
             for j, column in enumerate(self.face_columns()):
@@ -185,7 +193,8 @@ class TwoComplex:
 
     def smith_form_2(self):
         """Smith normal form (u, d, v) of d2, shared by homology and fillings."""
-        return self.cached("snf2", lambda: linalg.smith_normal_form(self.boundary_matrix_2()))
+        return self.cached("snf2", lambda: linalg.smith_normal_form(self.face_columns(),
+                                                                    len(self.edges)))
 
     def cached(self, key, build):
         if key not in self._cache:
@@ -327,14 +336,8 @@ def homology_h1(complex_):
         if n_edges == 0:
             return H1Report(0, ())
         cycles = n_edges - rank_d1(complex_)
-        if complex_.faces:
-            factors = linalg.invariant_factors(complex_.boundary_matrix_2(),
-                                               snf=complex_.smith_form_2())
-            rank2 = len(factors)
-        else:
-            factors, rank2 = [], 0
-        torsion = tuple(f for f in factors if f > 1)
-        return H1Report(cycles - rank2, torsion)
+        factors = complex_.smith_form_2()[1] if complex_.faces else []
+        return H1Report(cycles - len(factors), tuple(f for f in factors if f > 1))
     return complex_.cached("h1", build)
 
 

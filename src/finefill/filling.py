@@ -114,34 +114,34 @@ def _verify_filling(ctx, terms, x, den, value):
 
 
 def _line(z):
-    """The line of the kernel vector z as :func:`_minimize_on_line` reads
-    it: (the {face index: entry} nonzeros of z, the lcm of their |entries|,
-    the sum of their |entries|)."""
-    nonzeros = {j: w for j, w in enumerate(z) if w}
-    return nonzeros, lcm(*nonzeros.values()), sum(map(abs, nonzeros.values()))
+    """The line of the kernel vector z, a dict {face index: entry} of its
+    nonzeros, as :func:`_minimize_on_line` reads it: (z, the lcm of its
+    |entries|, the sum of its |entries|)."""
+    return z, lcm(*z.values()), sum(map(abs, z.values()))
 
 
 class _FillingContext:
-    """Per-complex solver state: the complex's boundary matrix and its face
-    columns, what is read off the Smith form of d2 (the rational solver, the
-    kernel and its lines), the value cache, and the fill values of
-    :func:`_fill_circuits` for each ring."""
+    """Per-complex solver state: the complex's face columns, what is read
+    off the Smith form of d2 (the rational solver, the kernel and its
+    lines), the value cache, and the fill values of :func:`_fill_circuits`
+    for each ring."""
 
     def __init__(self, complex_):
         self.complex = complex_
         self.faces = [f.id for f in complex_.faces]
-        self.d2 = complex_.boundary_matrix_2()
         self.columns = complex_.face_columns()
         self.value_cache = {}
         self.fills = {}  # ring -> {serialization: fill value}, both signs of each cycle
 
     @cached_property
     def rat(self):
-        return linalg.RationalSolver(self.d2, snf=self.complex.smith_form_2())
+        return linalg.RationalSolver(self.complex.smith_form_2())
 
     @cached_property
     def kernel(self):
-        return linalg.integer_kernel_basis(self.d2, snf=self.complex.smith_form_2())
+        """The kernel basis vectors, each a dict {face index: entry} of its
+        nonzeros in ascending face order."""
+        return linalg.integer_kernel_basis(self.complex.smith_form_2())
 
     @cached_property
     def lines(self):
@@ -308,7 +308,7 @@ def _lp_optimum(ctx, vec, bounds=None):
     """Split-variable LP: min sum(p+n), d2 (p - n) = vec, with the box
     lb <= p_j - n_j <= ub for each face index j in ``bounds`` ({j: (lb, ub)})."""
     nf = len(ctx.faces)
-    a_eq = [row + [-v for v in row] for row in ctx.d2]
+    a_eq = [row + [-v for v in row] for row in ctx.complex.boundary_matrix_2()]
     b_eq = list(vec)
     a_ub, b_ub = [], []
     if bounds:

@@ -109,6 +109,8 @@ def enumerate_special_chains(complex_, edge, max_norm, budget=DEFAULT_BUDGET):
     (norm, serialization).  Refuses with BudgetExceededError rather than
     silently truncating when the state budget runs out.
     """
+    if max_norm < 0:
+        raise ValueError("max_norm must be >= 0")
     tables = _Tables(complex_)
     levels = []
     if not _search(tables, tables.faces_meeting(edge), max_norm, budget, levels)[0]:

@@ -1,162 +1,141 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are dense row-major lists of Python ints, and all results are
-exact; a rational solution comes back as an int vector over one common
-denominator.  The Smith normal form is the one factorization: integral and
-rational solves, the kernel and the invariant factors all read it.  Its
-factors u and v are sparse, so the repeated solve keeps them as lists of
-column nonzeros and costs the support of its right-hand side, not the
-size of the matrix: it takes the right-hand side as its (row, entry)
-nonzeros and returns the solution as its nonzeros.
+A matrix comes as its columns, each the (row, entry) nonzeros of one
+column, and its row count, and all results are exact; a rational solution
+comes back as an int vector over one common denominator.  The Smith normal
+form is the one factorization: integral and rational solves, the kernel
+and the invariant factors all read it.  It is sparse, and so are its
+factors u and v, so the repeated solve keeps them as lists of column
+nonzeros and costs the support of its right-hand side, not the size of the
+matrix: it takes the right-hand side as its (row, entry) nonzeros and
+returns the solution as its nonzeros.
 """
 
-from itertools import compress, islice
+
+def _add(dst, src, q):
+    """dst += q * src for dicts {index: entry} of nonzeros, q not 0."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(columns, rows):
+    """(u, d, v) with u*a*v = diag(d), u and v unimodular, for the rows x
+    len(columns) matrix a given as the (row, entry) nonzeros of each column.
 
+    u comes as its rows and v as its columns, each a dict {index: entry} of
+    its nonzeros (v's in ascending index order), and d as the nonzero
+    diagonal: each entry is positive and divides the next, so d lists the
+    invariant factors and len(d) is the rank.
 
-def sparse_columns(m, count=None):
-    """The (row, entry) nonzeros of each of the first ``count`` columns of m
-    (all of them by default), in one pass over its entries."""
-    columns = zip(*m) if count is None else islice(zip(*m), count)
-    return [list(compress(enumerate(col), col)) for col in columns]
-
-
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, q):
-    # row[dst] += q * row[src]
-    rd, rs = m[dst], m[src]
-    for k in range(len(rd)):
-        rd[k] += q * rs[k]
-
-
-def _add_col(m, dst, src, q):
-    for row in m:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(a):
-    """Return (u, d, v) with u*a*v = d diagonal, u and v unimodular.
-
-    Diagonal entries are nonnegative and each divides the next, so the
-    nonzero ones are the invariant factors of the matrix.
+    The elimination runs on dict rows of a and u and on dict columns of v.
+    A column swap only swaps two entries of the position <-> column maps,
+    so the rows of a stay keyed by column.  Each pivot is the first entry
+    of least |entry| in (row, position) order over the remaining block,
+    and the row and column passes, the divisibility folds and the sign fix
+    make the operations of the dense elimination in its order, so the
+    factors are the dense ones entry for entry.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(row) for row in a]
-    u = identity(rows)
-    v = identity(cols)
+    cols = len(columns)
+    d = [{} for _ in range(rows)]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            d[i][j] = c
+    u = [{i: 1} for i in range(rows)]
+    v = [{j: 1} for j in range(cols)]  # by column, like the rows of d
+    key = list(range(cols))  # position -> column
+    pos = list(range(cols))  # column -> position
 
-    def pivot_at(t):
-        # smallest nonzero |entry| in the remaining block keeps numbers tame
-        # (the first least one; nothing beats a unit)
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < abs(best[2])):
-                    best = (i, j, e)
-                    if e in (1, -1):
-                        return best
-        return best
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_positions(s, t):
+        key[s], key[t] = key[t], key[s]
+        pos[key[s]], pos[key[t]] = s, t
 
     def clear_once(t):
-        # one pass of row/column elimination at pivot t; returns True when
-        # every off-pivot entry in row t and column t is zero afterwards
-        clean = True
-        for i in range(t + 1, rows):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                _add_row(d, i, t, -q)
-                _add_row(u, i, t, -q)
-                if d[i][t] != 0:
-                    _swap_rows(d, t, i)
-                    _swap_rows(u, t, i)
-                    clean = False
-        for j in range(t + 1, cols):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                _add_col(d, j, t, -q)
-                _add_col(v, j, t, -q)
-                if d[t][j] != 0:
-                    _swap_cols(d, t, j)
-                    _swap_cols(v, t, j)
-                    clean = False
-        if clean:
-            clean = all(d[i][t] == 0 for i in range(t + 1, rows)) and all(
-                d[t][j] == 0 for j in range(t + 1, cols))
+        # one row pass and one column pass at pivot t; True when neither
+        # swapped, and then row t and column t are clear off the pivot
+        kt = key[t]
+        below = []  # the rows under t that meet column t after the row pass
+        for i in [i for i in range(t + 1, rows) if kt in d[i]]:
+            q = d[i][kt] // d[t][kt]
+            if q:
+                _add(d[i], d[t], -q)
+                _add(u[i], u[t], -q)
+            if kt in d[i]:
+                swap_rows(t, i)
+                below.append(i)  # the old row t, which meets column t
+        clean = not below
+        # a column op adds a multiple of column t to column j: in row t and
+        # in the rows of ``below``, rescanned after a column swap
+        pivot_row = d[t]
+        for j in sorted(pos[c] for c in pivot_row if c != kt):
+            kt, kj = key[t], key[j]
+            q = pivot_row[kj] // pivot_row[kt]
+            if q:
+                if below is None:
+                    below = [i for i in range(t + 1, rows) if kt in d[i]]
+                for row in [pivot_row] + [d[i] for i in below]:
+                    y = row.get(kj, 0) - q * row[kt]
+                    if y:
+                        row[kj] = y
+                    else:
+                        del row[kj]
+                _add(v[kj], v[kt], -q)
+            if kj in pivot_row:
+                swap_positions(t, j)
+                below = None
+                clean = False
         return clean
 
     t = 0
     while t < min(rows, cols):
-        piv = pivot_at(t)
-        if piv is None:
+        best = None  # (|entry|, row)
+        for i in range(t, rows):
+            if d[i]:
+                least = min(map(abs, d[i].values()))
+                if best is None or least < best[0]:
+                    best = (least, i)
+                    if least == 1:
+                        break  # nothing beats a unit
+        if best is None:
             break
-        i, j, _ = piv
+        least, i = best
+        j = min(pos[c] for c, e in d[i].items() if abs(e) == least)
         if i != t:
-            _swap_rows(d, t, i)
-            _swap_rows(u, t, i)
+            swap_rows(t, i)
         if j != t:
-            _swap_cols(d, t, j)
-            _swap_cols(v, t, j)
+            swap_positions(t, j)
         while True:
             while not clear_once(t):
                 pass
-            if d[t][t] in (1, -1):
+            p = d[t][key[t]]
+            if p in (1, -1):
                 break  # a unit divides everything
             # divisibility: fold a non-multiple into row t and re-clear
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, rows) if any(e % p for e in d[i].values())),
+                       None)
             if bad is None:
                 break
-            _add_row(d, t, bad, 1)
-            _add_row(u, t, bad, 1)
-        if d[t][t] < 0:
-            for k in range(cols):
-                d[t][k] = -d[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
+            _add(d[t], d[bad], 1)
+            _add(u[t], u[bad], 1)
+        if d[t][key[t]] < 0:
+            d[t][key[t]] = -d[t][key[t]]
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
-    return u, d, v
+    return u, [d[s][key[s]] for s in range(t)], [dict(sorted(v[c].items())) for c in key]
 
 
-def snf_rank(d):
-    n = min(len(d), len(d[0]) if d else 0)
-    r = 0
-    for i in range(n):
-        if d[i][i] != 0:
-            r += 1
-    return r
-
-
-def invariant_factors(a, snf=None):
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    if snf is None:
-        snf = smith_normal_form(a)
-    _, d, _ = snf
-    return [d[i][i] for i in range(snf_rank(d))]
-
-
-def solve_integer(a, b, snf=None):
-    """One integral solution x of a*x = b, or None if there is none: the
-    rational solution X / D, when D divides every entry of X."""
-    solver = RationalSolver(a, snf=snf)
+def solve_integer(snf, b):
+    """One integral solution x of a*x = b, or None if there is none, for
+    the Smith form ``snf`` of a: the rational solution X / D, when D divides
+    every entry of X."""
+    solver = RationalSolver(snf)
     solution = solver.solve([(i, v) for i, v in enumerate(b) if v])
     if solution is None:
         return None
@@ -169,22 +148,17 @@ def solve_integer(a, b, snf=None):
     return x
 
 
-def integer_kernel_basis(a, snf=None):
-    """Basis of the lattice {x integral : a*x = 0} (columns of x space)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if snf is None:
-        snf = smith_normal_form(a)
+def integer_kernel_basis(snf):
+    """Basis of the lattice {x integral : a*x = 0} for the Smith form
+    ``snf`` of a: the columns of v from the rank on, as dicts {index:
+    entry} of their nonzeros in ascending index order."""
     _, d, v = snf
-    r = snf_rank(d)
-    basis = []
-    for j in range(r, cols):
-        basis.append([v[i][j] for i in range(cols)])
-    return basis
+    return v[len(d):]
 
 
 class RationalSolver:
-    """Repeated exact solves of a*x = b over Q, read off a Smith form of a.
+    """Repeated exact solves of a*x = b over Q, read off the Smith form
+    ``snf`` of a.
 
     With u*a*v = d, a*x = b has a rational solution exactly when u*b
     vanishes from the rank on, and then x = v*y with y_i = (u*b)_i / d_i.
@@ -194,16 +168,18 @@ class RationalSolver:
     d_i divides (u*b)_i: then X / D is the integral solution v*y.
     """
 
-    def __init__(self, a, snf=None):
-        if snf is None:
-            snf = smith_normal_form(a)
+    def __init__(self, snf):
         u, d, v = snf
-        self.rank = snf_rank(d)
-        self.denominator = d[self.rank - 1][self.rank - 1] if self.rank else 1
-        self.scale = [self.denominator // d[i][i] for i in range(self.rank)]
+        self.rank = len(d)
+        self.denominator = d[-1] if d else 1
+        self.scale = [self.denominator // di for di in d]
+        # the (row, entry) nonzeros of each column of u, by one transpose;
         # y is zero from the rank on, so only the first rank columns of v count
-        self.u_columns = sparse_columns(u)
-        self.v_columns = sparse_columns(v, self.rank)
+        self.u_columns = [[] for _ in u]
+        for i, row in enumerate(u):
+            for j, c in row.items():
+                self.u_columns[j].append((i, c))
+        self.v_columns = [list(column.items()) for column in v[:self.rank]]
         self.width = len(v)
 
     def solve(self, b):

@@ -15,9 +15,10 @@ subsets, rational solves use Gauss-Jordan elimination over Fractions,
 linear programs use a Fraction tableau, circuit lists come from a search
 over frozensets that keys every closing walk by comparing all its rotations
 in both directions, the candidate cycles of ``fv`` from a search over
-coefficient dicts with Fraction fill totals, the Smith form from an
-elimination that scans the whole block at every pivot, integral fillings
-can also come
+coefficient dicts with Fraction fill totals, the Smith form from the
+elimination on dense rows and columns, with or without the shortcuts at a
+unit pivot, the columns of d2 from one boundary Chain per face,
+integral fillings can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
@@ -371,17 +372,55 @@ def dict_conformal_search(cx, max_norm, fills=None, above=None, keep_ties=False)
     return [Chain(1, INT, dict(key)) for key in sorted(found, key=lambda k: (found[k], k))]
 
 
-def scanning_smith_normal_form(a, events=None):
-    """(u, d, v) with u*a*v = d, by the elimination of
-    ``linalg.smith_normal_form`` without its unit shortcuts: every pivot
-    search scans the whole remaining block, and every pivot, a unit too,
-    is followed by the divisibility scan.  ``events`` (a Counter), when
-    given, counts the non-unit pivots chosen and the divisibility folds."""
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def sparse_columns(m):
+    """The (row, entry) nonzeros of each column of the dense matrix m."""
+    return [[(i, e) for i, e in enumerate(col) if e] for col in zip(*m)]
+
+
+def smith_form(a):
+    """``linalg.smith_normal_form`` of the dense matrix a (one row at least)."""
+    return linalg.smith_normal_form(sparse_columns(a), len(a))
+
+
+def dense_smith_factors(snf, rows, cols):
+    """The dense (u, d, v) of a sparse Smith form (u by rows, d the
+    invariant factors, v by columns) of a rows x cols matrix."""
+    u_rows, factors, v_columns = snf
+    u = [[row.get(j, 0) for j in range(rows)] for row in u_rows]
+    d = [[0] * cols for _ in range(rows)]
+    for t, f in enumerate(factors):
+        d[t][t] = f
+    v = [[column.get(i, 0) for column in v_columns] for i in range(cols)]
+    return u, d, v
+
+
+def chain_face_columns(cx):
+    """d2's columns through one ``face_boundary`` Chain per face: the (edge
+    index, coefficient) nonzeros of each, edges ascending."""
+    index = cx.edge_index
+    return [sorted((index[e], c) for e, c in cx.face_boundary(f.id).coeffs.items())
+            for f in cx.faces]
+
+
+def dense_smith_normal_form(a, events=None, unit_shortcuts=True):
+    """(u, d, v) with u*a*v = d diagonal, u and v unimodular, by row and
+    column elimination on the dense matrix a: each pivot is the first entry
+    of least |entry| in (row, column) order over the remaining block, and a
+    negative pivot's row is negated.  The unit shortcuts end the pivot
+    search at the first unit and skip the divisibility scan under a unit
+    pivot; without them every pivot search scans the whole remaining block
+    and every pivot, a unit too, is followed by the scan.  ``events`` (a
+    Counter), when given, counts the non-unit pivots chosen, the
+    divisibility folds and the elimination steps whose quotient is 0."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [list(row) for row in a]
-    u = linalg.identity(rows)
-    v = linalg.identity(cols)
+    u = identity(rows)
+    v = identity(cols)
     if events is None:
         events = Counter()
 
@@ -399,11 +438,23 @@ def scanning_smith_normal_form(a, events=None):
         for row in m:
             row[dst] += q * row[src]
 
+    def pivot_at(t):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < abs(best[2])):
+                    best = (i, j, e)
+                    if unit_shortcuts and e in (1, -1):
+                        return best
+        return best
+
     def clear_once(t):
         clean = True
         for i in range(t + 1, rows):
             if d[i][t] != 0:
                 q = d[i][t] // d[t][t]
+                events["zero_quotient"] += q == 0
                 add_row(d, i, t, -q)
                 add_row(u, i, t, -q)
                 if d[i][t] != 0:
@@ -413,6 +464,7 @@ def scanning_smith_normal_form(a, events=None):
         for j in range(t + 1, cols):
             if d[t][j] != 0:
                 q = d[t][j] // d[t][t]
+                events["zero_quotient"] += q == 0
                 add_col(d, j, t, -q)
                 add_col(v, j, t, -q)
                 if d[t][j] != 0:
@@ -426,12 +478,7 @@ def scanning_smith_normal_form(a, events=None):
 
     t = 0
     while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < abs(best[2])):
-                    best = (i, j, e)
+        best = pivot_at(t)
         if best is None:
             break
         i, j, e = best
@@ -446,6 +493,8 @@ def scanning_smith_normal_form(a, events=None):
         while True:
             while not clear_once(t):
                 pass
+            if unit_shortcuts and d[t][t] in (1, -1):
+                break
             bad = next((i for i in range(t + 1, rows)
                         if any(d[i][j] % d[t][t] for j in range(t + 1, cols))), None)
             if bad is None:
@@ -565,12 +614,11 @@ def mat_vec(a, v):
 def smith_integer_solve(a, b, snf=None):
     """The normal-form integral solution of a*x = b, or None: with u*a*v = d,
     y_i = (u*b)_i / d_i when every d_i divides (u*b)_i and u*b vanishes
-    from the rank on, y_i = 0 beyond the rank, and x = v*y."""
+    from the rank on, y_i = 0 beyond the rank, and x = v*y.  ``snf`` is
+    the package's Smith form of a, read densely."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if snf is None:
-        snf = linalg.smith_normal_form(a)
-    u, d, v = snf
+    u, d, v = dense_smith_factors(snf or smith_form(a), rows, cols)
     ub = mat_vec(u, b)
     y = [0] * cols
     r = min(rows, cols)
@@ -593,12 +641,11 @@ def dense_rational_solve(a, b, snf=None):
     """(X, D) with X / D a rational solution of a*x = b, or None, through
     the two dense products of the Smith form u*a*v = d: u*b must vanish
     from the rank on, y_i = (u*b)_i * (D / d_i) below it, D the last
-    nonzero d_i (1 at rank 0), and X = v*y."""
+    nonzero d_i (1 at rank 0), and X = v*y.  ``snf`` is the package's Smith
+    form of a, read densely."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if snf is None:
-        snf = linalg.smith_normal_form(a)
-    u, d, v = snf
+    u, d, v = dense_smith_factors(snf or smith_form(a), rows, cols)
     diagonal = [d[i][i] for i in range(min(rows, cols)) if d[i][i]]
     rank = len(diagonal)
     den = diagonal[-1] if diagonal else 1
@@ -978,6 +1025,18 @@ def full_box_branch_and_bound(d2, vec, incumbent, solve_lp=fraction_solve_lp):
     return incumbent, inc_val
 
 
+class RecordingCache(dict):
+    """A complex's cache that lists every key it stores, in order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
 def gamma_vector(ctx, gamma):
     """The int vector of the 1-chain gamma, one entry per edge of the
     filling context ``ctx``, in the complex's edge numbering."""
@@ -1011,7 +1070,7 @@ def chain_from_vector(ctx, x, ring, den=1):
 def dense_verify_filling(ctx, vec, x, den, value):
     """Raise InternalError unless d2 x = den vec and |x|_1 = den value, x and
     vec full-length int vectors."""
-    if mat_vec(ctx.d2, x) != [den * g for g in vec]:
+    if mat_vec(ctx.complex.boundary_matrix_2(), x) != [den * g for g in vec]:
         raise InternalError("witness boundary mismatch")
     if sum(abs(v) for v in x) * value.denominator != den * value.numerator:
         raise InternalError("witness norm mismatch")
@@ -1066,7 +1125,8 @@ def dense_line_fill(ctx, vec, ring):
     elif not nf:
         return filling.NO_FACES, None, None, INF
     else:
-        particular = dense_rational_solve(ctx.d2, vec, snf=ctx.complex.smith_form_2())
+        particular = dense_rational_solve(ctx.complex.boundary_matrix_2(), vec,
+                                          snf=ctx.complex.smith_form_2())
         if particular is None:
             return filling.RATIONALLY_INFEASIBLE, None, None, INF
         x, den = particular
@@ -1074,7 +1134,7 @@ def dense_line_fill(ctx, vec, ring):
             if any(v % den for v in x):
                 return filling.INTEGRALLY_INFEASIBLE, None, None, INF
             x, den = [v // den for v in x], 1
-        z = ctx.kernel[0] if ctx.kernel else None
+        z = dense(ctx.kernel[0], nf) if ctx.kernel else None
         x, den, val = dense_minimize_on_line(x, den, z, integral=ring == INT)
     dense_verify_filling(ctx, vec, x, den, val)
     return filling.FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val
@@ -1088,7 +1148,7 @@ def lp_route_filling_value(cx, gamma, ring):
     if ring == RAT:
         x, val = filling._lp_optimum(ctx, vec)
     else:
-        mu = linalg.solve_integer(ctx.d2, vec, snf=cx.smith_form_2())
+        mu = linalg.solve_integer(cx.smith_form_2(), vec)
         if mu is None:
             x = None
         else:
@@ -1096,7 +1156,7 @@ def lp_route_filling_value(cx, gamma, ring):
             x = dense(x, len(ctx.faces))
     if x is None:
         return INF
-    assert mat_vec(ctx.d2, x) == vec and sum(abs(v) for v in x) == val
+    assert mat_vec(cx.boundary_matrix_2(), x) == vec and sum(abs(v) for v in x) == val
     return val
 
 

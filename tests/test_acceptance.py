@@ -46,8 +46,9 @@ def test_criterion_01_double_traversal_separator():
     gamma = Chain(1, INT, {"e": 1})
     # oracle: the boundary matrix is (2); SNF feasibility of 2x = 1 fails
     # over Z, and |x| = 1/2 is forced over Q
-    assert linalg.invariant_factors([[2]]) == [2]
-    assert linalg.solve_integer([[2]], [1]) is None
+    snf = linalg.smith_normal_form([[(0, 2)]], 1)
+    assert snf[1] == [2]
+    assert linalg.solve_integer(snf, [1]) is None
     rq = filling_norm(cx, gamma, RAT)
     rz = filling_norm(cx, gamma, INT)
     assert rq.value == Fraction(1, 2)

@@ -75,6 +75,25 @@ def test_decompose():
     assert out.startswith("circuit\t6\t")
 
 
+def test_decompose_refuses_a_non_integral_rat_cycle_as_not_a_cycle(tmp_path, capsys):
+    # fill and decompose refuse a RAT cycle with a non-integral coefficient
+    # alike, as NOT_A_CYCLE; one with integral coefficients decomposes
+    half = tmp_path / "half.cy"
+    half.write_text("chain1 v1 RAT\n1/2 e12\n")
+    for command, message in (("fill", "fillings are computed for integral cycles"),
+                             ("decompose", "decomposition is defined for integral cycles")):
+        argv = [command, "--cycle", str(half), data("tetra.cx")]
+        if command == "fill":
+            argv[1:1] = ["--ring", "z"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error[NOT_A_CYCLE]: {message}\n")
+    whole = tmp_path / "whole.cy"
+    whole.write_text("chain1 v1 RAT\n1 e12\n1 e23\n-2/2 e13\n")
+    code, out = run_cli("decompose", "--cycle", str(whole), data("tetra.cx"))
+    assert (code, out) == (0, "circuit\t3\t+e12,+e23,-e13\n")
+
+
 def test_circuits():
     code, out = run_cli("circuits", "--length", "3", data("k4.cx"))
     lines = out.splitlines()
@@ -126,6 +145,15 @@ def test_special():
     code, out = run_cli("special", "--edge", "e12", "--norm", "1", data("tetra.cx"))
     lines = out.splitlines()
     assert len(lines) == 4 and all(l.startswith("chain2\t1\t") for l in lines)
+
+
+def test_special_refuses_a_negative_norm(capsys):
+    # a negative --norm is refused like every other negative bound; at
+    # --norm 0 there is no special chain to print
+    assert main(["special", "--edge", "e12", "--norm", "-1", data("tetra.cx")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: max_norm must be >= 0\n")
+    assert run_cli("special", "--edge", "e12", "--norm", "0", data("tetra.cx")) == (0, "")
 
 
 def test_special_stdout_on_tetra_is_pinned():

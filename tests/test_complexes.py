@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from finefill import (BARYCENTRIC, INT, MIDPOINT, RAT, Chain, H1Report,
-                      boundary, homology_h1, l1_norm, linalg, omega_n, parse_complex,
+                      boundary, homology_h1, l1_norm, omega_n, parse_complex,
                       subdivide, validate, write_complex)
 from finefill import chains, filling, fineness, hyperbolicity
 from finefill.complexes import rank_d1
@@ -14,8 +14,9 @@ from finefill.errors import UnknownCellError, ValidationError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, double_traversal, random_multigraph,
                        tetrahedron, triangle_face, triangle_graph, wheel_graph)
-from oracles import (boundary_matrix_1, determinant_divisor_factors, edge_loop_adjacency,
-                     incident, rank_over_q)
+from oracles import (RecordingCache, boundary_matrix_1, chain_face_columns,
+                     determinant_divisor_factors, edge_loop_adjacency, incident, rank_over_q,
+                     smith_form, sparse_columns)
 
 
 def test_validate_triangle_graph():
@@ -82,18 +83,6 @@ def test_boundary_squared_vanishes_on_corpus():
             assert boundary(cx, boundary(cx, Chain(2, INT, {f.id: 1}))).is_zero()
 
 
-class _RecordingCache(dict):
-    """A complex's cache that lists every key it stores, in order."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.stored = []
-
-    def __setitem__(self, key, value):
-        self.stored.append(key)
-        super().__setitem__(key, value)
-
-
 def test_one_edge_numbering_shared_by_every_module():
     omega = omega_n(wheel_graph(4), 5)
     faces = [f.id for f in omega.faces]
@@ -103,7 +92,7 @@ def test_one_edge_numbering_shared_by_every_module():
         ("omega-w4-5", lambda: omega_n(wheel_graph(4), 5))]
     for name, build in cases:
         cx = build()
-        cx._cache = _RecordingCache(cx._cache)
+        cx._cache = RecordingCache(cx._cache)
         index = cx.edge_index
         assert index == {e.id: i for i, e in enumerate(cx.edges)}, name
         # circuit support masks are edge_index bits
@@ -111,8 +100,9 @@ def test_one_edge_numbering_shared_by_every_module():
         for mask, circ in masks.items():
             assert mask == sum(1 << index[e] for _, e in circ.walk), (name, circ)
         # the sparse d2 is the dense one's columns, and filling reads it
-        assert cx.face_columns() == linalg.sparse_columns(cx.boundary_matrix_2()), name
+        assert cx.face_columns() == sparse_columns(cx.boundary_matrix_2()), name
         assert filling._context(cx).columns is cx.face_columns(), name
+        assert "d2_columns" in cx._cache.stored and "d2" in cx._cache.stored, name
         # the special-chain tables: faces in id order, the same columns re-indexed
         tables = fineness._Tables(cx, 4)
         assert tables.face_ids == sorted(f.id for f in cx.faces), name
@@ -131,6 +121,21 @@ def test_one_edge_numbering_shared_by_every_module():
             assert [part.key for part in parts] == [circ.key], name
         chains.circuit_masks(cx, 5)
         assert cx._cache.stored.count("skeleton") == 1, name
+
+
+def test_face_columns_sum_the_signs_of_each_face_walk():
+    # the columns summed from the face walks are those of one boundary
+    # Chain per face; a walk that runs an edge twice gives coefficient 2,
+    # one that steps back along it gives 0, and the 0 is dropped
+    for name, build in CORPUS + TORSION:
+        cx = build()
+        assert cx.face_columns() == chain_face_columns(cx), name
+    cx = validate("ab", [("x", "a", "b"), ("y", "b", "a"), ("z", "a", "a")],
+                  [("twice", [(1, "x"), (1, "y"), (1, "x"), (1, "y")]),
+                   ("back", [(1, "x"), (-1, "x"), (1, "z")]),
+                   ("mixed", [(1, "z"), (1, "x"), (1, "y"), (1, "z"), (-1, "z")])])
+    assert cx.face_columns() == chain_face_columns(cx) == [
+        [(0, 2), (1, 2)], [(2, 1)], [(0, 1), (1, 1), (2, 1)]]
 
 
 def test_incident_lists_loops_twice_and_parallel_edges_once():
@@ -251,7 +256,7 @@ def test_rank_d1_matches_smith_rank():
     loops = parallel = 0
     for cx in complexes:
         d1 = boundary_matrix_1(cx)
-        smith = linalg.snf_rank(linalg.smith_normal_form(d1)[1]) if cx.edges else 0
+        smith = len(smith_form(d1)[1])
         assert rank_d1(cx) == smith == rank_over_q(d1), cx
         loops += any(e.tail == e.head for e in cx.edges)
         parallel += len({frozenset((e.tail, e.head)) for e in cx.edges}) < len(cx.edges)

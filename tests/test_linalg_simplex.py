@@ -4,13 +4,14 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from finefill import BARYCENTRIC, enumerate_cycles, filling, linalg, subdivide
+from finefill import BARYCENTRIC, enumerate_cycles, filling, linalg, omega_n, subdivide
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
-from instances import CORPUS, TORSION
-from oracles import (dense_rational_solve, determinant_divisor_factors, fraction_solve_lp,
-                     gamma_vector, mat_vec, nonzeros, rref_rational_solve,
-                     scanning_smith_normal_form, smith_integer_solve)
+from instances import CORPUS, TORSION, k4_graph, wheel_graph
+from oracles import (dense, dense_rational_solve, dense_smith_factors, dense_smith_normal_form,
+                     determinant_divisor_factors, fraction_solve_lp, gamma_vector, mat_vec,
+                     nonzeros, rref_rational_solve, smith_form,
+                     smith_integer_solve, sparse_columns)
 
 
 def matmul(a, b):
@@ -36,7 +37,7 @@ def test_snf_randomized():
     for _ in range(150):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = linalg.smith_normal_form(a)
+        u, d, v = dense_smith_factors(smith_form(a), rows, cols)
         assert matmul(matmul(u, a), v) == d
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag) - 1):
@@ -47,12 +48,18 @@ def test_snf_randomized():
         assert abs(_det(u)) == 1 and abs(_det(v)) == 1
 
 
+def _complexes_for_smith_forms():
+    complexes = [build() for _, build in CORPUS + TORSION]
+    complexes += [subdivide(build(), BARYCENTRIC).complex
+                  for _, build in CORPUS + TORSION[:3] if build().faces]
+    complexes += [omega_n(k4_graph(), 4), omega_n(wheel_graph(4), 3)]
+    return complexes
+
+
 def test_smith_form_matches_scanning_oracle():
     # the unit shortcuts (stop the pivot search at the first +-1, skip the
     # divisibility scan under a unit pivot) give the same u, d and v
-    matrices = [build().boundary_matrix_2() for _, build in CORPUS + TORSION]
-    matrices += [subdivide(build(), BARYCENTRIC).complex.boundary_matrix_2()
-                 for _, build in CORPUS + TORSION[:3] if build().faces]
+    matrices = [cx.boundary_matrix_2() for cx in _complexes_for_smith_forms()]
     rng = random.Random(314)
     for _ in range(300):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -62,10 +69,52 @@ def test_smith_form_matches_scanning_oracle():
     seen = Counter()
     for a in matrices:
         events = Counter()
-        assert linalg.smith_normal_form(a) == scanning_smith_normal_form(a, events), a
+        rows, cols = len(a), len(a[0])
+        want = dense_smith_normal_form(a, events, unit_shortcuts=False)
+        assert dense_smith_factors(smith_form(a), rows, cols) == want, a
+        assert dense_smith_normal_form(a) == want, a
         seen["non-unit pivot"] += events["non_unit_pivot"] > 0
         seen["fold"] += events["fold"] > 0
     assert seen["non-unit pivot"] >= 50 and seen["fold"] >= 20, seen
+
+
+def test_sparse_smith_form_matches_dense_elimination():
+    # the elimination on dict rows, dict columns of v and a position <->
+    # column map makes the dense elimination's operations: densified, its
+    # factors are the dense ones entry for entry, on the face columns of
+    # the complexes, on random matrices whose steps include quotient-0
+    # swaps and non-unit pivots, and on empty and all-zero shapes
+    for cx in _complexes_for_smith_forms():
+        a = cx.boundary_matrix_2()
+        snf = linalg.smith_normal_form(cx.face_columns(), len(cx.edges))
+        assert dense_smith_factors(snf, len(cx.edges), len(cx.faces)) == (
+            dense_smith_normal_form(a)), cx
+        assert snf == cx.smith_form_2()
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.random()
+        a = [[rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        events = Counter()
+        want = dense_smith_normal_form(a, events)
+        u, d, v = snf = linalg.smith_normal_form(sparse_columns(a), rows)
+        assert dense_smith_factors(snf, rows, cols) == want, a
+        assert all(v[j] == dict(sorted(v[j].items())) for j in range(cols))
+        assert all(x > 0 for x in d) and all(y % x == 0 for x, y in zip(d, d[1:]))
+        seen["quotient 0"] += events["zero_quotient"] > 0
+        seen["non-unit pivot"] += events["non_unit_pivot"] > 0
+        seen["factor > 1"] += any(x > 1 for x in d)
+        seen["rank-deficient"] += len(d) < min(rows, cols)
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+    # 0 x n, n x 0 and all-zero: identity factors and no invariant factor
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (2, 3)):
+        u, d, v = linalg.smith_normal_form([[] for _ in range(cols)], rows)
+        assert (u, d, v) == ([{i: 1} for i in range(rows)], [], [{j: 1} for j in range(cols)])
+        if rows:
+            zero = [[0] * cols for _ in range(rows)]
+            assert dense_smith_factors((u, d, v), rows, cols) == dense_smith_normal_form(zero)
 
 
 def _det(m):
@@ -85,7 +134,7 @@ def test_invariant_factors_against_minor_gcds():
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        assert linalg.invariant_factors(a) == determinant_divisor_factors(a)
+        assert smith_form(a)[1] == determinant_divisor_factors(a)
 
 
 def test_integer_solve_round_trip():
@@ -95,24 +144,26 @@ def test_integer_solve_round_trip():
         a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         x0 = [rng.randint(-3, 3) for _ in range(cols)]
         b = [sum(a[i][j] * x0[j] for j in range(cols)) for i in range(rows)]
-        x = linalg.solve_integer(a, b)
+        snf = smith_form(a)
+        x = linalg.solve_integer(snf, b)
         assert x is not None
         assert [sum(a[i][j] * x[j] for j in range(cols)) for i in range(rows)] == b
-        for k in linalg.integer_kernel_basis(a):
+        for k in linalg.integer_kernel_basis(snf):
+            k = dense(k, cols)
             assert all(sum(a[i][j] * k[j] for j in range(cols)) == 0 for i in range(rows))
 
 
 def test_integer_solve_infeasible():
-    assert linalg.solve_integer([[2]], [1]) is None
-    assert linalg.solve_integer([[2, 4]], [3]) is None
+    assert linalg.solve_integer(smith_form([[2]]), [1]) is None
+    assert linalg.solve_integer(smith_form([[2, 4]]), [3]) is None
 
 
 def test_rational_solver():
     # x = X / D over the last invariant factor D; b and X as their nonzeros
-    rs = linalg.RationalSolver([[2]])
+    rs = linalg.RationalSolver(smith_form([[2]]))
     assert rs.solve([(0, 1)]) == ({0: 1}, 2)
     assert rs.solve([]) == ({}, 2)
-    rs = linalg.RationalSolver([[1, 1], [1, 1]])
+    rs = linalg.RationalSolver(smith_form([[1, 1], [1, 1]]))
     assert rs.solve([(0, 1), (1, 2)]) is None
     assert rs.rank == 1
 
@@ -149,10 +200,9 @@ def test_rational_solver_matches_row_reduction_oracle():
     seen = {"feasible": 0, "infeasible": 0, "factor > 1": 0, "rank-deficient": 0}
     for a in matrices:
         rows, cols = len(a), len(a[0]) if a else 0
-        snf = linalg.smith_normal_form(a)
-        solver = linalg.RationalSolver(a, snf=snf)
-        factors = linalg.invariant_factors(a, snf=snf)
-        seen["factor > 1"] += any(f > 1 for f in factors)
+        snf = smith_form(a)
+        solver = linalg.RationalSolver(snf)
+        seen["factor > 1"] += any(f > 1 for f in snf[1])
         seen["rank-deficient"] += solver.rank < min(rows, cols)
         for _ in range(3):
             if rng.random() < 0.5:
@@ -191,13 +241,14 @@ def test_sparse_solve_matches_dense_smith_products():
     matrices = [(_random_solver_matrix(rng), []) for _ in range(400)]
     for _, build in CORPUS + TORSION:
         ctx = filling._context(build())
-        matrices.append((ctx.d2, [gamma_vector(ctx, c) for c in enumerate_cycles(ctx.complex, 4)]))
+        matrices.append((ctx.complex.boundary_matrix_2(),
+                         [gamma_vector(ctx, c) for c in enumerate_cycles(ctx.complex, 4)]))
     seen = Counter()
     for a, vectors in matrices:
         rows, cols = len(a), len(a[0]) if a else 0
-        snf = linalg.smith_normal_form(a)
-        solver = linalg.RationalSolver(a, snf=snf)
-        seen["factor > 1"] += any(f > 1 for f in linalg.invariant_factors(a, snf=snf))
+        snf = smith_form(a)
+        solver = linalg.RationalSolver(snf)
+        seen["factor > 1"] += any(f > 1 for f in snf[1])
         seen["rank-deficient"] += solver.rank < min(rows, cols)
         for _ in range(3):
             if rng.random() < 0.5:
@@ -225,16 +276,15 @@ def test_integer_solve_matches_smith_division_oracle():
     for _ in range(300):
         a = _random_solver_matrix(rng)
         rows, cols = len(a), len(a[0])
-        snf = linalg.smith_normal_form(a)
+        snf = smith_form(a)
         for kind in ("integral", "divided", "random"):
             b = mat_vec(a, [rng.randint(-4, 4) for _ in range(cols)])
             if kind == "divided" and any(b):
                 b = [v // gcd(*b) for v in b]
             elif kind == "random":
                 b = [rng.randint(-4, 4) for _ in range(rows)]
-            x = linalg.solve_integer(a, b, snf=snf)
+            x = linalg.solve_integer(snf, b)
             assert x == smith_integer_solve(a, b, snf=snf), (a, b)
-            assert x == linalg.solve_integer(a, b), (a, b)
             if x is not None:
                 assert mat_vec(a, x) == b
                 seen["integral"] += 1

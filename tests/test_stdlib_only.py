@@ -92,3 +92,29 @@ def test_every_public_member_of_the_complex_is_read_in_the_package():
     public = {m for m in members if not m.startswith("_")}
     assert {"skeleton", "edge_index", "vertices", "cached"} <= public
     assert sorted(public - read) == []
+
+
+SPANS = os.path.join(os.path.dirname(PACKAGE), os.pardir, "perfbench", "spans.py")
+
+
+def test_every_public_function_of_linalg_is_read_in_the_package_or_traced():
+    # a public function or class of linalg.py that no other module of the
+    # package names, and that perfbench/spans.py does not trace by name, is
+    # a cross-check helper or a leftover: it belongs in tests/oracles.py
+    with open(os.path.join(PACKAGE, "linalg.py"), encoding="utf-8") as fh:
+        public = {node.name for node in ast.parse(fh.read()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+    named = set()
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "linalg.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    with open(SPANS, encoding="utf-8") as fh:
+        targets = next(ast.literal_eval(node.value) for node in ast.parse(fh.read()).body
+                       if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS")
+    traced = {attr.split(".")[0] for home, attr, _ in targets.values() if home == "linalg"}
+    assert {"smith_normal_form", "RationalSolver"} <= public
+    assert "solve_integer" in traced
+    assert sorted(public - named - traced) == []
