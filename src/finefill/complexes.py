@@ -46,6 +46,7 @@ class Chain:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        require_ring(self.ring)
         exact = int if self.ring == INT else Fraction
         clean = {}
         for cell, c in self.coeffs.items():
@@ -108,7 +109,7 @@ class TwoComplex:
 
     It owns the one int form that every module reads: ``edge_index`` numbers
     the edges in ``edges`` order, :meth:`skeleton` ranks the vertices in
-    sorted order and lists the steps leaving each, and the sparse d2
+    sorted order and lists the steps leaving each, and the one d2, sparse
     (:meth:`face_columns`), its Smith form and the other derived tables
     are built once and cached with the complex.
     """
@@ -154,16 +155,6 @@ class TwoComplex:
 
     # -- boundary maps -------------------------------------------------------
 
-    def face_boundary(self, fid):
-        key = ("dface", fid)
-        if key not in self._cache:
-            f = self.face_by_id[fid]
-            acc = {}
-            for sign, eid in f.walk:
-                acc[eid] = acc.get(eid, 0) + sign
-            self._cache[key] = Chain(1, INT, acc)
-        return self._cache[key]
-
     def face_columns(self):
         """d2 as sparse columns: the (edge index, coefficient) nonzeros of
         each face's boundary, the signs of its walk summed per edge, faces
@@ -179,17 +170,6 @@ class TwoComplex:
                 columns.append(sorted((i, c) for i, c in acc.items() if c))
             return columns
         return self.cached("d2_columns", build)
-
-    def boundary_matrix_2(self):
-        """d2 as rows=edges, cols=faces (ints), for the LP of fillings at
-        kernel rank >= 2 only."""
-        def build():
-            m = [[0] * len(self.faces) for _ in self.edges]
-            for j, column in enumerate(self.face_columns()):
-                for i, c in column:
-                    m[i][j] = c
-            return m
-        return self.cached("d2", build)
 
     def smith_form_2(self):
         """Smith normal form (u, d, v) of d2, shared by homology and fillings."""
@@ -276,6 +256,12 @@ def validate(vertices, edges, faces=()):
     return TwoComplex(vlist, elist, flist, _token=_BUILD_TOKEN)
 
 
+def require_ring(ring):
+    """ValueError unless ``ring`` is INT or RAT."""
+    if ring not in (INT, RAT):
+        raise ValueError(f"unknown ring {ring!r}")
+
+
 def require_cells(chain, dimension, cells):
     """UnknownCellError unless ``chain`` has ``dimension`` (1 or 2) and
     every cell of it is in ``cells``."""
@@ -287,13 +273,16 @@ def require_cells(chain, dimension, cells):
 
 
 def boundary(complex_, chain):
-    """Cellular boundary of a chain of dimension 1 or 2."""
+    """Cellular boundary of a chain of dimension 1 or 2, d2 read off the face columns."""
     if chain.dimension == 2:
         require_cells(chain, 2, complex_.face_by_id)
         acc = {}
-        for fid, c in chain.coeffs.items():
-            for eid, d in complex_.face_boundary(fid).coeffs.items():
-                acc[eid] = acc.get(eid, 0) + c * d
+        for f, column in zip(complex_.faces, complex_.face_columns()):
+            c = chain.coeffs.get(f.id)
+            if c:
+                for i, d in column:
+                    eid = complex_.edges[i].id
+                    acc[eid] = acc.get(eid, 0) + c * d
         return Chain(1, chain.ring, acc)
     if chain.dimension == 1:
         require_cells(chain, 1, complex_.edge_by_id)

@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from . import linalg, simplex
 from .chains import enumerate_circuits, enumerate_cycles, is_cycle, require_circuit
-from .complexes import Chain, INT, RAT, format_ratio
+from .complexes import Chain, INT, RAT, format_ratio, require_ring
 from .constructions import face_circuit, omega_n
 from .errors import HasFacesError, InternalError, NotACycleError
 
@@ -184,6 +184,7 @@ def filling_norm(complex_, gamma, ring):
 
     ``gamma`` must be an integral 1-cycle of the complex.
     """
+    require_ring(ring)
     if gamma.dimension != 1:
         raise NotACycleError("expected a 1-chain")
     if gamma.ring != INT:
@@ -308,7 +309,10 @@ def _lp_optimum(ctx, vec, bounds=None):
     """Split-variable LP: min sum(p+n), d2 (p - n) = vec, with the box
     lb <= p_j - n_j <= ub for each face index j in ``bounds`` ({j: (lb, ub)})."""
     nf = len(ctx.faces)
-    a_eq = [row + [-v for v in row] for row in ctx.complex.boundary_matrix_2()]
+    a_eq = [[0] * (2 * nf) for _ in vec]
+    for j, column in enumerate(ctx.columns):
+        for i, c in column:
+            a_eq[i][j], a_eq[i][nf + j] = c, -c
     b_eq = list(vec)
     a_ub, b_ub = [], []
     if bounds:
@@ -501,6 +505,7 @@ def _fill_circuits(complex_, k_max, ring):
     value, and ``unfillable`` lists the unfillable circuits of that length,
     empty when there is none.
     """
+    require_ring(ring)
     ctx = _context(complex_)
     filled = ctx.fills.setdefault(ring, {})
 

@@ -58,7 +58,7 @@ boundary is, if any.  Chain objects are built for output only.
 from dataclasses import dataclass
 
 from .chains import circuit_masks, enumerate_circuits
-from .complexes import Chain, INT, require_cells
+from .complexes import Chain, INT, boundary, require_cells
 from .errors import (BudgetExceededError, FillingInfiniteError,
                      FVInfiniteError, UnknownEdgeError)
 # fv is not called here, but perfbench/spans.py wraps it under this name
@@ -88,15 +88,15 @@ class SpecialChainState:
         """Check the chaining clauses on every prefix; True iff special."""
         require_cells(self.chain(), 2, complex_.face_by_id)
         faces = [f for f, _ in self.steps]
-        if len(set(faces)) != len(faces):
+        if len(set(faces)) != len(faces) or len(self.partials) != len(self.steps):
             return False
         running = Chain(1, INT, {})
         for k, (fid, sign) in enumerate(self.steps):
-            df = complex_.face_boundary(fid)
+            step = boundary(complex_, Chain(2, INT, {fid: sign}))
             probe = {self.base_edge} if k == 0 else set(running.coeffs)
-            if probe.isdisjoint(df.coeffs):
+            if probe.isdisjoint(step.coeffs):
                 return False
-            running = running.add(df.scale(sign))
+            running = running.add(step)
             if running != self.partials[k]:
                 return False
         return True
@@ -218,7 +218,9 @@ def _search(tables, seeds, max_norm, budget, levels=None):
     the boundary of a class found before the stop is +-1 times to the OR
     of the reach masks of those classes.
     """
-    limit = max(budget, 0) // 2
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    limit = budget // 2
     reach = {}  # circuit support -> OR of its classes' masks
     level = {}
     complete = True
@@ -338,7 +340,7 @@ def find_special_ordering(complex_, chain2, base_edge):
     require_cells(chain2, 2, complex_.face_by_id)
     if any(abs(c) != 1 for c in chain2.coeffs.values()):
         return None  # repeated faces cannot form a distinct-face sequence
-    entries = sorted(chain2.coeffs.items())
+    steps = {f: boundary(complex_, Chain(2, INT, {f: s})) for f, s in chain2.coeffs.items()}
     dead = set()
 
     def extend(order, running, remaining):
@@ -349,24 +351,23 @@ def find_special_ordering(complex_, chain2, base_edge):
             return None
         probe = {base_edge} if not order else set(running.coeffs)
         for fid in sorted(remaining):
-            df = complex_.face_boundary(fid)
-            if probe.isdisjoint(df.coeffs):
+            step = steps[fid]
+            if probe.isdisjoint(step.coeffs):
                 continue
-            sign = chain2.coeffs[fid]
-            got = extend(order + [(fid, sign)], running.add(df.scale(sign)),
+            got = extend(order + [(fid, chain2.coeffs[fid])], running.add(step),
                          remaining - {fid})
             if got is not None:
                 return got
         dead.add(rem_key)
         return None
 
-    order = extend([], Chain(1, INT, {}), frozenset(f for f, _ in entries))
+    order = extend([], Chain(1, INT, {}), frozenset(steps))
     if order is None:
         return None
     partials = []
     running = Chain(1, INT, {})
-    for fid, sign in order:
-        running = running.add(complex_.face_boundary(fid).scale(sign))
+    for fid, _ in order:
+        running = running.add(steps[fid])
         partials.append(running)
     state = SpecialChainState(base_edge, tuple(order), tuple(partials))
     if not state.verify(complex_):
@@ -383,9 +384,12 @@ def circuits_via_fillings(complex_, edge, max_length, budget=DEFAULT_BUDGET):
     1-acyclic complexes it must reproduce the search exactly: it returns
     the circuit list's own objects, in the same order.
     """
-    bound = _special_chain_bound(complex_, max_length)
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
     tables = _Tables(complex_, max_length)
-    complete, reach = _search(tables, tables.faces_meeting(edge), bound, budget)
+    seeds = tables.faces_meeting(edge)
+    bound = _special_chain_bound(complex_, max_length)
+    complete, reach = _search(tables, seeds, bound, budget)
     if not complete:
         raise BudgetExceededError(
             f"special-chain search for edge {edge!r} exceeded {budget} states")

@@ -17,7 +17,8 @@ over frozensets that keys every closing walk by comparing all its rotations
 in both directions, the candidate cycles of ``fv`` from a search over
 coefficient dicts with Fraction fill totals, the Smith form from the
 elimination on dense rows and columns, with or without the shortcuts at a
-unit pivot, the columns of d2 from one boundary Chain per face,
+unit pivot, the columns of d2 from one boundary Chain per face (the
+dense d2 that the dense oracles read lays out the package's face columns),
 integral fillings can also come
 from branch and bound that boxes every face at every node, line
 minimizations rescan every entry at every breakpoint, and special
@@ -398,11 +399,30 @@ def dense_smith_factors(snf, rows, cols):
     return u, d, v
 
 
+def face_boundary(cx, fid):
+    """The boundary of the face ``fid`` as a Chain: the signs of its walk
+    summed per edge id."""
+    f = cx.face_by_id[fid]
+    acc = {}
+    for sign, eid in f.walk:
+        acc[eid] = acc.get(eid, 0) + sign
+    return Chain(1, INT, acc)
+
+
+def dense_d2(cx):
+    """d2 as rows=edges, cols=faces (ints), filled from the face columns."""
+    m = [[0] * len(cx.faces) for _ in cx.edges]
+    for j, column in enumerate(cx.face_columns()):
+        for i, c in column:
+            m[i][j] = c
+    return m
+
+
 def chain_face_columns(cx):
-    """d2's columns through one ``face_boundary`` Chain per face: the (edge
-    index, coefficient) nonzeros of each, edges ascending."""
+    """d2's columns through one :func:`face_boundary` Chain per face: the
+    (edge index, coefficient) nonzeros of each, edges ascending."""
     index = cx.edge_index
-    return [sorted((index[e], c) for e, c in cx.face_boundary(f.id).coeffs.items())
+    return [sorted((index[e], c) for e, c in face_boundary(cx, f.id).coeffs.items())
             for f in cx.faces]
 
 
@@ -1070,7 +1090,7 @@ def chain_from_vector(ctx, x, ring, den=1):
 def dense_verify_filling(ctx, vec, x, den, value):
     """Raise InternalError unless d2 x = den vec and |x|_1 = den value, x and
     vec full-length int vectors."""
-    if mat_vec(ctx.complex.boundary_matrix_2(), x) != [den * g for g in vec]:
+    if mat_vec(dense_d2(ctx.complex), x) != [den * g for g in vec]:
         raise InternalError("witness boundary mismatch")
     if sum(abs(v) for v in x) * value.denominator != den * value.numerator:
         raise InternalError("witness norm mismatch")
@@ -1125,7 +1145,7 @@ def dense_line_fill(ctx, vec, ring):
     elif not nf:
         return filling.NO_FACES, None, None, INF
     else:
-        particular = dense_rational_solve(ctx.complex.boundary_matrix_2(), vec,
+        particular = dense_rational_solve(dense_d2(ctx.complex), vec,
                                           snf=ctx.complex.smith_form_2())
         if particular is None:
             return filling.RATIONALLY_INFEASIBLE, None, None, INF
@@ -1156,7 +1176,7 @@ def lp_route_filling_value(cx, gamma, ring):
             x = dense(x, len(ctx.faces))
     if x is None:
         return INF
-    assert mat_vec(cx.boundary_matrix_2(), x) == vec and sum(abs(v) for v in x) == val
+    assert mat_vec(dense_d2(cx), x) == vec and sum(abs(v) for v in x) == val
     return val
 
 
@@ -1196,7 +1216,7 @@ def faces_meeting_edges(complex_):
     chains."""
     table = {e.id: [] for e in complex_.edges}
     for f in complex_.faces:
-        for eid in complex_.face_boundary(f.id).coeffs:
+        for eid in face_boundary(complex_, f.id).coeffs:
             table[eid].append(f.id)
     return table
 
@@ -1219,7 +1239,7 @@ def per_edge_special_chain_search(complex_, edge, max_norm, budget):
     for fid in meets[edge]:
         for sign in (1, -1):
             mu = ((fid, sign),)
-            running = complex_.face_boundary(fid).scale(sign)
+            running = face_boundary(complex_, fid).scale(sign)
             key = frozenset(mu)
             if key not in seen:
                 seen[key] = (mu, running)
@@ -1242,7 +1262,7 @@ def per_edge_special_chain_search(complex_, edge, max_norm, budget):
                 key = frozenset(mu2)
                 if key in seen:
                     continue
-                running2 = running.add(complex_.face_boundary(fid).scale(sign))
+                running2 = running.add(face_boundary(complex_, fid).scale(sign))
                 seen[key] = (mu2, running2)
                 stack.append((used | {fid}, mu2, running2))
     out = [Chain(2, INT, {f: s for f, s in mu}) for mu, _ in seen.values()]

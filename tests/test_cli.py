@@ -141,6 +141,21 @@ def test_budget_exceeded_exits_2(capsys):
                             "'e12' exceeded 1 states\n")
 
 
+def test_a_negative_budget_is_refused(monkeypatch, capsys):
+    # from --budget or $FINEFILL_BUDGET, a budget below 0 is an input error
+    # (exit 1) and runs no search; --budget 0 still exhausts it (exit 2)
+    for argv in (["fine", "--method", "special", "--length", "3"],
+                 ["special", "--edge", "e12", "--norm", "2"]):
+        assert main(argv + ["--budget", "-5", data("tetra.cx")]) == 1
+        assert capsys.readouterr() == ("", "error: budget must be >= 0\n")
+        monkeypatch.setenv("FINEFILL_BUDGET", "-1")
+        assert main(argv + [data("tetra.cx")]) == 1
+        assert capsys.readouterr() == ("", "error: budget must be >= 0\n")
+        monkeypatch.delenv("FINEFILL_BUDGET")
+        assert main(argv + ["--budget", "0", data("tetra.cx")]) == 2
+        assert "budget" in capsys.readouterr().err.lower()
+
+
 def test_special():
     code, out = run_cli("special", "--edge", "e12", "--norm", "1", data("tetra.cx"))
     lines = out.splitlines()

@@ -14,9 +14,9 @@ from finefill.errors import UnknownCellError, ValidationError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, double_traversal, random_multigraph,
                        tetrahedron, triangle_face, triangle_graph, wheel_graph)
-from oracles import (RecordingCache, boundary_matrix_1, chain_face_columns,
-                     determinant_divisor_factors, edge_loop_adjacency, incident, rank_over_q,
-                     smith_form, sparse_columns)
+from oracles import (RecordingCache, boundary_matrix_1, chain_face_columns, dense_d2,
+                     determinant_divisor_factors, edge_loop_adjacency, face_boundary, incident,
+                     rank_over_q, smith_form, sparse_columns)
 
 
 def test_validate_triangle_graph():
@@ -100,14 +100,14 @@ def test_one_edge_numbering_shared_by_every_module():
         for mask, circ in masks.items():
             assert mask == sum(1 << index[e] for _, e in circ.walk), (name, circ)
         # the sparse d2 is the dense one's columns, and filling reads it
-        assert cx.face_columns() == sparse_columns(cx.boundary_matrix_2()), name
+        assert cx.face_columns() == sparse_columns(dense_d2(cx)), name
         assert filling._context(cx).columns is cx.face_columns(), name
-        assert "d2_columns" in cx._cache.stored and "d2" in cx._cache.stored, name
+        assert "d2_columns" in cx._cache.stored, name
         # the special-chain tables: faces in id order, the same columns re-indexed
         tables = fineness._Tables(cx, 4)
         assert tables.face_ids == sorted(f.id for f in cx.faces), name
         assert tables.face_boundary == [
-            {index[e]: c for e, c in cx.face_boundary(fid).coeffs.items()}
+            {index[e]: c for e, c in face_boundary(cx, fid).coeffs.items()}
             for fid in tables.face_ids], name
         assert tables.circuits is masks, name
         # one adjacency per complex, for the distances and delta alike
@@ -123,19 +123,52 @@ def test_one_edge_numbering_shared_by_every_module():
         assert cx._cache.stored.count("skeleton") == 1, name
 
 
+def _repeating_walks():
+    # a walk that runs an edge twice gives coefficient 2, one that steps
+    # back along it gives 0
+    return validate("ab", [("x", "a", "b"), ("y", "b", "a"), ("z", "a", "a")],
+                    [("twice", [(1, "x"), (1, "y"), (1, "x"), (1, "y")]),
+                     ("back", [(1, "x"), (-1, "x"), (1, "z")]),
+                     ("mixed", [(1, "z"), (1, "x"), (1, "y"), (1, "z"), (-1, "z")])])
+
+
 def test_face_columns_sum_the_signs_of_each_face_walk():
     # the columns summed from the face walks are those of one boundary
-    # Chain per face; a walk that runs an edge twice gives coefficient 2,
-    # one that steps back along it gives 0, and the 0 is dropped
+    # Chain per face, and a coefficient 0 is dropped
     for name, build in CORPUS + TORSION:
         cx = build()
         assert cx.face_columns() == chain_face_columns(cx), name
-    cx = validate("ab", [("x", "a", "b"), ("y", "b", "a"), ("z", "a", "a")],
-                  [("twice", [(1, "x"), (1, "y"), (1, "x"), (1, "y")]),
-                   ("back", [(1, "x"), (-1, "x"), (1, "z")]),
-                   ("mixed", [(1, "z"), (1, "x"), (1, "y"), (1, "z"), (-1, "z")])])
+    cx = _repeating_walks()
     assert cx.face_columns() == chain_face_columns(cx) == [
         [(0, 2), (1, 2)], [(2, 1)], [(0, 1), (1, 1), (2, 1)]]
+
+
+def test_boundary_of_a_2_chain_sums_the_face_boundaries():
+    # boundary() reads the face columns; the oracle adds up one boundary
+    # Chain per face of the chain, in either ring
+    rng = random.Random(2525)
+    cases = CORPUS + TORSION + [
+        ("tetrahedron-barycentric", lambda: subdivide(tetrahedron(), BARYCENTRIC).complex),
+        ("omega-w4-5", lambda: omega_n(wheel_graph(4), 5)),
+        ("repeating-walks", _repeating_walks)]
+    for name, build in cases:
+        cx = build()
+        faces = [f.id for f in cx.faces]
+        for trial in range(20):
+            picked = rng.sample(faces, rng.randint(0, len(faces)))
+            for ring in (INT, RAT):
+                mu = Chain(2, ring, {f: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                     if ring == RAT else rng.randint(-3, 3) for f in picked})
+                want = Chain(1, ring, {})
+                for f, c in mu.coeffs.items():
+                    want = want.add(face_boundary(cx, f).to_ring(ring).scale(c))
+                got = boundary(cx, mu)
+                assert got == want and got.ring == ring, (name, trial, mu)
+                assert boundary(cx, got).is_zero(), (name, trial, mu)
+    cx = _repeating_walks()
+    assert boundary(cx, Chain(2, INT, {"twice": 1})).coeffs == {"x": 2, "y": 2}
+    assert boundary(cx, Chain(2, INT, {"back": -1})).coeffs == {"z": -1}
+    assert boundary(cx, Chain(2, INT, {"twice": 1, "mixed": -2})).coeffs == {"z": -2}
 
 
 def test_incident_lists_loops_twice_and_parallel_edges_once():
@@ -217,7 +250,7 @@ def test_homology_tetrahedron():
     assert homology_h1(cx) == H1Report(0, ())
     # independent oracle: betti = (E - rank d1) - rank d2, torsion from
     # determinant divisors
-    d1, d2 = boundary_matrix_1(cx), cx.boundary_matrix_2()
+    d1, d2 = boundary_matrix_1(cx), dense_d2(cx)
     betti = (len(cx.edges) - rank_over_q(d1)) - rank_over_q(d2)
     torsion = tuple(f for f in determinant_divisor_factors(d2) if f > 1)
     assert homology_h1(cx) == H1Report(betti, torsion)
@@ -230,13 +263,13 @@ def test_homology_triangle_graph():
 def test_homology_double_traversal():
     cx = double_traversal()
     assert homology_h1(cx) == H1Report(0, (2,))
-    assert determinant_divisor_factors(cx.boundary_matrix_2()) == [2]
+    assert determinant_divisor_factors(dense_d2(cx)) == [2]
 
 
 def test_homology_matches_oracle_on_corpus():
     for name, build in CORPUS:
         cx = build()
-        d1, d2 = boundary_matrix_1(cx), cx.boundary_matrix_2()
+        d1, d2 = boundary_matrix_1(cx), dense_d2(cx)
         betti = (len(cx.edges) - rank_over_q(d1)) - (rank_over_q(d2) if cx.faces else 0)
         torsion = tuple(f for f in determinant_divisor_factors(d2) if f > 1) if cx.faces else ()
         assert homology_h1(cx) == H1Report(betti, torsion), name

@@ -12,7 +12,9 @@ from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
 from finefill import BARYCENTRIC, filling, linalg, simplex, subdivide
 from finefill.chains import require_circuit
 from finefill.constructions import omega_n
-from finefill.fineness import SPECIAL_CHAIN, fineness_certificate
+from finefill.fineness import (GRAPH_SEARCH, SPECIAL_CHAIN, check_minimal_fillings_special,
+                               enumerate_special_chains, fineness_certificate)
+from finefill.hyperbolicity import all_pairs_distances, hyperbolicity_delta
 from finefill.errors import HasFacesError, InternalError, NotACycleError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4,
@@ -20,8 +22,9 @@ from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
-from oracles import (RecordingCache, all_cycles_fv, chain_from_vector, dense, dense_line_fill,
-                     dense_minimize_on_line, dense_rational_solve, dict_conformal_search,
+from oracles import (RecordingCache, all_cycles_fv, chain_from_vector, dense, dense_d2,
+                     dense_line_fill, dense_minimize_on_line, dense_rational_solve,
+                     dict_conformal_search,
                      exhaustive_int_filling, fraction_solve_lp,
                      full_box_branch_and_bound, gamma_vector, incident, lp_route_filling_value,
                      minimize_on_line, multiset_cycles, nonzeros, partition_maximum,
@@ -48,6 +51,21 @@ def test_double_traversal_separates_rings():
     rz = filling_norm(cx, gamma, INT)
     assert rz.value is INF and rz.witness is None
     assert rz.certificate == "INTEGRALLY_INFEASIBLE"
+
+
+def test_an_unknown_ring_is_refused():
+    # no ring but INT and RAT reaches a solve: a witness built for another
+    # ring would drop its denominator (here 1/2 f would come out as f)
+    cx = double_traversal()
+    gamma = Chain(1, INT, {"e": 1})
+    for ring in ("z", "int", None):
+        for call in (lambda: filling_norm(cx, gamma, ring), lambda: fv(cx, 2, ring),
+                     lambda: filling.fv_value(cx, 2, ring), lambda: Chain(1, ring, {"e": 1})):
+            with pytest.raises(ValueError, match=f"^unknown ring {ring!r}$"):
+                call()
+    assert set(filling._context(cx).fills) <= {INT, RAT}
+    assert all(key[0] in (INT, RAT) for key in filling._context(cx).value_cache)
+    assert filling_norm(cx, gamma, RAT).witness.coeffs == {"f": Fraction(1, 2)}
 
 
 def test_rationally_infeasible_label_in_both_rings():
@@ -125,7 +143,7 @@ def test_torsion_fills_match_oracles(monkeypatch):
     for build, k_max, cap, shape in cases:
         cx = build()
         ctx = filling._context(cx)
-        d2 = cx.boundary_matrix_2()
+        d2 = dense_d2(cx)
         assert (ctx.rat.denominator, len(cx.faces) - ctx.rat.rank) == shape
         labels = Counter()
         for cycle in enumerate_cycles(cx, k_max):
@@ -257,28 +275,82 @@ def test_one_smith_form_of_d2_per_complex(monkeypatch):
     assert len(filling._context(omega).kernel) >= 2
 
 
-def test_dense_d2_is_built_for_the_lp_route_only():
-    # homology, fills on the closed form, fv and the special-chain
-    # certificate read the face columns and the sparse Smith form; the LP
-    # of a fill at kernel rank >= 2 builds the dense d2, once per complex
-    for cx in (tetrahedron(), coned_s3().complex):
-        homology_h1(cx)
-        cycle = max(enumerate_cycles(cx, 4), key=lambda c: c.l1())
-        for ring in (INT, RAT):
-            assert filling_norm(cx, cycle, ring).value is not INF
-            fv(cx, 4, ring)
-        fineness_certificate(cx, 4, SPECIAL_CHAIN)
-        assert len(filling._context(cx).kernel) <= 1
-        assert "snf2" in cx._cache and "d2" not in cx._cache, cx
+# the cache keys of the tables a complex may hold: its one form of d2 (the
+# face columns), the Smith form and homology, the filling context, the
+# distances, and the tables of one scale or ring
+_TABLE_KEYS = {"skeleton", "d2_columns", "snf2", "h1", "filling_ctx", "apsp",
+               "distance_rows", "adjacency"}
+
+
+def _is_table_key(key):
+    if isinstance(key, str):
+        return key in _TABLE_KEYS
+    if key[0] in ("fv", "fv_value"):
+        return len(key) == 3 and key[1] in (INT, RAT) and type(key[2]) is int
+    return key[0] in ("circuits", "omega") and len(key) == 2 and type(key[1]) is int
+
+
+def test_every_cache_entry_is_a_table_of_the_whole_complex():
+    # every query kind reads d2 through the face columns and caches nothing
+    # per cell, so a second form of d2, or an entry per face or edge, stores
+    # a key outside these families; the tetrahedron fills on the closed
+    # form, omega_4(K4) on the LP route (rationally) and branch and bound
+    graph = k4_graph()
+    graph._cache = RecordingCache()
+    omega = omega_n(graph, 4)
+    omega._cache = RecordingCache()
+    tetra = tetrahedron()
+    tetra._cache = RecordingCache()
     triangle = Chain(1, INT, {"e12": 1, "e23": 1, "e13": -1})
-    omega = omega_n(k4_graph(), 4)
-    omega._cache = RecordingCache(omega._cache)
-    square = Chain(1, INT, {"e12": 1, "e24": 1, "e34": -1, "e13": -1})
-    for ring in (RAT, INT):
-        for gamma in (triangle, square):
-            assert filling_norm(omega, gamma, ring).value == 1
+    for cx in (tetra, omega):
+        homology_h1(cx)
+        for ring in (INT, RAT):
+            assert filling_norm(cx, triangle, ring).value == 1
+            fv(cx, 4, ring)
+        linearity_report(cx, 3)
+        for method in (GRAPH_SEARCH, SPECIAL_CHAIN):
+            fineness_certificate(cx, 3, method)
+        enumerate_special_chains(cx, "e12", 2)
+        (circuit,) = decompose_into_circuits(cx, triangle)
+        assert check_minimal_fillings_special(cx, circuit, "e12").ok
+        hyperbolicity_delta(cx)
+    assert len(filling._context(tetra).kernel) <= 1
     assert len(filling._context(omega).kernel) >= 2
-    assert omega._cache.stored.count("d2") == 1
+    assert weak_area(graph, triangle, 4).value == 1
+    hyperbolicity_delta(graph)
+    all_pairs_distances(graph)
+    for cx in (graph, omega, tetra):
+        stored = cx._cache.stored
+        assert stored and set(stored) == set(cx._cache), cx
+        assert [key for key in stored if not _is_table_key(key)] == [], cx
+    assert "d2_columns" in omega._cache and ("omega", 4) in graph._cache
+
+
+def test_lp_equality_rows_are_d2_and_its_negation(monkeypatch):
+    # _lp_optimum reads [d2 | -d2] off the face columns, at the root LP and
+    # at every node of branch and bound
+    solve_lp, seen = simplex.solve_lp, []
+
+    def recording(c, a_eq, b_eq, a_ub, b_ub):
+        seen.append([list(row) for row in a_eq])
+        return solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+
+    monkeypatch.setattr(simplex, "solve_lp", recording)
+    cases = CORPUS + TORSION + [("omega-k4-4", lambda: omega_n(k4_graph(), 4))]
+    checked = 0
+    for name, build in cases:
+        cx = build()
+        if not cx.faces:
+            continue
+        want = [row + [-v for v in row] for row in dense_d2(cx)]
+        ctx = filling._context(cx)
+        for cycle in enumerate_cycles(cx, 3):
+            seen.clear()
+            filling._lp_optimum(ctx, gamma_vector(ctx, cycle))
+            lp_route_filling_value(cx, cycle, INT)
+            assert seen and all(rows == want for rows in seen), (name, cycle)
+            checked += len(seen)
+    assert checked >= 100
 
 
 def test_rational_witness_does_not_depend_on_the_particular_solution():
@@ -296,7 +368,7 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
         z = dense(ctx.kernel[0], len(cx.faces)) if ctx.kernel else None
         for cycle in enumerate_cycles(cx, 4):
             res = filling_norm(cx, cycle, RAT)
-            particular = rref_rational_solve(cx.boundary_matrix_2(), gamma_vector(ctx, cycle))
+            particular = rref_rational_solve(dense_d2(cx), gamma_vector(ctx, cycle))
             if particular is None:
                 assert res.value is INF, (name, cycle.coeffs)
                 continue
@@ -469,7 +541,7 @@ def _check_against_full_box(om, k, solve_lp):
             continue
         x, val = filling._branch_and_bound(ctx, vec, nonzeros(mu_int))
         start = filling._reduce_by_kernel(nonzeros(mu_int), ctx.lines)
-        y, want = full_box_branch_and_bound(om.boundary_matrix_2(), vec,
+        y, want = full_box_branch_and_bound(dense_d2(om), vec,
                                             dense(start, len(ctx.faces)),
                                             solve_lp)
         assert val == want, cycle.coeffs
@@ -799,7 +871,7 @@ def test_sparse_line_fills_match_dense_oracle():
                         seen[certificate] += 1
                         if x is not None and cx.faces:
                             # the minimizer left the particular solution
-                            big_x, d = dense_rational_solve(cx.boundary_matrix_2(), vec,
+                            big_x, d = dense_rational_solve(dense_d2(cx), vec,
                                                             snf=cx.smith_form_2())
                             seen["moved"] += [Fraction(v, den) for v in x] != [
                                 Fraction(v, d) for v in big_x]

@@ -16,9 +16,9 @@ from finefill.errors import (BudgetExceededError, FillingInfiniteError,
 
 from instances import (CORPUS, CORPUS_GRAPHS, coned_s3, coned_s4, double_traversal, grid_disk,
                        k4_graph, small_tree, tetrahedron, triangle_face, validate)
-from oracles import (bitmask_face_search, circuits_from_special_chains, faces_meeting_edges,
-                     fillings_of_norm, frozenset_face_search, per_edge_special_chain_search,
-                     representative_ordinals)
+from oracles import (bitmask_face_search, circuits_from_special_chains, face_boundary,
+                     faces_meeting_edges, fillings_of_norm, frozenset_face_search,
+                     per_edge_special_chain_search, representative_ordinals)
 
 
 def test_special_chains_single_face():
@@ -56,7 +56,7 @@ def test_special_chains_quantitative_bound():
             continue
         meets = faces_meeting_edges(cx)
         fadj = max(map(len, meets.values()))
-        cbound = max(len(cx.face_boundary(f.id).coeffs) for f in cx.faces)
+        cbound = max(len(face_boundary(cx, f.id).coeffs) for f in cx.faces)
         e = cx.edges[0].id
         fmax = len(meets[e])
         for n in (1, 2, 3):
@@ -109,6 +109,33 @@ def test_circuits_via_fillings_single_face():
 def test_circuits_via_fillings_budget_refusal():
     with pytest.raises(BudgetExceededError):
         circuits_via_fillings(tetrahedron(), "e12", 3, budget=1)
+
+
+def test_circuits_via_fillings_refuses_a_bad_scale_or_edge_before_fv():
+    # like enumerate_circuits and fineness_certificate, a scale below 1 is
+    # refused; it and the edge are checked before FV is computed
+    cx = tetrahedron()
+    for max_length in (0, -1):
+        with pytest.raises(ValueError, match="^max_length must be >= 1$"):
+            circuits_via_fillings(cx, "e12", max_length)
+        with pytest.raises(ValueError, match="^max_length must be >= 1$"):
+            circuits_via_fillings(cx, "zz", max_length)
+    with pytest.raises(UnknownEdgeError):
+        circuits_via_fillings(cx, "zz", 3)
+    assert not any(isinstance(key, tuple) and key[0] == "fv_value" for key in cx._cache)
+
+
+def test_a_negative_budget_is_refused():
+    cx = tetrahedron()
+    for call in (lambda b: enumerate_special_chains(cx, "e12", 2, budget=b),
+                 lambda b: circuits_via_fillings(cx, "e12", 3, budget=b),
+                 lambda b: fineness_certificate(cx, 3, SPECIAL_CHAIN, budget=b)):
+        for budget in (-1, -5):
+            with pytest.raises(ValueError, match="^budget must be >= 0$"):
+                call(budget)
+    with pytest.raises(BudgetExceededError):
+        enumerate_special_chains(cx, "e12", 2, budget=0)
+    assert not fineness_certificate(cx, 3, SPECIAL_CHAIN, budget=0).exact
 
 
 def test_circuits_via_fillings_infinite_fv():
@@ -221,6 +248,17 @@ def test_find_special_ordering_refusals():
     assert find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "e4") is None
     with pytest.raises(UnknownEdgeError):
         find_special_ordering(cx, Chain(2, INT, {"f1": 1}), "zz")
+
+
+def test_verify_refuses_partials_that_do_not_match_the_steps():
+    # one partial per step: an extra one, or a missing one, makes the state
+    # malformed, not special
+    cx = tetrahedron()
+    state = find_special_ordering(cx, Chain(2, INT, {"f123": 1, "f124": -1, "f234": 1}), "e12")
+    assert state.verify(cx) and len(state.partials) == len(state.steps) == 3
+    for partials in (state.partials + (state.partials[-1],), state.partials[:-1], ()):
+        malformed = fineness.SpecialChainState(state.base_edge, state.steps, partials)
+        assert malformed.verify(cx) is False, len(partials)
 
 
 def test_chain_taking_helpers_refuse_wrong_dimension_and_unknown_cells():
@@ -431,13 +469,13 @@ def test_budget_boundary_is_the_state_count():
             assert len(got) == size
             with pytest.raises(BudgetExceededError):
                 enumerate_special_chains(cx, e.id, norm, budget=size - 1)
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(ValueError, match="^budget must be >= 0$"):
                 enumerate_special_chains(cx, e.id, norm, budget=-1)
     # an edge on no face has no states, so no budget is too small
     pendant = validate("abcd", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
                                 ("p", "c", "d")],
                        [("f", [(1, "e1"), (1, "e2"), (1, "e3")])])
-    assert enumerate_special_chains(pendant, "p", 3, budget=-1) == []
+    assert enumerate_special_chains(pendant, "p", 3, budget=0) == []
 
 
 def test_status_agrees_with_per_edge_oracle_at_every_budget():
@@ -459,14 +497,13 @@ def test_status_agrees_with_per_edge_oracle_at_every_budget():
                 assert fineness._search(tables, [g], bound, fineness.DEFAULT_BUDGET, levels)[0]
                 per_face += sum(map(len, levels))
             union_decided |= 2 * per_face > sizes[e.id]
-        for budget in range(-1, max(sizes.values()) + 2):
+        for budget in range(max(sizes.values()) + 2):
             cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
             want = _oracle_records(cx, scale, budget)
             assert cert.exact == all(r.status == "OK" for r in want)
             for rec, old in zip(cert.records, want):
                 assert rec.status == old.status, (budget, rec.edge)
-                assert rec.status == ("OK" if sizes[rec.edge] <= max(budget, 0)
-                                      else "INCOMPLETE")
+                assert rec.status == ("OK" if sizes[rec.edge] <= budget else "INCOMPLETE")
                 assert rec.count == len(rec.circuits)
                 # a partial list holds only circuits of the complete one
                 full = {c.key for c in complete[rec.edge].circuits}
@@ -523,7 +560,7 @@ def _ordinals(x):
 
 
 def test_bitmask_search_matches_frozenset_oracle():
-    # a search seeded with one face g at every budget from -1 to
+    # a search seeded with one face g at every budget from 0 to
     # 2 |R(g, +1)| + 1, R(g, +1) the states reachable from (g, +1): it stops
     # exactly when 2 |R(g, +1)| exceeds the budget, and finds the classes
     # of R(g, +1), each once and by its key, all of them when complete.  A
@@ -552,10 +589,10 @@ def test_bitmask_search_matches_frozenset_oracle():
                 assert {circ.key: (order, circ.walk) for order, circ in circuits.values()} == full
                 classes = {representative_ordinals(x) for x in full_states}
                 assert len(classes) == len(full_states)
-                for budget in range(-1, 2 * len(full_states) + 2):
+                for budget in range(2 * len(full_states) + 2):
                     levels = []
                     complete, reach = fineness._search(tables, [g], bound, budget, levels)
-                    assert complete == (2 * len(full_states) <= max(budget, 0)), \
+                    assert complete == (2 * len(full_states) <= budget), \
                         (name, scale, g, budget)
                     found = [_ordinals(x) for level in levels for x in level]
                     assert len(set(found)) == len(found)
@@ -573,7 +610,7 @@ def test_bitmask_search_matches_frozenset_oracle():
 
 
 def test_search_matches_per_edge_oracle_at_every_budget():
-    # every edge at every budget from -1 to |S(e)| + 1, S(e) the special
+    # every edge at every budget from 0 to |S(e)| + 1, S(e) the special
     # chains based at it, counted by the per-edge oracle: the record is OK
     # exactly when |S(e)| <= budget (where the per-edge oracle, run with
     # that budget, completes), and is then the oracle's complete record;
@@ -606,14 +643,14 @@ def test_search_matches_per_edge_oracle_at_every_budget():
             assert [c.serialize() for c in chains] == [c.serialize() for c in states]
             assert {c.serialize() for c in chains} == {
                 tables.chain(_ordinals(x)).serialize() for x in union}, (name, e.id)
-        for budget in range(-1, max(sizes.values()) + 2):
+        for budget in range(max(sizes.values()) + 2):
             cert = fineness_certificate(cx, scale, SPECIAL_CHAIN, budget=budget)
-            assert cert.exact == all(size <= max(budget, 0) for size in sizes.values())
+            assert cert.exact == all(size <= budget for size in sizes.values())
             for rec in cert.records:
                 if budget > sizes[rec.edge] + 1:
                     continue
                 checked += 1
-                assert rec.status == ("OK" if sizes[rec.edge] <= max(budget, 0)
+                assert rec.status == ("OK" if sizes[rec.edge] <= budget
                                       else "INCOMPLETE"), (name, budget, rec.edge)
                 assert rec.count == len(rec.circuits)
                 if rec.status == "OK":

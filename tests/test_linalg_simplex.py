@@ -8,9 +8,9 @@ from finefill import BARYCENTRIC, enumerate_cycles, filling, linalg, omega_n, su
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 from instances import CORPUS, TORSION, k4_graph, wheel_graph
-from oracles import (dense, dense_rational_solve, dense_smith_factors, dense_smith_normal_form,
-                     determinant_divisor_factors, fraction_solve_lp, gamma_vector, mat_vec,
-                     nonzeros, rref_rational_solve, smith_form,
+from oracles import (dense, dense_d2, dense_rational_solve, dense_smith_factors,
+                     dense_smith_normal_form, determinant_divisor_factors, fraction_solve_lp,
+                     gamma_vector, mat_vec, nonzeros, rref_rational_solve, smith_form,
                      smith_integer_solve, sparse_columns)
 
 
@@ -59,7 +59,7 @@ def _complexes_for_smith_forms():
 def test_smith_form_matches_scanning_oracle():
     # the unit shortcuts (stop the pivot search at the first +-1, skip the
     # divisibility scan under a unit pivot) give the same u, d and v
-    matrices = [cx.boundary_matrix_2() for cx in _complexes_for_smith_forms()]
+    matrices = [dense_d2(cx) for cx in _complexes_for_smith_forms()]
     rng = random.Random(314)
     for _ in range(300):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -85,7 +85,7 @@ def test_sparse_smith_form_matches_dense_elimination():
     # the complexes, on random matrices whose steps include quotient-0
     # swaps and non-unit pivots, and on empty and all-zero shapes
     for cx in _complexes_for_smith_forms():
-        a = cx.boundary_matrix_2()
+        a = dense_d2(cx)
         snf = linalg.smith_normal_form(cx.face_columns(), len(cx.edges))
         assert dense_smith_factors(snf, len(cx.edges), len(cx.faces)) == (
             dense_smith_normal_form(a)), cx
@@ -196,7 +196,7 @@ def _random_solver_matrix(rng):
 def test_rational_solver_matches_row_reduction_oracle():
     rng = random.Random(606)
     matrices = [_random_solver_matrix(rng) for _ in range(400)]
-    matrices += [build().boundary_matrix_2() for _, build in CORPUS]  # double-traversal: [[2]]
+    matrices += [dense_d2(build()) for _, build in CORPUS]  # double-traversal: [[2]]
     seen = {"feasible": 0, "infeasible": 0, "factor > 1": 0, "rank-deficient": 0}
     for a in matrices:
         rows, cols = len(a), len(a[0]) if a else 0
@@ -241,7 +241,7 @@ def test_sparse_solve_matches_dense_smith_products():
     matrices = [(_random_solver_matrix(rng), []) for _ in range(400)]
     for _, build in CORPUS + TORSION:
         ctx = filling._context(build())
-        matrices.append((ctx.complex.boundary_matrix_2(),
+        matrices.append((dense_d2(ctx.complex),
                          [gamma_vector(ctx, c) for c in enumerate_cycles(ctx.complex, 4)]))
     seen = Counter()
     for a, vectors in matrices:
