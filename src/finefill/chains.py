@@ -4,11 +4,12 @@ A circuit is a simple closed combinatorial path: vertices distinct except
 the closing return, edges pairwise distinct.  Circuits are deduplicated by
 a canonical key (lexicographically least over rotations and the two
 directions), so loops and parallel-edge bigons count once each.  The search
-finds each circuit in both directions and keeps the first walk of each edge
-set, which determines the circuit, so each key is computed once.  It drops
-every path that is too far from its start to close within the length
-bound, which cuts only subtrees holding no circuit, so the walks, keys and
-their order stay those of the full search.
+follows each circuit in one direction only, the one whose walk a search in
+both directions would keep, so each circuit is closed and keyed once; its
+edge set, which determines the circuit, is the cache key.  It drops every
+path that is too far from its start to close within the length bound,
+which cuts only subtrees holding no circuit, so the walks, keys and their
+order stay those of the full search.
 """
 
 from dataclasses import dataclass
@@ -51,16 +52,23 @@ def _reverse_walk(walk):
 
 
 def canonical_walk_key(walk):
-    """Least token tuple over all rotations of both directions; only the
-    rotations starting at a least token can be least."""
+    """Least token tuple over all rotations of both directions."""
     walk = tuple(walk)
+    return _least_rotation(_walk_tokens(walk), _walk_tokens(_reverse_walk(walk)))
+
+
+def _least_rotation(toks, rtoks):
+    """The least rotation of the token tuple of a walk or of the one of its
+    reversal, None for the empty walk; only the rotations starting at the
+    least token can be least."""
+    if not toks:
+        return None
+    least = min(min(toks), min(rtoks))
     best = None
-    for w in (walk, _reverse_walk(walk)):
-        toks = _walk_tokens(w)
-        least = min(toks, default=None)
-        for r, tok in enumerate(toks):
+    for w in (toks, rtoks):
+        for r, tok in enumerate(w):
             if tok == least:
-                cand = toks[r:] + toks[:r]
+                cand = w[r:] + w[:r]
                 if best is None or cand < best:
                     best = cand
     return best
@@ -89,13 +97,14 @@ def circuit_from_chain(complex_, chain):
     A chain with every coefficient +-1 on known edges is circuit-induced
     exactly when it is a cycle that :func:`decompose_into_circuits` splits
     into exactly one part (the zero chain has none); the walk starts at the
-    tail of the chain's least edge.
+    tail of the chain's least edge.  The split itself refuses a chain that
+    is not a cycle, so the boundary is not computed.
     """
     if chain.dimension != 1 or any(abs(c) != 1 or e not in complex_.edge_by_id
                                    for e, c in chain.coeffs.items()):
         return None
     try:
-        parts = decompose_into_circuits(complex_, Chain(1, INT, chain.coeffs))
+        parts = _split(complex_, chain.coeffs)
     except NotACycleError:
         return None
     return parts[0] if len(parts) == 1 else None
@@ -126,46 +135,77 @@ def circuit_masks(complex_, max_length):
 
 def _all_circuits(complex_, max_length):
     """Depth-first search on vertex ranks, with the used edges and the
-    visited vertices as bit sets.  From each start it first takes the BFS
-    distance back[v] from v to the start through vertices above the start,
-    and a path of length l ending at v is pushed only when l + back[v] <=
-    max_length: no closing walk can start from any other."""
+    visited vertices as bit sets, for the circuits whose least vertex is
+    the start, each in one direction.
+
+    The steps leaving the start are its root steps, in ``skeleton()``
+    order.  Of a circuit's two walks from the start, the one kept leaves by
+    the later of its two root steps and returns along the earlier one, so
+    under root step q only the edges of the root steps before q close a
+    walk, and a loop closes at the root, (+1, e) first.  back[v] is then
+    the BFS distance from v through vertices above the start to the end of
+    a root step before q, plus the closing step, and a path of length l
+    ending at v is pushed only when l + back[v] <= max_length: no closing
+    walk can start from any other.  Each step's token and the token of its
+    reversal are built once, and each circuit is keyed once, when it closes.
+    """
     steps = complex_.skeleton()[2]
-    # rank -> (signed edge, end rank, edge bit) of each step leaving it
-    outs = [[(step, end, 1 << i) for step, end, i in row] for row in steps]
+    # step number -> signed edge, its token and the token of its reversal
+    table = [step for row in steps for step, _, _ in row]
+    tokens = [("+" if s > 0 else "-") + e for s, e in table]
+    rtokens = [("-" if s > 0 else "+") + e for s, e in table]
+    # rank -> (step number, end rank, edge bit) of each step leaving it
+    outs, n = [], 0
+    for row in steps:
+        outs.append([(n + k, end, 1 << i) for k, (_, end, i) in enumerate(row)])
+        n += len(row)
+
+    def circuit(walk):
+        return Circuit(tuple(map(table.__getitem__, walk)),
+                       _least_rotation(tuple(map(tokens.__getitem__, walk)),
+                                       tuple(map(rtokens.__getitem__, reversed(walk)))))
+
     found = {}  # used-edge bits -> circuit
-    for start in range(len(outs)):
-        # distances below max_length; max_length stands for every larger one,
-        # and for the vertices below the start
+    for start, roots in enumerate(outs):
+        # distances below max_length; max_length stands for every larger
+        # one, for the vertices below the start and for no earlier root step
         back = [max_length] * len(outs)
-        back[start] = 0
-        frontier = [start]
-        for d in range(1, max_length):
-            if not frontier:
-                break
-            nxt = []
-            for v in frontier:
-                for _, end, _ in outs[v]:
-                    if end > start and back[end] == max_length:
-                        back[end] = d
-                        nxt.append(end)
-            frontier = nxt
-        # only circuits whose least vertex is the start; prevents
-        # rediscovery from every vertex on the circuit
-        stack = [(start, (), 0, 1 << start)]
-        while stack:
-            cur, walk, used, visited = stack.pop()
-            room = max_length - len(walk) - 1  # the steps left after the next one
-            for step, end, b in outs[cur]:
-                if used & b:
-                    continue
-                if end == start:
-                    if used | b not in found:
-                        found[used | b] = make_circuit(walk + (step,))
-                    continue
-                if back[end] > room or visited >> end & 1:
-                    continue
-                stack.append((end, walk + (step,), used | b, visited | 1 << end))
+        closing = 0  # the edge bits of the root steps before the current one
+        for root, first, b in roots:
+            if first == start:
+                if b not in found:
+                    found[b] = circuit((root,))
+                continue
+            if first < start:
+                continue
+            if back[first] < max_length:  # only after a root step that closes
+                stack = [(first, (root,), b, 1 << start | 1 << first)]
+                while stack:
+                    cur, walk, used, visited = stack.pop()
+                    room = max_length - len(walk) - 1  # the steps left after the next one
+                    for step, end, bit in outs[cur]:
+                        if end == start:
+                            if bit & closing:
+                                found[used | bit] = circuit(walk + (step,))
+                        elif back[end] <= room and not visited >> end & 1:
+                            # a used edge has both ends visited
+                            stack.append((end, walk + (step,), used | bit, visited | 1 << end))
+            closing |= b
+            if back[first] > 1:
+                # the end of this root step is one step from closing: lower
+                # the distances it shortens
+                back[first] = 1
+                frontier = [first]
+                for d in range(2, max_length):
+                    nxt = []
+                    for v in frontier:
+                        for _, end, _ in outs[v]:
+                            if end > start and back[end] > d:
+                                back[end] = d
+                                nxt.append(end)
+                    if not nxt:
+                        break
+                    frontier = nxt
     return dict(sorted(found.items(), key=lambda mc: (len(mc[1].walk), mc[1].key)))
 
 
@@ -180,8 +220,16 @@ def decompose_into_circuits(complex_, cycle):
         raise NotACycleError("decomposition is defined for integral cycles")
     if not is_cycle(complex_, cycle):
         raise NotACycleError("boundary is nonzero")
+    return _split(complex_, cycle.coeffs)
+
+
+def _split(complex_, coeffs):
+    """The circuits the greedy walk of :func:`decompose_into_circuits` peels
+    off the integral 1-chain {edge id: coefficient} ``coeffs`` on known
+    edges.  On a chain that is not a cycle the walk gets stuck and raises
+    NotACycleError, since every circuit it peels off is a cycle."""
     order, rank, steps = complex_.skeleton()
-    remaining = dict(cycle.coeffs)
+    remaining = dict(coeffs)
     out = []
     while remaining:
         eid = min(remaining)
@@ -223,9 +271,14 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     finite.  From them come L(k), the largest fill of a circuit of length
     <= k, and U, its superadditive closure, which bounds the summed fills
     of any circuit multiset of total length <= r.  Then only the candidates
-    come back, as their serializations (``Chain.serialize`` keys) in the
-    same (norm, serialization) order: the cycles reached by a sum whose
-    summed fill is >= L(norm), and > L(norm) where L(norm) = L(norm - 1).
+    come back, in the same (norm, serialization) order: the cycles reached
+    by a sum whose summed fill is >= L(norm), and > L(norm) where L(norm) =
+    L(norm - 1).  Each comes as a triple (serialization, value, bound): its
+    ``Chain.serialize`` key, its filling value when it is induced by one
+    circuit of ``fills`` (a circuit's only split is itself), else None, and
+    the least summed fill of the sums kept for it (an int when every fill
+    is integral).  Filling norms are subadditive, so that bound is at least
+    the candidate's filling value.
     A sum at norm u is not extended when no extension of it within
     max_norm can be a candidate: its summed fill plus U(r) falls short at
     every norm u + r.  ``filling.fv_value`` also passes
@@ -237,11 +290,12 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     since no edge of a sign-conformal sum cancels; a circuit conforms to a
     sum when neither mask of one meets the other mask of the opposite sign.
     The fill values are scaled by the lcm D of their denominators, which
-    leaves every comparison of summed fills as it is.
+    leaves every comparison of summed fills as it is.  A sum's edge dict is
+    built only when the sum is kept or extended.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
-    as_keys = fills is not None
+    gated = fills is not None
     if fills is None:
         circuits = circuit_masks(complex_, max_norm).values() if max_norm >= 1 else []
         fills = [(circuit, 0) for circuit in circuits]
@@ -259,7 +313,7 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     if above is not None:
         above = Fraction(above)
         target = [above.numerator * den // above.denominator + 1] * (max_norm + 1)
-    elif as_keys:
+    elif gated:
         target = lower[:1] + [low + (low == prev) for prev, low in zip(lower, lower[1:])]
     else:
         target = lower
@@ -275,7 +329,9 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
         signed.append(([(e, s) for s, e in circuit.walk], pos, neg))
         signed.append(([(e, -s) for s, e in circuit.walk], neg, pos))
     lens = [circuit.length for circuit, _ in fills]
-    found = {(): 0}  # serialization -> norm
+    # serialization -> [norm, least summed fill of a sum kept for it, the
+    # fill value of the one circuit it is induced by, or None]
+    found = {(): [0, 0, None]}
 
     def extend(start, used, filled, acc, apos, aneg):
         for i in range(start, len(fills)):
@@ -285,22 +341,37 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
             for vec, vpos, vneg in signed[2 * i:2 * i + 2]:
                 if vpos & aneg or vneg & apos:
                     continue
-                nxt, norm, total = acc, used, filled
+                nxt, norm, total, times = acc, used, filled, 0
                 npos, nneg = apos | vpos, aneg | vneg
                 while norm + li <= max_norm:
-                    nxt = dict(nxt)
-                    for e, c in vec:
-                        nxt[e] = nxt.get(e, 0) + c
                     norm += li
                     total += values[i]
-                    if total >= target[norm]:
-                        found.setdefault(tuple(sorted(nxt.items())), norm)
-                    if norm < max_norm and total >= reach[norm]:
+                    times += 1
+                    kept = total >= target[norm]
+                    grown = norm < max_norm and total >= reach[norm]
+                    if not (kept or grown):
+                        continue
+                    # the sum's edge dict, built only for a sum kept or extended
+                    nxt = dict(nxt)
+                    for e, c in vec:
+                        nxt[e] = nxt.get(e, 0) + times * c
+                    times = 0
+                    if kept:
+                        key = tuple(sorted(nxt.items()))
+                        entry = found.get(key)
+                        if entry is None:
+                            found[key] = [norm, total, fills[i][1] if norm == li else None]
+                        elif total < entry[1]:
+                            entry[1] = total
+                    if grown:
                         extend(i + 1, norm, total, nxt, npos, nneg)
 
     extend(0, 0, 0, {}, 0, 0)
-    keys = sorted(found, key=lambda k: (found[k], k))
-    return keys if as_keys else [Chain(1, INT, dict(key)) for key in keys]
+    keys = sorted(found, key=lambda k: (found[k][0], k))
+    if not gated:
+        return [Chain(1, INT, dict(key)) for key in keys]
+    return [(key, found[key][2], found[key][1] if den == 1 else Fraction(found[key][1], den))
+            for key in keys]
 
 
 # -- cy v1 text format --------------------------------------------------------

@@ -79,13 +79,6 @@ def compose(a, b):
     return tuple(b[a[i]] for i in range(len(a)))
 
 
-def invert(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def parse_cycles(text, degree):
     """Cycle notation like '(1 2 3)(4 5)'; '()' is the identity."""
     perm = list(range(degree))

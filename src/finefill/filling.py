@@ -29,10 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import ceil, floor, lcm
-from operator import attrgetter
 
 from . import linalg, simplex
-from .chains import enumerate_circuits, enumerate_cycles, is_cycle, require_circuit
+from .chains import circuit_masks, enumerate_cycles, is_cycle, require_circuit
 from .complexes import Chain, INT, RAT, format_ratio, require_ring
 from .constructions import face_circuit, omega_n
 from .errors import HasFacesError, InternalError, NotACycleError
@@ -131,7 +130,9 @@ class _FillingContext:
         self.faces = [f.id for f in complex_.faces]
         self.columns = complex_.face_columns()
         self.value_cache = {}
-        self.fills = {}  # ring -> {serialization: fill value}, both signs of each cycle
+        # ring -> fill values: a circuit's under its edge mask, another
+        # cycle's under its serialization and that of its negation
+        self.fills = {}
 
     @cached_property
     def rat(self):
@@ -425,7 +426,11 @@ def fv(complex_, k_max, ring):
     the first to attain a value, or to at most L(norm - 1) <= FV(norm - 1),
     so it never raises the running maximum; the running maximum over the
     candidates in (norm, serialization) order therefore has the values and
-    witnesses of the one over all cycles.  A cycle and its negation fill alike, so one of each
+    witnesses of the one over all cycles.  Only a fill above the running
+    maximum changes it, so a candidate is filled only when the bound it
+    comes with, the least summed fill of its splits found, exceeds the
+    running maximum; a candidate induced by one circuit comes with that
+    circuit's fill.  A cycle and its negation fill alike, so one of each
     pair is solved.  Circuits and candidates are solved from their edge
     vectors, with no Chain built for them and no witness kept; candidates
     come as serializations, and only a new running maximum, the witness,
@@ -447,14 +452,16 @@ def fv(complex_, k_max, ring):
         # before the first candidate of norm k is FV(k - 1)
         top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
         rows = []  # index k -> (value, witness)
-        for key in enumerate_cycles(complex_, finite_max, fills):
+        for key, value, bound in enumerate_cycles(complex_, finite_max, fills):
             norm = sum(abs(c) for _, c in key)
             if norm == 0:
                 continue
             rows.extend([top] * (norm - len(rows)))
-            value = fill(key)
-            if value > top[0]:
-                top = (value, Chain(1, INT, dict(key)))
+            if bound > top[0]:
+                if value is None:
+                    value = fill(key)
+                if value > top[0]:
+                    top = (value, Chain(1, INT, dict(key)))
         rows.extend([top] * (finite_max + 1 - len(rows)))
         if unfillable:
             witness = min((cycle for circuit in unfillable
@@ -475,7 +482,8 @@ def fv_value(complex_, k, ring):
     <= k fills to at most the summed fills of a split into circuits, so
     only a cycle with a split summing above T can fill above T; those are
     the candidates of ``enumerate_cycles`` with ``above`` T, and FV(k) is
-    the largest of T and their fills.
+    the largest of T and their fills.  As in :func:`fv`, a candidate is
+    filled only when its bound exceeds the running maximum.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -485,9 +493,9 @@ def fv_value(complex_, k, ring):
         if unfillable:
             return INF
         top = max((value for _, value in fills), default=0 if ring == INT else Fraction(0))
-        for key in enumerate_cycles(complex_, k, fills, above=top):
-            if key:
-                top = max(top, fill(key))
+        for key, value, bound in enumerate_cycles(complex_, k, fills, above=top):
+            if bound > top:
+                top = max(top, fill(key) if value is None else value)
         return top
 
     return complex_.cached(("fv_value", ring, k), build)
@@ -500,7 +508,9 @@ def _fill_circuits(complex_, k_max, ring):
     ``fill`` maps a cycle's serialization to its value, solved from its
     edge vector when it has not been filled on this complex over this ring,
     by any call; a solved value is stored under the cycle and its negation,
-    which fill alike, so a lookup is one probe.
+    which fill alike, so a lookup is one probe.  A circuit is solved from
+    the (edge index, sign) steps of its walk and stored under its edge mask
+    of ``circuit_masks``, which both directions share.
     ``fills`` pairs each circuit of the lengths before that one with its
     value, and ``unfillable`` lists the unfillable circuits of that length,
     empty when there is none.
@@ -516,11 +526,19 @@ def _fill_circuits(complex_, k_max, ring):
                 ctx, ctx.terms(key), ring)[3]
         return value
 
-    circuits = enumerate_circuits(complex_, None, k_max) if k_max else []
+    index = complex_.edge_index
+
+    def circuit_fill(mask, circuit):
+        value = filled.get(mask)
+        if value is None:
+            value = filled[mask] = _solve_vector(ctx, [(index[e], s) for s, e in circuit.walk],
+                                                 ring)[3]
+        return value
+
+    circuits = circuit_masks(complex_, k_max).items() if k_max else ()
     fills = []
-    for _, group in groupby(circuits, key=attrgetter("length")):
-        group = [(circuit, fill(tuple(sorted((e, s) for s, e in circuit.walk))))
-                 for circuit in group]
+    for _, group in groupby(circuits, key=lambda mc: mc[1].length):
+        group = [(circuit, circuit_fill(mask, circuit)) for mask, circuit in group]
         unfillable = [circuit for circuit, value in group if value is INF]
         if unfillable:
             return fill, fills, unfillable

@@ -25,10 +25,13 @@ minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
 from a search per face, over frozensets of signed-face ints in set order or
 over int bit sets in face order.
-Seven exceptions: :func:`mask_far_apart_pairs` and
-:func:`mask_least_witness` run the package's own pair and witness passes
-on masks built from one comparison per entry, so that they check the
-packed rows ``hyperbolicity`` builds its masks from,
+Eight exceptions: :func:`two_direction_circuit_search` is the package's
+earlier circuit search, run on the package's step table and keys, so that
+it checks the one-direction search that replaced it,
+:func:`mask_far_apart_pairs` and :func:`mask_least_witness` run the
+package's own pair and witness passes on masks built from one comparison
+per entry, so that they check the packed rows ``hyperbolicity`` builds
+its masks from,
 :func:`lp_route_filling_value` runs the package's own LP and branch and
 bound on every cycle, so that they check the closed form the package
 takes at kernel rank <= 1, :func:`all_cycles_fv` fills every
@@ -52,7 +55,7 @@ from operator import ge, itemgetter
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
-from finefill.chains import Circuit, circuit_from_chain
+from finefill.chains import Circuit, circuit_from_chain, make_circuit
 from finefill.errors import DisconnectedError, InternalError, NotACycleError
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -304,6 +307,53 @@ def frozenset_circuit_search(cx, max_length):
                 stack.append((end, walk + (step,), used | {eid}, visited | {end}))
     return [Circuit(walk, key)
             for key, walk in sorted(found.items(), key=lambda kw: (len(kw[1]), kw[0]))]
+
+
+def two_direction_circuit_search(cx, max_length):
+    """The circuits of length <= max_length keyed by their edge masks, in
+    (length, key) order, as ``chains.circuit_masks`` holds them, from the
+    package's earlier search on its step table, which closes every circuit
+    in both directions and keeps the first walk.
+
+    A depth-first search on vertex ranks, with the used edges and the
+    visited vertices as bit sets.  From each start it first takes the BFS
+    distance back[v] from v to the start through vertices above the start,
+    and a path of length l ending at v is pushed only when l + back[v] <=
+    max_length.  Every walk that closes at the start is keyed unless its
+    edge set was found before.
+    """
+    steps = cx.skeleton()[2]
+    outs = [[(step, end, 1 << i) for step, end, i in row] for row in steps]
+    found = {}
+    for start in range(len(outs)):
+        back = [max_length] * len(outs)
+        back[start] = 0
+        frontier = [start]
+        for d in range(1, max_length):
+            if not frontier:
+                break
+            nxt = []
+            for v in frontier:
+                for _, end, _ in outs[v]:
+                    if end > start and back[end] == max_length:
+                        back[end] = d
+                        nxt.append(end)
+            frontier = nxt
+        stack = [(start, (), 0, 1 << start)]
+        while stack:
+            cur, walk, used, visited = stack.pop()
+            room = max_length - len(walk) - 1
+            for step, end, b in outs[cur]:
+                if used & b:
+                    continue
+                if end == start:
+                    if used | b not in found:
+                        found[used | b] = make_circuit(walk + (step,))
+                    continue
+                if back[end] > room or visited >> end & 1:
+                    continue
+                stack.append((end, walk + (step,), used | b, visited | 1 << end))
+    return dict(sorted(found.items(), key=lambda mc: (len(mc[1].walk), mc[1].key)))
 
 
 def dict_conformal_search(cx, max_norm, fills=None, above=None, keep_ties=False):

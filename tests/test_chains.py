@@ -7,6 +7,7 @@ from fractions import Fraction
 from finefill import (BARYCENTRIC, Chain, INT, RAT, decompose_into_circuits,
                       enumerate_circuits, enumerate_cycles, is_cycle,
                       is_disjoint, parse_chain, subdivide, validate, write_chain)
+from finefill import chains
 from finefill.chains import (canonical_walk_key, circuit_from_chain, circuit_masks,
                              make_circuit, require_circuit)
 from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
@@ -14,7 +15,8 @@ from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, figure8_graph, k4_graph,
                        random_multigraph, small_tree, tetrahedron, triangle_graph)
 from oracles import (all_rotations_walk_key, brute_circuit_count, brute_cycles,
-                     frozenset_circuit_search, multiset_cycles, string_walk_decompose)
+                     frozenset_circuit_search, multiset_cycles, string_walk_decompose,
+                     two_direction_circuit_search)
 
 
 def triangle_cycle():
@@ -121,6 +123,39 @@ def test_pruned_circuit_search_matches_oracle_at_every_scale():
                        for mask, c in masks.items())
             total[scale] += len(got)
     assert all(total[scale] < total[scale + 1] for scale in range(1, 8)), total
+
+
+def test_one_direction_search_matches_two_direction_oracle(monkeypatch):
+    # the search closes each circuit once, leaving by the later of its two
+    # root steps, which is the walk the two-direction search kept: the same
+    # masks, walks, keys and order, on the search cases at scales 1, 2 and 8
+    # (and |E| up to 12 edges) and on the 300 multigraphs at 1, 2, 8 and |E|
+    closings = []
+    least_rotation = chains._least_rotation
+
+    def counting(toks, rtoks):
+        closings.append(toks)
+        return least_rotation(toks, rtoks)
+
+    rng = random.Random(1301)
+    cases = _search_cases() + [("random", _random_multigraph(rng)) for _ in range(300)]
+    total = 0
+    for name, cx in cases:
+        scales = {1, 2, 8}
+        if name == "random" or len(cx.edges) <= 12:
+            scales.add(max(len(cx.edges), 1))
+        for scale in sorted(scales):
+            want = two_direction_circuit_search(cx, scale)
+            monkeypatch.setattr(chains, "_least_rotation", counting)
+            closings.clear()
+            got = chains._all_circuits(cx, scale)
+            monkeypatch.setattr(chains, "_least_rotation", least_rotation)
+            assert [(m, c.walk, c.key) for m, c in got.items()] == [
+                (m, c.walk, c.key) for m, c in want.items()], (
+                name, cx.edges if name == "random" else None, scale)
+            assert len(closings) == len(got), (name, scale)
+            total += len(got)
+    assert total > 10000, total
 
 
 def test_canonical_walk_key_matches_all_rotations():

@@ -5,8 +5,8 @@ from finefill import (Chain, INT, H1Report, coned_off_cayley_complex,
                       fv, group_closure, homology_h1, omega_n, parse_group,
                       weak_area, write_group)
 from finefill.constructions import (FiniteGroupPresentation, compose,
-                                    cycle_notation, face_circuit, invert,
-                                    parse_cycles, write_coned_off)
+                                    cycle_notation, face_circuit, parse_cycles,
+                                    write_coned_off)
 from finefill.errors import (CapExceededError, FormatError, HasFacesError,
                              RelatorFailsError, ValidationError)
 from finefill.hyperbolicity import all_pairs_distances
@@ -56,6 +56,14 @@ def test_cycle_notation_round_trip():
         parse_cycles("(1 9)", 3)
     with pytest.raises(FormatError):
         parse_cycles("(1 1)", 3)
+
+
+def invert(p):
+    """The inverse of the permutation ``p`` of 0..n-1, a tuple of images."""
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
 
 
 def test_compose_and_invert():

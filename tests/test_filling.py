@@ -730,8 +730,9 @@ def test_candidate_search_matches_dict_oracle(monkeypatch):
             assert len(calls) == 2, (name, ring)
             for cx, max_norm, fills, found in calls:
                 want = dict_conformal_search(cx, max_norm, fills)
-                assert found == [c.serialize() for c in want], (name, ring, max_norm)
-                assert all(type(key) is tuple for key in found), (name, ring)
+                keys = [key for key, _, _ in found]
+                assert keys == [c.serialize() for c in want], (name, ring, max_norm)
+                assert all(type(key) is tuple for key in keys), (name, ring)
                 denominators[max((Fraction(v).denominator for _, v in fills), default=1)] += 1
                 candidates += len(found)
                 if len(found) < len(enumerate_cycles(cx, max_norm)):
@@ -778,7 +779,7 @@ def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
         kept = [c.serialize() for c in dict_conformal_search(cx, max_norm, fills, keep_ties=True)]
         circuits = {c.serialize() for circuit, _ in fills
                     for c in (circuit.induced_cycle(), circuit.induced_cycle().neg())}
-        assert set(found) <= circuits | {()}, ring
+        assert {key for key, _, _ in found} <= circuits | {()}, ring
         assert len({key for key in kept if key not in circuits} - {()}) == 20, ring
 
 
@@ -1011,6 +1012,36 @@ def test_weak_area_is_omega_filling_norm():
             assert got == want, (name, circ.key)
 
 
+def test_weak_area_checks_its_cycle_once(monkeypatch):
+    # the input check splits a Chain into circuits without taking its
+    # boundary, and the fill on omega checks the cycle: one is_cycle per
+    # query, given a Chain or a Circuit; a chain that is not a cycle is still
+    # refused as no circuit
+    from finefill import chains
+    from finefill.errors import NotACircuitError
+    checks = []
+    is_cycle = chains.is_cycle
+
+    def counting(complex_, chain):
+        checks.append(chain)
+        return is_cycle(complex_, chain)
+
+    monkeypatch.setattr(chains, "is_cycle", counting)
+    monkeypatch.setattr(filling, "is_cycle", counting)
+    queries = 0
+    for name, build in CORPUS_GRAPHS[:6] + [("hexagon-chord", hexagon_chord)]:
+        for circ in enumerate_circuits(build(), None, 6):
+            for gamma in (circ.induced_cycle(), circ.induced_cycle().neg(), circ):
+                checks.clear()
+                weak_area(build(), gamma, 4)
+                assert len(checks) == 1, (name, circ.key)
+                queries += 1
+        path = Chain(1, INT, {build().edges[0].id: 1})
+        with pytest.raises(NotACircuitError):
+            weak_area(build(), path, 4)
+    assert queries >= 20, queries
+
+
 def test_linearity_report():
     rows = linearity_report(tetrahedron(), 3)
     assert rows[-1] == (3, 1, Fraction(1), Fraction(1))
@@ -1139,8 +1170,8 @@ def test_fv_value_matches_table_and_all_cycles_oracle(monkeypatch):
                 assert type(got) is (int if ring == INT else Fraction)
                 [(called, max_norm, fills, above, found)] = value_calls
                 assert max_norm == k and above == _largest_circuit_fill(called, k, ring)
-                assert found == [c.serialize() for c in dict_conformal_search(
-                    called, k, fills, above)], (name, ring, k)
+                keys = [c.serialize() for c in dict_conformal_search(called, k, fills, above)]
+                assert [key for key, _, _ in found] == keys, (name, ring, k)
                 above_t += got > above
     assert infinite >= 20 and above_t >= 20, (infinite, above_t)
 
@@ -1179,3 +1210,89 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
             assert fv(cx, 8, ring).values[1:] == tuple(values)
             keys = [(r, min(terms, tuple((i, -c) for i, c in terms))) for r, terms in solved]
             assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))
+
+
+def _gate_faults(cx, ring, candidates, filled, top):
+    """What is wrong with the gate fv and fv_value run over ``candidates``,
+    the (serialization, value, bound) triples of one ``enumerate_cycles``
+    call in its order, from the running maximum ``top``; ``filled`` holds
+    the serializations the call filled.  Every candidate is filled here by
+    ``filling_norm``: its bound must be >= that fill, and a value, when one
+    comes with it, must equal it; a candidate left unfilled without a value
+    must have a bound <= the running maximum before it."""
+    faults = []
+    for key, value, bound in candidates:
+        if not key:
+            continue
+        fill = filling_norm(cx, Chain(1, INT, dict(key)), ring).value
+        if bound < fill:
+            faults.append(("bound below the fill", key, bound, fill))
+        if value is not None and value != fill:
+            faults.append(("value is not the fill", key, value, fill))
+        if value is None and key not in filled and bound > top:
+            faults.append(("skipped above the maximum", key, bound, top))
+        top = max(top, fill)
+    return faults
+
+
+def test_candidate_fills_are_skipped_only_below_the_running_maximum(monkeypatch):
+    # fv and fv_value fill a candidate only when its least split sum, which
+    # bounds its fill, exceeds the running maximum; the gate's checks hold on
+    # every candidate, and a bound lowered by one below a fill it attained
+    # fails them
+    calls, filled = [], set()
+    fill_circuits, enumerate_cycles_ = filling._fill_circuits, filling.enumerate_cycles
+
+    def recording_fills(complex_, k_max, ring):
+        fill, fills, unfillable = fill_circuits(complex_, k_max, ring)
+
+        def recording(key):
+            filled.add(key)
+            return fill(key)
+
+        return recording, fills, unfillable
+
+    def recording(cx, max_norm, fills=None, above=None):
+        found = enumerate_cycles_(cx, max_norm, fills, above)
+        calls.append((cx, above, found))
+        return found
+
+    monkeypatch.setattr(filling, "_fill_circuits", recording_fills)
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    cases = CORPUS + TORSION
+    cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
+              for name, build in CORPUS if build().faces]
+    skipped = Counter()
+    lowered = 0
+    for name, build in cases:
+        kmax = 4 if name == "z3-moore-3-barycentric" else 6  # its Q LPs are slow
+        for ring in (INT, RAT):
+            cx = build()
+            zero = 0 if ring == INT else Fraction(0)
+            runs = [("fv", lambda: fv(cx, kmax, ring))]
+            runs += [("fv_value", lambda k=k: filling.fv_value(cx, k, ring))
+                     for k in range(1, kmax + 1)]
+            for entry, run in runs:
+                calls.clear()
+                filled.clear()
+                run()
+                if not calls:  # an unfillable circuit: no candidates
+                    continue
+                [(called, above, found)] = calls
+                top = zero if above is None else above
+                assert _gate_faults(called, ring, found, set(filled), top) == [], (
+                    name, ring, entry)
+                skipped[entry] += sum(1 for key, value, _ in found
+                                      if key and value is None and key not in filled)
+                # a tight candidate, whose bound is its fill, with its bound
+                # lowered by one
+                for j, (key, value, bound) in enumerate(found):
+                    if key and bound == filling_norm(called, Chain(1, INT, dict(key)), ring).value:
+                        doctored = list(found)
+                        doctored[j] = (key, value, bound - 1)
+                        assert _gate_faults(called, ring, doctored, set(filled), top), (
+                            name, ring, entry, key)
+                        lowered += 1
+                        break
+    assert skipped["fv"] >= 200 and skipped["fv_value"] >= 200, skipped
+    assert lowered >= 40, lowered

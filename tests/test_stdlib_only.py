@@ -118,3 +118,29 @@ def test_every_public_function_of_linalg_is_read_in_the_package_or_traced():
     assert {"smith_normal_form", "RationalSolver"} <= public
     assert "solve_integer" in traced
     assert sorted(public - named - traced) == []
+
+
+def test_every_unexported_public_definition_is_read_in_the_package_or_traced():
+    # a public module-level function or class that __init__ does not export,
+    # that no code of the package names and that perfbench/spans.py does not
+    # trace by name, serves only the tests: it belongs in tests/oracles.py
+    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        exported = {alias.asname or alias.name for node in ast.parse(fh.read()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public, named = [], set()
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        public += [(name, node.name) for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")]
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    with open(SPANS, encoding="utf-8") as fh:
+        targets = next(ast.literal_eval(node.value) for node in ast.parse(fh.read()).body
+                       if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS")
+    traced = {(home + ".py", attr.split(".")[0]) for home, attr, _ in targets.values()}
+    assert ("linalg.py", "solve_integer") in traced and ("filling.py", "fv") in traced
+    assert len(public) > 50 and {"TwoComplex", "fv"} <= exported
+    assert [d for d in public
+            if d[1] not in exported and d[1] not in named and d not in traced] == []
