@@ -271,27 +271,31 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     finite.  From them come L(k), the largest fill of a circuit of length
     <= k, and U, its superadditive closure, which bounds the summed fills
     of any circuit multiset of total length <= r.  Then only the candidates
-    come back, in the same (norm, serialization) order: the cycles reached
-    by a sum whose summed fill is >= L(norm), and > L(norm) where L(norm) =
-    L(norm - 1).  Each comes as a triple (serialization, value, bound): its
-    ``Chain.serialize`` key, its filling value when it is induced by one
-    circuit of ``fills`` (a circuit's only split is itself), else None, and
-    the least summed fill of the sums kept for it (an int when every fill
-    is integral).  Filling norms are subadditive, so that bound is at least
-    the candidate's filling value.
-    A sum at norm u is not extended when no extension of it within
-    max_norm can be a candidate: its summed fill plus U(r) falls short at
-    every norm u + r.  ``filling.fv_value`` also passes
-    ``above``, a value: then the candidates are the cycles reached by a sum
-    whose summed fill exceeds it, at every norm alike.
+    come back, in the same (norm, serialization) order: the zero cycle,
+    then the cycles reached by a sum of two or more circuits, or of one
+    circuit taken two or more times, whose summed fill is >= L(norm), and
+    > L(norm) where L(norm) = L(norm - 1).  A single circuit is left out:
+    its only split is itself, so its fill is in ``fills`` already.  Each
+    candidate comes as a triple (norm, serialization, bound): its l1-norm,
+    its ``Chain.serialize`` key and the least summed fill of the sums kept
+    for it (an int when every fill is integral).  Filling norms are
+    subadditive, so that bound is at least the candidate's filling value.
+    The triples depend on the circuits and the values of their fills only,
+    not on the type of the values.  A sum at norm u is not extended when no
+    extension of it within max_norm can be a candidate: its summed fill
+    plus U(r) falls short at every norm u + r.  ``filling.fv_value`` also
+    passes ``above``, a value: then the candidates after the zero cycle are
+    the cycles reached by a sum whose summed fill exceeds it, at every norm
+    alike.
 
     The search runs on ints.  Each signed circuit carries the bit masks of
-    its positive and its negative edges, and so does each sum, exactly,
-    since no edge of a sign-conformal sum cancels; a circuit conforms to a
-    sum when neither mask of one meets the other mask of the opposite sign.
-    The fill values are scaled by the lcm D of their denominators, which
-    leaves every comparison of summed fills as it is.  A sum's edge dict is
-    built only when the sum is kept or extended.
+    its positive and its negative edges, built in one pass over its walk,
+    and so does each sum, exactly, since no edge of a sign-conformal sum
+    cancels; a circuit conforms to a sum when neither mask of one meets the
+    other mask of the opposite sign.  The fill values are scaled by the lcm
+    D of their denominators, which leaves every comparison of summed fills
+    as it is.  A sum's edge dict is built, from the circuit's walk, only
+    when the sum is kept or extended.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
@@ -322,23 +326,27 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     reach = [min((target[u + r] - upper[r] for r in range(1, max_norm - u + 1)), default=0)
              for u in range(max_norm + 1)]
     index = complex_.edge_index
-    signed = []  # (edge vector, positive edge bits, negative edge bits)
-    for circuit, _ in fills:
-        pos = sum(1 << index[e] for s, e in circuit.walk if s > 0)
-        neg = sum(1 << index[e] for s, e in circuit.walk if s < 0)
-        signed.append(([(e, s) for s, e in circuit.walk], pos, neg))
-        signed.append(([(e, -s) for s, e in circuit.walk], neg, pos))
-    lens = [circuit.length for circuit, _ in fills]
-    # serialization -> [norm, least summed fill of a sum kept for it, the
-    # fill value of the one circuit it is induced by, or None]
-    found = {(): [0, 0, None]}
+    walks = [circuit.walk for circuit, _ in fills]
+    masks = []  # (positive edge bits, negative edge bits) of each circuit
+    for walk in walks:
+        pos = neg = 0
+        for s, e in walk:
+            if s > 0:
+                pos |= 1 << index[e]
+            else:
+                neg |= 1 << index[e]
+        masks.append((pos, neg))
+    # serialization -> [norm, least summed fill of a sum kept for it]
+    found = {(): [0, 0]}
 
     def extend(start, used, filled, acc, apos, aneg):
         for i in range(start, len(fills)):
-            li = lens[i]
+            walk = walks[i]
+            li = len(walk)
             if used + li > max_norm:
                 break  # circuits come sorted by length
-            for vec, vpos, vneg in signed[2 * i:2 * i + 2]:
+            pos, neg = masks[i]
+            for sign, vpos, vneg in ((1, pos, neg), (-1, neg, pos)):
                 if vpos & aneg or vneg & apos:
                     continue
                 nxt, norm, total, times = acc, used, filled, 0
@@ -346,21 +354,22 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
                 while norm + li <= max_norm:
                     norm += li
                     total += values[i]
-                    times += 1
-                    kept = total >= target[norm]
+                    times += sign
+                    # norm == li: this circuit alone, whose fill the caller has
+                    kept = total >= target[norm] and (norm != li or not gated)
                     grown = norm < max_norm and total >= reach[norm]
                     if not (kept or grown):
                         continue
                     # the sum's edge dict, built only for a sum kept or extended
                     nxt = dict(nxt)
-                    for e, c in vec:
-                        nxt[e] = nxt.get(e, 0) + times * c
+                    for s, e in walk:
+                        nxt[e] = nxt.get(e, 0) + times * s
                     times = 0
                     if kept:
                         key = tuple(sorted(nxt.items()))
                         entry = found.get(key)
                         if entry is None:
-                            found[key] = [norm, total, fills[i][1] if norm == li else None]
+                            found[key] = [norm, total]
                         elif total < entry[1]:
                             entry[1] = total
                     if grown:
@@ -370,7 +379,7 @@ def enumerate_cycles(complex_, max_norm, fills=None, above=None):
     keys = sorted(found, key=lambda k: (found[k][0], k))
     if not gated:
         return [Chain(1, INT, dict(key)) for key in keys]
-    return [(key, found[key][2], found[key][1] if den == 1 else Fraction(found[key][1], den))
+    return [(found[key][0], key, found[key][1] if den == 1 else Fraction(found[key][1], den))
             for key in keys]
 
 

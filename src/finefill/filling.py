@@ -122,8 +122,9 @@ def _line(z):
 class _FillingContext:
     """Per-complex solver state: the complex's face columns, what is read
     off the Smith form of d2 (the rational solver, the kernel and its
-    lines), the value cache, and the fill values of :func:`_fill_circuits`
-    for each ring."""
+    lines), the value cache, the fill values of :func:`_fill_circuits` and
+    :func:`_cycle_fill` for each ring, and the candidates of :func:`fv`
+    for each length bound and set of circuit fill values."""
 
     def __init__(self, complex_):
         self.complex = complex_
@@ -132,7 +133,12 @@ class _FillingContext:
         self.value_cache = {}
         # ring -> fill values: a circuit's under its edge mask, another
         # cycle's under its serialization and that of its negation
-        self.fills = {}
+        self.fills = {INT: {}, RAT: {}}
+        # (norm bound, circuit fill values) -> fv's entries (norm,
+        # serialization, bound, position in the fill list or None): the
+        # circuit peaks merged with the candidates, which carry None; both
+        # rings share them where their fills agree
+        self.candidates = {}
 
     @cached_property
     def rat(self):
@@ -204,51 +210,56 @@ def filling_norm(complex_, gamma, ring):
 def _solve(ctx, gamma, ring):
     """The FillingResult of gamma over ring, its witness the 2-chain x / den
     of :func:`_solve_vector`, built from the nonzeros of x."""
-    certificate, x, den, val = _solve_vector(ctx, ctx.terms(gamma.coeffs.items()), ring)
+    [(certificate, x, den, val)] = _solve_vector(ctx, ctx.terms(gamma.coeffs.items()), (ring,))
     if val is INF:
         return FillingResult(INF, None, ring, certificate)
     return FillingResult(val, ctx.chain(x, ring, den), ring, certificate)
 
 
-def _solve_vector(ctx, terms, ring):
+def _solve_vector(ctx, terms, rings):
     """(certificate, x, den, value) of the integral cycle with the (edge
-    index, coefficient) nonzeros ``terms`` over ring: x is an int vector as
-    a dict {face index: entry} of its nonzeros, over one denominator den,
-    and both are None when the value is INF.  Every route ends in such an
-    x, and the witness x / den is re-checked before it is returned; the LP
-    and branch and bound convert their dense optimum once."""
-    nf = len(ctx.faces)
+    index, coefficient) nonzeros ``terms`` over each ring of ``rings``, in
+    order, all from one particular solution: x is an int vector as a dict
+    {face index: entry} of its nonzeros, over one denominator den, and both
+    are None when the value is INF.  Every route ends in such an x, and the
+    witness x / den is re-checked in each ring before it is returned; the
+    LP and branch and bound convert their dense optimum once."""
     if not terms:
-        x, den, val = {}, 1, Fraction(0) if ring == RAT else 0
-    elif not nf:
-        return NO_FACES, None, None, INF
+        _verify_filling(ctx, terms, {}, 1, 0)
+        return [(FEASIBLE_OPTIMAL, {}, 1, Fraction(0) if ring == RAT else 0) for ring in rings]
+    if not ctx.faces:
+        return [(NO_FACES, None, None, INF)] * len(rings)
+    particular = ctx.rat.solve(terms)
+    if particular is None:
+        return [(RATIONALLY_INFEASIBLE, None, None, INF)] * len(rings)
+    return [_optimum(ctx, terms, ring, *particular) for ring in rings]
+
+
+def _optimum(ctx, terms, ring, x, den):
+    """:func:`_solve_vector` over one ring from the particular solution
+    x / den, which it leaves as it is."""
+    if ring == INT and den > 1:
+        # v is unimodular, so x / den is integral exactly when gamma is
+        # an integral boundary, and then it is the normal-form solution
+        if any(v % den for v in x.values()):
+            return INTEGRALLY_INFEASIBLE, None, None, INF
+        x, den = {j: v // den for j, v in x.items()}, 1
+    lines = ctx.lines
+    if len(lines) <= 1:
+        # another particular solution shifts every breakpoint of the
+        # line by the same amount, so the minimizer found is the same
+        x, den, val = _minimize_on_line(x, den, lines[0] if lines else None,
+                                        integral=ring == INT)
     else:
-        particular = ctx.rat.solve(terms)
-        if particular is None:
-            return RATIONALLY_INFEASIBLE, None, None, INF
-        x, den = particular
-        if ring == INT and den > 1:
-            # v is unimodular, so x / den is integral exactly when gamma is
-            # an integral boundary, and then it is the normal-form solution
-            if any(v % den for v in x.values()):
-                return INTEGRALLY_INFEASIBLE, None, None, INF
-            x, den = {j: v // den for j, v in x.items()}, 1
-        lines = ctx.lines
-        if len(lines) <= 1:
-            # another particular solution shifts every breakpoint of the
-            # line by the same amount, so the minimizer found is the same
-            x, den, val = _minimize_on_line(x, den, lines[0] if lines else None,
-                                            integral=ring == INT)
+        vec = [0] * len(ctx.complex.edges)
+        for i, c in terms:
+            vec[i] = c
+        if ring == RAT:
+            q, val = _lp_optimum(ctx, vec)
+            den = lcm(*(v.denominator for v in q))
+            x = {j: v.numerator * (den // v.denominator) for j, v in enumerate(q) if v}
         else:
-            vec = [0] * len(ctx.complex.edges)
-            for i, c in terms:
-                vec[i] = c
-            if ring == RAT:
-                q, val = _lp_optimum(ctx, vec)
-                den = lcm(*(v.denominator for v in q))
-                x = {j: v.numerator * (den // v.denominator) for j, v in enumerate(q) if v}
-            else:
-                x, val = _branch_and_bound(ctx, vec, x)
+            x, val = _branch_and_bound(ctx, vec, x)
     _verify_filling(ctx, terms, x, den, val)
     return FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val
 
@@ -419,22 +430,30 @@ def fv(complex_, k_max, ring):
     its norm, and filling norms are subadditive, so a cycle fills to at
     most the summed fills of such a split.  With L(k) the largest fill of a
     circuit of length <= k and U the superadditive closure of L, this gives
-    L <= FV <= U.  Each circuit is filled once, and the other cycles filled
-    are the candidates of ``enumerate_cycles``: those with a split whose
-    summed fill is >= L(norm), and > L(norm - 1) where L(norm) = L(norm - 1).
-    Any other cycle fills to less than L(norm) <= FV(norm), so it is never
+    L <= FV <= U.  Each circuit is filled once (:func:`_fill_circuits`),
+    and the other cycles filled are the candidates of ``enumerate_cycles``:
+    sums of two or more circuits, a circuit possibly repeated, whose summed
+    fill is >= L(norm), and > L(norm - 1) where L(norm) = L(norm - 1).  Any
+    other such sum fills to less than L(norm) <= FV(norm), so it is never
     the first to attain a value, or to at most L(norm - 1) <= FV(norm - 1),
-    so it never raises the running maximum; the running maximum over the
-    candidates in (norm, serialization) order therefore has the values and
-    witnesses of the one over all cycles.  Only a fill above the running
-    maximum changes it, so a candidate is filled only when the bound it
-    comes with, the least summed fill of its splits found, exceeds the
-    running maximum; a candidate induced by one circuit comes with that
-    circuit's fill.  A cycle and its negation fill alike, so one of each
-    pair is solved.  Circuits and candidates are solved from their edge
-    vectors, with no Chain built for them and no witness kept; candidates
-    come as serializations, and only a new running maximum, the witness,
-    becomes a Chain.
+    so it never raises the running maximum.  Of the single circuits, whose fills are known,
+    only one per length is merged in, in (norm, serialization) order: the
+    least serialization, over both signs, of a circuit of largest fill at
+    that length (:func:`_circuit_peaks`).  Another circuit of that length
+    fills to less, so it is never the first to attain FV, or ties it and
+    comes later.  The running maximum over these cycles therefore has the
+    values and witnesses of the one over all cycles.  Only a fill above the
+    running maximum changes it, so a candidate is filled only when the
+    bound it comes with, the least summed fill of its splits found, exceeds
+    the running maximum.  A cycle and its negation fill alike, so one of
+    each pair is solved (:func:`_cycle_fill`).  The candidates and the peaks
+    depend on the circuits' fill values only, so the merged list is kept on
+    the complex under (the norm bound, those values), and a table in the
+    other ring whose circuits fill alike (ints and Fractions compare and
+    hash equal) reuses it; a peak's value is read off the table's own fill
+    list.  Circuits and candidates are solved from their edge vectors, with
+    no Chain built for them and no witness kept; only a new running
+    maximum, the witness, becomes a Chain.
 
     A cycle is unfillable only if some circuit of its split is, so the
     table turns INFINITE at the length l of the shortest unfillable circuit
@@ -446,20 +465,25 @@ def fv(complex_, k_max, ring):
         raise ValueError("k_max must be >= 0")
 
     def build():
-        fill, fills, unfillable = _fill_circuits(complex_, k_max, ring)
+        fills, unfillable = _fill_circuits(complex_, k_max, (ring,))[ring]
         finite_max = unfillable[0].length - 1 if unfillable else k_max
-        # candidates come sorted by norm, so a running maximum read off
-        # before the first candidate of norm k is FV(k - 1)
+        ctx = _context(complex_)
+        shared = (finite_max, tuple(value for _, value in fills))
+        entries = ctx.candidates.get(shared)
+        if entries is None:
+            entries = ctx.candidates[shared] = sorted(
+                [(norm, key, bound, None)
+                 for norm, key, bound in enumerate_cycles(complex_, finite_max, fills)]
+                + [(length, key, fills[i][1], i) for length, key, i in _circuit_peaks(fills)],
+                key=lambda entry: entry[:2])
+        # the entries come sorted by norm: a running maximum read off before
+        # the first entry of norm k is FV(k - 1)
         top = (0 if ring == INT else Fraction(0), Chain(1, INT, {}))
         rows = []  # index k -> (value, witness)
-        for key, value, bound in enumerate_cycles(complex_, finite_max, fills):
-            norm = sum(abs(c) for _, c in key)
-            if norm == 0:
-                continue
+        for norm, key, bound, i in entries:
             rows.extend([top] * (norm - len(rows)))
             if bound > top[0]:
-                if value is None:
-                    value = fill(key)
+                value = _cycle_fill(ctx, key, ring) if i is None else fills[i][1]
                 if value > top[0]:
                     top = (value, Chain(1, INT, dict(key)))
         rows.extend([top] * (finite_max + 1 - len(rows)))
@@ -474,76 +498,112 @@ def fv(complex_, k_max, ring):
     return complex_.cached(("fv", ring, k_max), build)
 
 
+def _circuit_peaks(fills):
+    """(length, serialization, position) for each length of the circuits
+    of ``fills``, a list of (circuit, value) sorted by length: the position
+    in ``fills`` of a circuit of largest fill at that length, and the least
+    serialization, over both signs, of such a circuit, which the circuit at
+    that position induces with one sign."""
+    peaks = []
+    for length, group in groupby(enumerate(fills), key=lambda item: item[1][0].length):
+        group = list(group)
+        top = max(value for _, (_, value) in group)
+        least = None
+        for i, (circuit, value) in group:
+            if value == top:
+                # the lesser sign is the one with -1 on the least edge
+                key = sorted([(e, s) for s, e in circuit.walk])
+                if key[0][1] > 0:
+                    key = [(e, -c) for e, c in key]
+                if least is None or key < least:
+                    least, position = key, i
+        peaks.append((length, tuple(least), position))
+    return peaks
+
+
 def fv_value(complex_, k, ring):
     """FV(k) alone, the value of ``fv(complex_, k, ring).value(k)``.
 
     It is INFINITE exactly when a circuit of length <= k is unfillable.
     Otherwise let T be the largest fill of such a circuit.  A cycle of norm
     <= k fills to at most the summed fills of a split into circuits, so
-    only a cycle with a split summing above T can fill above T; those are
-    the candidates of ``enumerate_cycles`` with ``above`` T, and FV(k) is
-    the largest of T and their fills.  As in :func:`fv`, a candidate is
-    filled only when its bound exceeds the running maximum.
+    only a cycle with a split summing above T can fill above T; no single
+    circuit has one, and the others are the candidates of
+    ``enumerate_cycles`` with ``above`` T.  FV(k) is the largest of T and
+    their fills.  As in :func:`fv`, a candidate is filled only when its
+    bound exceeds the running maximum.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
 
     def build():
-        fill, fills, unfillable = _fill_circuits(complex_, k, ring)
+        fills, unfillable = _fill_circuits(complex_, k, (ring,))[ring]
         if unfillable:
             return INF
+        ctx = _context(complex_)
         top = max((value for _, value in fills), default=0 if ring == INT else Fraction(0))
-        for key, value, bound in enumerate_cycles(complex_, k, fills, above=top):
+        for _, key, bound in enumerate_cycles(complex_, k, fills, above=top):
             if bound > top:
-                top = max(top, fill(key) if value is None else value)
+                top = max(top, _cycle_fill(ctx, key, ring))
         return top
 
     return complex_.cached(("fv_value", ring, k), build)
 
 
-def _fill_circuits(complex_, k_max, ring):
-    """(fill, fills, unfillable) for the circuits of length <= k_max, filled
-    one length at a time up to the first length holding an unfillable one.
+def _cycle_fill(ctx, key, ring):
+    """The value over ring of the cycle with serialization ``key``, solved
+    from its edge vector the first time any call on this complex asks for
+    it over ring, and stored under the key and that of its negation, which
+    fills alike, so that a lookup is one probe."""
+    filled = ctx.fills[ring]
+    value = filled.get(key)
+    if value is None:
+        [result] = _solve_vector(ctx, ctx.terms(key), (ring,))
+        value = filled[key] = filled[tuple((e, -c) for e, c in key)] = result[3]
+    return value
 
-    ``fill`` maps a cycle's serialization to its value, solved from its
-    edge vector when it has not been filled on this complex over this ring,
-    by any call; a solved value is stored under the cycle and its negation,
-    which fill alike, so a lookup is one probe.  A circuit is solved from
-    the (edge index, sign) steps of its walk and stored under its edge mask
-    of ``circuit_masks``, which both directions share.
+
+def _fill_circuits(complex_, k_max, rings):
+    """{ring: (fills, unfillable)} for the circuits of length <= k_max and
+    each ring of ``rings``, filled one length at a time up to the first
+    length holding an unfillable one in that ring.
+
     ``fills`` pairs each circuit of the lengths before that one with its
     value, and ``unfillable`` lists the unfillable circuits of that length,
-    empty when there is none.
+    empty when there is none.  A circuit is solved from the (edge index,
+    sign) steps of its walk once for every ring still filling that lacks
+    its value on this complex, by any call: one particular solution serves
+    them all (:func:`_solve_vector`), and each ring re-checks its own
+    witness.  Only the values are kept, in each ring's fill cache under the
+    circuit's edge mask of ``circuit_masks``, which both directions share.
     """
-    require_ring(ring)
+    for ring in rings:
+        require_ring(ring)
     ctx = _context(complex_)
-    filled = ctx.fills.setdefault(ring, {})
-
-    def fill(key):
-        value = filled.get(key)
-        if value is None:
-            value = filled[key] = filled[tuple((e, -c) for e, c in key)] = _solve_vector(
-                ctx, ctx.terms(key), ring)[3]
-        return value
-
     index = complex_.edge_index
-
-    def circuit_fill(mask, circuit):
-        value = filled.get(mask)
-        if value is None:
-            value = filled[mask] = _solve_vector(ctx, [(index[e], s) for s, e in circuit.walk],
-                                                 ring)[3]
-        return value
-
+    going = {ring: [] for ring in rings}  # the rings still filling -> their fills
+    out = {}
     circuits = circuit_masks(complex_, k_max).items() if k_max else ()
-    fills = []
     for _, group in groupby(circuits, key=lambda mc: mc[1].length):
-        group = [(circuit, circuit_fill(mask, circuit)) for mask, circuit in group]
-        unfillable = [circuit for circuit, value in group if value is INF]
-        if unfillable:
-            return fill, fills, unfillable
-        fills += group
-    return fill, fills, []
+        group = list(group)
+        for mask, circuit in group:
+            missing = [ring for ring in going if mask not in ctx.fills[ring]]
+            if missing:
+                results = _solve_vector(ctx, [(index[e], s) for s, e in circuit.walk], missing)
+                for ring, result in zip(missing, results):
+                    ctx.fills[ring][mask] = result[3]
+        for ring in list(going):
+            filled = ctx.fills[ring]
+            pairs = [(circuit, filled[mask]) for mask, circuit in group]
+            unfillable = [circuit for circuit, value in pairs if value is INF]
+            if unfillable:
+                out[ring] = (going.pop(ring), unfillable)
+            else:
+                going[ring] += pairs
+        if not going:
+            break
+    out.update((ring, (fills, [])) for ring, fills in going.items())
+    return out
 
 
 def superadditive_closure(values):
@@ -605,9 +665,14 @@ def linearity_report(complex_, k_max):
 
     Purely empirical: the table reports exact values side by side and
     leaves the ratio undefined when FV_Q is zero or either side infinite.
+    The two tables are :func:`fv`'s, with the ring work done once: the
+    circuits are filled in both rings together, one particular solution
+    each (:func:`_fill_circuits`), and the second table reuses the first
+    one's candidates when the two rings' circuit fills agree.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _fill_circuits(complex_, k_max, (INT, RAT))
     tz = fv(complex_, k_max, INT)
     tq = fv(complex_, k_max, RAT)
     rows = []

@@ -217,6 +217,13 @@ def bigon_graph():
     return validate("uv", [("p", "u", "v"), ("q", "u", "v")])
 
 
+def double_traversal_and_disk():
+    """The double traversal with a second face e on its loop: the loop fills
+    to 1 over Z and to 1/2 over Q, so every circuit fills finitely in both
+    rings, though not alike."""
+    return validate("v", [("e", "v", "v")], [("f", [(1, "e"), (1, "e")]), ("g", [(1, "e")])])
+
+
 def z3_moore_loop(triangle_faces):
     """A loop e with the face e+e+e, so H_1 has torsion Z/3, and a triangle
     through its vertex with ``triangle_faces`` faces glued along it."""

@@ -358,7 +358,8 @@ def two_direction_circuit_search(cx, max_length):
 
 def dict_conformal_search(cx, max_norm, fills=None, above=None, keep_ties=False):
     """The candidate cycles of ``chains.enumerate_cycles`` as Chains, in
-    (norm, serialization) order, from a search that keeps each sum as an
+    (norm, serialization) order, with the single circuits that it leaves to
+    the caller's fill list, from a search that keeps each sum as an
     {edge: coefficient} dict, tests a circuit's sign conformity against it
     entry by entry and adds the fill values as given (Fractions over Q).
     With ``fills`` given, a sum at norm u is a candidate when its total is

@@ -10,7 +10,7 @@ from finefill import (Chain, INF, INT, RAT, boundary, decompose_into_circuits,
                       homology_h1, linearity_report, superadditive_closure,
                       validate, weak_area)
 from finefill import BARYCENTRIC, filling, linalg, simplex, subdivide
-from finefill.chains import require_circuit
+from finefill.chains import circuit_masks, require_circuit
 from finefill.constructions import omega_n
 from finefill.fineness import (GRAPH_SEARCH, SPECIAL_CHAIN, check_minimal_fillings_special,
                                enumerate_special_chains, fineness_certificate)
@@ -18,7 +18,7 @@ from finefill.hyperbolicity import all_pairs_distances, hyperbolicity_delta
 from finefill.errors import HasFacesError, InternalError, NotACycleError
 
 from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, coned_s4,
-                       double_traversal,
+                       double_traversal, double_traversal_and_disk,
                        figure8_one_face, grid_disk, hexagon, hexagon_chord,
                        k4_graph, square_face, tetrahedron, triangle_face,
                        triangle_face_open_square, triangle_graph)
@@ -706,9 +706,19 @@ def test_fv_matches_all_cycles_oracle(monkeypatch):
     assert all_cycles_fv(figure8_one_face(), 4, INT)[0] == [0, 0, 0, INF, INF]
 
 
+def _circuit_cycles(fills):
+    """{serialization: value} of the induced cycle of each circuit of
+    ``fills``, either sign."""
+    return {cycle.serialize(): value for circuit, value in fills
+            for cycle in (circuit.induced_cycle(), circuit.induced_cycle().neg())}
+
+
 def test_candidate_search_matches_dict_oracle(monkeypatch):
     # the int search with sign masks returns the keys, in the order, of the
-    # dict search with Fraction totals, for the fills fv passes it
+    # dict search with Fraction totals, for the fills fv passes it, less the
+    # single circuits: fv reads those off the fill list, one per length,
+    # and each one the search would have kept fills to less than that
+    # length's peak, or ties it and sorts after it
     calls = []
 
     def recording(cx, max_norm, fills=None):
@@ -720,26 +730,43 @@ def test_candidate_search_matches_dict_oracle(monkeypatch):
     cases = CORPUS + TORSION + [("S3-coned", lambda: coned_s3().complex)]
     cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
               for name, build in CORPUS if build().faces]
-    denominators, candidates, pruned = Counter(), 0, 0
+    denominators, candidates, pruned, singles = Counter(), 0, 0, Counter()
     for name, build in cases:
         for ring in (INT, RAT):
             calls.clear()
             cx = build()
+            stops = set()
             for k in (3, 4 if name == "z3-moore-3-barycentric" else 6):  # its Q LPs are slow
-                fv(cx, k, ring)
-            assert len(calls) == 2, (name, ring)
+                table = fv(cx, k, ring)
+                stops.add(next((j - 1 for j in range(k + 1) if table.value(j) is INF), k))
+            # one search per norm bound, the second table of a bound reuses it
+            assert sorted(max_norm for _, max_norm, _, _ in calls) == sorted(stops), (name, ring)
             for cx, max_norm, fills, found in calls:
-                want = dict_conformal_search(cx, max_norm, fills)
-                keys = [key for key, _, _ in found]
-                assert keys == [c.serialize() for c in want], (name, ring, max_norm)
+                want = [c.serialize() for c in dict_conformal_search(cx, max_norm, fills)]
+                circuit_cycles = _circuit_cycles(fills)
+                keys = [key for _, key, _ in found]
+                assert keys == [key for key in want if key not in circuit_cycles], (
+                    name, ring, max_norm)
                 assert all(type(key) is tuple for key in keys), (name, ring)
+                assert [norm for norm, _, _ in found] == [
+                    sum(abs(c) for _, c in key) for key in keys], (name, ring)
+                peaks = {length: (key, fills[i][1])
+                         for length, key, i in filling._circuit_peaks(fills)}
+                for key in want:
+                    if key in circuit_cycles:
+                        peak_key, peak_value = peaks[sum(abs(c) for _, c in key)]
+                        value = circuit_cycles[key]
+                        assert value < peak_value or (value == peak_value and key >= peak_key), (
+                            name, ring, key)
+                        singles["peak" if key == peak_key else "dropped"] += 1
                 denominators[max((Fraction(v).denominator for _, v in fills), default=1)] += 1
                 candidates += len(found)
                 if len(found) < len(enumerate_cycles(cx, max_norm)):
                     pruned += 1
     # Q fills over denominators 2 (the double traversal's 1/2) and 3 (Moore loops)
     assert {2, 3} <= set(denominators), denominators
-    assert candidates > 1000 and pruned >= 10, (candidates, pruned)
+    assert candidates > 400 and pruned >= 10, (candidates, pruned)
+    assert singles["peak"] >= 80 and singles["dropped"] >= 1000, singles
     # without fills every cycle comes back as a Chain, as the multiset oracle gives it
     for name, build in TORSION + [("S3-coned", lambda: coned_s3().complex),
                                   ("tetrahedron''", lambda: subdivide(tetrahedron(),
@@ -758,9 +785,9 @@ def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
     solved, calls = [], []
     solve_vector, enumerate_cycles_ = filling._solve_vector, filling.enumerate_cycles
 
-    def counting(ctx, terms, ring):
-        solved.append(terms)
-        return solve_vector(ctx, terms, ring)
+    def counting(ctx, terms, rings):
+        solved.extend([terms] * len(rings))
+        return solve_vector(ctx, terms, rings)
 
     def recording(cx, max_norm, fills=None):
         found = enumerate_cycles_(cx, max_norm, fills)
@@ -777,9 +804,9 @@ def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
         assert (list(table.values), list(table.witnesses)) == all_cycles_fv(tetrahedron(), 6, ring)
         [(cx, max_norm, fills, found)] = calls
         kept = [c.serialize() for c in dict_conformal_search(cx, max_norm, fills, keep_ties=True)]
-        circuits = {c.serialize() for circuit, _ in fills
-                    for c in (circuit.induced_cycle(), circuit.induced_cycle().neg())}
-        assert {key for key, _, _ in found} <= circuits | {()}, ring
+        circuits = set(_circuit_cycles(fills))
+        assert {key for _, key, _ in found} <= circuits | {()}, ring
+        assert found == [(0, (), 0)], ring
         assert len({key for key in kept if key not in circuits} - {()}) == 20, ring
 
 
@@ -789,10 +816,10 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
     solved = []
     solve_vector = filling._solve_vector
 
-    def recording(ctx, terms, ring):
-        result = solve_vector(ctx, terms, ring)
-        solved.append((tuple(sorted(terms)), result[0], result[3]))
-        return result
+    def recording(ctx, terms, rings):
+        results = solve_vector(ctx, terms, rings)
+        solved.extend((tuple(sorted(terms)), result[0], result[3]) for result in results)
+        return results
 
     monkeypatch.setattr(filling, "_solve_vector", recording)
     cases = CORPUS + CORPUS_GRAPHS[:4] + TORSION + [
@@ -810,6 +837,7 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
             solved.clear()
             table = fv(cx, kmax, ring)
             inside = {vec: (certificate, value) for vec, certificate, value in solved}
+            assert len(inside) == len(solved), (name, ring)  # one ring, one solve each
             ctx = filling._context(cx)
             # circuits are filled up to the first length holding an unfillable one
             stop = next((k for k in range(kmax + 1) if table.value(k) is INF), kmax)
@@ -907,16 +935,40 @@ def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
             assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
 
 
+def _corpus_torsion_and_subdivisions():
+    """CORPUS, TORSION, the barycentric subdivisions of CORPUS's filled
+    complexes, and the double traversal with a disk on its loop and its
+    subdivision, whose circuits fill finitely in both rings but not alike,
+    as (name, build) pairs."""
+    disk = [("double-traversal-and-disk", double_traversal_and_disk)]
+    return CORPUS + TORSION + disk + [
+        (name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
+        for name, build in CORPUS + disk if build().faces]
+
+
 def test_fv_zero_entry_monotone_and_ring_comparison():
-    for name, build in CORPUS:
+    # FV(0) = 0, FV is monotone and FV_Q(k) <= FV_Z(k) at every k <= 6; at
+    # kernel rank 0 with last invariant factor 1 every cycle has one
+    # filling, an integral one, so the two tables are equal, witnesses
+    # included
+    equal = Counter()
+    for name, build in _corpus_torsion_and_subdivisions():
         cx = build()
-        tz = fv(cx, 4, INT)
-        tq = fv(cx, 4, RAT)
+        kmax = 4 if name == "z3-moore-3-barycentric" else 6  # its Q LPs are slow
+        tz = fv(cx, kmax, INT)
+        tq = fv(cx, kmax, RAT)
         assert tz.value(0) == 0 and tq.value(0) == 0
-        for k in range(1, 5):
+        for k in range(1, kmax + 1):
             assert tz.value(k - 1) <= tz.value(k), name
             assert tq.value(k - 1) <= tq.value(k), name
             assert tq.value(k) <= tz.value(k), name
+        ctx = filling._context(cx)
+        if not ctx.kernel and ctx.rat.denominator == 1:
+            assert (tq.values, tq.witnesses) == (tz.values, tz.witnesses), name
+            equal["faces" if cx.faces else "graph"] += 1
+        else:
+            equal["other"] += any(tq.value(k) < tz.value(k) for k in range(kmax + 1))
+    assert equal["faces"] >= 5 and equal["graph"] >= 5 and equal["other"] >= 3, equal
 
 
 def test_fv_double_traversal():
@@ -1051,6 +1103,173 @@ def test_linearity_report():
     assert rows[-1][1] is INF and rows[-1][2] is INF and rows[-1][3] is None
 
 
+def _fill_stop(table):
+    """The length up to which fv filled circuits: the first k holding an
+    unfillable one, else the table's k_max."""
+    return next((k for k in range(table.k_max + 1) if table.value(k) is INF), table.k_max)
+
+
+def test_linearity_shares_the_ring_work(monkeypatch):
+    # linearity solves each circuit once for both rings and searches for
+    # candidates once where the two rings' circuit fills agree; its tables
+    # equal fresh single-ring tables, values, witnesses and value types,
+    # whether it runs alone or after fv in either ring
+    solves, searches = [], []
+    solve, enumerate_cycles_ = linalg.RationalSolver.solve, filling.enumerate_cycles
+
+    def counting(self, b):
+        solves.append(tuple(sorted(b)))
+        return solve(self, b)
+
+    def recording(cx, max_norm, fills=None, above=None):
+        searches.append((max_norm, tuple(value for _, value in fills)))
+        return enumerate_cycles_(cx, max_norm, fills, above)
+
+    monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    searched = {}
+    for name, build in _corpus_torsion_and_subdivisions():
+        k = 4 if name == "z3-moore-3-barycentric" else 5  # its Q LPs are slow
+        fresh = {ring: fv(build(), k, ring) for ring in (INT, RAT)}
+        for first in (None, INT, RAT):
+            cx = build()
+            searches.clear()
+            if first is not None:
+                fv(cx, k, first)
+            solves.clear()
+            rows = linearity_report(cx, k)
+            for ring in (INT, RAT):
+                table = fv(cx, k, ring)  # the one linearity built or found
+                where = (name, first, ring)
+                assert table.values == fresh[ring].values, where
+                assert list(map(type, table.values)) == list(map(type, fresh[ring].values)), where
+                assert table.witnesses == fresh[ring].witnesses, where
+            assert [row[1:3] for row in rows] == [
+                (fresh[INT].value(j), fresh[RAT].value(j)) for j in range(1, k + 1)], name
+            # no search twice on one complex, and no circuit solved twice by
+            # linearity: on a fresh complex each circuit filled is solved once
+            # (none when there are no faces), after fv in one ring at most once
+            assert len(searches) == len(set(searches)), (name, first)
+            stop = max(map(_fill_stop, fresh.values()))
+            ctx = filling._context(cx)
+            counts = Counter(solves)
+            for circuit in enumerate_circuits(cx, None, stop) if stop else ():
+                solved = counts[tuple(sorted(ctx.terms(circuit.induced_cycle().coeffs.items())))]
+                if first is None:
+                    assert solved == (1 if cx.faces else 0), (name, circuit.walk)
+                else:
+                    assert solved <= 1, (name, first, circuit.walk)
+            if first is None:
+                searched[name] = len(searches)
+    assert searched["triangle-face''"] == searched["tetrahedron''"] == 1, searched
+    assert searched["double-traversal''"] == 2, searched
+    # circuit fills that differ at the same fill stop: a search per ring
+    assert searched["double-traversal-and-disk"] == searched["double-traversal-and-disk''"] == 2, (
+        searched)
+    assert sum(n == 1 for n in searched.values()) >= 10, searched
+
+
+def test_linearity_rechecks_a_spoiled_particular_solution(monkeypatch):
+    # the one particular solution of a circuit goes through the int
+    # re-check of each ring inside linearity; the spoiled fill raises and
+    # caches no table in either ring and no candidates
+    for build in (tetrahedron, triangle_face, bigon):
+        cx = build()
+        ctx = filling._context(cx)
+        solve = ctx.rat.solve
+
+        def spoiled(vec, solve=solve):
+            result = solve(vec)
+            if result is None:
+                return None
+            x, den = result
+            x = dict(x)
+            x[0] = x.get(0, 0) + den
+            return {j: v for j, v in x.items() if v}, den
+
+        monkeypatch.setattr(ctx.rat, "solve", spoiled)
+        with pytest.raises(InternalError, match="witness boundary mismatch"):
+            linearity_report(cx, 4)
+        assert not [key for key in cx._cache if key[0] in ("fv", "fv_value")], build.__name__
+        assert not ctx.candidates, build.__name__
+        monkeypatch.setattr(ctx.rat, "solve", solve)
+        assert linearity_report(cx, 4) == linearity_report(build(), 4), build.__name__
+        for ring in (INT, RAT):
+            assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
+
+
+def _peak_faults(peaks, fills, brute):
+    """Where the circuit peaks ``peaks`` (:func:`filling._circuit_peaks` of
+    ``fills``) differ from ``brute``: (length, least serialization, largest
+    fill) per length."""
+    faults = []
+    if [length for length, _, _ in peaks] != [length for length, _, _ in brute]:
+        faults.append(("lengths", peaks, brute))
+    for (length, key, i), (_, want_key, want_value) in zip(peaks, brute):
+        circuit, value = fills[i]
+        if (key, value) != (want_key, want_value) or type(value) is not type(want_value):
+            faults.append(("peak", length, key, value, want_key, want_value))
+        if key not in {c.serialize() for c in (circuit.induced_cycle(),
+                                                circuit.induced_cycle().neg())}:
+            faults.append(("not its circuit", length, key, circuit.walk))
+    return faults
+
+
+def test_circuit_peaks_match_brute_force(monkeypatch):
+    # fv reads one single circuit per length off its fill list: the largest
+    # fill at that length and the least serialization, over both signs, of
+    # a circuit attaining it.  A brute force over circuit_masks, filled on a
+    # fresh complex, agrees at every length, ties included; a tie broken
+    # toward the larger serialization fails it.  The candidate search that
+    # fv runs never returns a circuit taken once
+    calls = []
+
+    def recording(cx, max_norm, fills=None, above=None):
+        found = enumerate_cycles(cx, max_norm, fills, above)
+        calls.append((fills, found))
+        return found
+
+    monkeypatch.setattr(filling, "enumerate_cycles", recording)
+    seen = Counter()
+    for name, build in _corpus_torsion_and_subdivisions():
+        k = 4 if name == "z3-moore-3-barycentric" else 6  # its Q LPs are slow
+        for ring in (INT, RAT):
+            cx, fresh = build(), build()
+            calls.clear()
+            table = fv(cx, k, ring)
+            [(fills, found)] = calls
+            circuit_cycles = _circuit_cycles(fills)
+            assert not [key for _, key, _ in found if key in circuit_cycles], (name, ring)
+            seen["repeated circuits"] += sum(
+                1 for _, key, _ in found
+                if len({abs(c) for _, c in key}) == 1 and abs(key[0][1]) > 1)
+            brute = []
+            by_length = {}
+            for circuit in circuit_masks(fresh, k).values():
+                value = filling_norm(fresh, circuit.induced_cycle(), ring).value
+                by_length.setdefault(circuit.length, []).append((value, circuit))
+            ties = {}  # length -> the least serialization of each circuit of largest fill
+            for length, group in sorted(by_length.items()):
+                if length > _fill_stop(table) or any(v is INF for v, _ in group):
+                    break
+                top = max(v for v, _ in group)
+                ties[length] = sorted(min(c.induced_cycle().serialize(),
+                                          c.induced_cycle().neg().serialize())
+                                      for v, c in group if v == top)
+                brute.append((length, ties[length][0], top))
+            peaks = filling._circuit_peaks(fills)
+            assert _peak_faults(peaks, fills, brute) == [], (name, ring)
+            seen["lengths"] += len(peaks)
+            for j, (length, key, i) in enumerate(peaks):
+                if len(ties[length]) > 1:
+                    seen["ties"] += 1
+                    doctored = list(peaks)
+                    doctored[j] = (length, ties[length][-1], i)
+                    assert _peak_faults(doctored, fills, brute), (name, ring, length)
+    assert seen["lengths"] >= 50 and seen["ties"] >= 40, seen
+    assert seen["repeated circuits"] >= 50, seen
+
+
 def test_linear_bound_via_circuit_ratios():
     # FV(k) <= k * max over circuits of length <= k of fill(c)/|c|
     for name, build in CORPUS:
@@ -1171,7 +1390,9 @@ def test_fv_value_matches_table_and_all_cycles_oracle(monkeypatch):
                 [(called, max_norm, fills, above, found)] = value_calls
                 assert max_norm == k and above == _largest_circuit_fill(called, k, ring)
                 keys = [c.serialize() for c in dict_conformal_search(called, k, fills, above)]
-                assert [key for key, _, _ in found] == keys, (name, ring, k)
+                assert [key for _, key, _ in found] == keys, (name, ring, k)
+                assert [norm for norm, _, _ in found] == [
+                    sum(abs(c) for _, c in key) for key in keys], (name, ring, k)
                 above_t += got > above
     assert infinite >= 20 and above_t >= 20, (infinite, above_t)
 
@@ -1194,9 +1415,9 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
     solved = []
     solve = filling._solve_vector
 
-    def counted(ctx, terms, ring):
-        solved.append((ring, tuple(sorted(terms))))
-        return solve(ctx, terms, ring)
+    def counted(ctx, terms, rings):
+        solved.extend((ring, tuple(sorted(terms))) for ring in rings)
+        return solve(ctx, terms, rings)
 
     monkeypatch.setattr(filling, "_solve_vector", counted)
     for build, rings in ((tetrahedron, (INT, RAT)), (lambda: grid_disk(2, 3), (INT, RAT)),
@@ -1212,16 +1433,18 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
             assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))
 
 
-def _gate_faults(cx, ring, candidates, filled, top):
-    """What is wrong with the gate fv and fv_value run over ``candidates``,
-    the (serialization, value, bound) triples of one ``enumerate_cycles``
-    call in its order, from the running maximum ``top``; ``filled`` holds
-    the serializations the call filled.  Every candidate is filled here by
-    ``filling_norm``: its bound must be >= that fill, and a value, when one
-    comes with it, must equal it; a candidate left unfilled without a value
-    must have a bound <= the running maximum before it."""
+def _gate_faults(cx, ring, entries, filled, top):
+    """What is wrong with the gate fv and fv_value run over ``entries``, the
+    (norm, serialization, bound, value or None) entries they read in their
+    order (the candidates of one ``enumerate_cycles`` call, each without a
+    value, and for fv the circuit peaks, each with its value), from the
+    running maximum ``top``; ``filled`` holds the serializations the call
+    filled.  Every entry is filled here by ``filling_norm``: its bound must
+    be >= that fill, and a value, when one comes with it, must equal it; an
+    entry left unfilled without a value must have a bound <= the running
+    maximum before it."""
     faults = []
-    for key, value, bound in candidates:
+    for _, key, bound, value in entries:
         if not key:
             continue
         fill = filling_norm(cx, Chain(1, INT, dict(key)), ring).value
@@ -1238,32 +1461,27 @@ def _gate_faults(cx, ring, candidates, filled, top):
 def test_candidate_fills_are_skipped_only_below_the_running_maximum(monkeypatch):
     # fv and fv_value fill a candidate only when its least split sum, which
     # bounds its fill, exceeds the running maximum; the gate's checks hold on
-    # every candidate, and a bound lowered by one below a fill it attained
-    # fails them
+    # every entry, the circuit peaks fv merges in included, and a bound
+    # lowered by one below a fill it attained fails them
     calls, filled = [], set()
-    fill_circuits, enumerate_cycles_ = filling._fill_circuits, filling.enumerate_cycles
+    cycle_fill, enumerate_cycles_ = filling._cycle_fill, filling.enumerate_cycles
 
-    def recording_fills(complex_, k_max, ring):
-        fill, fills, unfillable = fill_circuits(complex_, k_max, ring)
-
-        def recording(key):
-            filled.add(key)
-            return fill(key)
-
-        return recording, fills, unfillable
+    def recording_fill(ctx, key, ring):
+        filled.add(key)
+        return cycle_fill(ctx, key, ring)
 
     def recording(cx, max_norm, fills=None, above=None):
         found = enumerate_cycles_(cx, max_norm, fills, above)
-        calls.append((cx, above, found))
+        calls.append((cx, fills, above, found))
         return found
 
-    monkeypatch.setattr(filling, "_fill_circuits", recording_fills)
+    monkeypatch.setattr(filling, "_cycle_fill", recording_fill)
     monkeypatch.setattr(filling, "enumerate_cycles", recording)
     cases = CORPUS + TORSION
     cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
               for name, build in CORPUS if build().faces]
     skipped = Counter()
-    lowered = 0
+    lowered = peaks = 0
     for name, build in cases:
         kmax = 4 if name == "z3-moore-3-barycentric" else 6  # its Q LPs are slow
         for ring in (INT, RAT):
@@ -1278,21 +1496,28 @@ def test_candidate_fills_are_skipped_only_below_the_running_maximum(monkeypatch)
                 run()
                 if not calls:  # an unfillable circuit: no candidates
                     continue
-                [(called, above, found)] = calls
+                [(called, fills, above, found)] = calls
                 top = zero if above is None else above
-                assert _gate_faults(called, ring, found, set(filled), top) == [], (
+                entries = [(norm, key, bound, None) for norm, key, bound in found]
+                if above is None:
+                    circuit_peaks = [(length, key, fills[i][1], fills[i][1])
+                                     for length, key, i in filling._circuit_peaks(fills)]
+                    entries = sorted(entries + circuit_peaks, key=lambda e: e[:2])
+                    peaks += len(circuit_peaks)
+                assert _gate_faults(called, ring, entries, set(filled), top) == [], (
                     name, ring, entry)
-                skipped[entry] += sum(1 for key, value, _ in found
+                skipped[entry] += sum(1 for _, key, _, value in entries
                                       if key and value is None and key not in filled)
                 # a tight candidate, whose bound is its fill, with its bound
                 # lowered by one
-                for j, (key, value, bound) in enumerate(found):
-                    if key and bound == filling_norm(called, Chain(1, INT, dict(key)), ring).value:
-                        doctored = list(found)
-                        doctored[j] = (key, value, bound - 1)
+                for j, (norm, key, bound, value) in enumerate(entries):
+                    if (key and value is None and bound
+                            == filling_norm(called, Chain(1, INT, dict(key)), ring).value):
+                        doctored = list(entries)
+                        doctored[j] = (norm, key, bound - 1, value)
                         assert _gate_faults(called, ring, doctored, set(filled), top), (
                             name, ring, entry, key)
                         lowered += 1
                         break
     assert skipped["fv"] >= 200 and skipped["fv_value"] >= 200, skipped
-    assert lowered >= 40, lowered
+    assert lowered >= 40 and peaks >= 50, (lowered, peaks)
