@@ -209,15 +209,22 @@ def _all_circuits(complex_, max_length):
     return dict(sorted(found.items(), key=lambda mc: (len(mc[1].walk), mc[1].key)))
 
 
+def as_integral(chain, refusal):
+    """``chain`` over INT; NotACycleError(refusal) if a coefficient is not an integer."""
+    if chain.ring != INT and any(c.denominator != 1 for c in chain.coeffs.values()):
+        raise NotACycleError(refusal)
+    return chain if chain.ring == INT else chain.to_ring(INT)
+
+
 def decompose_into_circuits(complex_, cycle):
     """Split an integral 1-cycle into circuit-induced cycles, norms adding.
 
     Greedy walk extraction: trace sign-respecting steps through the support
     and peel a circuit at the first repeated vertex.  The returned circuits
-    satisfy sum(induced) == cycle and sum of lengths == l1(cycle).
+    satisfy sum(induced) == cycle and sum of lengths == l1(cycle).  A RAT
+    cycle with integer coefficients is taken over INT.
     """
-    if cycle.ring != INT:
-        raise NotACycleError("decomposition is defined for integral cycles")
+    cycle = as_integral(cycle, "decomposition is defined for integral cycles")
     if not is_cycle(complex_, cycle):
         raise NotACycleError("boundary is nonzero")
     return _split(complex_, cycle.coeffs)

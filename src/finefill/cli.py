@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from . import chains, complexes, constructions, fineness, filling, hyperbolicity
 from .complexes import BARYCENTRIC, INT, MIDPOINT, RAT
-from .errors import (BudgetExceededError, FinefillError, FormatError, InternalError,
-                     NotACycleError)
+from .errors import BudgetExceededError, FinefillError, FormatError, InternalError
 
 BUDGET_ENV = "FINEFILL_BUDGET"
 
@@ -224,10 +223,7 @@ def _cmd_linearity(args, out):
 
 def _cmd_decompose(args, out):
     cx = _load_complex(args.complex)
-    gamma = _load_chain(args.cycle)
-    if any(c.denominator != 1 for c in gamma.coeffs.values()):
-        raise NotACycleError("decomposition is defined for integral cycles")
-    for circ in chains.decompose_into_circuits(cx, gamma.to_ring(INT)):
+    for circ in chains.decompose_into_circuits(cx, _load_chain(args.cycle)):
         print(f"circuit\t{circ.length}\t{_walk_tokens(circ.walk)}", file=out)
 
 
@@ -340,7 +336,7 @@ def _cmd_corpus(args, out):
         path = os.path.join(args.directory, name)
         try:
             cx = _load_complex(path)
-        except FinefillError as err:
+        except (FinefillError, OSError, ValueError) as err:
             print(f"{name}\tvalidate\tfail", file=out)
             print(f"{name}: {err}", file=sys.stderr)
             failures += 1

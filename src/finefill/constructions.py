@@ -6,7 +6,9 @@ cosets keyed by least element id) so constructions serialize identically
 across runs.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 
 from .chains import canonical_walk_key, enumerate_circuits, make_circuit
 from .complexes import TwoComplex, content_lines, parse_int, validate, write_complex
@@ -224,6 +226,8 @@ def _validated_presentation(presentation):
         if inv not in presentation.symmetric:
             problems.append(("DANGLING_REFERENCE", f"inverse of {s!r} not in S"))
             continue
+        if presentation.inverses.get(inv) != s:
+            problems.append(("RELATOR_FAILS", f"the inverse of {inv!r} is not {s!r}"))
         if compose(presentation.generator(s), presentation.generator(inv)) != ident:
             problems.append(("RELATOR_FAILS", f"{inv!r} is not the inverse of {s!r}"))
         if presentation.generator(s) == ident:
@@ -250,37 +254,35 @@ def coned_off_cayley_complex(presentation):
 
 
 def _coned_off(presentation, with_faces):
+    """The coned-off Cayley graph and, ``with_faces``, its relator faces and coset
+    triangles: one face per canonical walk, numbered per relator or subgroup."""
     _validated_presentation(presentation)
     table = group_closure(presentation)
     n = table.order
     element_vertices = tuple(f"g{i}" for i in range(n))
     vertices = list(element_vertices)
 
-    # one undirected edge per orbit of (g, s) ~ (gs, s^-1)
-    gen_pos = {name: i for i, name in enumerate(presentation.symmetric)}
+    # one undirected edge per orbit {(g, s), (gs, s^-1)}, added at its pair
+    # with the lesser element (gs != g, as s is not the identity), which the
+    # scan reaches first; steps[(g, s)] is (signed step, gs)
     cayley_edges = {}
     edges = []
-    seen_pairs = set()
+    steps = {}
     for g in range(n):
         for s in presentation.symmetric:
             h = table.mul_gen(g, s)
-            rep = min((g, s), (h, presentation.inverses[s]),
-                      key=lambda p: (p[0], gen_pos[p[1]]))
-            if rep in seen_pairs:
+            if h < g:
                 continue
-            seen_pairs.add(rep)
-            eid = f"c_g{rep[0]}_{rep[1]}"
-            tail = element_vertices[rep[0]]
-            head = element_vertices[table.mul_gen(rep[0], rep[1])]
-            edges.append((eid, tail, head))
-            cayley_edges[eid] = rep
+            eid = f"c_g{g}_{s}"
+            edges.append((eid, element_vertices[g], element_vertices[h]))
+            cayley_edges[eid] = (g, s)
+            steps[(g, s)] = ((1, eid), h)
+            steps[(h, presentation.inverses[s])] = ((-1, eid), g)
 
     cone_vertices = {}
     cone_edges = {}
-    coset_of = {}
     for pname, gens in presentation.subgroups:
-        sub = _subgroup_elements(table, gens)
-        cosets = left_cosets(table, sub)
+        cosets = left_cosets(table, _subgroup_elements(table, gens))
         for key, members in sorted(cosets.items()):
             vid = f"v_{pname}_g{key}"
             vertices.append(vid)
@@ -289,61 +291,38 @@ def _coned_off(presentation, with_faces):
                 eid = f"k_g{g}_{pname}"
                 edges.append((eid, element_vertices[g], vid))
                 cone_edges[eid] = (g, pname)
-                coset_of[(pname, g)] = key
 
     faces = []
     relator_faces = {}
     triangle_faces = {}
+    seen_walks = set()
+    numbers = defaultdict(count)
+
+    def add_face(walk, prefix, record, label):
+        key = canonical_walk_key(walk)
+        if key not in seen_walks:
+            seen_walks.add(key)
+            fid = f"{prefix}.{next(numbers[prefix])}"
+            faces.append((fid, [_token_step(t) for t in key]))
+            record[fid] = label
+
     if with_faces:
-        edge_lookup = {}
-        for eid, (g, s) in cayley_edges.items():
-            h = table.mul_gen(g, s)
-            edge_lookup[(g, s)] = (1, eid)
-            edge_lookup[(h, presentation.inverses[s])] = (-1, eid)
-
-        def trace(g, word):
-            walk = []
-            cur = g
-            for s in word:
-                walk.append(edge_lookup[(cur, s)])
-                cur = table.mul_gen(cur, s)
-            return walk if cur == g else None
-
-        counters = {}
-        seen_walks = set()
+        # group_closure has checked that every relator closes up
         for ri, word in enumerate(presentation.relators):
             if len(word) == 2 and presentation.inverses[word[0]] == word[1]:
                 continue  # the s s^-1 relators are realized by edge identification
             for g in range(n):
-                walk = trace(g, word)
-                key = canonical_walk_key(walk)
-                if key in seen_walks:
-                    continue
-                seen_walks.add(key)
-                j = counters.setdefault(("r", ri), 0)
-                counters[("r", ri)] = j + 1
-                fid = f"r{ri}.{j}"
-                faces.append((fid, [_token_step(t) for t in key]))
-                relator_faces[fid] = ri
+                walk, cur = [], g
+                for s in word:
+                    step, cur = steps[(cur, s)]
+                    walk.append(step)
+                add_face(walk, f"r{ri}", relator_faces, ri)
         for pname, gens in presentation.subgroups:
             for g in range(n):
                 for s in gens:
-                    h = table.mul_gen(g, s)
-                    if h == g:
-                        continue
-                    key_id = coset_of[(pname, g)]
-                    cone = cone_vertices[(pname, key_id)]
-                    sign, eid = edge_lookup[(g, s)]
-                    walk = [(sign, eid), (1, f"k_g{h}_{pname}"), (-1, f"k_g{g}_{pname}")]
-                    key = canonical_walk_key(walk)
-                    if key in seen_walks:
-                        continue
-                    seen_walks.add(key)
-                    j = counters.setdefault(("t", pname), 0)
-                    counters[("t", pname)] = j + 1
-                    fid = f"t_{pname}.{j}"
-                    faces.append((fid, [_token_step(t) for t in key]))
-                    triangle_faces[fid] = pname
+                    step, h = steps[(g, s)]
+                    add_face([step, (1, f"k_g{h}_{pname}"), (-1, f"k_g{g}_{pname}")],
+                             f"t_{pname}", triangle_faces, pname)
     cx = validate(vertices, edges, faces)
     return ConedOffComplex(cx, table, element_vertices, cone_vertices,
                            cayley_edges, cone_edges, relator_faces, triangle_faces)

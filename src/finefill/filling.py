@@ -31,7 +31,7 @@ from itertools import groupby
 from math import ceil, floor, lcm
 
 from . import linalg, simplex
-from .chains import circuit_masks, enumerate_cycles, is_cycle, require_circuit
+from .chains import as_integral, circuit_masks, enumerate_cycles, is_cycle, require_circuit
 from .complexes import Chain, INT, RAT, format_ratio, require_ring
 from .constructions import face_circuit, omega_n
 from .errors import HasFacesError, InternalError, NotACycleError
@@ -194,10 +194,7 @@ def filling_norm(complex_, gamma, ring):
     require_ring(ring)
     if gamma.dimension != 1:
         raise NotACycleError("expected a 1-chain")
-    if gamma.ring != INT:
-        if any(Fraction(c).denominator != 1 for c in gamma.coeffs.values()):
-            raise NotACycleError("fillings are computed for integral cycles")
-        gamma = gamma.to_ring(INT)
+    gamma = as_integral(gamma, "fillings are computed for integral cycles")
     ctx = _context(complex_)
     key = (ring, gamma.serialize())
     if key not in ctx.value_cache:  # a cached gamma was checked when it was filled

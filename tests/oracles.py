@@ -25,7 +25,7 @@ minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
 from a search per face, over frozensets of signed-face ints in set order or
 over int bit sets in face order.
-Eight exceptions: :func:`two_direction_circuit_search` is the package's
+Nine exceptions: :func:`two_direction_circuit_search` is the package's
 earlier circuit search, run on the package's step table and keys, so that
 it checks the one-direction search that replaced it,
 :func:`mask_far_apart_pairs` and :func:`mask_least_witness` run the
@@ -45,6 +45,9 @@ that Smith form too, forming the dense products u*b and v*y that
 filling a cycle at kernel rank <= 1 through full-length vectors where
 ``filling`` works on the supports of the cycle, the solution and the
 kernel vector.
+Last, :func:`reference_coned_off` is the package's earlier builder of
+the coned-off Cayley complex, run on the package's group table, cosets and
+walk keys, so that it checks the one-scan builder that replaced it.
 """
 
 from collections import Counter
@@ -55,7 +58,10 @@ from operator import ge, itemgetter
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
-from finefill.chains import Circuit, circuit_from_chain, make_circuit
+from finefill.chains import Circuit, canonical_walk_key, circuit_from_chain, make_circuit
+from finefill.complexes import validate
+from finefill.constructions import (ConedOffComplex, _subgroup_elements, _token_step,
+                                    _validated_presentation, group_closure, left_cosets)
 from finefill.errors import DisconnectedError, InternalError, NotACycleError
 from finefill.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -1508,3 +1514,107 @@ def bitmask_face_search(tables, g, max_norm, cap):
                         support2 ^= b
                 stack.append((y, used | low, norm + 1, running2, support2))
     return states, circuits, False
+
+
+def reference_coned_off(presentation, with_faces):
+    """The coned-off Cayley graph or complex as the package built it before
+    its one-scan builder: Cayley edges deduplicated through a set of
+    representative pairs, the step table rebuilt from them, and separate face
+    bookkeeping for relators and coset triangles."""
+    _validated_presentation(presentation)
+    table = group_closure(presentation)
+    n = table.order
+    element_vertices = tuple(f"g{i}" for i in range(n))
+    vertices = list(element_vertices)
+
+    # one undirected edge per orbit of (g, s) ~ (gs, s^-1)
+    gen_pos = {name: i for i, name in enumerate(presentation.symmetric)}
+    cayley_edges = {}
+    edges = []
+    seen_pairs = set()
+    for g in range(n):
+        for s in presentation.symmetric:
+            h = table.mul_gen(g, s)
+            rep = min((g, s), (h, presentation.inverses[s]),
+                      key=lambda p: (p[0], gen_pos[p[1]]))
+            if rep in seen_pairs:
+                continue
+            seen_pairs.add(rep)
+            eid = f"c_g{rep[0]}_{rep[1]}"
+            tail = element_vertices[rep[0]]
+            head = element_vertices[table.mul_gen(rep[0], rep[1])]
+            edges.append((eid, tail, head))
+            cayley_edges[eid] = rep
+
+    cone_vertices = {}
+    cone_edges = {}
+    coset_of = {}
+    for pname, gens in presentation.subgroups:
+        sub = _subgroup_elements(table, gens)
+        cosets = left_cosets(table, sub)
+        for key, members in sorted(cosets.items()):
+            vid = f"v_{pname}_g{key}"
+            vertices.append(vid)
+            cone_vertices[(pname, key)] = vid
+            for g in members:
+                eid = f"k_g{g}_{pname}"
+                edges.append((eid, element_vertices[g], vid))
+                cone_edges[eid] = (g, pname)
+                coset_of[(pname, g)] = key
+
+    faces = []
+    relator_faces = {}
+    triangle_faces = {}
+    if with_faces:
+        edge_lookup = {}
+        for eid, (g, s) in cayley_edges.items():
+            h = table.mul_gen(g, s)
+            edge_lookup[(g, s)] = (1, eid)
+            edge_lookup[(h, presentation.inverses[s])] = (-1, eid)
+
+        def trace(g, word):
+            walk = []
+            cur = g
+            for s in word:
+                walk.append(edge_lookup[(cur, s)])
+                cur = table.mul_gen(cur, s)
+            return walk if cur == g else None
+
+        counters = {}
+        seen_walks = set()
+        for ri, word in enumerate(presentation.relators):
+            if len(word) == 2 and presentation.inverses[word[0]] == word[1]:
+                continue  # the s s^-1 relators are realized by edge identification
+            for g in range(n):
+                walk = trace(g, word)
+                key = canonical_walk_key(walk)
+                if key in seen_walks:
+                    continue
+                seen_walks.add(key)
+                j = counters.setdefault(("r", ri), 0)
+                counters[("r", ri)] = j + 1
+                fid = f"r{ri}.{j}"
+                faces.append((fid, [_token_step(t) for t in key]))
+                relator_faces[fid] = ri
+        for pname, gens in presentation.subgroups:
+            for g in range(n):
+                for s in gens:
+                    h = table.mul_gen(g, s)
+                    if h == g:
+                        continue
+                    key_id = coset_of[(pname, g)]
+                    cone = cone_vertices[(pname, key_id)]
+                    sign, eid = edge_lookup[(g, s)]
+                    walk = [(sign, eid), (1, f"k_g{h}_{pname}"), (-1, f"k_g{g}_{pname}")]
+                    key = canonical_walk_key(walk)
+                    if key in seen_walks:
+                        continue
+                    seen_walks.add(key)
+                    j = counters.setdefault(("t", pname), 0)
+                    counters[("t", pname)] = j + 1
+                    fid = f"t_{pname}.{j}"
+                    faces.append((fid, [_token_step(t) for t in key]))
+                    triangle_faces[fid] = pname
+    cx = validate(vertices, edges, faces)
+    return ConedOffComplex(cx, table, element_vertices, cone_vertices,
+                           cayley_edges, cone_edges, relator_faces, triangle_faces)

@@ -5,15 +5,16 @@ import pytest
 from fractions import Fraction
 
 from finefill import (BARYCENTRIC, Chain, INT, RAT, decompose_into_circuits,
-                      enumerate_circuits, enumerate_cycles, is_cycle,
+                      enumerate_circuits, enumerate_cycles, filling_norm, is_cycle,
                       is_disjoint, parse_chain, subdivide, validate, write_chain)
 from finefill import chains
 from finefill.chains import (canonical_walk_key, circuit_from_chain, circuit_masks,
                              make_circuit, require_circuit)
 from finefill.errors import NotACircuitError, NotACycleError, UnknownEdgeError
 
-from instances import (CORPUS, CORPUS_GRAPHS, TORSION, coned_s3, figure8_graph, k4_graph,
-                       random_multigraph, small_tree, tetrahedron, triangle_graph)
+from instances import (CORPUS, CORPUS_GRAPHS, TORSION, bigon, coned_s3, figure8_graph,
+                       k4_graph, random_multigraph, small_tree, tetrahedron, triangle_face,
+                       triangle_graph)
 from oracles import (all_rotations_walk_key, brute_circuit_count, brute_cycles,
                      frozenset_circuit_search, multiset_cycles, string_walk_decompose,
                      two_direction_circuit_search)
@@ -277,10 +278,25 @@ def test_decompose_single_and_doubled_circuit():
 def test_decompose_rejects_non_cycles():
     with pytest.raises(NotACycleError):
         decompose_into_circuits(triangle_graph(), Chain(1, INT, {"e1": 1}))
-    # a RAT cycle is refused even when every coefficient is integral
-    rat = Chain(1, RAT, {e: Fraction(c) for e, c in triangle_cycle().coeffs.items()})
-    with pytest.raises(NotACycleError):
-        decompose_into_circuits(triangle_graph(), rat)
+    # a RAT cycle with a non-integral coefficient is refused as filling_norm refuses it
+    half = Chain(1, RAT, {e: Fraction(c, 2) for e, c in triangle_cycle().coeffs.items()})
+    for call, message in ((lambda: decompose_into_circuits(triangle_graph(), half),
+                           "decomposition is defined for integral cycles"),
+                          (lambda: filling_norm(triangle_face(), half, RAT),
+                           "fillings are computed for integral cycles")):
+        with pytest.raises(NotACycleError, match=message):
+            call()
+
+
+def test_decompose_takes_an_integral_rat_cycle_over_int_as_filling_norm_does():
+    # on a bigon the RAT cycle p - q with integral coefficients has filling
+    # norm 1, and it decomposes exactly as the same cycle over INT
+    cx = bigon()
+    rat = Chain(1, RAT, {"p": Fraction(1), "q": Fraction(-2, 2)})
+    assert filling_norm(cx, rat, INT).value == 1
+    parts = decompose_into_circuits(cx, rat)
+    assert parts == decompose_into_circuits(cx, Chain(1, INT, {"p": 1, "q": -1}))
+    assert [p.induced_cycle() for p in parts] == [Chain(1, INT, {"p": 1, "q": -1})]
 
 
 def test_decompose_randomized_norm_additivity():

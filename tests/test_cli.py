@@ -308,6 +308,33 @@ def test_corpus_without_complexes_is_format_error(tmp_path, capsys):
     assert captured.err == f"error[BAD_FORMAT]: no .cx files in {str(tmp_path)!r}\n"
 
 
+def test_corpus_reports_an_unreadable_file_and_checks_the_rest(tmp_path, capsys):
+    with open(data("tetra.cx"), encoding="utf-8") as fh:
+        good = fh.read()
+    (tmp_path / "a.cx").write_text(good)
+    (tmp_path / "b.cx").write_bytes(b"complex v1\nvertex \xff\n")
+    (tmp_path / "c.cx").write_text(good)
+    assert main(["corpus", "--trials", "2", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split("\t") for line in captured.out.splitlines()]
+    assert ["b.cx", "validate", "fail"] in rows
+    assert [r for r in rows if r[0] == "c.cx"][0] == ["c.cx", "validate", "pass"]
+    assert [r[1:] for r in rows if r[0] == "a.cx"] == [r[1:] for r in rows if r[0] == "c.cx"]
+    assert all(r[2] == "pass" for r in rows if r[0] != "b.cx")
+    assert captured.err.startswith("b.cx: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
+
+
+def test_corpus_reports_a_directory_named_like_a_complex(tmp_path, capsys):
+    (tmp_path / "a.cx").mkdir()
+    with open(data("triangle.cx"), encoding="utf-8") as fh:
+        (tmp_path / "b.cx").write_text(fh.read())
+    assert main(["corpus", "--trials", "2", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("a.cx\tvalidate\tfail\nb.cx\tvalidate\tpass\n")
+    assert captured.err.startswith("a.cx: [Errno 21] Is a directory")
+
+
 def test_corpus_runner():
     code, out = run_cli("corpus", "--seed", "1", "--trials", "5", DATA)
     assert code == 0

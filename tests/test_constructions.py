@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from finefill import (Chain, INT, H1Report, coned_off_cayley_complex,
@@ -11,8 +14,9 @@ from finefill.errors import (CapExceededError, FormatError, HasFacesError,
                              RelatorFailsError, ValidationError)
 from finefill.hyperbolicity import all_pairs_distances
 
-from instances import (CORPUS_GRAPHS, S3_GRP, coned_s3, hexagon_chord,
+from instances import (CORPUS_GRAPHS, S3_GRP, S4_GRP, coned_s3, hexagon_chord,
                        k4_graph, s3_presentation, small_tree, triangle_graph)
+from oracles import reference_coned_off
 
 
 def test_omega_counts():
@@ -247,3 +251,111 @@ def test_omega_fv_linearity_monitor():
         small = max(Fraction(table.value(k), k) for k in range(1, girth + 2))
         for k in range(1, 7):
             assert Fraction(table.value(k), k) <= small, (name, k)
+
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+
+
+def _coned_off_fields(coned):
+    # every field, each dict with its insertion order
+    cx = coned.complex
+    tables = (coned.table.index, coned.cone_vertices, coned.cayley_edges,
+              coned.cone_edges, coned.relator_faces, coned.triangle_faces)
+    return (cx.vertices, [(e.id, e.tail, e.head) for e in cx.edges],
+            [(f.id, f.walk) for f in cx.faces], coned.table.elements,
+            coned.element_vertices, [list(t.items()) for t in tables])
+
+
+def _assert_matches_reference(presentation):
+    for builder, with_faces in ((coned_off_cayley_graph, False),
+                                (coned_off_cayley_complex, True)):
+        coned = builder(presentation)
+        ref = reference_coned_off(presentation, with_faces)
+        assert _coned_off_fields(coned) == _coned_off_fields(ref)
+        assert write_coned_off(coned) == write_coned_off(ref)
+
+
+@pytest.mark.parametrize("source", ["s3.grp", "z4.grp", "S4"])
+def test_coned_off_matches_reference_builder(source):
+    if source == "S4":
+        text = S4_GRP
+    else:
+        with open(os.path.join(DATA, source), encoding="utf-8") as fh:
+            text = fh.read()
+    _assert_matches_reference(parse_group(text))
+
+
+def _order(perm):
+    k, power = 1, perm
+    while power != tuple(range(len(perm))):
+        k, power = k + 1, compose(power, perm)
+    return k
+
+
+def _random_presentation(rng):
+    """A presentation on 2-3 random permutations of 3-5 points whose relators
+    hold: a^ord(a) for every generator and (ab)^ord(ab) for random pairs of
+    S. The first generator is an involution, a non-involution x gets an
+    inverse X, and some generators get an alias with the same permutation
+    (and an alias of the inverse). Peripheral subgroups are random subsets
+    of S."""
+    degree = rng.randint(3, 5)
+    ident = tuple(range(degree))
+    gens, pairs = [], []
+    for i in range(rng.randint(2, 3)):
+        name = "abc"[i]
+        perm = ident
+        while perm == ident:
+            if i == 0 or rng.random() < 0.3:
+                points = rng.sample(range(degree), 2 * rng.randint(1, degree // 2))
+                swaps = dict(zip(points[::2], points[1::2]))
+                swaps.update((b, a) for a, b in list(swaps.items()))
+                perm = tuple(swaps.get(j, j) for j in range(degree))
+            else:
+                perm = tuple(rng.sample(range(degree), degree))
+        inverse = tuple(sorted(range(degree), key=perm.__getitem__))
+        for alias in ("", "y")[:1 + (rng.random() < 0.3)]:
+            gens.append((name + alias, perm))
+            if inverse == perm:
+                pairs.append((name + alias, name + alias))
+            else:
+                gens.append((name.upper() + alias, inverse))
+                pairs.append((name + alias, name.upper() + alias))
+    perms = dict(gens)
+    symmetric = list(dict.fromkeys(n for pair in pairs for n in pair))
+    relators = [[n] * _order(p) for n, p in gens]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(symmetric), rng.choice(symmetric)
+        relators.append([a, b] * _order(compose(perms[a], perms[b])))
+    lines = ["group v1", f"degree {degree}"]
+    lines += [f"gen {n} {cycle_notation(p)}" for n, p in gens]
+    lines += [f"sgen {a} {b}" for a, b in pairs]
+    for k in range(rng.randint(0, 2)):
+        subset = rng.sample(symmetric, rng.randint(1, len(symmetric)))
+        lines.append(f"subgroup P{k} {' '.join(subset)}")
+    lines += [f"relator {' '.join(word)}" for word in relators]
+    return parse_group("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_coned_off_matches_reference_builder_on_random_presentations(seed):
+    _assert_matches_reference(_random_presentation(random.Random(seed)))
+
+
+def test_random_presentations_cover_involutions_aliases_and_subgroups():
+    presentations = [_random_presentation(random.Random(seed)) for seed in range(60)]
+    assert all(any(p.inverses[s] == s for s in p.symmetric) for p in presentations)
+    assert any(s != p.inverses[s] for p in presentations for s in p.symmetric)
+    assert sum(1 for p in presentations
+               if len(set(p.generators)) > len({perm for _, perm in p.generators})) >= 10
+    assert sum(1 for p in presentations if p.subgroups) >= 20
+
+
+def test_coned_off_refuses_an_inverse_map_that_is_not_an_involution():
+    # sgen b B, then sgen B by: B is paired with by, but b still with B
+    p = parse_group("group v1\ndegree 3\ngen a (1 2)\ngen b (1 2 3)\ngen B (1 3 2)\n"
+                    "gen by (1 2 3)\nsgen a a\nsgen b B\nsgen B by\nrelator b b b\n")
+    for builder in (coned_off_cayley_graph, coned_off_cayley_complex):
+        with pytest.raises(ValidationError) as err:
+            builder(p)
+        assert err.value.violations == [("RELATOR_FAILS", "the inverse of 'B' is not 'b'")]

@@ -73,6 +73,32 @@ def test_every_private_definition_is_referenced():
     assert [d for d in defined if d[1] not in referenced] == []
 
 
+def test_every_local_name_is_read():
+    # a name a function assigns that nothing in the function, nested
+    # functions included, reads is a lookup or a result a simplification left
+    # behind; names starting with _ are exempt, and names a function declares
+    # global or nonlocal are not its locals
+    checked, unread = 0, []
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            checked += 1
+            stored, read = set(), set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+                elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                    read.add(node.target.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            unread += [(name, fn.name, n) for n in sorted(stored - read) if not n.startswith("_")]
+    assert checked > 100
+    assert unread == []
+
+
 def test_every_public_member_of_the_complex_is_read_in_the_package():
     # a TwoComplex method, or an attribute its __init__ sets, that only the
     # tests read belongs in tests/oracles.py
