@@ -239,11 +239,16 @@ def _cmd_fine(args, out):
     cx = _load_complex(args.complex)
     method = fineness.GRAPH_SEARCH if args.method == "graph" else fineness.SPECIAL_CHAIN
     cert = fineness.fineness_certificate(cx, args.length, method, budget=_budget(args))
+    lines = {}  # circuit key -> its line, built once however many edges list it
+    text = []
     for rec in cert.records:
-        print(f"{rec.edge}\t{cert.method}\t{cert.scale}\t{rec.count}\t{rec.status}",
-              file=out)
+        text.append(f"{rec.edge}\t{cert.method}\t{cert.scale}\t{rec.count}\t{rec.status}\n")
         for c in rec.circuits:
-            print(f"circuit\t{','.join(c.key)}", file=out)
+            line = lines.get(c.key)
+            if line is None:
+                line = lines[c.key] = f"circuit\t{','.join(c.key)}\n"
+            text.append(line)
+    out.write("".join(text))
     if not cert.exact:
         print("warning: budget exhausted; INCOMPLETE records are partial",
               file=sys.stderr)

@@ -8,7 +8,12 @@ solved exactly:
   Smith normal form of d2, built the first time a query needs it and then
   cached with the complex, where it also gives the homology and the kernel
   of d2; a cycle with none bounds nothing even over Q, and over Z a cycle
-  bounds exactly when D divides every entry of X;
+  bounds exactly when D divides every entry of X.  At kernel rank <= 1 a
+  circuit takes X as one sum over its walk of per-edge ints, each packing
+  the particular solution of its edge's unit vector and that solution's
+  boundary defect in fixed-width lanes (:class:`_PackedSolutions`): defect
+  lanes that sum to 0 prove d2 X = D gamma, and any other circuit bounds
+  nothing over Q and is solved as every other cycle is;
 * the rank of that kernel alone picks the route: at rank 0 or 1 the
   solution set is a point or a line and the optimum is a weighted-median
   computation.  It runs on supports: the cycle comes as its (edge index,
@@ -24,10 +29,11 @@ solved exactly:
 INFINITE is a real value here (the infimum of an empty set), not an error.
 """
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from math import ceil, floor, lcm
 
 from . import linalg, simplex
@@ -159,6 +165,34 @@ class _FillingContext:
             raise InternalError("kernel vector with a nonzero boundary")
         return lines
 
+    @cached_property
+    def packed(self):
+        """The :class:`_PackedSolutions` of the complex when its d2 kernel
+        has rank <= 1; None when it has no faces, at rank >= 2, or when a
+        lane would need more than 8 bytes or the entries more than
+        ``_TABLE_BYTES``."""
+        if not self.faces or len(self.lines) > 1:
+            return None
+        u, d, v = self.complex.smith_form_2()
+        nf, ne, den = len(self.faces), len(u), d[-1] if d else 1
+        rows = []  # i < rank -> {lane: entry} of (D / d_i) v_i, then minus its image
+        for di, vi in zip(d, v):
+            row = {}
+            for j, x in vi.items():
+                x *= den // di
+                row[j] = x
+                for i, c in self.columns[j]:
+                    row[nf + i] = row.get(nf + i, 0) - c * x
+            rows.append(row)
+        # lane k of e's entry is the sum over i of u[i][e] rows[i][k], plus D
+        # in e's own edge lane: a bound on the sum of its |entries| over all e
+        top = sum(sum(map(abs, ui.values())) * max(map(abs, row.values()))
+                  for ui, row in zip(u, rows)) + den
+        code = next((c for c in "bhiq" if top < 1 << 8 * struct.calcsize(c) - 1), None)
+        if code is None or ne * (nf + ne) * struct.calcsize(code) > _TABLE_BYTES:
+            return None
+        return _PackedSolutions(self, u, rows, den, code)
+
     def image(self, x):
         """d2 x, one int per edge, summed over the face columns of the dict
         {face index: entry} x."""
@@ -180,6 +214,106 @@ class _FillingContext:
         if ring == RAT:
             return Chain(2, RAT, {faces[j]: Fraction(x[j], den) for j in sorted(x)})
         return Chain(2, INT, {faces[j]: x[j] for j in sorted(x)})
+
+
+class _PackedSolutions:
+    """The normal-form particular solution of each edge's unit vector and
+    its boundary defect, packed into one int per edge, so that a circuit is
+    filled from one sum of these ints over its walk (:meth:`fill`).
+
+    For edge index e, M_e = sum over i < rank of u[i][e] (D / d_i) v_i is
+    the X that ``RationalSolver.solve`` would give e's unit vector, and its
+    defect is D 1_e - d2 M_e.  The entry of e is sum over lanes k of
+    row_e[k] 2**(8 width k), with M_e's entry at face index j in lane j and
+    the defect's at edge index i in lane nf + i; it is the sum over i <
+    rank of u[i][e] times the packed row of (D / d_i) v_i, whose defect is
+    -d2 (D / d_i) v_i, plus D in e's own edge lane.  The width is the least
+    of 1, 2, 4 and 8 bytes whose lanes hold a bound on the sum over all
+    edges of |row_e[k]|, for each k, below the sign bit, so a sum of entries
+    with coefficients +-1, each edge at most once, packs the lane sums
+    without overflow.  The bias puts 2**(8 width - 1) in each face lane: a
+    sum plus the bias holds every face lane in [0, 2**(8 width)), and above
+    them the defect lanes, whose packed value is 0 exactly when all of them
+    are.
+
+    Every entry is decoded once and checked in ints (:meth:`check`), so
+    the lane sums X and defect of a circuit gamma satisfy d2 X + defect = D
+    gamma: when the defect lanes sum to 0, d2 X = D gamma, and X / D is the
+    normal-form particular solution that ``solve`` gives gamma.  Kernel
+    rank 2 or more has no table: its optimum is an LP or branch and bound,
+    whose cost the particular solution does not decide.
+    """
+
+    def __init__(self, ctx, u, rows, den, code):
+        nf, ne, width = len(ctx.faces), len(u), struct.calcsize(code)
+        self.layout = struct.Struct(f"<{nf + ne}{code}")
+        self.faces = struct.Struct(f"<{nf}{code}")
+        self.bits = 8 * width * nf
+        # the sign bit of every lane, and of the face lanes alone
+        self.signs = int.from_bytes(self.layout.pack(*[-1 << 8 * width - 1] * (nf + ne)), "little")
+        self.bias = self.signs & (1 << self.bits) - 1
+        self.den = den
+        self.line = ctx.lines[0] if ctx.lines else None
+        self.z = [self.line[0].get(j, 0) for j in range(nf)] if self.line else None
+        self.entries = [den << 8 * width * (nf + e) for e in range(ne)]
+        for ui, row in zip(u, rows):
+            solution = sum(x << 8 * width * k for k, x in row.items())
+            for e, c in ui.items():
+                self.entries[e] += c * solution
+        self.check(ctx.columns)
+        self.steps = {}  # signed step (sign, edge id) -> the entry of its edge, signed
+        for eid, e in ctx.complex.edge_index.items():
+            self.steps[1, eid], self.steps[-1, eid] = self.entries[e], -self.entries[e]
+
+    def decode(self, total, layout, signs):
+        """The lanes of ``layout`` in the packed int ``total``, each lane
+        shifted to [0, 2**(8 width)) by its sign bit in ``signs``."""
+        return layout.unpack(((total + signs) ^ signs).to_bytes(layout.size, "little"))
+
+    def check(self, columns):
+        """Decode every entry e and check d2 M_e + defect = D 1_e in ints,
+        d2 given as its face ``columns``."""
+        nf = len(columns)
+        for e, entry in enumerate(self.entries):
+            lanes = self.decode(entry, self.layout, self.signs)
+            defect = list(lanes[nf:])
+            defect[e] -= self.den
+            for j, x in compress(enumerate(lanes), lanes[:nf]):
+                for i, c in columns[j]:
+                    defect[i] += c * x
+            if any(defect):
+                raise InternalError("witness boundary mismatch")
+
+    def fill(self, walk, rings):
+        """The value of the circuit with the (sign, edge id) steps ``walk``
+        over each ring of ``rings``, or None when its defect lanes do not
+        sum to 0, that is when it bounds nothing over Q."""
+        total = sum(map(self.steps.__getitem__, walk))
+        if total + self.bias >> self.bits:
+            return None
+        x = self.decode(total, self.faces, self.bias)
+        return [self.value(x, ring) for ring in rings]
+
+    def value(self, x, ring):
+        """The value over ring of :func:`_minimize_on_line` on the particular
+        solution x / D, x the list of every entry of X, with no minimizer
+        built; the median step reads the entries of supp(X) on supp(z)."""
+        den = self.den
+        if ring == INT and den > 1:
+            # as in :func:`_optimum`: X / D is the integral solution if there is one
+            if any(v % den for v in x):
+                return INF
+            x, den = [v // den for v in x], 1
+        norm = sum(map(abs, x))
+        if self.line is not None:
+            pairs = [(v, w) for v, w in zip(x, self.z) if v and w]
+            moved, _, scale = _line_step(pairs, self.line, den, ring == INT)
+            norm = (norm - sum(abs(v) for v, _ in pairs)) * scale + moved
+            den *= scale
+        return norm if ring == INT else Fraction(norm, den)
+
+
+_TABLE_BYTES = 1 << 24  # the largest packed table: past it, circuits are solved one by one
 
 
 def _context(complex_):
@@ -266,26 +400,46 @@ def _minimize_on_line(x, den, line, integral):
     for X an int vector given as a dict {face index: entry} of its nonzeros
     and z the int kernel vector of ``line`` (:func:`_line`, or None for no
     line): (Y, den', value), the minimizer y = Y / den' as the dict of its
-    nonzeros and its norm, the one Fraction.
-
-    The scan runs on ints: the breakpoint -X_i / (den z_i) of entry i is
-    keyed by the int -X_i * (lam / z_i), lam the lcm of the nonzero |z_i|,
-    which orders the breakpoints as their values do.  Every entry of
-    supp(z) off supp(X) has the breakpoint 0, so they enter the weighted
-    median as one weight, and the choice of t reads supp(X) only; z is
-    added in only when t is not 0.
+    nonzeros and its norm, the one Fraction.  The move along the line is
+    :func:`_line_step`'s, which reads supp(X) only; z is added in only when
+    the step is not 0.
     """
     if line is None:
         return x, den, Fraction(sum(map(abs, x.values())), den)
-    zs, lam, total = line
+    zs = line[0]
+    _, step, scale = _line_step([(v, zs[j]) for j, v in x.items() if j in zs], line, den,
+                                 integral)
+    if scale > 1:
+        x = {j: v * scale for j, v in x.items()}
+        den *= scale
+    if step:
+        y = dict(x)
+        for j, w in zs.items():
+            y[j] = y.get(j, 0) + step * w
+        x = {j: v for j, v in y.items() if v}
+    return x, den, Fraction(sum(map(abs, x.values())), den)
+
+
+def _line_step(pairs, line, den, integral):
+    """The one weighted-median step of :func:`_minimize_on_line`, for
+    ``pairs`` the (X_j, z_j) of some entries j of supp(z), every other entry
+    of supp(z) having X_j = 0: (moved, step, scale), the minimizer y =
+    (scale X + step z) / (scale den) and moved the l1-norm of its entries on
+    supp(z) times scale den, with scale 1 when ``integral``.
+
+    The scan runs on ints: the breakpoint -X_j / (den z_j) of entry j is
+    keyed by the int -X_j * (lam / z_j), lam the lcm of the nonzero |z_j|,
+    which orders the breakpoints as their values do.  The entries of supp(z)
+    not in ``pairs`` have the breakpoint 0, so they enter the weighted
+    median as one weight, ``rest``.
+    """
+    _, lam, total = line
     weight = {}  # den * lam * breakpoint -> total |z| of the entries that vanish there
-    rest = total  # the |z| of the entries off supp(X)
-    for j, v in x.items():
-        w = zs.get(j)
-        if w:
-            p = -v * (lam // w)
-            weight[p] = weight.get(p, 0) + abs(w)
-            rest -= abs(w)
+    rest = total
+    for v, w in pairs:
+        p = -v * (lam // w)
+        weight[p] = weight.get(p, 0) + abs(w)
+        rest -= abs(w)
     if rest:
         weight[0] = weight.get(0, 0) + rest
     acc = 0
@@ -294,24 +448,17 @@ def _minimize_on_line(x, den, line, integral):
         if 2 * acc >= total:
             break
     if integral:
-        # the norm at t, less the entries off supp(z), which do not move
-        def moved_norm(t):
-            return sum(abs(v + t * den * zs[j]) for j, v in x.items() if j in zs) + (
-                abs(t) * den * rest)
-
-        step = min(sorted({p // (den * lam), -(-p // (den * lam))}),
-                   key=lambda t: (moved_norm(t), t)) * den
-    else:
-        step = p
-        if p:
-            x = {j: v * lam for j, v in x.items()}
-            den *= lam
-    if step:
-        y = dict(x)
-        for j, w in zs.items():
-            y[j] = y.get(j, 0) + step * w
-        x = {j: v for j, v in y.items() if v}
-    return x, den, Fraction(sum(map(abs, x.values())), den)
+        # t = step / den the integer at or below the median, or the one
+        # above it when that moves the norm less
+        step = p // (den * lam) * den
+        moved = sum(abs(v + step * w) for v, w in pairs) + abs(step) * rest
+        if p % (den * lam):
+            above = sum(abs(v + (step + den) * w) for v, w in pairs) + abs(step + den) * rest
+            if above < moved:
+                return above, step + den, 1
+        return moved, step, 1
+    scale = lam if p else 1
+    return sum(abs(v * scale + p * w) for v, w in pairs) + abs(p) * rest, p, scale
 
 
 def _lp_optimum(ctx, vec, bounds=None):
@@ -567,12 +714,21 @@ def _fill_circuits(complex_, k_max, rings):
 
     ``fills`` pairs each circuit of the lengths before that one with its
     value, and ``unfillable`` lists the unfillable circuits of that length,
-    empty when there is none.  A circuit is solved from the (edge index,
-    sign) steps of its walk once for every ring still filling that lacks
-    its value on this complex, by any call: one particular solution serves
-    them all (:func:`_solve_vector`), and each ring re-checks its own
-    witness.  Only the values are kept, in each ring's fill cache under the
-    circuit's edge mask of ``circuit_masks``, which both directions share.
+    empty when there is none.  A circuit is filled once for every ring
+    still filling that lacks its value on this complex, by any call, and
+    one particular solution serves them all.  At kernel rank <= 1 it is the
+    sum of the packed entries of the circuit's signed steps
+    (:meth:`_PackedSolutions.fill`): when the sum's defect lanes are all 0,
+    d2 X = D gamma holds exactly, since every entry was checked once in
+    ints and no lane overflows, so each ring's value is read off the face
+    lanes, by the divisibility test over Z and one weighted median on the
+    line, with no witness built.  A sum with a defect bounds nothing over
+    Q, and that circuit, like every circuit at kernel rank >= 2, where the
+    optimum is an LP or branch and bound whatever the particular solution
+    costs, is solved from the (edge index, sign) steps of its walk
+    (:func:`_solve_vector`), each ring re-checking its own witness.  Only
+    the values are kept, in each ring's fill cache under the circuit's edge
+    mask of ``circuit_masks``, which both directions share.
     """
     for ring in rings:
         require_ring(ring)
@@ -586,9 +742,13 @@ def _fill_circuits(complex_, k_max, rings):
         for mask, circuit in group:
             missing = [ring for ring in going if mask not in ctx.fills[ring]]
             if missing:
-                results = _solve_vector(ctx, [(index[e], s) for s, e in circuit.walk], missing)
-                for ring, result in zip(missing, results):
-                    ctx.fills[ring][mask] = result[3]
+                packed = ctx.packed
+                values = packed.fill(circuit.walk, missing) if packed else None
+                if values is None:
+                    values = [result[3] for result in _solve_vector(
+                        ctx, [(index[e], s) for s, e in circuit.walk], missing)]
+                for ring, value in zip(missing, values):
+                    ctx.fills[ring][mask] = value
         for ring in list(going):
             filled = ctx.fills[ring]
             pairs = [(circuit, filled[mask]) for mask, circuit in group]

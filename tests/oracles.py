@@ -25,7 +25,7 @@ minimizations rescan every entry at every breakpoint, and special
 2-chains come from a separate search per base edge over Chain objects, or
 from a search per face, over frozensets of signed-face ints in set order or
 over int bit sets in face order.
-Nine exceptions: :func:`two_direction_circuit_search` is the package's
+Ten exceptions: :func:`two_direction_circuit_search` is the package's
 earlier circuit search, run on the package's step table and keys, so that
 it checks the one-direction search that replaced it,
 :func:`mask_far_apart_pairs` and :func:`mask_least_witness` run the
@@ -45,20 +45,26 @@ that Smith form too, forming the dense products u*b and v*y that
 filling a cycle at kernel rank <= 1 through full-length vectors where
 ``filling`` works on the supports of the cycle, the solution and the
 kernel vector.
-Last, :func:`reference_coned_off` is the package's earlier builder of
+Then :func:`reference_coned_off` is the package's earlier builder of
 the coned-off Cayley complex, run on the package's group table, cosets and
 walk keys, so that it checks the one-scan builder that replaced it.
+Last, :func:`reference_fill_circuits` is the package's earlier circuit
+fill, each circuit solved on its own through ``filling._solve_vector``
+(one rational solve, then the line or LP optimum and the witness re-check
+in each ring), so that it checks the packed per-edge sums that replaced it
+at kernel rank <= 1.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import ceil, floor, gcd, lcm
 from operator import ge, itemgetter
 
 from finefill import (Chain, INF, INT, RAT, boundary, enumerate_circuits, filling, is_cycle,
                       linalg)
-from finefill.chains import Circuit, canonical_walk_key, circuit_from_chain, make_circuit
+from finefill.chains import (Circuit, canonical_walk_key, circuit_from_chain, circuit_masks,
+                             make_circuit)
 from finefill.complexes import validate
 from finefill.constructions import (ConedOffComplex, _subgroup_elements, _token_step,
                                     _validated_presentation, group_closure, left_cosets)
@@ -1618,3 +1624,33 @@ def reference_coned_off(presentation, with_faces):
     cx = validate(vertices, edges, faces)
     return ConedOffComplex(cx, table, element_vertices, cone_vertices,
                            cayley_edges, cone_edges, relator_faces, triangle_faces)
+
+
+def reference_fill_circuits(cx, k_max, rings):
+    """{ring: (fills, unfillable)} as ``filling._fill_circuits`` gives it,
+    each circuit of length <= k_max solved from its (edge index, sign) steps
+    by ``filling._solve_vector`` in every ring still filling, one length at
+    a time up to the first length holding an unfillable circuit in that
+    ring.  No fill cache is read or written."""
+    ctx = filling._context(cx)
+    index = cx.edge_index
+    going = {ring: [] for ring in rings}
+    out = {}
+    circuits = circuit_masks(cx, k_max).values() if k_max else ()
+    for _, group in groupby(circuits, key=lambda circuit: circuit.length):
+        pairs = {ring: [] for ring in going}
+        for circuit in group:
+            results = filling._solve_vector(ctx, [(index[e], s) for s, e in circuit.walk],
+                                            list(going))
+            for ring, result in zip(list(going), results):
+                pairs[ring].append((circuit, result[3]))
+        for ring, filled in pairs.items():
+            unfillable = [circuit for circuit, value in filled if value is INF]
+            if unfillable:
+                out[ring] = (going.pop(ring), unfillable)
+            else:
+                going[ring] += filled
+        if not going:
+            break
+    out.update((ring, (fills, [])) for ring, fills in going.items())
+    return out

@@ -28,7 +28,7 @@ from oracles import (RecordingCache, all_cycles_fv, chain_from_vector, dense, de
                      exhaustive_int_filling, fraction_solve_lp,
                      full_box_branch_and_bound, gamma_vector, incident, lp_route_filling_value,
                      minimize_on_line, multiset_cycles, nonzeros, partition_maximum,
-                     rref_rational_solve, smith_integer_solve)
+                     reference_fill_circuits, rref_rational_solve, smith_integer_solve)
 
 
 def test_single_face_fills_its_boundary():
@@ -776,31 +776,59 @@ def test_candidate_search_matches_dict_oracle(monkeypatch):
             assert enumerate_cycles(cx, k) == multiset_cycles(cx, k), (name, k)
 
 
+def _record_fills(monkeypatch):
+    """A list that every circuit fill and every solve of :func:`fv` and
+    :func:`linearity_report` appends to, once per ring: ("packed", the
+    sorted (edge id, sign) steps of the circuit, ring) for a packed fill
+    that gave a value, ("solve", the sorted (edge index, coefficient)
+    terms, ring) for a ``_solve_vector`` call."""
+    filled = []
+    fill, solve_vector = filling._PackedSolutions.fill, filling._solve_vector
+
+    def packed(self, walk, rings):
+        values = fill(self, walk, rings)
+        if values is not None:
+            filled.extend(("packed", tuple(sorted((e, s) for s, e in walk)), ring)
+                          for ring in rings)
+        return values
+
+    def solving(ctx, terms, rings):
+        filled.extend(("solve", tuple(sorted(terms)), ring) for ring in rings)
+        return solve_vector(ctx, terms, rings)
+
+    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
+    monkeypatch.setattr(filling, "_solve_vector", solving)
+    return filled
+
+
+def _steps(circuit):
+    """The sorted (edge id, sign) steps of a circuit, as :func:`_record_fills`
+    lists a packed fill."""
+    return tuple(sorted((e, s) for s, e in circuit.walk))
+
+
 def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
     # the tetrahedron's circuits are 4 triangles filling to 1 and 3 squares
     # filling to 2, so L(u) = L(4) = 2 from u = 4 on.  A cycle of norm u > 4
     # whose split only sums to 2 fills to at most FV(u - 1), so fv leaves it
     # unfilled: at k = 6 it fills the 7 circuits and nothing else, where the
     # rule that kept such ties also filled 10 pairs of triangles.
-    solved, calls = [], []
-    solve_vector, enumerate_cycles_ = filling._solve_vector, filling.enumerate_cycles
-
-    def counting(ctx, terms, rings):
-        solved.extend([terms] * len(rings))
-        return solve_vector(ctx, terms, rings)
+    # Each circuit is one packed fill, and nothing is solved.
+    calls = []
+    enumerate_cycles_ = filling.enumerate_cycles
+    filled = _record_fills(monkeypatch)
 
     def recording(cx, max_norm, fills=None):
         found = enumerate_cycles_(cx, max_norm, fills)
         calls.append((cx, max_norm, fills, found))
         return found
 
-    monkeypatch.setattr(filling, "_solve_vector", counting)
     monkeypatch.setattr(filling, "enumerate_cycles", recording)
     for ring in (INT, RAT):
-        solved.clear()
+        filled.clear()
         calls.clear()
         table = fv(tetrahedron(), 6, ring)
-        assert len(solved) == 7, ring
+        assert [route for route, _, _ in filled] == ["packed"] * 7, ring
         assert (list(table.values), list(table.witnesses)) == all_cycles_fv(tetrahedron(), 6, ring)
         [(cx, max_norm, fills, found)] = calls
         kept = [c.serialize() for c in dict_conformal_search(cx, max_norm, fills, keep_ties=True)]
@@ -811,16 +839,27 @@ def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
 
 
 def test_fv_circuit_fills_match_filling_norm(monkeypatch):
-    # fv solves each circuit from its edge vector; the certificate and value
-    # are those filling_norm gives the circuit's cycle, inf included
+    # fv fills each circuit once, from its packed sum or, where there is no
+    # table or the sum's defect lanes are not 0, from its edge vector; the
+    # value and its type are those filling_norm gives the circuit's cycle,
+    # inf included, and so is the certificate of a solve: a packed fill is
+    # FEASIBLE_OPTIMAL when finite and INTEGRALLY_INFEASIBLE when not
     solved = []
-    solve_vector = filling._solve_vector
+    fill, solve_vector = filling._PackedSolutions.fill, filling._solve_vector
+
+    def packed(self, walk, rings):
+        values = fill(self, walk, rings)
+        if values is not None:
+            steps = tuple(sorted((e, s) for s, e in walk))
+            solved.extend(("packed", steps, value) for value in values)
+        return values
 
     def recording(ctx, terms, rings):
         results = solve_vector(ctx, terms, rings)
         solved.extend((tuple(sorted(terms)), result[0], result[3]) for result in results)
         return results
 
+    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
     monkeypatch.setattr(filling, "_solve_vector", recording)
     cases = CORPUS + CORPUS_GRAPHS[:4] + TORSION + [
         ("S3-coned", lambda: coned_s3().complex), ("disk3x3", lambda: grid_disk(3, 3)),
@@ -830,14 +869,19 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
     cases += [(name + "''", lambda build=build: subdivide(build(), BARYCENTRIC).complex)
               for name, build in CORPUS if build().faces]
     kmax = 5
-    checked, certificates, kernel_ranks = Counter(), Counter(), set()
+    checked, certificates, kernel_ranks, packed = Counter(), Counter(), set(), Counter()
     for name, build in cases:
         for ring in (INT, RAT):
             cx = build()
             solved.clear()
             table = fv(cx, kmax, ring)
-            inside = {vec: (certificate, value) for vec, certificate, value in solved}
-            assert len(inside) == len(solved), (name, ring)  # one ring, one solve each
+            inside = {}
+            for key, certificate, value in solved:
+                if key == "packed":
+                    key, certificate = certificate, (filling.FEASIBLE_OPTIMAL if value is not INF
+                                                     else filling.INTEGRALLY_INFEASIBLE)
+                inside[key] = (certificate, value)
+            assert len(inside) == len(solved), (name, ring)  # one ring, one fill each
             ctx = filling._context(cx)
             # circuits are filled up to the first length holding an unfillable one
             stop = next((k for k in range(kmax + 1) if table.value(k) is INF), kmax)
@@ -845,9 +889,12 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
             for circ in enumerate_circuits(cx, None, stop) if stop else ():
                 cycle = circ.induced_cycle()
                 want = filling_norm(fresh, cycle, ring)
-                got = inside[tuple(sorted(ctx.terms(cycle.coeffs.items())))]
+                via_table = _steps(circ) in inside
+                got = inside[_steps(circ) if via_table
+                             else tuple(sorted(ctx.terms(cycle.coeffs.items())))]
                 assert got == (want.certificate, want.value), (name, ring, circ.walk)
                 assert type(got[1]) is type(want.value), (name, ring, circ.walk)
+                packed[ring] += via_table
                 checked[ring] += 1
                 certificates[ring, want.certificate] += 1
             if cx.faces:
@@ -859,6 +906,181 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
                               (RAT, filling.RATIONALLY_INFEASIBLE)):
         assert certificates[ring, certificate] > 0, (ring, certificate)
     assert {0, 1} <= kernel_ranks and max(kernel_ranks) >= 2, kernel_ranks
+    assert min(packed.values()) > 200, packed
+
+
+def _wide_kernel(n):
+    """Two loops a and b at one vertex with the faces a^n, a b^-1 and
+    b^(n + 1): kernel rank 1, spanned by (n + 1, -n (n + 1), -n) for n >= 2,
+    so its entries reach |z_j| >= 2, and last invariant factor 1."""
+    return validate("v", [("a", "v", "v"), ("b", "v", "v")],
+                    [("f", [(1, "a")] * n), ("g", [(1, "a"), (-1, "b")]),
+                     ("h", [(1, "b")] * (n + 1))])
+
+
+def _packed_fill_cases():
+    """(name, build) of the complexes the packed circuit fills are checked
+    on: CORPUS, TORSION, the barycentric subdivisions and the double
+    traversal with a disk, circuits that bound nothing over Q beside faces,
+    kernels with entries |z_j| >= 2, and seeded random complexes (loops,
+    parallel edges and repeated-edge faces, at every kernel rank)."""
+    cases = _corpus_torsion_and_subdivisions() + [
+        ("triangle-face+open-square", triangle_face_open_square),
+        ("figure8-one-face", figure8_one_face),
+        ("wide-kernel-2", lambda: _wide_kernel(2)), ("wide-kernel-5", lambda: _wide_kernel(5))]
+    rng = random.Random(2929)
+    while len(cases) < 90:
+        vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+        es = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(rng.randint(1, 6))]
+        graph = validate(vs, es)
+        walks = [_random_closed_walk(graph, rng, 5) for _ in range(rng.randint(1, 4))]
+        faces = [(f"f{j}", walk) for j, walk in enumerate(walks) if walk]
+        cases.append((f"random-{len(cases)}", lambda vs=vs, es=es, faces=faces:
+                      validate(vs, es, faces)))
+    return cases
+
+
+def test_packed_circuit_fills_match_the_per_circuit_route(monkeypatch):
+    # every circuit of length <= 5, both rings together and each alone, on
+    # a fresh complex each: the same circuits, values and value types as
+    # the reference's one solve per circuit, at every kernel rank; a
+    # circuit whose defect lanes do not sum to 0 bounds nothing over Q, and
+    # its fill falls back to a solve and is inf in every ring
+    fallbacks = []
+    fill = filling._PackedSolutions.fill
+
+    def recording(self, walk, rings):
+        values = fill(self, walk, rings)
+        if values is None:
+            fallbacks.append(walk)
+        return values
+
+    monkeypatch.setattr(filling._PackedSolutions, "fill", recording)
+    seen = Counter()
+    for name, build in _packed_fill_cases():
+        k = 4 if name == "z3-moore-3-barycentric" else 5  # its Q LPs are slow
+        for rings in ((INT, RAT), (INT,), (RAT,)):
+            cx = build()
+            fallbacks.clear()
+            got = filling._fill_circuits(cx, k, rings)
+            want = reference_fill_circuits(build(), k, rings)
+            assert set(got) == set(want) == set(rings), name
+            unfillable = set()
+            for ring in rings:
+                (fills, stop), (want_fills, want_stop) = got[ring], want[ring]
+                where = (name, rings, ring)
+                assert [c.key for c, _ in fills] == [c.key for c, _ in want_fills], where
+                assert [v for _, v in fills] == [v for _, v in want_fills], where
+                assert [type(v) for _, v in fills] == [type(v) for _, v in want_fills], where
+                assert [c.key for c in stop] == [c.key for c in want_stop], where
+                unfillable |= {c.walk for c in stop}
+                seen["finite"] += len(fills)
+            assert set(fallbacks) <= unfillable, name
+            ctx = filling._context(cx)
+            if ctx.packed is None:
+                seen["no table", "faces" if cx.faces else "no faces"] += 1
+                continue
+            seen["kernel rank", len(ctx.kernel)] += 1
+            seen["D > 1"] += ctx.packed.den > 1
+            seen["|z_j| >= 2"] += any(abs(w) >= 2 for zs, _, _ in ctx.lines for w in zs.values())
+            seen["fallback"] += len(fallbacks)
+    for key in (("kernel rank", 0), ("kernel rank", 1), ("no table", "faces"),
+                ("no table", "no faces"), "D > 1", "|z_j| >= 2", "fallback"):
+        assert seen[key] >= 3, (key, seen)
+    assert seen["finite"] > 1000, seen
+
+
+def test_packed_fills_across_the_lane_width_boundary():
+    # one-byte lanes hold lane sums up to 127 under their sign bit: the
+    # faces a^n, a b^-1 and b^(n + 1) bound every lane's sum of |entries|
+    # by 2 n + 2, so n = 62 is the last complex of that family on them,
+    # n = 63 takes two-byte lanes, and n = 16383 four-byte ones.  Every
+    # fill equals the reference's, the face lanes of a circuit's sum are
+    # the X of RationalSolver.solve, and lane sums at the ends of the range
+    # decode exactly
+    for n, width in ((62, 1), (63, 2), (16382, 2), (16383, 4)):
+        cx = _wide_kernel(n)
+        ctx = filling._context(cx)
+        table = ctx.packed
+        assert table.layout.size == width * (len(cx.faces) + len(cx.edges)), n
+        assert filling._fill_circuits(cx, 2, (INT, RAT)) == reference_fill_circuits(
+            _wide_kernel(n), 2, (INT, RAT)), n
+        for circuit in circuit_masks(cx, 2).values():
+            total = sum(table.steps[step] for step in circuit.walk)
+            assert total + table.bias >> table.bits == 0, n
+            x = table.decode(total, table.faces, table.bias)
+            big_x, den = ctx.rat.solve([(cx.edge_index[e], s) for s, e in circuit.walk])
+            assert (list(x), table.den) == (dense(big_x, len(cx.faces)), den), n
+
+        def pack(row):
+            return sum(v << 8 * width * k for k, v in enumerate(row))
+
+        top = (1 << 8 * width - 1) - 1
+        lanes = len(cx.faces) + len(cx.edges)
+        for row in ([top] * lanes, [-top - 1] * lanes, [top, -top - 1, 0, 1, -1][:lanes]):
+            halves = [v // 2 for v in row], [v - v // 2 for v in row]
+            assert table.decode(pack(halves[0]) + pack(halves[1]), table.layout,
+                                table.signs) == tuple(row), n
+
+
+def test_a_table_past_its_byte_cap_leaves_the_circuits_to_the_solver(monkeypatch):
+    # the entries of tetrahedron'' take 36 * (24 + 36) one-byte lanes: at a
+    # cap of one byte less no table is built, and every circuit is solved
+    # as the reference solves it
+    def build():
+        return subdivide(tetrahedron(), BARYCENTRIC).complex
+
+    want = reference_fill_circuits(build(), 5, (INT, RAT))
+    for cap, built in ((36 * 60, True), (36 * 60 - 1, False)):
+        monkeypatch.setattr(filling, "_TABLE_BYTES", cap)
+        cx = build()
+        filled = _record_fills(monkeypatch)
+        assert filling._fill_circuits(cx, 5, (INT, RAT)) == want, cap
+        assert (filling._context(cx).packed is not None) == built, cap
+        routes = Counter(route for route, _, _ in filled)
+        assert routes == Counter({"packed" if built else "solve": 2 * len(want[INT][0])}), cap
+
+
+def test_zero_defect_circuit_fills_make_no_solve(monkeypatch):
+    # at kernel rank <= 1 a circuit whose defect lanes sum to 0 is filled
+    # from its packed sum alone: _solve_vector and RationalSolver.solve see
+    # exactly the circuits that bound nothing over Q, once each
+    calls = []
+    solve_vector, solve = filling._solve_vector, linalg.RationalSolver.solve
+
+    def vector(ctx, terms, rings):
+        calls.append(("vector", tuple(sorted(terms))))
+        return solve_vector(ctx, terms, rings)
+
+    def solving(self, b):
+        calls.append(("solve", tuple(sorted(b))))
+        return solve(self, b)
+
+    monkeypatch.setattr(filling, "_solve_vector", vector)
+    monkeypatch.setattr(linalg.RationalSolver, "solve", solving)
+    packed = fallback = 0
+    for name, build in _packed_fill_cases():
+        cx = build()
+        ctx = filling._context(cx)
+        if not cx.faces or len(ctx.kernel) > 1:
+            continue
+        calls.clear()
+        k = 5
+        filled = filling._fill_circuits(cx, k, (INT, RAT))
+        made = Counter(calls)
+        circuits = {c.walk: c for fills, stop in filled.values()
+                    for c in [c for c, _ in fills] + stop}
+        want = Counter()
+        for circuit in circuits.values():
+            terms = tuple(sorted(ctx.terms(circuit.induced_cycle().coeffs.items())))
+            bounds = filling_norm(build(), circuit.induced_cycle(), RAT).value is not INF
+            if not bounds:
+                want["vector", terms] += 1
+                want["solve", terms] += 1
+            packed += bounds
+            fallback += not bounds
+        assert made == want, name
+    assert packed > 300 and fallback >= 10, (packed, fallback)
 
 
 def test_sparse_line_fills_match_dense_oracle():
@@ -910,29 +1132,36 @@ def test_sparse_line_fills_match_dense_oracle():
         assert seen[key] >= 10, seen
 
 
+def _spoil_first_entry(monkeypatch):
+    """Make the next packed tables add 1 to face lane 0 of edge index 0's
+    entry before they re-check their entries."""
+    check = filling._PackedSolutions.check
+
+    def spoiled(self, columns):
+        self.entries[0] += 1
+        return check(self, columns)
+
+    monkeypatch.setattr(filling._PackedSolutions, "check", spoiled)
+
+
 def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
-    # the particular solution of every circuit fill goes through the int
-    # re-check inside fv too; the spoiled fill raises and caches no table
+    # the particular solutions that every circuit fill sums go through the
+    # int re-check of the packed table inside fv too; a table with one face
+    # lane of one edge's entry spoiled raises and is not kept, and no fv
+    # table or candidates are cached
     for build in (tetrahedron, triangle_face, bigon):
         for ring in (INT, RAT):
             cx = build()
             ctx = filling._context(cx)
-            solve = ctx.rat.solve
-
-            def spoiled(vec, solve=solve):
-                result = solve(vec)
-                if result is None:
-                    return None
-                x, den = result
-                x = dict(x)
-                x[0] = x.get(0, 0) + den
-                return {j: v for j, v in x.items() if v}, den
-
-            monkeypatch.setattr(ctx.rat, "solve", spoiled)
+            _spoil_first_entry(monkeypatch)
             with pytest.raises(InternalError, match="witness boundary mismatch"):
                 fv(cx, 4, ring)
-            monkeypatch.setattr(ctx.rat, "solve", solve)
+            assert "packed" not in vars(ctx), build.__name__
+            assert not [key for key in cx._cache if key[0] in ("fv", "fv_value")], build.__name__
+            assert not ctx.candidates, build.__name__
+            monkeypatch.undo()
             assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
+            assert ctx.packed is not None, build.__name__
 
 
 def _corpus_torsion_and_subdivisions():
@@ -1115,7 +1344,14 @@ def test_linearity_shares_the_ring_work(monkeypatch):
     # equal fresh single-ring tables, values, witnesses and value types,
     # whether it runs alone or after fv in either ring
     solves, searches = [], []
-    solve, enumerate_cycles_ = linalg.RationalSolver.solve, filling.enumerate_cycles
+    fill, solve = filling._PackedSolutions.fill, linalg.RationalSolver.solve
+    enumerate_cycles_ = filling.enumerate_cycles
+
+    def packed(self, walk, rings):
+        values = fill(self, walk, rings)
+        if values is not None:
+            solves.append(tuple(sorted((e, s) for s, e in walk)))
+        return values
 
     def counting(self, b):
         solves.append(tuple(sorted(b)))
@@ -1125,6 +1361,7 @@ def test_linearity_shares_the_ring_work(monkeypatch):
         searches.append((max_norm, tuple(value for _, value in fills)))
         return enumerate_cycles_(cx, max_norm, fills, above)
 
+    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
     monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
     monkeypatch.setattr(filling, "enumerate_cycles", recording)
     searched = {}
@@ -1146,15 +1383,17 @@ def test_linearity_shares_the_ring_work(monkeypatch):
                 assert table.witnesses == fresh[ring].witnesses, where
             assert [row[1:3] for row in rows] == [
                 (fresh[INT].value(j), fresh[RAT].value(j)) for j in range(1, k + 1)], name
-            # no search twice on one complex, and no circuit solved twice by
-            # linearity: on a fresh complex each circuit filled is solved once
-            # (none when there are no faces), after fv in one ring at most once
+            # no search twice on one complex, and no circuit filled twice by
+            # linearity: on a fresh complex each circuit filled is one packed
+            # fill or one solve for both rings (none when there are no
+            # faces), after fv in one ring at most one
             assert len(searches) == len(set(searches)), (name, first)
             stop = max(map(_fill_stop, fresh.values()))
             ctx = filling._context(cx)
             counts = Counter(solves)
             for circuit in enumerate_circuits(cx, None, stop) if stop else ():
-                solved = counts[tuple(sorted(ctx.terms(circuit.induced_cycle().coeffs.items())))]
+                solved = counts[_steps(circuit)] + counts[
+                    tuple(sorted(ctx.terms(circuit.induced_cycle().coeffs.items())))]
                 if first is None:
                     assert solved == (1 if cx.faces else 0), (name, circuit.walk)
                 else:
@@ -1170,29 +1409,20 @@ def test_linearity_shares_the_ring_work(monkeypatch):
 
 
 def test_linearity_rechecks_a_spoiled_particular_solution(monkeypatch):
-    # the one particular solution of a circuit goes through the int
-    # re-check of each ring inside linearity; the spoiled fill raises and
-    # caches no table in either ring and no candidates
+    # the particular solutions that the circuit fills of both rings sum go
+    # through the int re-check of the one packed table inside linearity; a
+    # table with one face lane of one edge's entry spoiled raises and is not
+    # kept, and no fv table in either ring and no candidates are cached
     for build in (tetrahedron, triangle_face, bigon):
         cx = build()
         ctx = filling._context(cx)
-        solve = ctx.rat.solve
-
-        def spoiled(vec, solve=solve):
-            result = solve(vec)
-            if result is None:
-                return None
-            x, den = result
-            x = dict(x)
-            x[0] = x.get(0, 0) + den
-            return {j: v for j, v in x.items() if v}, den
-
-        monkeypatch.setattr(ctx.rat, "solve", spoiled)
+        _spoil_first_entry(monkeypatch)
         with pytest.raises(InternalError, match="witness boundary mismatch"):
             linearity_report(cx, 4)
+        assert "packed" not in vars(ctx), build.__name__
         assert not [key for key in cx._cache if key[0] in ("fv", "fv_value")], build.__name__
         assert not ctx.candidates, build.__name__
-        monkeypatch.setattr(ctx.rat, "solve", solve)
+        monkeypatch.undo()
         assert linearity_report(cx, 4) == linearity_report(build(), 4), build.__name__
         for ring in (INT, RAT):
             assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
@@ -1411,25 +1641,20 @@ def test_fv_value_exceeds_the_largest_circuit_fill():
 
 def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
     # fv_value at k = 1..8 on one complex, then fv up to 8 in the same ring,
-    # solve each cycle once up to sign: the fills of a ring stay on the complex
-    solved = []
-    solve = filling._solve_vector
-
-    def counted(ctx, terms, rings):
-        solved.extend((ring, tuple(sorted(terms))) for ring in rings)
-        return solve(ctx, terms, rings)
-
-    monkeypatch.setattr(filling, "_solve_vector", counted)
+    # fill each cycle once up to sign, a circuit by a packed fill or a solve
+    # and another cycle by a solve: the fills of a ring stay on the complex
+    filled = _record_fills(monkeypatch)
     for build, rings in ((tetrahedron, (INT, RAT)), (lambda: grid_disk(2, 3), (INT, RAT)),
                          (lambda: coned_s3().complex, (INT, RAT)),
                          (lambda: subdivide(tetrahedron(), BARYCENTRIC).complex, (INT,))):
         for ring in rings:
             cx = build()
-            solved.clear()
+            filled.clear()
             values = [filling.fv_value(cx, k, ring) for k in range(1, 9)]
-            assert solved
+            assert [route for route, _, _ in filled].count("packed") > 3
             assert fv(cx, 8, ring).values[1:] == tuple(values)
-            keys = [(r, min(terms, tuple((i, -c) for i, c in terms))) for r, terms in solved]
+            keys = [(route, r, min(terms, tuple((i, -c) for i, c in terms)))
+                    for route, terms, r in filled]
             assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))
 
 
