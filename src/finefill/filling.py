@@ -8,7 +8,8 @@ solved exactly:
   Smith normal form of d2, built the first time a query needs it and then
   cached with the complex, where it also gives the homology and the kernel
   of d2; a cycle with none bounds nothing even over Q, and over Z a cycle
-  bounds exactly when D divides every entry of X.  At kernel rank <= 1 a
+  bounds exactly when D divides every entry of X.  At kernel rank <= 1,
+  on a complex small enough for its circuit fills to pay for the table, a
   circuit takes X as one sum over its walk of per-edge ints, each packing
   the particular solution of its edge's unit vector and that solution's
   boundary defect in fixed-width lanes (:class:`_PackedSolutions`): defect
@@ -145,6 +146,7 @@ class _FillingContext:
         # circuit peaks merged with the candidates, which carry None; both
         # rings share them where their fills agree
         self.candidates = {}
+        self.table = None  # :meth:`packed`'s table; False when the complex has none
 
     @cached_property
     def rat(self):
@@ -165,16 +167,27 @@ class _FillingContext:
             raise InternalError("kernel vector with a nonzero boundary")
         return lines
 
-    @cached_property
-    def packed(self):
-        """The :class:`_PackedSolutions` of the complex when its d2 kernel
-        has rank <= 1; None when it has no faces, at rank >= 2, or when a
-        lane would need more than 8 bytes or the entries more than
-        ``_TABLE_BYTES``."""
-        if not self.faces or len(self.lines) > 1:
-            return None
+    def packed(self, fills):
+        """The :class:`_PackedSolutions` of the complex for a call about to
+        fill ``fills`` circuits, or None.  The table is built once, by the
+        first call it pays for: the d2 kernel has rank <= 1, an entry has at
+        most ``_ENTRY_LANES`` lanes and the table at most
+        ``_LANES_PER_FILL`` lanes (edges x (faces + edges)) for each of the
+        ``fills``.  There is none either when a lane would need more than 8
+        bytes."""
+        if self.table is None:
+            nf, ne = len(self.faces), len(self.complex.edges)
+            if not nf or len(self.lines) > 1 or nf + ne > _ENTRY_LANES:
+                self.table = False
+            elif ne * (nf + ne) <= _LANES_PER_FILL * fills:
+                self.table = self._pack() or False
+        return self.table or None
+
+    def _pack(self):
+        """The :class:`_PackedSolutions` of the complex, or None when a lane
+        would need more than 8 bytes."""
         u, d, v = self.complex.smith_form_2()
-        nf, ne, den = len(self.faces), len(u), d[-1] if d else 1
+        nf, den = len(self.faces), d[-1] if d else 1
         rows = []  # i < rank -> {lane: entry} of (D / d_i) v_i, then minus its image
         for di, vi in zip(d, v):
             row = {}
@@ -189,9 +202,7 @@ class _FillingContext:
         top = sum(sum(map(abs, ui.values())) * max(map(abs, row.values()))
                   for ui, row in zip(u, rows)) + den
         code = next((c for c in "bhiq" if top < 1 << 8 * struct.calcsize(c) - 1), None)
-        if code is None or ne * (nf + ne) * struct.calcsize(code) > _TABLE_BYTES:
-            return None
-        return _PackedSolutions(self, u, rows, den, code)
+        return code and _PackedSolutions(self, u, rows, den, code)
 
     def image(self, x):
         """d2 x, one int per edge, summed over the face columns of the dict
@@ -239,7 +250,9 @@ class _PackedSolutions:
     Every entry is decoded once and checked in ints (:meth:`check`), so
     the lane sums X and defect of a circuit gamma satisfy d2 X + defect = D
     gamma: when the defect lanes sum to 0, d2 X = D gamma, and X / D is the
-    normal-form particular solution that ``solve`` gives gamma.  Kernel
+    normal-form particular solution that ``solve`` gives gamma.  A
+    circuit's value is computed from these checked lane sums and is not
+    re-verified (:meth:`value`), where a solve re-checks its witness.  Kernel
     rank 2 or more has no table: its optimum is an LP or branch and bound,
     whose cost the particular solution does not decide.
     """
@@ -254,16 +267,17 @@ class _PackedSolutions:
         self.bias = self.signs & (1 << self.bits) - 1
         self.den = den
         self.line = ctx.lines[0] if ctx.lines else None
-        self.z = [self.line[0].get(j, 0) for j in range(nf)] if self.line else None
+        if self.line:
+            # supp(z) as a mask over the face lanes, and z's entries on it
+            self.support = [j in self.line[0] for j in range(nf)]
+            self.z = [self.line[0][j] for j in sorted(self.line[0])]
         self.entries = [den << 8 * width * (nf + e) for e in range(ne)]
         for ui, row in zip(u, rows):
             solution = sum(x << 8 * width * k for k, x in row.items())
             for e, c in ui.items():
                 self.entries[e] += c * solution
         self.check(ctx.columns)
-        self.steps = {}  # signed step (sign, edge id) -> the entry of its edge, signed
-        for eid, e in ctx.complex.edge_index.items():
-            self.steps[1, eid], self.steps[-1, eid] = self.entries[e], -self.entries[e]
+        self.by_id = {eid: self.entries[e] for eid, e in ctx.complex.edge_index.items()}
 
     def decode(self, total, layout, signs):
         """The lanes of ``layout`` in the packed int ``total``, each lane
@@ -284,36 +298,58 @@ class _PackedSolutions:
             if any(defect):
                 raise InternalError("witness boundary mismatch")
 
+    def total(self, walk):
+        """The sum of the entries of the (sign, edge id) steps ``walk``,
+        each signed as its step."""
+        entry, total = self.by_id, 0
+        for s, e in walk:
+            total = total + entry[e] if s > 0 else total - entry[e]
+        return total
+
     def fill(self, walk, rings):
         """The value of the circuit with the (sign, edge id) steps ``walk``
         over each ring of ``rings``, or None when its defect lanes do not
         sum to 0, that is when it bounds nothing over Q."""
-        total = sum(map(self.steps.__getitem__, walk))
+        total = self.total(walk)
         if total + self.bias >> self.bits:
             return None
         x = self.decode(total, self.faces, self.bias)
-        return [self.value(x, ring) for ring in rings]
+        pairs = ()
+        if self.line is not None:
+            # the nonzero entries of X on supp(z), each with its z_j
+            on = list(compress(x, self.support))
+            pairs = list(compress(zip(on, self.z), on))
+        norm = sum(map(abs, x))
+        return [self.value(x, norm, pairs, ring) for ring in rings]
 
-    def value(self, x, ring):
+    def value(self, x, norm, pairs, ring):
         """The value over ring of :func:`_minimize_on_line` on the particular
-        solution x / D, x the list of every entry of X, with no minimizer
-        built; the median step reads the entries of supp(X) on supp(z)."""
+        solution x / D, x the tuple of every entry of X, norm its l1-norm and
+        ``pairs`` the (X_j, z_j) of supp(X) on supp(z), with no minimizer
+        built."""
         den = self.den
         if ring == INT and den > 1:
             # as in :func:`_optimum`: X / D is the integral solution if there is one
-            if any(v % den for v in x):
+            if any(v % den for v in filter(None, x)):
                 return INF
-            x, den = [v // den for v in x], 1
-        norm = sum(map(abs, x))
+            norm, pairs, den = norm // den, [(v // den, w) for v, w in pairs], 1
         if self.line is not None:
-            pairs = [(v, w) for v, w in zip(x, self.z) if v and w]
             moved, _, scale = _line_step(pairs, self.line, den, ring == INT)
             norm = (norm - sum(abs(v) for v, _ in pairs)) * scale + moved
             den *= scale
         return norm if ring == INT else Fraction(norm, den)
 
 
-_TABLE_BYTES = 1 << 24  # the largest packed table: past it, circuits are solved one by one
+# When a packed table pays (:meth:`_FillingContext.packed`), as timed by
+# ``tools/packed_table_costs.py`` against one solve per circuit (2-vCPU
+# Xeon): a build costs 9-13 us per edge at 56-86 lanes an entry, 23-51 us
+# at 360-900 lanes and 115-220 us at 2,160-3,330.  At kernel rank 1 in one
+# ring a packed fill saves 8-11 us per circuit at 60-86 lanes, 1-12 us at
+# 360-820 and loses 7-17 us at 2,160-3,260, so a table pays from about
+# lanes / 60 circuits per edge up to some 800-1,000 lanes; at rank 0 or
+# over both rings it pays sooner.
+_LANES_PER_FILL = 60
+_ENTRY_LANES = 1024
 
 
 def _context(complex_):
@@ -716,19 +752,22 @@ def _fill_circuits(complex_, k_max, rings):
     value, and ``unfillable`` lists the unfillable circuits of that length,
     empty when there is none.  A circuit is filled once for every ring
     still filling that lacks its value on this complex, by any call, and
-    one particular solution serves them all.  At kernel rank <= 1 it is the
-    sum of the packed entries of the circuit's signed steps
-    (:meth:`_PackedSolutions.fill`): when the sum's defect lanes are all 0,
-    d2 X = D gamma holds exactly, since every entry was checked once in
-    ints and no lane overflows, so each ring's value is read off the face
-    lanes, by the divisibility test over Z and one weighted median on the
-    line, with no witness built.  A sum with a defect bounds nothing over
-    Q, and that circuit, like every circuit at kernel rank >= 2, where the
-    optimum is an LP or branch and bound whatever the particular solution
-    costs, is solved from the (edge index, sign) steps of its walk
-    (:func:`_solve_vector`), each ring re-checking its own witness.  Only
-    the values are kept, in each ring's fill cache under the circuit's edge
-    mask of ``circuit_masks``, which both directions share.
+    one particular solution serves them all.  At kernel rank <= 1, once
+    the circuits this call fills pay for a packed table
+    (:meth:`_FillingContext.packed`), it is the sum of the packed entries
+    of the circuit's signed steps (:meth:`_PackedSolutions.fill`): when the
+    sum's defect lanes are all 0, d2 X = D gamma holds exactly, since every
+    entry was checked once in ints and no lane overflows, so each ring's
+    value is read off the face lanes, by the divisibility test over Z and
+    one weighted median on the line, with no witness built and no
+    per-circuit re-check.  A sum with a defect bounds nothing over Q, and
+    that circuit, like every circuit with no table and every circuit at
+    kernel rank >= 2, where the optimum is an LP or branch and bound
+    whatever the particular solution costs, is solved from the (edge
+    index, sign) steps of its walk (:func:`_solve_vector`), each ring
+    re-checking its own witness.  Only the values are kept, in each ring's
+    fill cache under the circuit's edge mask of ``circuit_masks``, which
+    both directions share.
     """
     for ring in rings:
         require_ring(ring)
@@ -737,12 +776,13 @@ def _fill_circuits(complex_, k_max, rings):
     going = {ring: [] for ring in rings}  # the rings still filling -> their fills
     out = {}
     circuits = circuit_masks(complex_, k_max).items() if k_max else ()
+    todo = sum(any(mask not in ctx.fills[ring] for ring in rings) for mask, _ in circuits)
+    packed = ctx.packed(todo) if todo else None
     for _, group in groupby(circuits, key=lambda mc: mc[1].length):
         group = list(group)
         for mask, circuit in group:
             missing = [ring for ring in going if mask not in ctx.fills[ring]]
             if missing:
-                packed = ctx.packed
                 values = packed.fill(circuit.walk, missing) if packed else None
                 if values is None:
                     values = [result[3] for result in _solve_vector(

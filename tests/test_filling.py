@@ -778,33 +778,52 @@ def test_candidate_search_matches_dict_oracle(monkeypatch):
 
 def _record_fills(monkeypatch):
     """A list that every circuit fill and every solve of :func:`fv` and
-    :func:`linearity_report` appends to, once per ring: ("packed", the
-    sorted (edge id, sign) steps of the circuit, ring) for a packed fill
-    that gave a value, ("solve", the sorted (edge index, coefficient)
-    terms, ring) for a ``_solve_vector`` call."""
+    :func:`linearity_report` appends to, once per ring: (route, the sorted
+    (edge index, coefficient) terms of the cycle, ring), route "packed"
+    for a packed fill that gave a value and "solve" for a
+    ``_solve_vector`` call.  Both routes key a cycle alike, so a cycle
+    filled by both shows up twice under one key."""
     filled = []
-    fill, solve_vector = filling._PackedSolutions.fill, filling._solve_vector
-
-    def packed(self, walk, rings):
-        values = fill(self, walk, rings)
-        if values is not None:
-            filled.extend(("packed", tuple(sorted((e, s) for s, e in walk)), ring)
-                          for ring in rings)
-        return values
+    _record_packed_fills(monkeypatch, lambda terms, rings, values: filled.extend(
+        ("packed", terms, ring) for ring in rings))
+    solve_vector = filling._solve_vector
 
     def solving(ctx, terms, rings):
         filled.extend(("solve", tuple(sorted(terms)), ring) for ring in rings)
         return solve_vector(ctx, terms, rings)
 
-    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
     monkeypatch.setattr(filling, "_solve_vector", solving)
     return filled
 
 
-def _steps(circuit):
-    """The sorted (edge id, sign) steps of a circuit, as :func:`_record_fills`
-    lists a packed fill."""
-    return tuple(sorted((e, s) for s, e in circuit.walk))
+def _record_packed_fills(monkeypatch, record):
+    """Call record(terms, rings, values) for every packed fill that gives
+    values, terms the sorted (edge index, sign) terms of the circuit's
+    walk, as ``_fill_circuits`` would pass them to ``_solve_vector``."""
+    packed, fill = filling._FillingContext.packed, filling._PackedSolutions.fill
+    index = {}  # id of a table -> the edge index of its complex
+
+    def packing(ctx, fills):
+        table = packed(ctx, fills)
+        if table:
+            index[id(table)] = ctx.complex.edge_index
+        return table
+
+    def recording(self, walk, rings):
+        values = fill(self, walk, rings)
+        if values is not None:
+            edge_index = index[id(self)]
+            record(tuple(sorted((edge_index[e], s) for s, e in walk)), rings, values)
+        return values
+
+    monkeypatch.setattr(filling._FillingContext, "packed", packing)
+    monkeypatch.setattr(filling._PackedSolutions, "fill", recording)
+
+
+def _steps(cx, circuit):
+    """The sorted (edge index, sign) terms of a circuit, as
+    :func:`_record_fills` lists a fill."""
+    return tuple(sorted((cx.edge_index[e], s) for s, e in circuit.walk))
 
 
 def test_fv_fills_no_candidate_that_only_ties(monkeypatch):
@@ -843,23 +862,23 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
     # table or the sum's defect lanes are not 0, from its edge vector; the
     # value and its type are those filling_norm gives the circuit's cycle,
     # inf included, and so is the certificate of a solve: a packed fill is
-    # FEASIBLE_OPTIMAL when finite and INTEGRALLY_INFEASIBLE when not
-    solved = []
-    fill, solve_vector = filling._PackedSolutions.fill, filling._solve_vector
+    # FEASIBLE_OPTIMAL when finite and INTEGRALLY_INFEASIBLE when not.  Both
+    # routes record a cycle under its (edge index, coefficient) terms, so a
+    # cycle filled by both is caught
+    solved = []  # (route, terms, certificate, value)
+    solve_vector = filling._solve_vector
 
-    def packed(self, walk, rings):
-        values = fill(self, walk, rings)
-        if values is not None:
-            steps = tuple(sorted((e, s) for s, e in walk))
-            solved.extend(("packed", steps, value) for value in values)
-        return values
+    def packed(terms, rings, values):
+        solved.extend(("packed", terms, filling.FEASIBLE_OPTIMAL if value is not INF
+                       else filling.INTEGRALLY_INFEASIBLE, value) for value in values)
 
     def recording(ctx, terms, rings):
         results = solve_vector(ctx, terms, rings)
-        solved.extend((tuple(sorted(terms)), result[0], result[3]) for result in results)
+        solved.extend(("solve", tuple(sorted(terms)), result[0], result[3])
+                      for result in results)
         return results
 
-    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
+    _record_packed_fills(monkeypatch, packed)
     monkeypatch.setattr(filling, "_solve_vector", recording)
     cases = CORPUS + CORPUS_GRAPHS[:4] + TORSION + [
         ("S3-coned", lambda: coned_s3().complex), ("disk3x3", lambda: grid_disk(3, 3)),
@@ -875,13 +894,9 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
             cx = build()
             solved.clear()
             table = fv(cx, kmax, ring)
-            inside = {}
-            for key, certificate, value in solved:
-                if key == "packed":
-                    key, certificate = certificate, (filling.FEASIBLE_OPTIMAL if value is not INF
-                                                     else filling.INTEGRALLY_INFEASIBLE)
-                inside[key] = (certificate, value)
+            inside = {key: (certificate, value) for _, key, certificate, value in solved}
             assert len(inside) == len(solved), (name, ring)  # one ring, one fill each
+            via_table = {key for route, key, _, _ in solved if route == "packed"}
             ctx = filling._context(cx)
             # circuits are filled up to the first length holding an unfillable one
             stop = next((k for k in range(kmax + 1) if table.value(k) is INF), kmax)
@@ -889,12 +904,12 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
             for circ in enumerate_circuits(cx, None, stop) if stop else ():
                 cycle = circ.induced_cycle()
                 want = filling_norm(fresh, cycle, ring)
-                via_table = _steps(circ) in inside
-                got = inside[_steps(circ) if via_table
-                             else tuple(sorted(ctx.terms(cycle.coeffs.items())))]
+                key = _steps(cx, circ)
+                assert key == tuple(sorted(ctx.terms(cycle.coeffs.items())))
+                got = inside[key]
                 assert got == (want.certificate, want.value), (name, ring, circ.walk)
                 assert type(got[1]) is type(want.value), (name, ring, circ.walk)
-                packed[ring] += via_table
+                packed[ring] += key in via_table
                 checked[ring] += 1
                 certificates[ring, want.certificate] += 1
             if cx.faces:
@@ -977,11 +992,11 @@ def test_packed_circuit_fills_match_the_per_circuit_route(monkeypatch):
                 seen["finite"] += len(fills)
             assert set(fallbacks) <= unfillable, name
             ctx = filling._context(cx)
-            if ctx.packed is None:
+            if not ctx.table:
                 seen["no table", "faces" if cx.faces else "no faces"] += 1
                 continue
             seen["kernel rank", len(ctx.kernel)] += 1
-            seen["D > 1"] += ctx.packed.den > 1
+            seen["D > 1"] += ctx.table.den > 1
             seen["|z_j| >= 2"] += any(abs(w) >= 2 for zs, _, _ in ctx.lines for w in zs.values())
             seen["fallback"] += len(fallbacks)
     for key in (("kernel rank", 0), ("kernel rank", 1), ("no table", "faces"),
@@ -1001,12 +1016,12 @@ def test_packed_fills_across_the_lane_width_boundary():
     for n, width in ((62, 1), (63, 2), (16382, 2), (16383, 4)):
         cx = _wide_kernel(n)
         ctx = filling._context(cx)
-        table = ctx.packed
+        table = ctx.packed(1)
         assert table.layout.size == width * (len(cx.faces) + len(cx.edges)), n
         assert filling._fill_circuits(cx, 2, (INT, RAT)) == reference_fill_circuits(
             _wide_kernel(n), 2, (INT, RAT)), n
         for circuit in circuit_masks(cx, 2).values():
-            total = sum(table.steps[step] for step in circuit.walk)
+            total = table.total(circuit.walk)
             assert total + table.bias >> table.bits == 0, n
             x = table.decode(total, table.faces, table.bias)
             big_x, den = ctx.rat.solve([(cx.edge_index[e], s) for s, e in circuit.walk])
@@ -1023,22 +1038,49 @@ def test_packed_fills_across_the_lane_width_boundary():
                                 table.signs) == tuple(row), n
 
 
-def test_a_table_past_its_byte_cap_leaves_the_circuits_to_the_solver(monkeypatch):
-    # the entries of tetrahedron'' take 36 * (24 + 36) one-byte lanes: at a
-    # cap of one byte less no table is built, and every circuit is solved
-    # as the reference solves it
+def test_a_table_is_built_only_by_fills_that_pay_for_it(monkeypatch):
+    # tetrahedron'' has 36 edges and 24 faces: its table takes 36 * 60
+    # lanes, 60 an entry.  A fill of its 162 circuits of length <= 5 builds
+    # the table when that is at most _LANES_PER_FILL lanes per circuit and
+    # the entry at most _ENTRY_LANES lanes; past either bound every circuit
+    # is solved, and the fills are the reference's either way
     def build():
         return subdivide(tetrahedron(), BARYCENTRIC).complex
 
     want = reference_fill_circuits(build(), 5, (INT, RAT))
-    for cap, built in ((36 * 60, True), (36 * 60 - 1, False)):
-        monkeypatch.setattr(filling, "_TABLE_BYTES", cap)
+    n = len(want[INT][0])
+    assert n == 162 and not want[INT][1]
+    for per_fill, entry, built in ((-(-36 * 60 // n), 60, True), (36 * 60 // n, 60, False),
+                                   (100, 60, True), (100, 59, False)):
+        monkeypatch.setattr(filling, "_LANES_PER_FILL", per_fill)
+        monkeypatch.setattr(filling, "_ENTRY_LANES", entry)
         cx = build()
         filled = _record_fills(monkeypatch)
-        assert filling._fill_circuits(cx, 5, (INT, RAT)) == want, cap
-        assert (filling._context(cx).packed is not None) == built, cap
+        assert filling._fill_circuits(cx, 5, (INT, RAT)) == want, (per_fill, entry)
+        assert bool(filling._context(cx).table) == built, (per_fill, entry)
         routes = Counter(route for route, _, _ in filled)
-        assert routes == Counter({"packed" if built else "solve": 2 * len(want[INT][0])}), cap
+        assert routes == Counter({"packed" if built else "solve": 2 * n}), (per_fill, entry)
+        monkeypatch.undo()
+    # the circuits of length <= 3 do not pay for it, those of lengths 4
+    # and 5 do: the first call solves, the second builds the table and
+    # fills from it, and the values are the reference's
+    cx = build()
+    short = len(circuit_masks(cx, 3))
+    per_fill = -(-36 * 60 // (n - short))
+    assert short * per_fill < 36 * 60
+    monkeypatch.setattr(filling, "_LANES_PER_FILL", per_fill)
+    filled = _record_fills(monkeypatch)
+    filling._fill_circuits(cx, 3, (INT, RAT))
+    assert not filling._context(cx).table
+    assert filling._fill_circuits(cx, 5, (INT, RAT)) == want
+    assert Counter(route for route, _, _ in filled) == Counter(
+        {"solve": 2 * short, "packed": 2 * (n - short)})
+    # at the module's bounds tetrahedron'' has a table at k = 5, as the
+    # fv-table benchmark fills it
+    monkeypatch.undo()
+    cx = build()
+    filling._fill_circuits(cx, 5, (INT,))
+    assert filling._context(cx).table
 
 
 def test_zero_defect_circuit_fills_make_no_solve(monkeypatch):
@@ -1156,12 +1198,12 @@ def test_fv_rechecks_a_spoiled_particular_solution(monkeypatch):
             _spoil_first_entry(monkeypatch)
             with pytest.raises(InternalError, match="witness boundary mismatch"):
                 fv(cx, 4, ring)
-            assert "packed" not in vars(ctx), build.__name__
+            assert ctx.table is None, build.__name__
             assert not [key for key in cx._cache if key[0] in ("fv", "fv_value")], build.__name__
             assert not ctx.candidates, build.__name__
             monkeypatch.undo()
             assert fv(cx, 4, ring) == fv(build(), 4, ring), (build.__name__, ring)
-            assert ctx.packed is not None, build.__name__
+            assert ctx.table, build.__name__
 
 
 def _corpus_torsion_and_subdivisions():
@@ -1344,14 +1386,8 @@ def test_linearity_shares_the_ring_work(monkeypatch):
     # equal fresh single-ring tables, values, witnesses and value types,
     # whether it runs alone or after fv in either ring
     solves, searches = [], []
-    fill, solve = filling._PackedSolutions.fill, linalg.RationalSolver.solve
+    solve = linalg.RationalSolver.solve
     enumerate_cycles_ = filling.enumerate_cycles
-
-    def packed(self, walk, rings):
-        values = fill(self, walk, rings)
-        if values is not None:
-            solves.append(tuple(sorted((e, s) for s, e in walk)))
-        return values
 
     def counting(self, b):
         solves.append(tuple(sorted(b)))
@@ -1361,7 +1397,7 @@ def test_linearity_shares_the_ring_work(monkeypatch):
         searches.append((max_norm, tuple(value for _, value in fills)))
         return enumerate_cycles_(cx, max_norm, fills, above)
 
-    monkeypatch.setattr(filling._PackedSolutions, "fill", packed)
+    _record_packed_fills(monkeypatch, lambda terms, rings, values: solves.append(terms))
     monkeypatch.setattr(linalg.RationalSolver, "solve", counting)
     monkeypatch.setattr(filling, "enumerate_cycles", recording)
     searched = {}
@@ -1389,11 +1425,9 @@ def test_linearity_shares_the_ring_work(monkeypatch):
             # faces), after fv in one ring at most one
             assert len(searches) == len(set(searches)), (name, first)
             stop = max(map(_fill_stop, fresh.values()))
-            ctx = filling._context(cx)
             counts = Counter(solves)
             for circuit in enumerate_circuits(cx, None, stop) if stop else ():
-                solved = counts[_steps(circuit)] + counts[
-                    tuple(sorted(ctx.terms(circuit.induced_cycle().coeffs.items())))]
+                solved = counts[_steps(cx, circuit)]
                 if first is None:
                     assert solved == (1 if cx.faces else 0), (name, circuit.walk)
                 else:
@@ -1419,7 +1453,7 @@ def test_linearity_rechecks_a_spoiled_particular_solution(monkeypatch):
         _spoil_first_entry(monkeypatch)
         with pytest.raises(InternalError, match="witness boundary mismatch"):
             linearity_report(cx, 4)
-        assert "packed" not in vars(ctx), build.__name__
+        assert ctx.table is None, build.__name__
         assert not [key for key in cx._cache if key[0] in ("fv", "fv_value")], build.__name__
         assert not ctx.candidates, build.__name__
         monkeypatch.undo()
@@ -1653,8 +1687,7 @@ def test_fv_value_solves_each_cycle_once_per_complex(monkeypatch):
             values = [filling.fv_value(cx, k, ring) for k in range(1, 9)]
             assert [route for route, _, _ in filled].count("packed") > 3
             assert fv(cx, 8, ring).values[1:] == tuple(values)
-            keys = [(route, r, min(terms, tuple((i, -c) for i, c in terms)))
-                    for route, terms, r in filled]
+            keys = [(r, min(terms, tuple((i, -c) for i, c in terms))) for _, terms, r in filled]
             assert len(keys) == len(set(keys)), (ring, len(keys) - len(set(keys)))
 
 
