@@ -332,6 +332,8 @@ def _cmd_sadd(args, out):
 # -- corpus property runner -------------------------------------------------------
 
 def _cmd_corpus(args, out):
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0")
     rng = random.Random(args.seed)
     files = sorted(f for f in os.listdir(args.directory) if f.endswith(".cx"))
     if not files:

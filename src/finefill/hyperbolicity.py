@@ -33,9 +33,11 @@ nearest point in B they are.
 """
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import DisconnectedError, InternalError, TooLargeError
 
@@ -47,13 +49,39 @@ def all_pairs_distances(complex_):
     """BFS distance table ``{u: {v: d(u, v)}}`` over the 1-skeleton; unit
     edge lengths.
 
-    The table and each of its rows list their keys in ``sorted(vertices)``
-    order; it is built from the complex's int distance rows.
+    The table is a read-only view over the complex's int distance rows (the
+    BFS runs here, so a disconnected graph raises at once).  It and each of
+    its rows list their keys in ``sorted(vertices)`` order; a row, itself
+    read-only, is built when it is first read, and kept.
     """
-    def build():
-        order = _adjacency(complex_)[0]
-        return {u: dict(zip(order, row)) for u, row in zip(order, _distance_rows(complex_))}
-    return complex_.cached("apsp", build)
+    rows = _distance_rows(complex_)
+    return complex_.cached("apsp", lambda: _DistanceTable(complex_.skeleton(), rows))
+
+
+class _DistanceTable(Mapping):
+    """``{u: {v: d(u, v)}}`` read off the int rows, one read-only dict per
+    row read; membership, length and iteration read only the vertex order."""
+
+    def __init__(self, skeleton, rows):
+        self._order, self._rank = skeleton[:2]
+        self._rows = rows
+        self._built = {}
+
+    def __getitem__(self, u):
+        row = self._built.get(u)
+        if row is None:
+            row = dict(zip(self._order, self._rows[self._rank[u]]))
+            row = self._built[u] = MappingProxyType(row)
+        return row
+
+    def __contains__(self, u):
+        return u in self._rank
+
+    def __iter__(self):
+        return iter(self._order)
+
+    def __len__(self):
+        return len(self._order)
 
 
 def _distance_rows(complex_):
@@ -110,13 +138,15 @@ def hyperbolicity_delta(complex_, vertex_cap=DEFAULT_VERTEX_CAP):
     """Exact four-point delta with the lexicographically least witness.
 
     Beyond ``vertex_cap`` vertices the call refuses (TooLargeError)
-    instead of sampling.
+    instead of sampling; a negative cap is refused as a ValueError.
     """
+    if vertex_cap < 0:
+        raise ValueError("vertex_cap must be >= 0")
     n = len(complex_.vertices)
     if n > vertex_cap:
         raise TooLargeError(f"{n} vertices exceeds the cap {vertex_cap}")
-    # the benchmark's tracer times the distances through this name; the
-    # scan reads the int rows the table is built from
+    # the benchmark's tracer times the BFS through this name; the scan reads
+    # the int rows under the view, which builds no row dict
     all_pairs_distances(complex_)
     rows = _distance_rows(complex_)
     order, adj = _adjacency(complex_)
@@ -305,20 +335,29 @@ def _least_witness(rows, block, target):
     far = [lanes.at_least(row, (target + 1) // 2) for row in packed]
     long = [lanes.at_least(row, target) for row in packed]
     for a, da in enumerate(dist):
-        if not long[a] >> (a + 1):      # a's long partner comes after a
+        far_a, long_a = far[a], long[a]
+        if not long_a >> (a + 1):       # a's long partner comes after a
             continue
-        for b in _bits(far[a] & -(2 << a)):     # -(2 << a): positions above a
-            db = dist[b]
-            cs = far[a] & far[b] & -(2 << b)
-            if da[b] < target:
-                cs &= long[a] | long[b]
+        for b in _bits(far_a & -(2 << a)):      # -(2 << a): positions above a
+            db, dab = dist[b], da[b]
+            far_ab, long_b = far_a & far[b], long[b]
+            cs = far_ab & -(2 << b)
+            if dab < target:
+                cs &= long_a | long_b
             for c in _bits(cs):
+                dac, dbc = da[c], db[c]
+                ds = ((long[c] if dab >= target else 0) | (long_b if dac >= target else 0)
+                      | (long_a if dbc >= target else 0)) & far_ab & far[c] & -(2 << c)
+                if not ds:
+                    continue
                 dc = dist[c]
-                ds = ((long[c] if da[b] >= target else 0) | (long[b] if da[c] >= target else 0)
-                      | (long[a] if db[c] >= target else 0))
-                for d in _bits(ds & far[a] & far[b] & far[c] & -(2 << c)):
-                    s1, s2, s3 = da[b] + dc[d], da[c] + db[d], da[d] + db[c]
-                    if 2 * max(s1, s2, s3) + min(s1, s2, s3) - s1 - s2 - s3 == target:
+                for d in _bits(ds):
+                    s1, s2, s3 = dab + dc[d], dac + db[d], da[d] + dbc
+                    if s1 < s2:
+                        s1, s2 = s2, s1
+                    if s3 > s2:             # s3 is the largest or the middle sum
+                        s1, s2 = (s3, s1) if s3 > s1 else (s1, s3)
+                    if s1 - s2 == target:   # the largest sum minus the middle
                         return tuple(first[ranked[i]] for i in (a, b, c, d))
     raise InternalError("no quadruple attains the block's own maximum")
 

@@ -228,6 +228,15 @@ def test_delta_always_fractional_form():
     assert out.startswith("delta\t0/1\t")
 
 
+def test_delta_refuses_a_negative_cap(capsys):
+    # refused like a negative --kmax, --budget or --norm, before the graph is
+    # measured against the cap
+    assert main(["delta", "--cap", "-5", data("c6.cx")]) == 1
+    assert capsys.readouterr() == ("", "error: vertex_cap must be >= 0\n")
+    assert main(["delta", "--cap", "0", data("c6.cx")]) == 1
+    assert capsys.readouterr().err == "error[TOO_LARGE]: 6 vertices exceeds the cap 0\n"
+
+
 def test_sadd():
     code, out = run_cli("sadd", data("fvals.tsv"))
     assert out == "n\tvalue\n1\t1\n2\t2\n3\t3\n"
@@ -339,6 +348,14 @@ def test_corpus_runner():
     code, out = run_cli("corpus", "--seed", "1", "--trials", "5", DATA)
     assert code == 0
     assert all(line.endswith("pass") for line in out.splitlines())
+
+
+def test_corpus_refuses_negative_trials(capsys):
+    # a negative --trials would run no decompose trial and still print pass
+    assert main(["corpus", "--trials", "-1", DATA]) == 1
+    assert capsys.readouterr() == ("", "error: trials must be >= 0\n")
+    code, out = run_cli("corpus", "--trials", "0", DATA)
+    assert code == 0 and "\tdecompose\tpass" in out
 
 
 def test_jobs_validation():

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -70,9 +71,30 @@ def test_delta_reads_the_table_through_the_module_name(monkeypatch):
         assert calls[before:] == [g]
         seen.add(id(g))
         assert len(bfs) == len(seen)
+        assert all_pairs_distances(g)._built == {}   # delta reads no row of the view
         order = sorted(g.vertices)
         table = dict_bfs_distances(g)
         assert hyperbolicity._distance_rows(g) == [[table[u][v] for v in order] for u in order]
+
+
+def test_the_distance_table_is_a_view_built_on_read():
+    g = _grid(3, 4)
+    table = all_pairs_distances(g)
+    assert isinstance(table, Mapping) and all_pairs_distances(g) is table
+    # membership, length and iteration read the vertex order and build no row
+    assert all(u in table for u in g.vertices) and "g9_9" not in table and 0 not in table
+    assert len(table) == 12 and list(table) == sorted(g.vertices)
+    assert table._built == {}
+    row = table["g1_2"]
+    assert table["g1_2"] is row and list(table._built) == ["g1_2"]
+    with pytest.raises(KeyError):
+        table["g9_9"]
+    with pytest.raises(TypeError):
+        table["g9_9"] = {}
+    with pytest.raises(TypeError):
+        row["g0_0"] = 5     # a row is shared by every later reader of the table
+    assert table == dict_bfs_distances(g) and dict_bfs_distances(g) == table
+    assert table != {**dict_bfs_distances(g), "g0_0": {}}
 
 
 def test_disconnected_refused():
@@ -135,6 +157,12 @@ def test_delta_at_most_diameter_and_witness_attains():
 def test_vertex_cap_refusal():
     with pytest.raises(TooLargeError):
         hyperbolicity_delta(cycle_graph(6), vertex_cap=3)
+    assert hyperbolicity_delta(cycle_graph(6), vertex_cap=6).delta == 1
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match="^vertex_cap must be >= 0$"):
+            hyperbolicity_delta(cycle_graph(6), vertex_cap=cap)
+    with pytest.raises(ValueError, match="^vertex_cap must be >= 0$"):
+        hyperbolicity_delta(validate("", []), vertex_cap=-1)
 
 
 def test_small_graphs_report_zero():
@@ -206,6 +234,37 @@ def test_delta_matches_exhaustive_oracle():
         rep = hyperbolicity_delta(g)
         assert (rep.delta, rep.witness, rep.diameter) == exhaustive_delta(g), trial
         assert rep.vertex_count == n
+
+
+def _chorded_tree(rng, n):
+    """A random spanning tree on n shuffled ids plus n // 4 distinct chords,
+    shaped like the random graphs of the benchmark's delta workload."""
+    ids = [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    present = set(map(frozenset, pairs))
+    while len(pairs) < n - 1 + n // 4:
+        a, b = rng.sample(range(n), 2)
+        if frozenset((a, b)) not in present:
+            present.add(frozenset((a, b)))
+            pairs.append((a, b))
+    return validate(ids, [(f"e{i}", ids[a], ids[b]) for i, (a, b) in enumerate(pairs)])
+
+
+def test_witness_pass_matches_exhaustive_oracle_on_benchmark_shapes():
+    # blocks of 16-26 vertices with 2*delta 3 or 4, and C30, C31 and the 5x6
+    # grid: the sizes where the witness pass's pruned c and d loops do the work
+    rng = random.Random(30)
+    graphs = [_chorded_tree(rng, n) for n in (30, 31, 32, 33, 33, 34, 35, 36, 36)]
+    graphs += [cycle_graph(30), cycle_graph(31), _grid(5, 6)]
+    shapes = []
+    for g in graphs:
+        rep = hyperbolicity_delta(g)
+        assert (rep.delta, rep.witness, rep.diameter) == exhaustive_delta(g)
+        adj = hyperbolicity._adjacency(g)[1]
+        shapes.append((2 * rep.delta, max(map(len, hyperbolicity._blocks(adj)))))
+    assert all(twice in (3, 4) and size >= 16 for twice, size in shapes[:9]), shapes
+    assert shapes[9:] == [(14, 30), (14, 31), (8, 30)]
 
 
 def test_least_witness_may_span_two_blocks():

@@ -3,7 +3,10 @@ import json
 import os
 import sys
 
+from finefill import hyperbolicity_delta
 from finefill.cli import main
+
+from oracles import exhaustive_delta
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,3 +90,18 @@ def test_output_digests_under_a_budget(tmp_path, monkeypatch, capsys):
     assert tool.main([ROOT, "1", str(tmp_path / "none.json"), "--budget=many"]) == 1
     assert "--budget is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "none.json").exists()
+
+
+def test_delta_costs_graphs_and_phases(monkeypatch):
+    # the split wheel is the README's slow case of diameter 3 with 2*delta 2;
+    # the phase split runs the steps of hyperbolicity_delta on a fresh copy
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool("delta_costs")
+    for n in (6, 9, 10):
+        g = tool.split_wheel(n)
+        rep = hyperbolicity_delta(g)
+        assert (rep.delta, rep.witness, rep.diameter) == exhaustive_delta(g)
+        assert (2 * rep.delta, rep.diameter) == (2, 3)
+    times = tool.phases(tool.split_wheel(10))
+    assert len(times) == 4 and min(times) >= 0
+    assert hyperbolicity_delta(tool.chorded_tree(12, 6)) == hyperbolicity_delta(tool.chorded_tree(12, 6))
