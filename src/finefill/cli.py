@@ -1,8 +1,9 @@
 """Command line entry point.
 
 TSV goes to stdout, diagnostics to stderr.  Exit codes: 0 success
-(mathematically infinite answers are data), 1 input or validation error,
-2 search budget exceeded (INCOMPLETE), 3 internal invariant violation.
+(mathematically infinite answers are data), 1 input or validation error
+(a command line that does not parse too), 2 search budget exceeded
+(INCOMPLETE), 3 internal invariant violation.
 Exact rationals print as p/q, integers bare, INFINITE as ``inf``; the
 ``delta`` line is the one place the value always carries a denominator.
 """
@@ -22,8 +23,10 @@ BUDGET_ENV = "FINEFILL_BUDGET"
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage or, for -h, the help
+        return 1 if exc.code else 0
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1

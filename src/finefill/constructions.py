@@ -89,14 +89,16 @@ def parse_cycles(text, degree):
         return tuple(perm)
     if not body.startswith("(") or not body.endswith(")"):
         raise FormatError(f"bad cycle notation {text!r}")
+    seen = set()  # the points of the cycles read so far: a point moves once
     for part in body[1:-1].split(")("):
         pts = [parse_int(t) for t in part.split()]
         if not pts:
             continue
         if any(p < 1 or p > degree for p in pts):
             raise FormatError(f"point out of range in {text!r}")
-        if len(set(pts)) != len(pts):
+        if len(set(pts)) != len(pts) or not seen.isdisjoint(pts):
             raise FormatError(f"repeated point in {text!r}")
+        seen.update(pts)
         for i, p in enumerate(pts):
             perm[p - 1] = pts[(i + 1) % len(pts)] - 1
     return tuple(perm)

@@ -16,16 +16,19 @@ solved exactly:
   lanes that sum to 0 prove d2 X = D gamma, and any other circuit bounds
   nothing over Q and is solved as every other cycle is;
 * the rank of that kernel alone picks the route: at rank 0 or 1 the
-  solution set is a point or a line and the optimum is a weighted-median
-  computation.  It runs on supports: the cycle comes as its (edge index,
-  coefficient) nonzeros, X as its nonzeros, and the line as the nonzeros
-  of its kernel vector z, so the solve, the minimization and the int
-  re-check of the witness cost the supports of gamma, X and z;
+  solution set is a point or a line and the optimum is one weighted-median
+  step (:func:`_line_step`), which returns the move along the line and the
+  minimizer's whole l1-norm.  It runs on supports: the cycle comes as its
+  (edge index, coefficient) nonzeros, X as its nonzeros, and the line as
+  the nonzeros of its kernel vector z (:attr:`_FillingContext.lines`), so
+  the solve, the minimization and the int re-check of the witness cost
+  the supports of gamma, X and z;
 * otherwise the rational optimum comes from a two-phase exact simplex in
   split-variable form, and the integral optimum from branch and bound
-  seeded with a normal-form particular solution, with the simplex bound
-  below every node.  A node's LP carries box rows only for the faces
-  branched on above it, so the root LP is the rational one.
+  seeded with a normal-form particular solution, moved along a kernel line
+  wherever that step lowers its norm, with the simplex bound below every
+  node.  A node's LP carries box rows only for the faces branched on
+  above it, so the root LP is the rational one.
 
 INFINITE is a real value here (the infimum of an empty set), not an error.
 """
@@ -119,17 +122,10 @@ def _verify_filling(ctx, terms, x, den, value):
         raise InternalError("witness norm mismatch")
 
 
-def _line(z):
-    """The line of the kernel vector z, a dict {face index: entry} of its
-    nonzeros, as :func:`_minimize_on_line` reads it: (z, the lcm of its
-    |entries|, the sum of its |entries|)."""
-    return z, lcm(*z.values()), sum(map(abs, z.values()))
-
-
 class _FillingContext:
     """Per-complex solver state: the complex's face columns, what is read
-    off the Smith form of d2 (the rational solver, the kernel and its
-    lines), the value cache, the fill values of :func:`_fill_circuits` and
+    off the Smith form of d2 (the rational solver and the kernel's lines),
+    the value cache, the fill values of :func:`_fill_circuits` and
     :func:`_cycle_fill` for each ring, and the candidates of :func:`fv`
     for each length bound and set of circuit fill values."""
 
@@ -153,17 +149,14 @@ class _FillingContext:
         return linalg.RationalSolver(self.complex.smith_form_2())
 
     @cached_property
-    def kernel(self):
-        """The kernel basis vectors, each a dict {face index: entry} of its
-        nonzeros in ascending face order."""
-        return linalg.integer_kernel_basis(self.complex.smith_form_2())
-
-    @cached_property
     def lines(self):
-        """The :func:`_line` of each kernel basis vector, built once after
-        checking that d2 maps every one of them to 0."""
-        lines = [_line(z) for z in self.kernel]
-        if any(any(self.image(zs)) for zs, _, _ in lines):
+        """The line of each kernel basis vector z of d2, as :func:`_line_step`
+        reads it: (z, the lcm of its |entries|, the sum of its |entries|), z
+        a dict {face index: entry} of its nonzeros in ascending face order.
+        Built once, after checking that d2 maps every z to 0."""
+        lines = [(z, lcm(*z.values()), sum(map(abs, z.values())))
+                 for z in linalg.integer_kernel_basis(self.complex.smith_form_2())]
+        if any(any(self.image(z)) for z, _, _ in lines):
             raise InternalError("kernel vector with a nonzero boundary")
         return lines
 
@@ -252,7 +245,7 @@ class _PackedSolutions:
     gamma: when the defect lanes sum to 0, d2 X = D gamma, and X / D is the
     normal-form particular solution that ``solve`` gives gamma.  A
     circuit's value is computed from these checked lane sums and is not
-    re-verified (:meth:`value`), where a solve re-checks its witness.  Kernel
+    re-verified (:meth:`fill`), where a solve re-checks its witness.  Kernel
     rank 2 or more has no table: its optimum is an LP or branch and bound,
     whose cost the particular solution does not decide.
     """
@@ -309,7 +302,9 @@ class _PackedSolutions:
     def fill(self, walk, rings):
         """The value of the circuit with the (sign, edge id) steps ``walk``
         over each ring of ``rings``, or None when its defect lanes do not
-        sum to 0, that is when it bounds nothing over Q."""
+        sum to 0, that is when it bounds nothing over Q: the value of
+        :func:`_minimize_on_line` on the particular solution X / D, with no
+        minimizer built."""
         total = self.total(walk)
         if total + self.bias >> self.bits:
             return None
@@ -319,25 +314,20 @@ class _PackedSolutions:
             # the nonzero entries of X on supp(z), each with its z_j
             on = list(compress(x, self.support))
             pairs = list(compress(zip(on, self.z), on))
-        norm = sum(map(abs, x))
-        return [self.value(x, norm, pairs, ring) for ring in rings]
-
-    def value(self, x, norm, pairs, ring):
-        """The value over ring of :func:`_minimize_on_line` on the particular
-        solution x / D, x the tuple of every entry of X, norm its l1-norm and
-        ``pairs`` the (X_j, z_j) of supp(X) on supp(z), with no minimizer
-        built."""
-        den = self.den
-        if ring == INT and den > 1:
-            # as in :func:`_optimum`: X / D is the integral solution if there is one
-            if any(v % den for v in filter(None, x)):
-                return INF
-            norm, pairs, den = norm // den, [(v // den, w) for v, w in pairs], 1
-        if self.line is not None:
-            moved, _, scale = _line_step(pairs, self.line, den, ring == INT)
-            norm = (norm - sum(abs(v) for v, _ in pairs)) * scale + moved
-            den *= scale
-        return norm if ring == INT else Fraction(norm, den)
+        norm, values = sum(map(abs, x)), []
+        for ring in rings:
+            n, p, den = norm, pairs, self.den
+            if ring == INT and den > 1:
+                # as in :func:`_optimum`: X / D is the integral solution if there is one
+                if any(v % den for v in filter(None, x)):
+                    values.append(INF)
+                    continue
+                n, p, den = norm // den, [(v // den, w) for v, w in pairs], 1
+            if self.line is not None:
+                n, _, scale = _line_step(n, p, self.line, den, ring == INT)
+                den *= scale
+            values.append(n if ring == INT else Fraction(n, den))
+        return values
 
 
 # When a packed table pays (:meth:`_FillingContext.packed`), as timed by
@@ -370,17 +360,11 @@ def filling_norm(complex_, gamma, ring):
     if key not in ctx.value_cache:  # a cached gamma was checked when it was filled
         if not is_cycle(complex_, gamma):
             raise NotACycleError("boundary is nonzero")
-        ctx.value_cache[key] = _solve(ctx, gamma, ring)
+        terms = ctx.terms(gamma.coeffs.items())
+        [(certificate, x, den, val)] = _solve_vector(ctx, terms, (ring,))
+        witness = None if val is INF else ctx.chain(x, ring, den)
+        ctx.value_cache[key] = FillingResult(val, witness, ring, certificate)
     return ctx.value_cache[key]
-
-
-def _solve(ctx, gamma, ring):
-    """The FillingResult of gamma over ring, its witness the 2-chain x / den
-    of :func:`_solve_vector`, built from the nonzeros of x."""
-    [(certificate, x, den, val)] = _solve_vector(ctx, ctx.terms(gamma.coeffs.items()), (ring,))
-    if val is INF:
-        return FillingResult(INF, None, ring, certificate)
-    return FillingResult(val, ctx.chain(x, ring, den), ring, certificate)
 
 
 def _solve_vector(ctx, terms, rings):
@@ -434,48 +418,54 @@ def _optimum(ctx, terms, ring, x, den):
 def _minimize_on_line(x, den, line, integral):
     """Exact min of |y|_1 over y = X / den + t z, t rational or integral,
     for X an int vector given as a dict {face index: entry} of its nonzeros
-    and z the int kernel vector of ``line`` (:func:`_line`, or None for no
-    line): (Y, den', value), the minimizer y = Y / den' as the dict of its
-    nonzeros and its norm, the one Fraction.  The move along the line is
+    and z the int kernel vector of ``line`` (one of
+    :attr:`_FillingContext.lines`, or None for no line): (Y, den', value),
+    the minimizer y = Y / den' as the dict of its nonzeros and its norm,
+    the one Fraction.  The move along the line and the norm are
     :func:`_line_step`'s, which reads supp(X) only; z is added in only when
     the step is not 0.
     """
-    if line is None:
-        return x, den, Fraction(sum(map(abs, x.values())), den)
-    zs = line[0]
-    _, step, scale = _line_step([(v, zs[j]) for j, v in x.items() if j in zs], line, den,
-                                 integral)
-    if scale > 1:
-        x = {j: v * scale for j, v in x.items()}
-        den *= scale
-    if step:
-        y = dict(x)
-        for j, w in zs.items():
-            y[j] = y.get(j, 0) + step * w
-        x = {j: v for j, v in y.items() if v}
-    return x, den, Fraction(sum(map(abs, x.values())), den)
+    norm = sum(map(abs, x.values()))
+    if line is not None:
+        zs = line[0]
+        norm, step, scale = _line_step(norm, [(v, zs[j]) for j, v in x.items() if j in zs],
+                                       line, den, integral)
+        if scale > 1:
+            x = {j: v * scale for j, v in x.items()}
+            den *= scale
+        if step:
+            x = _shifted(x, step, zs)
+    return x, den, Fraction(norm, den)
 
 
-def _line_step(pairs, line, den, integral):
-    """The one weighted-median step of :func:`_minimize_on_line`, for
-    ``pairs`` the (X_j, z_j) of some entries j of supp(z), every other entry
-    of supp(z) having X_j = 0: (moved, step, scale), the minimizer y =
-    (scale X + step z) / (scale den) and moved the l1-norm of its entries on
-    supp(z) times scale den, with scale 1 when ``integral``.
+def _shifted(x, step, z):
+    """x + step z as the dict of its nonzeros, x and z dicts {face index: entry}."""
+    return {j: v for j in {**x, **z} if (v := x.get(j, 0) + step * z.get(j, 0))}
+
+
+def _line_step(norm, pairs, line, den, integral):
+    """The one weighted-median step on the line y = X / den + t z of
+    ``line`` (one of :attr:`_FillingContext.lines`), for X an int vector of
+    l1-norm ``norm`` and ``pairs`` the (X_j, z_j) of some entries j of
+    supp(z), every other entry of supp(z) having X_j = 0: (norm', step,
+    scale), the minimizer y = (scale X + step z) / (scale den) and norm' its
+    l1-norm times scale den, with scale 1 when ``integral``.
 
     The scan runs on ints: the breakpoint -X_j / (den z_j) of entry j is
     keyed by the int -X_j * (lam / z_j), lam the lcm of the nonzero |z_j|,
     which orders the breakpoints as their values do.  The entries of supp(z)
     not in ``pairs`` have the breakpoint 0, so they enter the weighted
-    median as one weight, ``rest``.
+    median as one weight, ``rest``.  The step moves the entries of supp(z)
+    only, so the others keep their part of ``norm``, ``off``.
     """
     _, lam, total = line
     weight = {}  # den * lam * breakpoint -> total |z| of the entries that vanish there
-    rest = total
+    rest, off = total, norm
     for v, w in pairs:
         p = -v * (lam // w)
         weight[p] = weight.get(p, 0) + abs(w)
         rest -= abs(w)
+        off -= abs(v)
     if rest:
         weight[0] = weight.get(0, 0) + rest
     acc = 0
@@ -491,10 +481,10 @@ def _line_step(pairs, line, den, integral):
         if p % (den * lam):
             above = sum(abs(v + (step + den) * w) for v, w in pairs) + abs(step + den) * rest
             if above < moved:
-                return above, step + den, 1
-        return moved, step, 1
+                return off + above, step + den, 1
+        return off + moved, step, 1
     scale = lam if p else 1
-    return sum(abs(v * scale + p * w) for v, w in pairs) + abs(p) * rest, p, scale
+    return off * scale + sum(abs(v * scale + p * w) for v, w in pairs) + abs(p) * rest, p, scale
 
 
 def _lp_optimum(ctx, vec, bounds=None):
@@ -524,15 +514,18 @@ def _lp_optimum(ctx, vec, bounds=None):
 
 def _reduce_by_kernel(mu, lines):
     """Greedily shrink |mu|_1 by integer multiples of the kernel vectors of
-    ``lines``, mu and the result dicts {face index: entry} of nonzeros."""
+    ``lines``, mu and the result dicts {face index: entry} of nonzeros: mu
+    moves along a line only when :func:`_line_step` says its norm drops."""
+    norm = sum(map(abs, mu.values()))
     improved = True
     while improved:
         improved = False
         for line in lines:
-            x, _, val = _minimize_on_line(mu, 1, line, integral=True)
-            if val < sum(map(abs, mu.values())):
-                mu = x
-                improved = True
+            zs = line[0]
+            moved, step, _ = _line_step(norm, [(v, zs[j]) for j, v in mu.items() if j in zs],
+                                        line, 1, True)
+            if moved < norm:
+                mu, norm, improved = _shifted(mu, step, zs), moved, True
     return mu
 
 

@@ -1202,7 +1202,7 @@ def dense_line_fill(ctx, vec, ring):
     vector, and :func:`dense_verify_filling`; x and den are None when the
     value is INF."""
     nf = len(ctx.faces)
-    assert len(ctx.kernel) <= 1
+    assert len(ctx.lines) <= 1
     if not any(vec):
         x, den, val = [0] * nf, 1, Fraction(0) if ring == RAT else 0
     elif not nf:
@@ -1217,7 +1217,7 @@ def dense_line_fill(ctx, vec, ring):
             if any(v % den for v in x):
                 return filling.INTEGRALLY_INFEASIBLE, None, None, INF
             x, den = [v // den for v in x], 1
-        z = dense(ctx.kernel[0], nf) if ctx.kernel else None
+        z = dense(ctx.lines[0][0], nf) if ctx.lines else None
         x, den, val = dense_minimize_on_line(x, den, z, integral=ring == INT)
     dense_verify_filling(ctx, vec, x, den, val)
     return filling.FEASIBLE_OPTIMAL, x, den, int(val) if ring == INT else val

@@ -275,6 +275,19 @@ def test_int_token_is_format_error(tmp_path, capsys, command, name, text, token)
     assert captured.err == f"error[BAD_FORMAT]: not a number: {token!r}\n"
 
 
+def test_point_in_two_cycles_is_format_error(tmp_path, capsys):
+    # a generator outside S and one inside it: each is refused as it is
+    # read, before any group is closed or complex built
+    with open(data("s3.grp"), encoding="utf-8") as fh:
+        s3 = fh.read()
+    for name, text in (("outside.grp", s3.replace("sgen a a", "gen c (1 2)(2 3)\nsgen a a")),
+                       ("inside.grp", s3.replace("gen a (1 2)", "gen a (1 2)(2 3)"))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["coneoff", str(path)]) == 1, name
+        assert capsys.readouterr() == ("", "error[BAD_FORMAT]: repeated point in '(1 2)(2 3)'\n")
+
+
 def test_unopenable_output_is_an_error(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "out.tsv"
     assert main(["validate", "--output", str(missing), data("tetra.cx")]) == 1
@@ -383,10 +396,7 @@ def test_parser_built_once_and_reused(capsys):
              ["fill", "--ring", "q", "--cycle", data("loop.cy"), data("double.cx")]]
 
     def run(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:    # argparse rejects the arguments
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
@@ -398,8 +408,29 @@ def test_parser_built_once_and_reused(capsys):
         _build_parser.cache_clear()
         fresh.append(run(argv))
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 1, 0, 2, 0]
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 1, 0, 1, 0]
     assert reused[1][1] == "delta\t1/1\tv0,v1,v2,v4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fv", "--ring", "z", "--kmax", "x", "tetra.cx"],
+    ["fv", "--ring", "z", "tetra.cx"],
+    ["no-such-subcommand"],
+    ["validate", "--budget", "abc", "tetra.cx"],
+], ids=["bad-kmax", "missing-flag", "unknown-subcommand", "bad-budget"])
+def test_rejected_command_line_is_input_error(capsys, argv):
+    # exit 2 is INCOMPLETE; a command line argparse rejects is an input
+    # error, its usage message on stderr and nothing on stdout
+    assert main([data(a) if a.endswith(".cx") else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: finefill") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["-h"]) == 0
+    assert main(["fv", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: finefill") and "--kmax" in out and err == ""
 
 
 def test_missing_file_is_input_error():

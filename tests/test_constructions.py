@@ -60,6 +60,10 @@ def test_cycle_notation_round_trip():
         parse_cycles("(1 9)", 3)
     with pytest.raises(FormatError):
         parse_cycles("(1 1)", 3)
+    # a point in two cycles would map two points to one
+    for text in ("(1 2)(2 3)", "(1 2)(4 5)(5 1)"):
+        with pytest.raises(FormatError, match="repeated point"):
+            parse_cycles(text, 5)
 
 
 def invert(p):

@@ -264,7 +264,7 @@ def test_one_smith_form_of_d2_per_complex(monkeypatch):
     triangle = Chain(1, INT, {"e12": 1, "e23": 1, "e13": -1})
     assert homology_h1(cx).trivial
     assert filling_norm(cx, triangle, INT).value == 1
-    assert len(filling._context(cx).kernel) <= 1
+    assert len(filling._context(cx).lines) <= 1
     assert filling_norm(cx, triangle, RAT).value == 1
     square = Chain(1, INT, {"e12": 1, "e24": 1, "e34": -1, "e13": -1})
     assert filling_norm(omega, triangle, RAT).value == 1
@@ -272,7 +272,7 @@ def test_one_smith_form_of_d2_per_complex(monkeypatch):
     assert factored.count(cx.face_columns()) == 1
     assert factored.count(omega.face_columns()) == 1
     assert len(factored) == 2
-    assert len(filling._context(omega).kernel) >= 2
+    assert len(filling._context(omega).lines) >= 2
 
 
 # the cache keys of the tables a complex may hold: its one form of d2 (the
@@ -314,8 +314,8 @@ def test_every_cache_entry_is_a_table_of_the_whole_complex():
         (circuit,) = decompose_into_circuits(cx, triangle)
         assert check_minimal_fillings_special(cx, circuit, "e12").ok
         hyperbolicity_delta(cx)
-    assert len(filling._context(tetra).kernel) <= 1
-    assert len(filling._context(omega).kernel) >= 2
+    assert len(filling._context(tetra).lines) <= 1
+    assert len(filling._context(omega).lines) >= 2
     assert weak_area(graph, triangle, 4).value == 1
     hyperbolicity_delta(graph)
     all_pairs_distances(graph)
@@ -363,9 +363,9 @@ def test_rational_witness_does_not_depend_on_the_particular_solution():
         if not cx.faces:
             continue
         ctx = filling._context(cx)
-        if len(ctx.kernel) > 1:
+        if len(ctx.lines) > 1:
             continue
-        z = dense(ctx.kernel[0], len(cx.faces)) if ctx.kernel else None
+        z = dense(ctx.lines[0][0], len(cx.faces)) if ctx.lines else None
         for cycle in enumerate_cycles(cx, 4):
             res = filling_norm(cx, cycle, RAT)
             particular = rref_rational_solve(dense_d2(cx), gamma_vector(ctx, cycle))
@@ -444,11 +444,16 @@ def test_int_recheck_rejects_bad_witnesses(monkeypatch):
 
     # a spoiled kernel vector fails the check that d2 z = 0, made once per
     # complex before its line is built, and nothing is cached
+    kernel_basis = linalg.integer_kernel_basis
+
+    def spoiled_basis(snf):
+        [z] = kernel_basis(snf)
+        return [{**z, 0: 2 * z[0]}]
+
+    monkeypatch.setattr(linalg, "integer_kernel_basis", spoiled_basis)
     for ring in (INT, RAT):
         cx = tetrahedron()
         ctx = filling._context(cx)
-        [z] = ctx.kernel
-        ctx.kernel = [{**z, 0: 2 * z[0]}]
         with pytest.raises(InternalError, match="kernel vector with a nonzero boundary"):
             filling_norm(cx, tri, ring)
         assert not ctx.value_cache and "lines" not in vars(ctx)
@@ -913,7 +918,7 @@ def test_fv_circuit_fills_match_filling_norm(monkeypatch):
                 checked[ring] += 1
                 certificates[ring, want.certificate] += 1
             if cx.faces:
-                kernel_ranks.add(len(ctx.kernel))
+                kernel_ranks.add(len(ctx.lines))
     assert min(checked.values()) > 300, checked
     for ring, certificate in ((INT, filling.NO_FACES), (RAT, filling.NO_FACES),
                               (INT, filling.INTEGRALLY_INFEASIBLE),
@@ -995,7 +1000,7 @@ def test_packed_circuit_fills_match_the_per_circuit_route(monkeypatch):
             if not ctx.table:
                 seen["no table", "faces" if cx.faces else "no faces"] += 1
                 continue
-            seen["kernel rank", len(ctx.kernel)] += 1
+            seen["kernel rank", len(ctx.lines)] += 1
             seen["D > 1"] += ctx.table.den > 1
             seen["|z_j| >= 2"] += any(abs(w) >= 2 for zs, _, _ in ctx.lines for w in zs.values())
             seen["fallback"] += len(fallbacks)
@@ -1105,7 +1110,7 @@ def test_zero_defect_circuit_fills_make_no_solve(monkeypatch):
     for name, build in _packed_fill_cases():
         cx = build()
         ctx = filling._context(cx)
-        if not cx.faces or len(ctx.kernel) > 1:
+        if not cx.faces or len(ctx.lines) > 1:
             continue
         calls.clear()
         k = 5
@@ -1150,8 +1155,8 @@ def test_sparse_line_fills_match_dense_oracle():
                 cx = build()
                 ctx = filling._context(cx)
                 if cx.faces:
-                    assert len(ctx.kernel) <= 1, name
-                    seen["kernel rank", len(ctx.kernel)] += 1
+                    assert len(ctx.lines) <= 1, name
+                    seen["kernel rank", len(ctx.lines)] += 1
                 for cycle in cycles:
                     for gamma in ((cycle.neg(), cycle) if negated_first
                                   else (cycle, cycle.neg())):
@@ -1236,7 +1241,7 @@ def test_fv_zero_entry_monotone_and_ring_comparison():
             assert tq.value(k - 1) <= tq.value(k), name
             assert tq.value(k) <= tz.value(k), name
         ctx = filling._context(cx)
-        if not ctx.kernel and ctx.rat.denominator == 1:
+        if not ctx.lines and ctx.rat.denominator == 1:
             assert (tq.values, tq.witnesses) == (tz.values, tz.witnesses), name
             equal["faces" if cx.faces else "graph"] += 1
         else:
@@ -1596,8 +1601,12 @@ def test_minimize_on_line_matches_oracle():
         den = lcm(*(Fraction(m).denominator for m in mu))
         big_m = [int(m * den) for m in mu]
         # the package takes M and the minimizer as their nonzeros, and z as
-        # its line; a kernel vector is never zero, so a zero z is no line
-        line = filling._line(nonzeros(z)) if z is not None and any(z) else None
+        # its line, built as _FillingContext.lines builds one; a kernel
+        # vector is never zero, so a zero z is no line
+        line = None
+        if z is not None and any(z):
+            zs = nonzeros(z)
+            line = (zs, lcm(*zs.values()), sum(map(abs, zs.values())))
         for integral in (False, True):
             x, x_den, val = filling._minimize_on_line(nonzeros(big_m), den, line, integral)
             want_x, want_val = minimize_on_line(mu, z, integral)

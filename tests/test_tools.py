@@ -3,10 +3,10 @@ import json
 import os
 import sys
 
-from finefill import hyperbolicity_delta
+from finefill import INT, RAT, filling, hyperbolicity_delta
 from finefill.cli import main
 
-from oracles import exhaustive_delta
+from oracles import exhaustive_delta, reference_fill_circuits
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -105,3 +105,26 @@ def test_delta_costs_graphs_and_phases(monkeypatch):
     times = tool.phases(tool.split_wheel(10))
     assert len(times) == 4 and min(times) >= 0
     assert hyperbolicity_delta(tool.chorded_tree(12, 6)) == hyperbolicity_delta(tool.chorded_tree(12, 6))
+
+
+def test_packed_table_costs_routes_and_bounds(monkeypatch, capsys):
+    # on the once-subdivided tetrahedron (kernel rank 1), the forced-on and
+    # forced-off routes both fill as one solve per circuit does, in each ring
+    # set, and each fill leaves the bounds it forces as the module sets them
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _load_tool("packed_table_costs")
+    bounds = (filling._LANES_PER_FILL, filling._ENTRY_LANES)
+    [case] = [(name, build, 4) for name, build, _ in tool.CASES if name == "tetra'"]
+    _, build, k = case
+    for rings in ((INT,), (INT, RAT)):
+        want = reference_fill_circuits(build(), k, rings)
+        for table in (True, False):
+            _, _, n, cx = tool.once(build, k, rings, table)
+            assert (filling._LANES_PER_FILL, filling._ENTRY_LANES) == bounds, (rings, table)
+            assert bool(filling._context(cx).table) is table and n > 0
+            assert filling._fill_circuits(cx, k, rings) == want, (rings, table)
+    monkeypatch.setattr(tool, "CASES", [case])
+    tool.main(["packed_table_costs.py", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all("tetra' " in line and " rank=1 " in line for line in lines[1::2])
+    assert (filling._LANES_PER_FILL, filling._ENTRY_LANES) == bounds

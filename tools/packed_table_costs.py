@@ -11,7 +11,9 @@ it fills every circuit of length <= k of a fresh copy once with a table
 and once with none, REPEATS times alternating (default 5), and prints the
 medians: the table's build time per edge, each route's time per circuit,
 the saving per circuit and the circuits per edge at which the table pays
-for its build.  The table is forced on or off whatever the bounds say.
+for its build.  The table is forced on or off whatever the bounds say, and
+each fill restores the bounds after it, so an in-process caller keeps the
+module's own.
 """
 
 import gc
@@ -79,19 +81,24 @@ CASES = [  # (name, build, k)
 
 
 def once(build, k, rings, table):
-    """(build time, fill time, circuits, complex) of one fill of a fresh copy."""
+    """(build time, fill time, circuits, complex) of one fill of a fresh copy,
+    the table forced on or off; the module's bounds are restored after."""
+    bounds = filling._LANES_PER_FILL, filling._ENTRY_LANES
     filling._LANES_PER_FILL = filling._ENTRY_LANES = 1 << 62 if table else 0
-    cx = build()
-    ctx = filling._context(cx)
-    ctx.lines, ctx.rat  # the Smith form and what both routes read off it
-    n = len(circuit_masks(cx, k))
-    gc.collect()
-    start = perf_counter()
-    if table:
-        ctx.packed(n)
-    built = perf_counter()
-    filling._fill_circuits(cx, k, rings)
-    return built - start, perf_counter() - built, n, cx
+    try:
+        cx = build()
+        ctx = filling._context(cx)
+        ctx.lines, ctx.rat  # the Smith form and what both routes read off it
+        n = len(circuit_masks(cx, k))
+        gc.collect()
+        start = perf_counter()
+        if table:
+            ctx.packed(n)
+        built = perf_counter()
+        filling._fill_circuits(cx, k, rings)
+        return built - start, perf_counter() - built, n, cx
+    finally:
+        filling._LANES_PER_FILL, filling._ENTRY_LANES = bounds
 
 
 def main(argv):
@@ -107,7 +114,7 @@ def main(argv):
             packed, solved = median(p[1] for p, _ in runs) / n, median(s[1] for _, s in runs) / n
             save = solved - packed
             even = f"{make / save / ne:.2f}" if save > 0 else "never"
-            print(f"{name:11s} rank={len(filling._context(cx).kernel)} faces={nf} edges={ne} "
+            print(f"{name:11s} rank={len(filling._context(cx).lines)} faces={nf} edges={ne} "
                   f"lanes={nf + ne} k={k} circuits={n} build/edge={make / ne * 1e6:.1f}us "
                   f"packed/circuit={packed * 1e6:.1f}us solve/circuit={solved * 1e6:.1f}us "
                   f"save/circuit={save * 1e6:.1f}us break-even circuits/edge={even}", flush=True)
